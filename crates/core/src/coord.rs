@@ -8,11 +8,12 @@
 //! could be replaced by a distributed implementation; `bench/ablation`
 //! measures exactly that claim.
 
-use crate::gsid::{global, Gsid};
-use crate::proto::{frame, FrameBuf, Msg};
+use crate::gsid::Gsid;
+use crate::peers::{send_frame, wake_after, Peer, PeerSet};
+use crate::proto::Msg;
 use oskit::program::{Program, Step};
 use oskit::world::{NodeId, Pid, Tid, World};
-use oskit::{Errno, Fd, Kernel};
+use oskit::{Fd, Kernel};
 use simkit::Nanos;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -189,38 +190,55 @@ struct RelayInfo {
     last_heard: Nanos,
 }
 
-struct Client {
-    fd: Fd,
+/// What the root knows about one accepted connection. The connection's
+/// serial (unique per accept) keys a relay's barrier contribution — a vpid
+/// cannot, relays have none.
+#[derive(Default)]
+struct ClientInfo {
     vpid: u32,
-    fb: FrameBuf,
     /// Registered before the latest `RestartPlan`: almost certainly a
     /// zombie connection of the crashed computation whose EOF is still in
     /// flight. Its hang-up must not abort the restarted generation; any
     /// message it sends proves it alive and clears the flag.
     stale: bool,
-    /// Unique per accepted connection; keys a relay's barrier contribution
-    /// (a vpid cannot — relays have none).
-    serial: u64,
     /// `Some` once the connection identified itself as a per-node relay.
     relay: Option<RelayInfo>,
 }
+
+impl ClientInfo {
+    /// A registered, non-stale direct participant (what
+    /// [`CoordShared::coord_participants`] counts).
+    fn is_participant(&self) -> bool {
+        !self.stale && self.vpid != 0
+    }
+}
+
+type Client = Peer<ClientInfo>;
 
 impl Client {
     /// Barrier-accounting key: direct clients are keyed by vpid (stable
     /// across reconnects), relays by their connection serial offset past
     /// the vpid space.
     fn contrib_key(&self) -> u64 {
-        if self.relay.is_some() {
+        if self.info.relay.is_some() {
             RELAY_KEY_BASE | self.serial
         } else {
-            self.vpid as u64
+            self.info.vpid as u64
         }
     }
 
     /// How many barrier participants this connection speaks for.
     fn quota(&self) -> u32 {
-        self.relay.as_ref().map(|r| r.members).unwrap_or(1)
+        self.info.relay.as_ref().map(|r| r.members).unwrap_or(1)
     }
+}
+
+/// One pending barrier: each connection's cumulative contribution and their
+/// running total, so an arrival costs O(1) however many have arrived.
+#[derive(Default)]
+struct Barrier {
+    by_client: BTreeMap<u64, u32>,
+    total: u32,
 }
 
 /// Relay contribution keys live above the 32-bit vpid space.
@@ -232,8 +250,10 @@ const RELAY_KEY_BASE: u64 = 1 << 32;
 pub struct Coordinator {
     port: u16,
     interval: Option<Nanos>,
-    lfd: Fd,
-    clients: Vec<Client>,
+    clients: PeerSet<ClientInfo>,
+    /// How many clients are registered and not stale (mirrored as
+    /// [`CoordShared::coord_participants`]).
+    participants: u32,
     gen: u64,
     in_progress: bool,
     /// The overlapped drain phase of `gen` is still open: user threads
@@ -249,7 +269,7 @@ pub struct Coordinator {
     /// keeps retransmitted `BarrierReached` idempotent); relays contribute
     /// their cumulative `BarrierAckN` count, merged monotonically so
     /// retransmissions and reordering are idempotent too.
-    barrier_counts: BTreeMap<(u64, u8), BTreeMap<u64, u32>>,
+    barrier_counts: BTreeMap<(u64, u8), Barrier>,
     /// Barriers already released; a late `BarrierReached` for one of these
     /// means our release may have been lost — re-send it to that client.
     released: BTreeSet<(u64, u8)>,
@@ -262,8 +282,6 @@ pub struct Coordinator {
     /// coordinator message with no manager-side retry).
     retry_at: Option<Nanos>,
     retry_backoff: Nanos,
-    /// Next accepted connection's serial.
-    next_serial: u64,
     /// A `RestartPlan` re-armed the barriers: relay liveness timeouts and
     /// relay membership-loss reports must not abort the restart (relays
     /// only front the *pre*-restart computation; restored managers register
@@ -297,8 +315,8 @@ impl Coordinator {
         Coordinator {
             port,
             interval,
-            lfd: -1,
-            clients: Vec::new(),
+            clients: PeerSet::default(),
+            participants: 0,
             gen: 0,
             in_progress: false,
             drain_open: false,
@@ -311,7 +329,6 @@ impl Coordinator {
             requested_at: Nanos::ZERO,
             retry_at: None,
             retry_backoff: CKPT_RETRY_INITIAL,
-            next_serial: 0,
             restarting: false,
             migrating: None,
             liveness_at: None,
@@ -322,13 +339,7 @@ impl Coordinator {
         // Every wire message in or out of the root is counted per
         // generation — the scale bench's O(processes) vs O(nodes) metric.
         k.obs().metrics.inc("coord.root_msgs", self.gen);
-        let bytes = frame(msg);
-        match k.write(fd, &bytes) {
-            Ok(n) => assert_eq!(n, bytes.len(), "coordinator socket full"),
-            // The client died; EOF reaping will remove it shortly.
-            Err(Errno::Pipe) | Err(Errno::BadFd) => {}
-            Err(e) => panic!("coordinator send: {e:?}"),
-        }
+        send_frame(k, fd, msg);
     }
 
     fn broadcast(&mut self, k: &mut Kernel<'_>, msg: &Msg) {
@@ -342,17 +353,47 @@ impl Coordinator {
     /// `last_heard`; no-op for direct clients).
     fn heard_from(&mut self, k: &mut Kernel<'_>, from: usize) {
         let now = k.now();
-        if let Some(r) = self.clients[from].relay.as_mut() {
+        if let Some(r) = self.clients[from].info.relay.as_mut() {
             r.last_heard = now;
         }
     }
 
-    /// Arm a wake-up for this process `dt` from now.
-    fn arm_timer(&self, k: &mut Kernel<'_>, dt: Nanos) {
-        let pid = k.getpid_real();
-        k.sim.after(dt, move |w: &mut World, sim| {
-            w.wake(sim, (pid, Tid(0)));
+    /// Post a checkpoint request to ourselves one `interval` from now.
+    fn arm_interval(&self, k: &mut Kernel<'_>) {
+        if let Some(iv) = self.interval {
+            let (pid, port) = (k.getpid_real(), self.port);
+            k.sim.after(iv, move |w: &mut World, sim| {
+                coord_shared_for(w, port).ckpt_request_pending = true;
+                w.wake(sim, (pid, Tid(0)));
+            });
+        }
+    }
+
+    /// Open the `GenStat` of a generation of `participants` requested now.
+    fn push_gen_stat(&mut self, k: &mut Kernel<'_>, gen: u64, participants: u32) {
+        self.requested_at = k.now();
+        coord_shared_for(k.w, self.port).gen_stats.push(GenStat {
+            gen,
+            requested_at: self.requested_at,
+            releases: BTreeMap::new(),
+            participants,
+            aborted: false,
         });
+    }
+
+    /// The newest `GenStat` of `gen`.
+    fn gen_stat<'w>(&self, k: &'w mut Kernel<'_>, gen: u64) -> Option<&'w mut GenStat> {
+        let stats = &mut coord_shared_for(k.w, self.port).gen_stats;
+        stats.iter_mut().rev().find(|g| g.gen == gen)
+    }
+
+    /// A plan message re-armed the barriers; participants may have raced
+    /// their barrier messages ahead of it, so re-check every pending one.
+    fn recheck_pending(&mut self, k: &mut Kernel<'_>) {
+        let pending: Vec<(u64, u8)> = self.barrier_counts.keys().copied().collect();
+        for (g, s) in pending {
+            self.check_release(k, g, s);
+        }
     }
 
     fn start_checkpoint(&mut self, k: &mut Kernel<'_>) {
@@ -376,20 +417,21 @@ impl Coordinator {
         self.drain_open = true;
         self.restarting = false;
         self.expected = expected;
-        self.requested_at = k.now();
+        self.push_gen_stat(k, self.gen, expected);
+        coord_shared_for(k.w, self.port).last_images.clear();
         // Relay liveness counts from the request; arm the sweep if any
         // relay participates.
         let now = k.now();
         let mut have_relays = false;
-        for c in &mut self.clients {
-            if let Some(r) = c.relay.as_mut() {
+        for c in self.clients.iter_mut() {
+            if let Some(r) = c.info.relay.as_mut() {
                 r.last_heard = now;
                 have_relays = true;
             }
         }
         if have_relays {
             self.liveness_at = Some(now + LIVENESS_CHECK);
-            self.arm_timer(k, LIVENESS_CHECK);
+            wake_after(k, LIVENESS_CHECK);
         }
         let (gen, expected) = (self.gen, self.expected);
         k.trace_with("coord", || {
@@ -408,15 +450,6 @@ impl Coordinator {
             &[("gen", gen), ("participants", expected as u64)],
             "",
         );
-        let port = self.port;
-        coord_shared_for(k.w, port).gen_stats.push(GenStat {
-            gen: self.gen,
-            requested_at: self.requested_at,
-            releases: BTreeMap::new(),
-            participants: self.expected,
-            aborted: false,
-        });
-        coord_shared_for(k.w, port).last_images.clear();
         // Generation numbers can be reused after a restart rolled the
         // counter back; drop any stale barrier state for this one.
         self.aborted_gens.remove(&gen);
@@ -427,104 +460,76 @@ impl Coordinator {
         // retransmission; arm a retry in case the network eats it.
         self.retry_backoff = CKPT_RETRY_INITIAL;
         self.retry_at = Some(k.now() + self.retry_backoff);
-        self.arm_timer(k, self.retry_backoff);
+        wake_after(k, self.retry_backoff);
         let candidates = traced_candidates(k);
         let coord_node = k.node();
         faultkit::checkpoint_requested(k.w, k.sim, gen, stage::SUSPENDED, &candidates, coord_node);
     }
 
-    /// Abandon the in-flight generation: a participant died mid-protocol.
-    /// Survivors are told to roll back and resume computing; the
-    /// generation's images (if any) are never listed in a restart script.
-    fn abort_generation(&mut self, k: &mut Kernel<'_>) {
-        if !self.in_progress {
-            return;
-        }
-        let gen = self.gen;
-        self.in_progress = false;
-        self.drain_open = false;
-        self.retry_at = None;
-        self.migrating = None;
-        self.aborted_gens.insert(gen);
-        self.barrier_counts.retain(|(g, _), _| *g != gen);
-        self.released.retain(|(g, _)| *g != gen);
-        if let Some(gs) = coord_shared_for(k.w, self.port)
-            .gen_stats
-            .iter_mut()
-            .rev()
-            .find(|g| g.gen == gen)
-        {
-            gs.aborted = true;
-        }
-        k.trace_with("coord", || format!("ckpt gen {gen} ABORTED"));
-        k.obs().metrics.inc("core.ckpt.aborts", 0);
-        let (at, track) = (k.now(), k.track());
-        k.obs()
-            .spans
-            .instant(at, track, "ckpt.abort", "coord", vec![("gen", gen)]);
-        k.obs().journal.record(
-            at,
-            obs::journal::CLASS_STAGE,
-            "stage.abort",
-            None,
-            &[("gen", gen)],
-            "generation",
-        );
-        self.broadcast(k, &Msg::CkptAbort(gen));
-        if let Some(iv) = self.interval {
-            let (pid, port) = (k.getpid_real(), self.port);
-            k.sim.after(iv, move |w: &mut World, sim| {
-                coord_shared_for(w, port).ckpt_request_pending = true;
-                w.wake(sim, (pid, Tid(0)));
-            });
-        }
-        if self.queued {
-            self.queued = false;
+    /// Start the checkpoint that was requested while one was in flight.
+    fn start_queued(&mut self, k: &mut Kernel<'_>) {
+        if std::mem::take(&mut self.queued) {
             self.start_checkpoint(k);
         }
     }
 
-    /// Abandon the overlapped drain phase: a participant died *after* user
-    /// threads resumed but before its background image write finished, so
-    /// this generation's images can never all become durable. Survivors
-    /// whose drains are still in flight are told to stand down; the restart
-    /// script of the previous generation remains in place, so a restart
-    /// rolls back exactly one generation (the transparency invariant).
-    fn abort_drain(&mut self, k: &mut Kernel<'_>) {
-        if !self.drain_open || self.in_progress {
+    /// A participant died, so the generation in flight can never complete:
+    /// abandon whichever phase of it is open and tell the survivors.
+    ///
+    /// In the stop-the-world phase they roll back and resume computing; the
+    /// generation's images (if any) are never listed in a restart script.
+    /// In the overlapped drain — the participant died *after* user threads
+    /// resumed but before its background image write finished — survivors
+    /// still draining stand down, and the previous generation's restart
+    /// script stays in place, so a restart rolls back exactly one
+    /// generation (the transparency invariant).
+    fn abandon(&mut self, k: &mut Kernel<'_>) {
+        let stw = self.in_progress;
+        if !stw && !self.drain_open {
             return;
         }
         let gen = self.gen;
         self.drain_open = false;
         self.aborted_gens.insert(gen);
         self.barrier_counts.retain(|(g, _), _| *g != gen);
-        if let Some(gs) = coord_shared_for(k.w, self.port)
-            .gen_stats
-            .iter_mut()
-            .rev()
-            .find(|g| g.gen == gen)
-        {
+        if stw {
+            self.in_progress = false;
+            self.retry_at = None;
+            self.migrating = None;
+            self.released.retain(|(g, _)| *g != gen);
+        }
+        if let Some(gs) = self.gen_stat(k, gen) {
             gs.aborted = true;
         }
-        k.trace_with("coord", || format!("ckpt gen {gen} drain ABORTED"));
-        k.obs().metrics.inc("core.ckpt.drain_aborts", 0);
+        let (phase, metric, span, detail) = if stw {
+            ("", "core.ckpt.aborts", "ckpt.abort", "generation")
+        } else {
+            (
+                " drain",
+                "core.ckpt.drain_aborts",
+                "ckpt.drain_abort",
+                "drain",
+            )
+        };
+        k.trace_with("coord", || format!("ckpt gen {gen}{phase} ABORTED"));
+        k.obs().metrics.inc(metric, 0);
         let (at, track) = (k.now(), k.track());
         k.obs()
             .spans
-            .instant(at, track, "ckpt.drain_abort", "coord", vec![("gen", gen)]);
+            .instant(at, track, span, "coord", vec![("gen", gen)]);
         k.obs().journal.record(
             at,
             obs::journal::CLASS_STAGE,
             "stage.abort",
             None,
             &[("gen", gen)],
-            "drain",
+            detail,
         );
         self.broadcast(k, &Msg::CkptAbort(gen));
-        if self.queued {
-            self.queued = false;
-            self.start_checkpoint(k);
+        if stw {
+            self.arm_interval(k);
         }
+        self.start_queued(k);
     }
 
     fn handle(&mut self, k: &mut Kernel<'_>, from: usize, msg: Msg) {
@@ -536,76 +541,31 @@ impl Coordinator {
         // in-flight packets — e.g. a reordered checkpoint-barrier ack —
         // can be delivered in the same wake as its EOF, so arbitrary
         // traffic must not clear the flag.
+        let c = &mut self.clients[from].info;
+        let was_participant = c.is_participant();
         match &msg {
-            Msg::Register(..) => self.clients[from].stale = false,
-            Msg::BarrierReached(_, stg) if *stg >= stage::RESTORED => {
-                self.clients[from].stale = false;
+            Msg::Register(vpid, _host) => {
+                c.stale = false;
+                c.vpid = *vpid;
             }
+            Msg::BarrierReached(_, stg) if *stg >= stage::RESTORED => c.stale = false,
             _ => {}
         }
+        if c.is_participant() && !was_participant {
+            self.participants += 1;
+        }
         match msg {
-            Msg::Register(vpid, _host) => {
-                self.clients[from].vpid = vpid;
-            }
-            Msg::BarrierReached(gen, stg) => {
-                if self.aborted_gens.contains(&gen) {
-                    // Stale arrival from an abandoned attempt. For the
-                    // drain barrier, answer with the abort rather than
-                    // dropping silently: a forked manager finishing its
-                    // background write after a drain abort would otherwise
-                    // retransmit this ack forever. Other stages (notably
-                    // the restart barriers, which legitimately reuse an
-                    // aborted generation number before `RestartPlan`
-                    // arrives) keep the silent-drop behavior.
-                    if stg == stage::CKPT_WRITTEN {
-                        let fd = self.clients[from].fd;
-                        self.send_to(k, fd, &Msg::CkptAbort(gen));
-                    }
-                    return;
-                }
-                if self.released.contains(&(gen, stg)) {
-                    // Our release may have been lost; re-send it to this
-                    // client only.
-                    let fd = self.clients[from].fd;
-                    self.send_to(k, fd, &Msg::BarrierRelease(gen, stg));
-                    return;
-                }
-                let key = self.clients[from].contrib_key();
-                let reached = self.barrier_counts.entry((gen, stg)).or_default();
-                if reached.insert(key, 1).is_some() {
-                    return; // duplicate (retransmitted) arrival
-                }
-                self.check_release(k, gen, stg);
-            }
+            Msg::Register(..) => {}
+            // A direct client's arrival is a cumulative contribution of 1.
+            Msg::BarrierReached(gen, stg) => self.barrier_arrival(k, from, gen, stg, 1),
             Msg::BarrierAckN(gen, stg, count) => {
-                // A relay's aggregated barrier contribution. Mirrors the
-                // `BarrierReached` paths (abort answer, release re-send),
-                // but merges a cumulative count instead of a single vpid.
+                // A relay's aggregated barrier contribution.
                 self.heard_from(k, from);
-                if self.aborted_gens.contains(&gen) {
-                    if stg == stage::CKPT_WRITTEN {
-                        let fd = self.clients[from].fd;
-                        self.send_to(k, fd, &Msg::CkptAbort(gen));
-                    }
-                    return;
-                }
-                if self.released.contains(&(gen, stg)) {
-                    let fd = self.clients[from].fd;
-                    self.send_to(k, fd, &Msg::BarrierRelease(gen, stg));
-                    return;
-                }
-                let key = self.clients[from].contrib_key();
-                let reached = self.barrier_counts.entry((gen, stg)).or_default();
-                let cur = reached.entry(key).or_insert(0);
-                if count <= *cur {
-                    return; // stale or retransmitted (counts are cumulative)
-                }
-                *cur = count;
-                self.check_release(k, gen, stg);
+                self.barrier_arrival(k, from, gen, stg, count);
             }
             Msg::RelayRegister(host) => {
                 let now = k.now();
-                self.clients[from].relay = Some(RelayInfo {
+                self.clients[from].info.relay = Some(RelayInfo {
                     members: 0,
                     last_heard: now,
                 });
@@ -613,18 +573,14 @@ impl Coordinator {
             }
             Msg::RelayMembership(count, lost) => {
                 self.heard_from(k, from);
-                if let Some(r) = self.clients[from].relay.as_mut() {
+                if let Some(r) = self.clients[from].info.relay.as_mut() {
                     r.members = count;
                 }
                 if lost > 0 && !self.restarting {
                     // A participant behind this relay died. Identical to a
                     // direct client's EOF: the in-flight barrier (or the
                     // overlapped drain) can never complete.
-                    if self.in_progress {
-                        self.abort_generation(k);
-                    } else if self.drain_open {
-                        self.abort_drain(k);
-                    }
+                    self.abandon(k);
                 }
             }
             Msg::RelayPing(gen) => {
@@ -659,7 +615,6 @@ impl Coordinator {
                 self.drain_open = false;
                 self.queued = false;
                 self.gen = gen;
-                self.requested_at = k.now();
                 // Advertisements from any previous restart are stale, and a
                 // restored generation number sheds any aborted-attempt
                 // state it may have carried before the rollback.
@@ -670,24 +625,14 @@ impl Coordinator {
                 // being replaced; their in-flight EOFs must not abort the
                 // restart. Restored managers that raced ahead of the plan
                 // clear the flag with their next message.
-                for c in &mut self.clients {
-                    if c.vpid != 0 {
-                        c.stale = true;
+                for c in self.clients.iter_mut() {
+                    if c.info.vpid != 0 {
+                        c.info.stale = true;
                     }
                 }
-                coord_shared_for(k.w, self.port).gen_stats.push(GenStat {
-                    gen,
-                    requested_at: self.requested_at,
-                    releases: BTreeMap::new(),
-                    participants: n,
-                    aborted: false,
-                });
-                // Managers may have raced their barrier messages ahead of
-                // the plan; re-check every pending barrier.
-                let pending: Vec<(u64, u8)> = self.barrier_counts.keys().copied().collect();
-                for (g, s) in pending {
-                    self.check_release(k, g, s);
-                }
+                self.participants = 0;
+                self.push_gen_stat(k, gen, n);
+                self.recheck_pending(k);
             }
             Msg::MigratePlan(n, gen) => {
                 // A migration driver restores a *subset* of generation
@@ -707,37 +652,57 @@ impl Coordinator {
                 // migration.
                 self.restarting = true;
                 self.gen = gen;
-                self.requested_at = k.now();
                 // A previous failed attempt at this migration may have
                 // aborted the generation; a retry legitimately reuses it.
                 self.aborted_gens.remove(&gen);
                 self.released
                     .retain(|(g, s)| !(*g == gen && *s >= stage::RESTORED));
-                coord_shared_for(k.w, self.port).gen_stats.push(GenStat {
-                    gen,
-                    requested_at: self.requested_at,
-                    releases: BTreeMap::new(),
-                    participants: n,
-                    aborted: false,
-                });
-                // Movers may have raced their barrier messages ahead of the
-                // plan; re-check every pending barrier.
-                let pending: Vec<(u64, u8)> = self.barrier_counts.keys().copied().collect();
-                for (g, s) in pending {
-                    self.check_release(k, g, s);
-                }
+                self.push_gen_stat(k, gen, n);
+                self.recheck_pending(k);
             }
             other => panic!("coordinator got unexpected message {other:?}"),
         }
     }
 
+    /// Client `from` reports that `upto` of the participants it speaks for
+    /// (cumulatively) reached barrier `(gen, stg)`: 1 for a direct client's
+    /// `BarrierReached`, the running count of a relay's `BarrierAckN`.
+    fn barrier_arrival(&mut self, k: &mut Kernel<'_>, from: usize, gen: u64, stg: u8, upto: u32) {
+        if self.aborted_gens.contains(&gen) {
+            // Stale arrival from an abandoned attempt. For the drain
+            // barrier, answer with the abort rather than dropping silently:
+            // a forked manager finishing its background write after a drain
+            // abort would otherwise retransmit this ack forever. Other
+            // stages (notably the restart barriers, which legitimately
+            // reuse an aborted generation number before `RestartPlan`
+            // arrives) keep the silent-drop behavior.
+            if stg == stage::CKPT_WRITTEN {
+                let fd = self.clients[from].fd;
+                self.send_to(k, fd, &Msg::CkptAbort(gen));
+            }
+            return;
+        }
+        if self.released.contains(&(gen, stg)) {
+            // Our release may have been lost; re-send it to this client
+            // only.
+            let fd = self.clients[from].fd;
+            self.send_to(k, fd, &Msg::BarrierRelease(gen, stg));
+            return;
+        }
+        let key = self.clients[from].contrib_key();
+        let barrier = self.barrier_counts.entry((gen, stg)).or_default();
+        let cur = barrier.by_client.entry(key).or_insert(0);
+        if upto <= *cur {
+            return; // stale or retransmitted (contributions are cumulative)
+        }
+        barrier.total += upto - *cur;
+        *cur = upto;
+        self.check_release(k, gen, stg);
+    }
+
     /// Release a barrier once every expected participant reached it.
     fn check_release(&mut self, k: &mut Kernel<'_>, gen: u64, stg: u8) {
-        let count = self
-            .barrier_counts
-            .get(&(gen, stg))
-            .map(|m| m.values().sum::<u32>())
-            .unwrap_or(0);
+        let count = self.barrier_counts.get(&(gen, stg)).map_or(0, |b| b.total);
         // During a live migration only the movers run the restart stages:
         // they release against the migration's own quorum, not the full
         // computation's.
@@ -758,12 +723,7 @@ impl Coordinator {
         self.barrier_counts.remove(&(gen, stg));
         self.released.insert((gen, stg));
         let now = k.now();
-        if let Some(gs) = coord_shared_for(k.w, self.port)
-            .gen_stats
-            .iter_mut()
-            .rev()
-            .find(|g| g.gen == gen)
-        {
+        if let Some(gs) = self.gen_stat(k, gen) {
             gs.releases.insert(stg, now);
         }
         k.trace_with("barrier", || format!("gen {gen} stage {stg} released"));
@@ -796,18 +756,9 @@ impl Coordinator {
                 self.write_restart_script(k);
                 // A checkpoint requested mid-restore was queued; start it
                 // now that every manager is resumed.
-                if self.queued {
-                    self.queued = false;
-                    self.start_checkpoint(k);
-                }
+                self.start_queued(k);
             }
-            if let Some(iv) = self.interval {
-                let (pid, port) = (k.getpid_real(), self.port);
-                k.sim.after(iv, move |w: &mut World, sim| {
-                    coord_shared_for(w, port).ckpt_request_pending = true;
-                    w.wake(sim, (pid, Tid(0)));
-                });
-            }
+            self.arm_interval(k);
         }
         let candidates = traced_candidates(k);
         let coord_node = k.node();
@@ -821,35 +772,27 @@ impl Coordinator {
         if stg == stage::CKPT_WRITTEN {
             self.drain_open = false;
             self.write_restart_script(k);
-            if self.queued {
-                self.queued = false;
-                self.start_checkpoint(k);
-            }
+            self.start_queued(k);
         }
     }
 
     /// Mirror the barrier bookkeeping into [`CoordShared`] so replay state
     /// dumps can render it without downcasting the program. Called once at
-    /// the end of every step — cheap (the maps are tiny) and always
+    /// the end of every step — O(pending barriers), a handful at most (the
+    /// totals and the participant count are kept running) — and always
     /// consistent with what this step left behind.
     fn mirror_state(&self, k: &mut Kernel<'_>) {
-        let pending: BTreeMap<(u64, u8), u32> = self
-            .barrier_counts
-            .iter()
-            .map(|(key, m)| (*key, m.values().sum()))
-            .collect();
-        let participants = self
-            .clients
-            .iter()
-            .filter(|c| !c.stale && c.vpid != 0)
-            .count() as u32;
         let s = coord_shared_for(k.w, self.port);
         s.coord_gen = self.gen;
         s.coord_in_progress = self.in_progress;
         s.coord_drain_open = self.drain_open;
         s.coord_expected = self.expected;
-        s.coord_participants = participants;
-        s.barrier_pending = pending;
+        s.coord_participants = self.participants;
+        s.barrier_pending
+            .retain(|key, _| self.barrier_counts.contains_key(key));
+        for (key, b) in &self.barrier_counts {
+            s.barrier_pending.insert(*key, b.total);
+        }
     }
 
     /// Generate the restart script listing every image of the last
@@ -880,108 +823,41 @@ impl Coordinator {
 
 impl Program for Coordinator {
     fn step(&mut self, k: &mut Kernel<'_>) -> Step {
-        if self.lfd < 0 {
-            let (fd, port) = k.listen_on(self.port).expect("coordinator port free");
-            self.lfd = fd;
+        if let Some(port) = self.clients.listen_once(k, self.port) {
             self.port = port;
             coord_shared_for(k.w, port).coord_pid = Some(k.getpid_real());
-            if let Some(iv) = self.interval {
-                // Arm the first interval tick.
-                let pid = k.getpid_real();
-                k.sim.after(iv, move |w: &mut World, sim| {
-                    coord_shared_for(w, port).ckpt_request_pending = true;
-                    w.wake(sim, (pid, Tid(0)));
-                });
-            }
+            // Arm the first interval tick.
+            self.arm_interval(k);
         }
         let mut progressed = true;
         while progressed {
-            progressed = false;
-            // Accept new managers.
-            loop {
-                match k.accept(self.lfd) {
-                    Ok(fd) => {
-                        let serial = self.next_serial;
-                        self.next_serial += 1;
-                        self.clients.push(Client {
-                            fd,
-                            vpid: 0,
-                            fb: FrameBuf::new(),
-                            stale: false,
-                            serial,
-                            relay: None,
-                        });
-                        progressed = true;
-                    }
-                    Err(Errno::WouldBlock) => break,
-                    Err(e) => panic!("coordinator accept: {e:?}"),
-                }
+            // Accept new managers, then serve exactly the clients whose
+            // sockets became readable, in ascending serial order.
+            progressed = self.clients.accept_new(k);
+            while let Some((from, msg)) = self.clients.next_msg(k) {
+                self.handle(k, from, msg);
+                progressed = true;
             }
-            // Drain every client socket; clients whose process exited
-            // (EOF) leave the computation. A client speaking garbage
-            // (corrupted frames) is treated the same as a dead one.
-            let mut dead = Vec::new();
-            for i in 0..self.clients.len() {
-                loop {
-                    match k.read(self.clients[i].fd, 64 * 1024) {
-                        Ok(b) if b.is_empty() => {
-                            dead.push(i);
-                            break;
-                        }
-                        Ok(b) => {
-                            self.clients[i].fb.feed(&b);
-                            progressed = true;
-                        }
-                        Err(Errno::WouldBlock) => break,
-                        Err(Errno::BadFd) => {
-                            dead.push(i);
-                            break;
-                        }
-                        Err(e) => panic!("coordinator read: {e:?}"),
-                    }
-                }
-                loop {
-                    match self.clients[i].fb.pop() {
-                        Ok(Some(msg)) => {
-                            self.handle(k, i, msg);
-                            progressed = true;
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            if !dead.contains(&i) {
-                                dead.push(i);
-                            }
-                            break;
-                        }
-                    }
-                }
-            }
+            // Clients whose process exited (EOF) leave the computation; one
+            // speaking garbage (corrupted frames) is treated the same.
             // Only *registered* clients are protocol participants; restart
             // processes and command-line tools connect without registering
             // and may hang up freely (e.g. after forking the children). A
             // relay counts as a participant whenever it fronts anyone.
-            let lost_participant = dead.iter().any(|&i| {
-                let c = &self.clients[i];
-                !c.stale && (c.vpid != 0 || (c.relay.is_some() && c.quota() > 0))
-            });
-            for i in dead.into_iter().rev() {
-                let c = self.clients.remove(i);
-                let _ = k.close(c.fd);
+            let mut lost_participant = false;
+            for c in self.clients.reap(k) {
+                lost_participant |= !c.info.stale
+                    && (c.info.vpid != 0 || (c.info.relay.is_some() && c.quota() > 0));
+                if c.info.is_participant() {
+                    self.participants -= 1;
+                }
                 progressed = true;
             }
             if lost_participant {
-                if self.in_progress {
-                    // A participant vanished mid-protocol; the barrier can
-                    // never be reached. Abort and let the survivors resume.
-                    self.abort_generation(k);
-                    progressed = true;
-                } else if self.drain_open {
-                    // It vanished during the overlapped drain: its image
-                    // will never be acknowledged. Abandon the generation;
-                    // restart rolls back to the previous one.
-                    self.abort_drain(k);
-                    progressed = true;
-                }
+                // It vanished mid-protocol (the barrier can never be
+                // reached) or during the overlapped drain (its image will
+                // never be acknowledged).
+                self.abandon(k);
             }
             // Mailbox: `dmtcp command --checkpoint`, interval timer, or the
             // dmtcpaware request API.
@@ -1002,7 +878,7 @@ impl Program for Coordinator {
                     self.broadcast(k, &Msg::CkptRequest(gen));
                     self.retry_backoff = self.retry_backoff + self.retry_backoff;
                     self.retry_at = Some(k.now() + self.retry_backoff);
-                    self.arm_timer(k, self.retry_backoff);
+                    wake_after(k, self.retry_backoff);
                 } else {
                     self.retry_at = None;
                 }
@@ -1018,35 +894,25 @@ impl Program for Coordinator {
                 self.liveness_at = None;
                 if (self.in_progress || self.drain_open) && !self.restarting {
                     let now = k.now();
-                    let timed_out: Vec<usize> = self
-                        .clients
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, c)| {
-                            c.relay
-                                .as_ref()
-                                .map(|r| r.members > 0 && now - r.last_heard > RELAY_TIMEOUT)
-                                .unwrap_or(false)
-                        })
-                        .map(|(i, _)| i)
+                    let silent =
+                        |r: &RelayInfo| r.members > 0 && now - r.last_heard > RELAY_TIMEOUT;
+                    let timed_out: Vec<usize> = (0..self.clients.len())
+                        .filter(|&i| self.clients[i].info.relay.as_ref().is_some_and(silent))
                         .collect();
                     if timed_out.is_empty() {
                         self.liveness_at = Some(now + LIVENESS_CHECK);
-                        self.arm_timer(k, LIVENESS_CHECK);
+                        wake_after(k, LIVENESS_CHECK);
                     } else {
                         for i in timed_out.into_iter().rev() {
-                            let c = self.clients.remove(i);
-                            let _ = k.close(c.fd);
+                            // (A relay never registers a vpid, so it was
+                            // not counted in `participants`.)
+                            self.clients.remove(k, i);
                             k.trace_with("coord", || {
                                 "relay timed out mid-generation; dropping it".to_string()
                             });
                             k.obs().metrics.inc("coord.relay_timeouts", 0);
                         }
-                        if self.in_progress {
-                            self.abort_generation(k);
-                        } else {
-                            self.abort_drain(k);
-                        }
+                        self.abandon(k);
                     }
                 }
             }
@@ -1106,13 +972,4 @@ pub fn request_checkpoint_on(w: &mut World, sim: &mut oskit::world::OsSim, port:
 /// Post a checkpoint request to the default-port coordinator and wake it.
 pub fn request_checkpoint(w: &mut World, sim: &mut oskit::world::OsSim) {
     request_checkpoint_on(w, sim, COORD_PORT);
-}
-
-/// Query the discovery/global tables — used by tests to assert protocol
-/// invariants without reaching into the coordinator program.
-pub fn discovery_len(w: &mut World) -> usize {
-    // The discovery table lives in the program; expose via the gsid table
-    // instead: count of advertised ids is not tracked globally, so report
-    // the number of known connection gsids.
-    global(w).conn_gsid.len()
 }

@@ -36,6 +36,7 @@ pub mod gsid;
 pub mod hijack;
 pub mod launch;
 pub mod manager;
+mod peers;
 pub mod proto;
 pub mod relay;
 pub mod replay;

@@ -6,6 +6,7 @@
 //! the *application's own sockets* during a checkpoint.
 
 use crate::gsid::Gsid;
+use oskit::{Errno, Fd, Kernel};
 use simkit::{impl_snap, Snap, SnapError};
 
 /// The drain token: pushed through every socket by its receiving-end leader
@@ -192,6 +193,20 @@ impl FrameBuf {
     /// Feed received bytes.
     pub fn feed(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Read socket `fd` dry into the buffer; `false` once it is at EOF (or
+    /// already closed under us).
+    pub fn fill(&mut self, k: &mut Kernel<'_>, fd: Fd) -> bool {
+        loop {
+            match k.read(fd, 64 * 1024) {
+                Ok(b) if b.is_empty() => return false,
+                Ok(b) => self.feed(&b),
+                Err(Errno::WouldBlock) => return true,
+                Err(Errno::BadFd) => return false,
+                Err(e) => panic!("protocol read: {e:?}"),
+            }
+        }
     }
 
     /// Pop the next complete message, if one has fully arrived.

@@ -26,9 +26,10 @@
 
 use crate::coord::stage;
 use crate::gsid::Gsid;
-use crate::proto::{frame, FrameBuf, Msg};
+use crate::peers::{send_frame, wake_after, PeerSet, UPLINK};
+use crate::proto::{FrameBuf, Msg};
 use oskit::program::{Program, Step};
-use oskit::world::{Tid, World};
+use oskit::world::World;
 use oskit::{Errno, Fd, Kernel};
 use simkit::Nanos;
 use std::collections::{BTreeMap, BTreeSet};
@@ -47,10 +48,10 @@ pub const PING_INTERVAL: Nanos = Nanos(25_000_000); // 25 ms
 /// root's own relay timeout, so the root always gives up on us first.
 pub const GIVE_UP: Nanos = Nanos(300_000_000); // 300 ms
 
+/// What the relay knows about one local manager connection.
+#[derive(Default)]
 struct LocalClient {
-    fd: Fd,
     vpid: u32,
-    fb: FrameBuf,
 }
 
 /// Replay-dump mirror of one relay's barrier aggregation state. Relays, like
@@ -96,11 +97,10 @@ pub struct Relay {
     port: u16,
     root_host: String,
     root_port: u16,
-    lfd: Fd,
     root_fd: Fd,
     root_fb: FrameBuf,
     registered: bool,
-    locals: Vec<LocalClient>,
+    locals: PeerSet<LocalClient>,
     /// Local vpids that acked each pending (gen, stage) — the cumulative
     /// count forwarded in `BarrierAckN`. Duplicate local acks (manager
     /// retransmissions) re-send the current count: if the previous
@@ -133,11 +133,10 @@ impl Relay {
             port,
             root_host,
             root_port,
-            lfd: -1,
             root_fd: -1,
             root_fb: FrameBuf::new(),
             registered: false,
-            locals: Vec::new(),
+            locals: PeerSet::default(),
             acks: BTreeMap::new(),
             released: BTreeSet::new(),
             aborted_gens: BTreeSet::new(),
@@ -151,28 +150,16 @@ impl Relay {
     }
 
     fn members(&self) -> u32 {
-        self.locals.iter().filter(|c| c.vpid != 0).count() as u32
+        self.locals.iter().filter(|c| c.info.vpid != 0).count() as u32
     }
 
     fn send_root(&mut self, k: &mut Kernel<'_>, msg: &Msg) {
-        let bytes = frame(msg);
-        match k.write(self.root_fd, &bytes) {
-            Ok(n) => assert_eq!(n, bytes.len(), "relay root socket full"),
-            // Root hung up on us; EOF handling will notice shortly.
-            Err(Errno::Pipe) | Err(Errno::BadFd) => {}
-            Err(e) => panic!("relay send to root: {e:?}"),
-        }
+        send_frame(k, self.root_fd, msg);
     }
 
     fn send_local(&mut self, k: &mut Kernel<'_>, fd: Fd, msg: &Msg) {
         k.obs().metrics.inc("relay.fanout", self.gen);
-        let bytes = frame(msg);
-        match k.write(fd, &bytes) {
-            Ok(n) => assert_eq!(n, bytes.len(), "relay local socket full"),
-            // The local client died; EOF reaping will remove it shortly.
-            Err(Errno::Pipe) | Err(Errno::BadFd) => {}
-            Err(e) => panic!("relay send to local: {e:?}"),
-        }
+        send_frame(k, fd, msg);
     }
 
     fn broadcast_local(&mut self, k: &mut Kernel<'_>, msg: &Msg) {
@@ -180,14 +167,6 @@ impl Relay {
         for fd in fds {
             self.send_local(k, fd, msg);
         }
-    }
-
-    /// Arm a wake-up for this process `dt` from now.
-    fn arm_timer(&self, k: &mut Kernel<'_>, dt: Nanos) {
-        let pid = k.getpid_real();
-        k.sim.after(dt, move |w: &mut World, sim| {
-            w.wake(sim, (pid, Tid(0)));
-        });
     }
 
     /// The root is unreachable (prolonged silence mid-generation, or EOF).
@@ -222,7 +201,7 @@ impl Relay {
     fn handle_local(&mut self, k: &mut Kernel<'_>, i: usize, msg: Msg) {
         match msg {
             Msg::Register(vpid, _host) => {
-                self.locals[i].vpid = vpid;
+                self.locals[i].info.vpid = vpid;
                 let m = self.members();
                 self.send_root(k, &Msg::RelayMembership(m, 0));
             }
@@ -244,7 +223,7 @@ impl Relay {
                     }
                     return;
                 }
-                let vpid = self.locals[i].vpid;
+                let vpid = self.locals[i].info.vpid;
                 let set = self.acks.entry((gen, stg)).or_default();
                 set.insert(vpid);
                 let count = set.len() as u32;
@@ -302,7 +281,7 @@ impl Relay {
                     self.released.retain(|(g, _)| *g != gen);
                     if self.ping_at.is_none() {
                         self.ping_at = Some(k.now() + PING_INTERVAL);
-                        self.arm_timer(k, PING_INTERVAL);
+                        wake_after(k, PING_INTERVAL);
                     }
                 }
                 // Forward (also retransmissions: managers dedup them).
@@ -372,15 +351,14 @@ impl Program for Relay {
         }
         // Bind the local port first so managers can start retrying their
         // connects, then reach the root (both sides retry ConnRefused).
-        if self.lfd < 0 {
-            let (fd, port) = k.listen_on(self.port).expect("relay port free");
-            self.lfd = fd;
+        if let Some(port) = self.locals.listen_once(k, self.port) {
             self.port = port;
         }
         if self.root_fd < 0 {
             match k.connect(&self.root_host, self.root_port) {
                 Ok(fd) => {
                     self.root_fd = fd;
+                    k.watch_read(fd, UPLINK).expect("uplink is a socket");
                     // Protected-fd convention, and the fault injector needs
                     // to know this is (a) protocol and (b) a relay uplink —
                     // the partition faults sever exactly these.
@@ -402,98 +380,39 @@ impl Program for Relay {
         }
         let mut progressed = true;
         while progressed && !self.dormant {
-            progressed = false;
-            // Accept local managers.
-            loop {
-                match k.accept(self.lfd) {
-                    Ok(fd) => {
-                        self.locals.push(LocalClient {
-                            fd,
-                            vpid: 0,
-                            fb: FrameBuf::new(),
-                        });
-                        progressed = true;
-                    }
-                    Err(Errno::WouldBlock) => break,
-                    Err(e) => panic!("relay accept: {e:?}"),
-                }
-            }
-            // Drain local sockets; EOF means the process died (or was
-            // killed) — report the membership change upstream so the root
-            // can abort an in-flight generation.
-            let mut dead = Vec::new();
-            for i in 0..self.locals.len() {
-                loop {
-                    match k.read(self.locals[i].fd, 64 * 1024) {
-                        Ok(b) if b.is_empty() => {
-                            dead.push(i);
-                            break;
-                        }
-                        Ok(b) => {
-                            self.locals[i].fb.feed(&b);
-                            progressed = true;
-                        }
-                        Err(Errno::WouldBlock) => break,
-                        Err(Errno::BadFd) => {
-                            dead.push(i);
-                            break;
-                        }
-                        Err(e) => panic!("relay read local: {e:?}"),
-                    }
-                }
-                loop {
-                    match self.locals[i].fb.pop() {
-                        Ok(Some(msg)) => {
-                            self.handle_local(k, i, msg);
-                            progressed = true;
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            if !dead.contains(&i) {
-                                dead.push(i);
-                            }
-                            break;
-                        }
-                    }
-                }
-            }
-            // Mirror the root's idle-EOF rule: a local that dies while no
-            // generation is in flight (e.g. a process killed so it can be
-            // live-migrated to another node) is a membership update, not a
-            // lost participant. Only an EOF during an in-flight generation
-            // — request through CKPT_WRITTEN — is reported as `lost`, which
-            // is what aborts the checkpoint at the root.
-            let eofs = dead.iter().filter(|&&i| self.locals[i].vpid != 0).count() as u32;
-            let lost = if self.in_flight { eofs } else { 0 };
-            for i in dead.into_iter().rev() {
-                let c = self.locals.remove(i);
-                let _ = k.close(c.fd);
+            // Accept local managers, then serve exactly the ones whose
+            // sockets became readable, in ascending serial order.
+            progressed = self.locals.accept_new(k);
+            while let Some((i, msg)) = self.locals.next_msg(k) {
+                self.handle_local(k, i, msg);
                 progressed = true;
             }
+            // EOF means the process died (or was killed) — report the
+            // membership change upstream so the root can abort an in-flight
+            // generation. Mirror the root's idle-EOF rule: a local that
+            // dies while no generation is in flight (e.g. a process killed
+            // so it can be live-migrated to another node) is a membership
+            // update, not a lost participant. Only an EOF during an
+            // in-flight generation — request through CKPT_WRITTEN — is
+            // reported as `lost`, which is what aborts the checkpoint at
+            // the root.
+            let gone = self.locals.reap(k);
+            progressed |= !gone.is_empty();
+            let eofs = gone.iter().filter(|c| c.info.vpid != 0).count() as u32;
+            let lost = if self.in_flight { eofs } else { 0 };
             if eofs > 0 {
                 let m = self.members();
                 self.send_root(k, &Msg::RelayMembership(m, lost));
             }
             // Root traffic.
             let mut root_eof = false;
-            loop {
-                match k.read(self.root_fd, 64 * 1024) {
-                    Ok(b) if b.is_empty() => {
-                        root_eof = true;
-                        break;
-                    }
-                    Ok(b) => {
-                        self.root_fb.feed(&b);
-                        self.last_root_heard = k.now();
-                        progressed = true;
-                    }
-                    Err(Errno::WouldBlock) => break,
-                    Err(Errno::BadFd) => {
-                        root_eof = true;
-                        break;
-                    }
-                    Err(e) => panic!("relay read root: {e:?}"),
+            if self.locals.take_token(k, UPLINK) {
+                let buffered = self.root_fb.pending();
+                root_eof = !self.root_fb.fill(k, self.root_fd);
+                if self.root_fb.pending() > buffered {
+                    self.last_root_heard = k.now();
                 }
+                progressed = true;
             }
             loop {
                 match self.root_fb.pop() {
@@ -523,7 +442,7 @@ impl Program for Relay {
                         let gen = self.gen;
                         self.send_root(k, &Msg::RelayPing(gen));
                         self.ping_at = Some(k.now() + PING_INTERVAL);
-                        self.arm_timer(k, PING_INTERVAL);
+                        wake_after(k, PING_INTERVAL);
                     }
                 }
             }

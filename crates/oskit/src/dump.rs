@@ -11,6 +11,7 @@
 
 use crate::fdtable::FdObject;
 use crate::mem::RegionKind;
+use crate::net::Watch;
 use crate::proc::{ProcState, ThreadState};
 use crate::world::World;
 use obs::json::JsonWriter;
@@ -23,6 +24,22 @@ fn fd_object_name(obj: &FdObject) -> String {
         FdObject::Listener(id) => format!("listener:{}", id.0),
         FdObject::PtyMaster(id) => format!("pty-master:{}", id.0),
         FdObject::PtySlave(id) => format!("pty-slave:{}", id.0),
+    }
+}
+
+/// One readiness watcher slot: the watching thread and its token, or `null`.
+fn watch_value(j: &mut JsonWriter, w: &Option<Watch>) {
+    match w {
+        Some(w) => {
+            j.obj_begin();
+            j.field_u64("pid", w.who.0 .0 as u64);
+            j.field_u64("tid", w.who.1 .0 as u64);
+            j.field_u64("token", w.token);
+            j.obj_end();
+        }
+        None => {
+            j.val_raw("null");
+        }
     }
 }
 
@@ -77,6 +94,11 @@ pub fn dump_json(w: &World, now: Nanos) -> String {
             j.key("user");
             j.val_bool(t.user);
             j.field_str("program", t.program.tag());
+            j.key("ready").arr_begin();
+            for token in &t.ready {
+                j.val_u64(*token);
+            }
+            j.arr_end();
             j.obj_end();
         }
         j.arr_end();
@@ -146,6 +168,10 @@ pub fn dump_json(w: &World, now: Nanos) -> String {
         j.key("closed").arr_begin();
         j.val_bool(c.closed[0]).val_bool(c.closed[1]);
         j.arr_end();
+        j.key("watchers").arr_begin();
+        watch_value(&mut j, &c.watchers[0]);
+        watch_value(&mut j, &c.watchers[1]);
+        j.arr_end();
         j.obj_end();
     }
     j.arr_end();
@@ -158,6 +184,8 @@ pub fn dump_json(w: &World, now: Nanos) -> String {
         j.field_u64("port", l.port as u64);
         j.field_u64("backlog", l.backlog.len() as u64);
         j.field_u64("refs", l.refs as u64);
+        j.key("watcher");
+        watch_value(&mut j, &l.watcher);
         j.obj_end();
     }
     j.arr_end();

@@ -11,7 +11,7 @@
 use crate::fdtable::{Fd, FdEntry, FdObject, OpenFile};
 use crate::fs::FsError;
 use crate::mem::{Content, FillProfile, RegionId, RegionKind, PROT_R, PROT_W};
-use crate::net::{Conn, ConnId, ConnKind, Listener, PendingConn};
+use crate::net::{add_waiter, Conn, ConnId, ConnKind, Listener, PendingConn, Watch};
 use crate::proc::ThreadState;
 use crate::program::Program;
 use crate::pty::{PtyId, Termios};
@@ -65,6 +65,10 @@ pub struct Fx {
     pub exec_to: Option<Box<dyn Program>>,
     /// How many wakers this step registered (sanity check for `Block`).
     pub wakes_registered: u32,
+    /// Socket reads this step that found nothing. The dispatcher adds them
+    /// to `oskit.sock.would_block` (labeled by pid) once per step, which
+    /// keeps a polling loop's hot path off the metrics registry.
+    pub would_block: u64,
 }
 
 /// The per-step syscall context.
@@ -303,7 +307,7 @@ impl<'a> Kernel<'a> {
                     Ok(code)
                 }
                 crate::proc::ProcState::Running => {
-                    p.wait_waiters.push(me);
+                    add_waiter(&mut p.wait_waiters, me);
                     self.fx.wakes_registered += 1;
                     Err(Errno::WouldBlock)
                 }
@@ -473,7 +477,7 @@ impl<'a> Kernel<'a> {
                     if p.slave_refs == 0 {
                         return Ok(Vec::new()); // EOF: no slave left
                     }
-                    p.master_read_waiters.push(me);
+                    add_waiter(&mut p.master_read_waiters, me);
                     self.fx.wakes_registered += 1;
                     return Err(Errno::WouldBlock);
                 }
@@ -486,7 +490,7 @@ impl<'a> Kernel<'a> {
                     if p.master_refs == 0 {
                         return Ok(Vec::new());
                     }
-                    p.slave_read_waiters.push(me);
+                    add_waiter(&mut p.slave_read_waiters, me);
                     self.fx.wakes_registered += 1;
                     return Err(Errno::WouldBlock);
                 }
@@ -543,6 +547,7 @@ impl<'a> Kernel<'a> {
                 port,
                 backlog: Default::default(),
                 accept_waiters: Vec::new(),
+                watcher: None,
                 refs: 1,
                 owner_pid: 0,
             },
@@ -577,7 +582,8 @@ impl<'a> Kernel<'a> {
         let l = self.w.listeners.get_mut(&lid).expect("listener just found");
         l.backlog.push_back(PendingConn { conn: cid });
         let waiters = std::mem::take(&mut l.accept_waiters);
-        self.w.wake_all(self.sim, waiters);
+        let watch = l.watcher;
+        self.w.notify(self.sim, waiters, watch);
         Ok(self.proc_mut().fds.install(FdEntry {
             obj: FdObject::Sock(cid, 0),
             cloexec: false,
@@ -597,11 +603,60 @@ impl<'a> Kernel<'a> {
                 cloexec: false,
             })),
             None => {
-                l.accept_waiters.push(me);
+                add_waiter(&mut l.accept_waiters, me);
                 self.fx.wakes_registered += 1;
                 Err(Errno::WouldBlock)
             }
         }
+    }
+
+    /// Register a persistent read-readiness watcher on a socket or listener
+    /// (the `epoll_ctl(ADD, EPOLLIN)` analogue): every time a `read` /
+    /// `accept` on `fd` would stop returning `WouldBlock` — data delivered,
+    /// EOF, half-close, peer close, pending connection — `token` joins this
+    /// thread's ready set and the thread is woken. Like epoll, an object
+    /// that is readable right now is reported immediately. One watcher per
+    /// end; it lasts until that end's last fd reference is released.
+    pub fn watch_read(&mut self, fd: Fd, token: u64) -> Result<(), Errno> {
+        let watch = Watch {
+            who: self.me(),
+            token,
+        };
+        let ready_now = match self.fd_object(fd)? {
+            FdObject::Sock(cid, end) => {
+                let conn = self.w.conns.get_mut(&cid).ok_or(Errno::BadFd)?;
+                conn.watchers[end as usize] = Some(watch);
+                conn.readable(end as usize)
+            }
+            FdObject::Listener(lid) => {
+                let l = self.w.listeners.get_mut(&lid).ok_or(Errno::BadFd)?;
+                l.watcher = Some(watch);
+                !l.backlog.is_empty()
+            }
+            _ => return Err(Errno::NotSock),
+        };
+        if ready_now {
+            self.thread_mut().ready.insert(token);
+        }
+        Ok(())
+    }
+
+    /// Drain this thread's ready set: the tokens of every watched object
+    /// that became readable since the last call, ascending and
+    /// de-duplicated. Counts as a registered waker for `Step::Block` — the
+    /// watchers will wake the thread.
+    pub fn take_ready(&mut self) -> Vec<u64> {
+        self.fx.wakes_registered += 1;
+        std::mem::take(&mut self.thread_mut().ready)
+            .into_iter()
+            .collect()
+    }
+
+    fn thread_mut(&mut self) -> &mut crate::proc::Thread {
+        let tid = self.tid;
+        self.proc_mut()
+            .thread_mut(tid)
+            .expect("calling thread exists")
     }
 
     /// `socketpair(2)` — a connected pair of UNIX sockets.
@@ -657,8 +712,8 @@ impl<'a> Kernel<'a> {
         }
         conn.wr_closed[end] = true;
         // Peer readers blocked on this direction must wake to observe EOF.
-        let readers = std::mem::take(&mut conn.dirs[end].read_waiters);
-        self.w.wake_all(self.sim, readers);
+        let (readers, watch) = conn.read_interest(Conn::peer(end));
+        self.w.notify(self.sim, readers, watch);
         Ok(())
     }
 
@@ -670,7 +725,7 @@ impl<'a> Kernel<'a> {
         }
         let room = conn.send_room(end);
         if room == 0 {
-            conn.dirs[end].write_waiters.push(me);
+            add_waiter(&mut conn.dirs[end].write_waiters, me);
             self.fx.wakes_registered += 1;
             return Err(Errno::WouldBlock);
         }
@@ -688,15 +743,16 @@ impl<'a> Kernel<'a> {
         let me = self.me();
         let src = Conn::peer(end);
         let conn = self.w.conns.get_mut(&cid).ok_or(Errno::BadFd)?;
-        let dir = &mut conn.dirs[src];
-        if dir.recv_buf.is_empty() {
-            if (conn.closed[src] || conn.wr_closed[src]) && conn.dirs[src].in_flight == 0 {
+        if conn.dirs[src].recv_buf.is_empty() {
+            if conn.at_eof(end) {
                 return Ok(Vec::new()); // EOF
             }
-            conn.dirs[src].read_waiters.push(me);
+            add_waiter(&mut conn.dirs[src].read_waiters, me);
             self.fx.wakes_registered += 1;
+            self.fx.would_block += 1;
             return Err(Errno::WouldBlock);
         }
+        let dir = &mut conn.dirs[src];
         let take = dir.recv_buf.len().min(max);
         let out: Vec<u8> = dir.recv_buf.drain(..take).collect();
         let writers = std::mem::take(&mut dir.write_waiters);

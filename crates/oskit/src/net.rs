@@ -33,6 +33,29 @@ pub enum ConnKind {
     Pipe,
 }
 
+/// A thread's blocked-waiter registration, or the `(Pid, Tid)` a wake targets.
+pub type Waiter = (Pid, Tid);
+
+/// Register `who` on a waiter list, idempotently: a thread that polls the
+/// same idle object a thousand times is still one waiter. (Lists hold the
+/// handful of threads sharing an fd, so the scan is cheaper than a set.)
+pub fn add_waiter(list: &mut Vec<Waiter>, who: Waiter) {
+    if !list.contains(&who) {
+        list.push(who);
+    }
+}
+
+/// A persistent read-readiness registration (`Kernel::watch_read`): every
+/// time the watched end becomes readable, `token` is added to `who`'s ready
+/// set and `who` is woken. Unlike a waiter it is not consumed by the wake.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Watch {
+    /// The watching thread.
+    pub who: Waiter,
+    /// What the watcher calls this object.
+    pub token: u64,
+}
+
 /// One direction of a connection (from `ends[src]` to `ends[1-src]`).
 #[derive(Debug, Default)]
 pub struct DirState {
@@ -41,9 +64,9 @@ pub struct DirState {
     /// Receiver-side kernel buffer (real bytes).
     pub recv_buf: VecDeque<u8>,
     /// Threads blocked reading this direction.
-    pub read_waiters: Vec<(Pid, Tid)>,
+    pub read_waiters: Vec<Waiter>,
     /// Threads blocked writing this direction (buffer full).
-    pub write_waiters: Vec<(Pid, Tid)>,
+    pub write_waiters: Vec<Waiter>,
     /// Total bytes ever sent (sequence checks in tests).
     pub tx_total: u64,
     /// Total bytes ever delivered into `recv_buf`.
@@ -84,6 +107,10 @@ pub struct Conn {
     /// An end whose write side was shut down (`shutdown(SHUT_WR)`): the end
     /// can still read, the peer sees EOF once in-flight bytes drain.
     pub wr_closed: [bool; 2],
+    /// Readiness watcher per *reading* end: `watchers[e]` fires when a read
+    /// on end `e` would stop returning `WouldBlock`. Cleared when end `e`'s
+    /// last fd reference is released.
+    pub watchers: [Option<Watch>; 2],
 }
 
 impl Conn {
@@ -99,7 +126,28 @@ impl Conn {
             capacity: CONN_CAPACITY,
             closed: [false, false],
             wr_closed: [false, false],
+            watchers: [None, None],
         }
+    }
+
+    /// A read on end `e` would return EOF: nothing buffered, the peer closed
+    /// (or shut down its write side), and nothing is still on the wire.
+    pub fn at_eof(&self, e: usize) -> bool {
+        let src = Conn::peer(e);
+        let d = &self.dirs[src];
+        d.recv_buf.is_empty() && (self.closed[src] || self.wr_closed[src]) && d.in_flight == 0
+    }
+
+    /// A read on end `e` would not block (data or EOF).
+    pub fn readable(&self, e: usize) -> bool {
+        !self.dirs[Conn::peer(e)].recv_buf.is_empty() || self.at_eof(e)
+    }
+
+    /// Everyone to tell that end `e` became readable: the blocked readers
+    /// (consumed) and the persistent watcher (kept).
+    pub fn read_interest(&mut self, e: usize) -> (Vec<Waiter>, Option<Watch>) {
+        let readers = std::mem::take(&mut self.dirs[Conn::peer(e)].read_waiters);
+        (readers, self.watchers[e])
     }
 
     /// How many more bytes end `e` may send before blocking.
@@ -137,7 +185,9 @@ pub struct Listener {
     /// Completed connections waiting for `accept`.
     pub backlog: VecDeque<PendingConn>,
     /// Threads blocked in `accept`.
-    pub accept_waiters: Vec<(Pid, Tid)>,
+    pub accept_waiters: Vec<Waiter>,
+    /// Readiness watcher: fires on every pending connection.
+    pub watcher: Option<Watch>,
     /// Live fd references.
     pub refs: u32,
     /// `F_SETOWN` owner.

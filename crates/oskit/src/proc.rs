@@ -6,7 +6,7 @@ use crate::program::Program;
 use crate::pty::PtyId;
 use crate::world::{NodeId, Pid, Tid};
 use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Signal numbers (tiny subset).
 pub mod sig {
@@ -67,6 +67,9 @@ pub struct Thread {
     pub dispatch_pending: bool,
     /// Return register of the last `fork` (0 in the child).
     pub fork_ret: Option<u32>,
+    /// Tokens of watched objects (`Kernel::watch_read`) that became readable
+    /// since this thread's last `Kernel::take_ready` — sorted, de-duplicated.
+    pub ready: BTreeSet<u64>,
 }
 
 impl std::fmt::Debug for Thread {
@@ -190,6 +193,7 @@ impl Process {
             program,
             dispatch_pending: false,
             fork_ret: None,
+            ready: BTreeSet::new(),
         });
         tid
     }

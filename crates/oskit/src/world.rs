@@ -11,7 +11,7 @@
 use crate::fdtable::{FdEntry, FdObject, ListenerId, OpenFile, OpenFileId};
 use crate::fs::{Fs, SHARED_MOUNT};
 use crate::kernel::Kernel;
-use crate::net::{Conn, ConnId, Listener};
+use crate::net::{Conn, ConnId, Listener, Waiter, Watch};
 use crate::proc::{sig, ProcState, Process, SigAction, ThreadState};
 use crate::program::{Program, Registry, Step, Tombstone};
 use crate::pty::{Pty, PtyId};
@@ -518,9 +518,28 @@ impl World {
     }
 
     /// Wake a list of waiters.
-    pub fn wake_all(&mut self, sim: &mut OsSim, waiters: Vec<(Pid, Tid)>) {
+    pub fn wake_all(&mut self, sim: &mut OsSim, waiters: Vec<Waiter>) {
         for who in waiters {
             self.wake(sim, who);
+        }
+    }
+
+    /// An object became readable: wake its blocked `waiters`, and post the
+    /// watcher's token to its thread's ready set before waking it too.
+    /// Every transition after which `read`/`accept` stops returning
+    /// `WouldBlock` ends here.
+    pub fn notify(&mut self, sim: &mut OsSim, waiters: Vec<Waiter>, watch: Option<Watch>) {
+        self.wake_all(sim, waiters);
+        if let Some(Watch { who, token }) = watch {
+            let thread = self
+                .procs
+                .get_mut(&who.0)
+                .filter(|p| p.alive())
+                .and_then(|p| p.thread_mut(who.1));
+            if let Some(t) = thread {
+                t.ready.insert(token);
+                self.wake(sim, who);
+            }
         }
     }
 
@@ -610,16 +629,17 @@ impl World {
                 c.end_refs[e] -= 1;
                 if c.end_refs[e] == 0 {
                     c.closed[e] = true;
+                    c.watchers[e] = None;
                     // Readers of the direction *from* this end see EOF once
                     // buffered bytes run out; wake them to observe it.
-                    let readers = std::mem::take(&mut c.dirs[e].read_waiters);
+                    let (readers, watch) = c.read_interest(Conn::peer(e));
                     // Writers toward this end will now get EPIPE.
                     let writers = std::mem::take(&mut c.dirs[Conn::peer(e)].write_waiters);
                     let gone = c.closed[0] && c.closed[1];
                     if gone {
                         self.conns.remove(&cid);
                     }
-                    self.wake_all(sim, readers);
+                    self.notify(sim, readers, watch);
                     self.wake_all(sim, writers);
                 }
             }
@@ -799,11 +819,17 @@ impl World {
             // The sender's bytes are gone (consumed from its buffer, like a
             // segment lost before the ack); only the in-flight accounting
             // unwinds at what would have been the arrival instant.
-            sim.at(arrival, move |w: &mut World, _| {
+            sim.at(arrival, move |w: &mut World, sim| {
                 let Some(conn) = w.conns.get_mut(&cid) else {
                     return;
                 };
                 conn.dirs[e].in_flight -= n;
+                // If this end already closed, the lost segment was the last
+                // thing keeping the peer's read from returning EOF.
+                if conn.at_eof(Conn::peer(e)) {
+                    let (readers, watch) = conn.read_interest(Conn::peer(e));
+                    w.notify(sim, readers, watch);
+                }
             });
             return;
         }
@@ -825,8 +851,8 @@ impl World {
                     "",
                 );
             }
-            let readers = std::mem::take(&mut conn.dirs[e].read_waiters);
-            w.wake_all(sim, readers);
+            let (readers, watch) = conn.read_interest(Conn::peer(e));
+            w.notify(sim, readers, watch);
         });
     }
 
@@ -1027,6 +1053,12 @@ pub fn dispatch(w: &mut World, sim: &mut OsSim, pid: Pid, tid: Tid) {
     let mut k = Kernel::new(w, sim, pid, tid);
     let step = prog.step(&mut k);
     let fx = k.take_fx();
+    if fx.would_block > 0 {
+        // Labeled by caller: the scaling guard bounds a hub's polling.
+        w.obs
+            .metrics
+            .add("oskit.sock.would_block", pid.0 as u64, fx.would_block);
+    }
 
     // Phase 3: put the program back (or its exec replacement) and apply the
     // step. The process may have died during the step (exit/kill).

@@ -672,3 +672,127 @@ fn dup_shares_offsets_and_keeps_objects_alive() {
     assert_exit(&w, pid, 0);
     assert!(w.open_files.is_empty(), "open-file table leaked");
 }
+
+// ---------------------------------------------------------------------
+// Waiter lists and readiness watchers
+// ---------------------------------------------------------------------
+
+struct Parked;
+impl Parked {
+    fn run(&mut self, k: &mut Kernel<'_>) -> Step {
+        k.block_forever();
+        Step::Block
+    }
+}
+ephemeral!(Parked, "parked");
+
+/// Issue syscalls as `pid` from the host, outside any step.
+fn syscalls<R>(
+    w: &mut World,
+    sim: &mut OsSim,
+    pid: Pid,
+    f: impl FnOnce(&mut Kernel<'_>) -> R,
+) -> R {
+    f(&mut Kernel::new(w, sim, pid, oskit::Tid(0)))
+}
+
+/// Polls four idle objects a thousand times each in one step, then blocks.
+struct Poller;
+impl Poller {
+    fn run(&mut self, k: &mut Kernel<'_>) -> Step {
+        let (a, _b) = k.socketpair();
+        let (lfd, _) = k.listen_on(7000).unwrap();
+        let (master, _slave) = k.openpty();
+        // Fill a -> b to the brim so further sends block too.
+        let window = vec![0u8; oskit::net::CONN_CAPACITY as usize];
+        assert_eq!(k.write(a, &window).unwrap(), window.len());
+        for _ in 0..1000 {
+            assert_eq!(k.read(a, 16), Err(Errno::WouldBlock));
+            assert_eq!(k.write(a, b"x"), Err(Errno::WouldBlock));
+            assert_eq!(k.accept(lfd).err(), Some(Errno::WouldBlock));
+            assert_eq!(k.read(master, 16), Err(Errno::WouldBlock));
+        }
+        Step::Block
+    }
+}
+ephemeral!(Poller, "poller");
+
+#[test]
+fn polling_an_idle_object_registers_one_waiter_not_one_per_poll() {
+    let (mut w, mut sim) = world(1);
+    let pid = spawn(&mut w, &mut sim, 0, "poller", Box::new(Poller));
+    sim.run(&mut w);
+    let me = (pid, oskit::Tid(0));
+    let conn = w.conns.values().next().expect("the socketpair");
+    assert_eq!(conn.dirs[1].read_waiters, [me], "1000 reads, one waiter");
+    assert_eq!(conn.dirs[0].write_waiters, [me], "1000 sends, one waiter");
+    let l = w.listeners.values().next().expect("the listener");
+    assert_eq!(l.accept_waiters, [me], "1000 accepts, one waiter");
+    let pty = w.ptys.values().next().expect("the pty");
+    assert_eq!(pty.master_read_waiters, [me], "1000 pty reads, one waiter");
+    assert_eq!(
+        w.obs
+            .metrics
+            .counter("oskit.sock.would_block", pid.0 as u64),
+        1000,
+        "socket reads that found nothing are counted per caller"
+    );
+}
+
+#[test]
+fn watcher_reports_readiness_and_dies_with_the_last_fd_reference() {
+    let (mut w, mut sim) = world(1);
+    let pid = spawn(&mut w, &mut sim, 0, "watcher", Box::new(Parked));
+    sim.run(&mut w);
+    let (a, b, a2) = syscalls(&mut w, &mut sim, pid, |k| {
+        let (a, b) = k.socketpair();
+        assert_eq!(k.watch_read(a, 7), Ok(()));
+        assert!(k.take_ready().is_empty(), "nothing to read yet");
+        let (m, _s) = k.openpty();
+        assert_eq!(k.watch_read(m, 1), Err(Errno::NotSock));
+        (a, b, k.dup(a).unwrap())
+    });
+    let cid = *w.conns.keys().next().expect("the socketpair");
+    let dump = oskit::dump::dump_json(&w, sim.now());
+    obs::json::validate(&dump).unwrap();
+    assert!(
+        dump.contains(&format!(
+            "\"watchers\":[{{\"pid\":{},\"tid\":0,\"token\":7}},null]",
+            pid.0
+        )),
+        "dump names the watcher: {dump}"
+    );
+
+    // Data, delivered: the token is posted (once, however many segments).
+    syscalls(&mut w, &mut sim, pid, |k| {
+        k.write(b, b"one").unwrap();
+        k.write(b, b"two").unwrap();
+    });
+    sim.run(&mut w);
+    syscalls(&mut w, &mut sim, pid, |k| {
+        assert_eq!(k.take_ready(), [7]);
+        assert!(k.take_ready().is_empty(), "drained");
+        assert_eq!(k.read(a, 64).unwrap(), b"onetwo");
+        // Registering on an already-readable object reports it at once.
+        k.write(b, b"!").unwrap();
+    });
+    sim.run(&mut w);
+    syscalls(&mut w, &mut sim, pid, |k| {
+        assert_eq!(k.take_ready(), [7]);
+        k.watch_read(a, 8).unwrap();
+        assert_eq!(k.take_ready(), [8], "re-registration sees the pending byte");
+        assert_eq!(k.read(a, 64).unwrap(), b"!");
+        // Half-close is a readable-by-EOF transition.
+        k.shutdown_write(b).unwrap();
+        assert_eq!(k.take_ready(), [8]);
+        assert_eq!(k.read(a, 64).unwrap(), b"", "EOF");
+        // One of two references gone: the watcher stays.
+        k.close(a).unwrap();
+    });
+    assert!(
+        w.conns[&cid].watchers[0].is_some(),
+        "dup keeps the end open"
+    );
+    syscalls(&mut w, &mut sim, pid, |k| k.close(a2).unwrap());
+    assert_eq!(w.conns[&cid].watchers, [None, None], "last reference gone");
+}

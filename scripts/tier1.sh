@@ -2,7 +2,7 @@
 # Tier-1 gate: everything a PR must keep green.
 #
 # Usage: scripts/tier1.sh [stage...]
-#   stages: build test faults bench sim scale tenants migrate replay lint
+#   stages: build test faults bench sim scale tenants migrate replay perf lint
 #   No arguments runs every stage in that order (the full PR gate). CI runs
 #   the same stages one job each — `scripts/tier1.sh build`, etc. — so a
 #   local no-arg run reproduces the whole pipeline stage by stage.
@@ -98,6 +98,24 @@ stage_replay() {
     cargo test -q -p obs --test prop_journal
 }
 
+stage_perf() {
+    # The benchmark package sits outside the workspace (its own lockfile and
+    # target dir), so no other stage compiles it: a rename in crates/* could
+    # break its frozen surface unnoticed. Build it, run its unit tests, and
+    # drive the shortest real run end to end.
+    echo "== perf package: build + unit tests (perf/Cargo.toml, outside the workspace) =="
+    cargo build --release --offline --manifest-path perf/Cargo.toml
+    cargo test --offline --manifest-path perf/Cargo.toml
+    echo "== perf smoke run (scale-relay, 1 s, untraced) =="
+    local last
+    last=$(./perf/target/release/perf run --workload scale-relay --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    echo "$last"
+    if [[ "$last" != *'"correct":true'* || "$last" != *'"failed":0'* ]]; then
+        echo "tier1: perf smoke run did not report correct:true and failed:0" >&2
+        exit 1
+    fi
+}
+
 stage_lint() {
     echo "== cargo clippy (-D warnings) =="
     cargo clippy --workspace --all-targets -- -D warnings
@@ -108,9 +126,9 @@ stage_lint() {
 run_stage() {
     local name="$1"
     case "$name" in
-        build | test | faults | bench | sim | scale | tenants | migrate | replay | lint) ;;
+        build | test | faults | bench | sim | scale | tenants | migrate | replay | perf | lint) ;;
         *)
-            echo "tier1: unknown stage '$name' (stages: build test faults bench sim scale tenants migrate replay lint)" >&2
+            echo "tier1: unknown stage '$name' (stages: build test faults bench sim scale tenants migrate replay perf lint)" >&2
             exit 2
             ;;
     esac
@@ -122,7 +140,7 @@ run_stage() {
 }
 
 if [[ $# -eq 0 ]]; then
-    set -- build test faults bench sim scale tenants migrate replay lint
+    set -- build test faults bench sim scale tenants migrate replay perf lint
 fi
 for stage in "$@"; do
     run_stage "$stage"
