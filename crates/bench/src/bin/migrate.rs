@@ -23,7 +23,7 @@
 //! bench-regression gate.
 
 use apps::nas::{nas_factory, NasKernel};
-use dmtcp::hijack::Hijack;
+use dmtcp::hijack::hijack_in;
 use dmtcp::session::run_for;
 use dmtcp::{ExpectCkpt, Packing, RestartPlan, Session};
 use dmtcp_bench::{cluster_world, merge_flat_json, options, write_jsonl_lines, EV};
@@ -67,10 +67,7 @@ fn mover(w: &World) -> (u32, NodeId) {
     w.procs
         .values()
         .find(|p| p.alive() && p.cmd == "runCMS")
-        .and_then(|p| {
-            let h = p.ext.as_ref()?.downcast_ref::<Hijack>()?;
-            Some((h.vpid, p.node))
-        })
+        .and_then(|p| Some((hijack_in(p)?.vpid, p.node)))
         .expect("runCMS is a live traced process")
 }
 

@@ -185,7 +185,7 @@ fn main() {
 
     let mut results = Vec::new();
     for (name, setup) in workloads {
-        let wheel = run_workload(Sim::new_wheel, setup, events, reps);
+        let wheel = run_workload(Sim::new, setup, events, reps);
         let heap = run_workload(Sim::new_reference, setup, events, reps);
         assert_eq!(
             wheel.hash, heap.hash,

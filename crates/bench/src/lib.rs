@@ -11,7 +11,7 @@
 #![warn(missing_docs)]
 
 use apps::registry::full_registry;
-use dmtcp::coord::{coord_shared, stage, GenStat};
+use dmtcp::coord::{coord_shared_for, stage, GenStat};
 use dmtcp::session::run_for;
 use dmtcp::{ExpectCkpt, Options, RestartPlan, Session};
 use oskit::world::{OsSim, World};
@@ -293,7 +293,7 @@ pub fn measure_checkpoints(
         let g = s.checkpoint_and_wait(w, sim, EV).expect_ckpt();
         times.push(ckpt_seconds(&g));
         parts = g.participants;
-        let images = coord_shared(w).last_images.clone();
+        let images = coord_shared_for(w, s.opts.coord_port).last_images.clone();
         size = images
             .iter()
             .map(|(path, host)| {
@@ -309,20 +309,15 @@ pub fn measure_checkpoints(
 /// Kill the computation and restart it in place; returns the restart
 /// wall-clock in seconds (plan arrival → restart-refill barrier).
 pub fn kill_and_measure_restart(w: &mut World, sim: &mut OsSim, s: &Session) -> f64 {
-    let gen = Session::last_gen_stat(w).expect("a checkpoint exists").gen;
+    let gen = s.last_gen_stat(w).expect("a checkpoint exists").gen;
     s.kill_computation(w, sim);
     RestartPlan::from_generation(w, s.opts.coord_port, gen)
         .expect("restart script written")
         .execute(s, w, sim)
         .expect("identity restart");
-    Session::wait_restart_done(w, sim, gen, EV);
-    let g = coord_shared(w)
-        .gen_stats
-        .iter()
-        .rev()
-        .find(|g| g.gen == gen && g.releases.contains_key(&stage::RESTART_REFILLED))
-        .expect("restart stats recorded")
-        .clone();
+    let port = s.opts.coord_port;
+    let g = Session::await_release(w, sim, port, gen, stage::RESTART_REFILLED, EV)
+        .expect("a restart stage is awaited until released");
     (g.releases[&stage::RESTART_REFILLED] - g.requested_at).as_secs_f64()
 }
 

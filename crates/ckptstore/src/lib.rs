@@ -34,11 +34,7 @@ mod source;
 pub mod tenant;
 
 use oskit::world::World;
-use std::cell::RefCell;
 use std::rc::Rc;
-
-/// `World::ext_slots` key holding the store's [`Config`].
-pub const SLOT: &str = "ckptstore-state";
 
 /// Store tuning knobs.
 #[derive(Debug, Clone)]
@@ -63,11 +59,15 @@ impl Default for Config {
     }
 }
 
+/// The installed store's [`Config`] (a typed world extension, present
+/// exactly while the store is installed).
+#[derive(Default)]
+struct Installed(Config);
+
 /// The chunk store as an [`mtcp::ImageStore`] implementation: commits
-/// route through [`sink`], resolves through [`source`], both reading the
-/// live [`Config`] so reconfiguration takes effect without reinstalling.
+/// route through [`sink`], resolves through [`source`].
 struct ChunkStore {
-    config: Rc<RefCell<Config>>,
+    config: Config,
 }
 
 impl mtcp::ImageStore for ChunkStore {
@@ -79,14 +79,7 @@ impl mtcp::ImageStore for ChunkStore {
         path: &str,
         blob: &oskit::fs::Blob,
     ) -> mtcp::SinkCommit {
-        sink::commit(
-            &self.config.borrow().clone(),
-            w,
-            work_start,
-            node,
-            path,
-            blob,
-        )
+        sink::commit(&self.config, w, work_start, node, path, blob)
     }
 
     fn resolve(
@@ -115,10 +108,8 @@ impl mtcp::ImageStore for ChunkStore {
 /// commits through the chunk store and every image read resolves through
 /// it. Idempotent; a second call replaces the configuration.
 pub fn install(w: &mut World, config: Config) {
-    let state = Rc::new(RefCell::new(config));
-    w.ext_slots
-        .insert(SLOT.to_string(), Box::new(state.clone()));
-    mtcp::store::install(w, Rc::new(ChunkStore { config: state }));
+    w.ext::<Installed>().0 = config.clone();
+    mtcp::store::install(w, Rc::new(ChunkStore { config }));
 }
 
 /// Remove the store; `mtcp` reverts to plain-file images. Already-stored
@@ -126,20 +117,17 @@ pub fn install(w: &mut World, config: Config) {
 /// between computations.
 pub fn uninstall(w: &mut World) {
     mtcp::store::uninstall(w);
-    w.ext_slots.remove(SLOT);
+    w.ext_remove::<Installed>();
 }
 
 /// Whether the store is installed in this world.
 pub fn enabled(w: &World) -> bool {
-    w.ext_slots.contains_key(SLOT)
+    w.ext_ref::<Installed>().is_some()
 }
 
 /// The installed configuration, if any.
 pub fn config(w: &World) -> Option<Config> {
-    w.ext_slots
-        .get(SLOT)
-        .and_then(|b| b.downcast_ref::<Rc<RefCell<Config>>>())
-        .map(|rc| rc.borrow().clone())
+    Some(w.ext_ref::<Installed>()?.0.clone())
 }
 
 /// Logical image paths committed for generation `gen`, keyed by the

@@ -16,12 +16,7 @@
 //! account current and answer [`over_quota`].
 
 use oskit::world::World;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
-
-/// `World::ext_slots` key holding the tenant table.
-pub const TENANT_SLOT: &str = "ckptstore-tenants";
 
 /// Storage policy for one tenant.
 #[derive(Debug, Clone)]
@@ -56,28 +51,18 @@ pub struct TenantState {
     per_manifest: BTreeMap<String, u64>,
 }
 
-type Tenants = Rc<RefCell<BTreeMap<String, TenantState>>>;
+/// The world's tenant table, by name (a typed world extension).
+#[derive(Default)]
+struct Tenants(BTreeMap<String, TenantState>);
 
-fn table(w: &World) -> Option<Tenants> {
-    w.ext_slots
-        .get(TENANT_SLOT)
-        .and_then(|b| b.downcast_ref::<Tenants>())
-        .cloned()
+fn tenant<'w>(w: &'w World, name: &str) -> Option<&'w TenantState> {
+    w.ext_ref::<Tenants>()?.0.get(name)
 }
 
 /// Register (or re-register, replacing the policy of) tenant `name`.
 /// Usage carries over across re-registration.
 pub fn register_tenant(w: &mut World, name: &str, cfg: TenantConfig) {
-    let t = match table(w) {
-        Some(t) => t,
-        None => {
-            let t: Tenants = Rc::new(RefCell::new(BTreeMap::new()));
-            w.ext_slots
-                .insert(TENANT_SLOT.to_string(), Box::new(t.clone()));
-            t
-        }
-    };
-    let mut map = t.borrow_mut();
+    let map = &mut w.ext::<Tenants>().0;
     let next_id = map.len() as u64;
     map.entry(name.to_string())
         .and_modify(|s| s.cfg = cfg.clone())
@@ -103,21 +88,18 @@ pub fn tenant_of(path: &str) -> Option<&str> {
 
 /// Bytes currently charged to tenant `name` (None if unregistered).
 pub fn usage(w: &World, name: &str) -> Option<u64> {
-    table(w)?.borrow().get(name).map(|s| s.used_bytes)
+    tenant(w, name).map(|s| s.used_bytes)
 }
 
 /// The tenant's registered policy, if any.
 pub fn policy(w: &World, name: &str) -> Option<TenantConfig> {
-    table(w)?.borrow().get(name).map(|s| s.cfg.clone())
+    tenant(w, name).map(|s| s.cfg.clone())
 }
 
 /// Is the tenant's ledger at or above its quota? Unregistered tenants and
 /// zero quotas are never over.
 pub fn over_quota(w: &World, name: &str) -> bool {
-    let Some(t) = table(w) else { return false };
-    let map = t.borrow();
-    let Some(s) = map.get(name) else { return false };
-    s.cfg.quota_bytes > 0 && s.used_bytes >= s.cfg.quota_bytes
+    tenant(w, name).is_some_and(|s| s.cfg.quota_bytes > 0 && s.used_bytes >= s.cfg.quota_bytes)
 }
 
 /// Retention window for an image at `path`: the owning tenant's policy
@@ -131,40 +113,32 @@ pub(crate) fn retention_for(w: &World, path: &str, default: u32) -> u32 {
 
 /// Charge `bytes` stored on behalf of the commit that wrote `manifest`.
 pub(crate) fn charge(w: &mut World, name: &str, manifest: &str, bytes: u64) {
-    let Some(t) = table(w) else { return };
-    let gauge = {
-        let mut map = t.borrow_mut();
-        let Some(s) = map.get_mut(name) else { return };
-        *s.per_manifest.entry(manifest.to_string()).or_insert(0) += bytes;
-        s.used_bytes += bytes;
-        Some((s.id, s.used_bytes))
+    let Some(s) = w.ext::<Tenants>().0.get_mut(name) else {
+        return;
     };
-    if let Some((id, used)) = gauge {
-        w.obs
-            .metrics
-            .set_gauge("ckptstore.tenant_bytes", id, used as f64);
-        w.obs.metrics.add("ckptstore.tenant_charged", id, bytes);
-    }
+    *s.per_manifest.entry(manifest.to_string()).or_insert(0) += bytes;
+    s.used_bytes += bytes;
+    let (id, used) = (s.id, s.used_bytes);
+    w.obs
+        .metrics
+        .set_gauge("ckptstore.tenant_bytes", id, used as f64);
+    w.obs.metrics.add("ckptstore.tenant_charged", id, bytes);
 }
 
 /// Credit back whatever the commit of `manifest` charged (generation
 /// expired under retention). Idempotent: a second credit is a no-op.
 pub(crate) fn credit(w: &mut World, name: &str, manifest: &str) {
-    let Some(t) = table(w) else { return };
-    let gauge = {
-        let mut map = t.borrow_mut();
-        let Some(s) = map.get_mut(name) else { return };
-        let Some(bytes) = s.per_manifest.remove(manifest) else {
-            return;
-        };
-        s.used_bytes = s.used_bytes.saturating_sub(bytes);
-        Some((s.id, s.used_bytes))
+    let Some(s) = w.ext::<Tenants>().0.get_mut(name) else {
+        return;
     };
-    if let Some((id, used)) = gauge {
-        w.obs
-            .metrics
-            .set_gauge("ckptstore.tenant_bytes", id, used as f64);
-    }
+    let Some(bytes) = s.per_manifest.remove(manifest) else {
+        return;
+    };
+    s.used_bytes = s.used_bytes.saturating_sub(bytes);
+    let (id, used) = (s.id, s.used_bytes);
+    w.obs
+        .metrics
+        .set_gauge("ckptstore.tenant_bytes", id, used as f64);
 }
 
 #[cfg(test)]

@@ -35,10 +35,10 @@ pub fn is_running_under_dmtcp(k: &mut Kernel<'_>) -> bool {
 /// Ask the coordinator to checkpoint the whole computation.
 pub fn request_checkpoint(k: &mut Kernel<'_>) -> bool {
     let pid = k.pid;
-    if hijack_of(k.w, pid).is_none() {
+    let Some(port) = hijack_of(k.w, pid).map(|h| h.root_port) else {
         return false;
-    }
-    crate::coord::request_checkpoint(k.w, k.sim);
+    };
+    crate::coord::request_checkpoint(k.w, k.sim, port);
     true
 }
 

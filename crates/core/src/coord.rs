@@ -145,35 +145,26 @@ pub struct CoordShared {
     pub barrier_pending: BTreeMap<(u64, u8), u32>,
 }
 
-/// Extension-slot key for the shared state of the coordinator on `port`.
-/// The default port keeps the historical unsuffixed key, so every existing
-/// single-coordinator test, bench, and replay dump reads the same slot it
-/// always did; additional coordinators (dmtcpd shards) get their own.
-fn coord_slot(port: u16) -> String {
-    if port == COORD_PORT {
-        "dmtcp-coord-shared".to_string()
-    } else {
-        format!("dmtcp-coord-shared:{port}")
+impl CoordShared {
+    /// The newest stats of generation `gen`. Generation numbers are reused
+    /// (a restart rolls the counter back and re-arms the generation it
+    /// restores), so "the" stats of a generation are the last pushed.
+    pub fn newest(&self, gen: u64) -> Option<&GenStat> {
+        self.gen_stats.iter().rev().find(|g| g.gen == gen)
     }
 }
+
+/// Every root coordinator's [`CoordShared`], by listening port (one typed
+/// world extension; see `oskit::World::ext`).
+#[derive(Debug, Default)]
+struct CoordPorts(BTreeMap<u16, CoordShared>);
 
 /// Access the shared state of the coordinator listening on `port`. Each
 /// root coordinator owns an independent [`CoordShared`] keyed by its port,
 /// which is what lets many coordinators (dmtcpd shards) coexist in one
 /// world without sharing generation counters or image lists.
 pub fn coord_shared_for(w: &mut World, port: u16) -> &mut CoordShared {
-    let slot = w
-        .ext_slots
-        .entry(coord_slot(port))
-        .or_insert_with(|| Box::new(CoordShared::default()));
-    slot.downcast_mut::<CoordShared>()
-        .expect("slot holds CoordShared")
-}
-
-/// Access the coordinator-shared state of the default-port coordinator
-/// (world singleton — the single-computation [`crate::Session`] path).
-pub fn coord_shared(w: &mut World) -> &mut CoordShared {
-    coord_shared_for(w, COORD_PORT)
+    w.ext::<CoordPorts>().0.entry(port).or_default()
 }
 
 /// Relay-specific state of a root client (see `crate::relay`): the root
@@ -434,9 +425,6 @@ impl Coordinator {
             wake_after(k, LIVENESS_CHECK);
         }
         let (gen, expected) = (self.gen, self.expected);
-        k.trace_with("coord", || {
-            format!("ckpt gen {gen} requested ({expected} procs)")
-        });
         k.obs().metrics.inc("core.ckpt.requests", 0);
         let (at, track) = (k.now(), k.track());
         k.obs()
@@ -501,17 +489,11 @@ impl Coordinator {
         if let Some(gs) = self.gen_stat(k, gen) {
             gs.aborted = true;
         }
-        let (phase, metric, span, detail) = if stw {
-            ("", "core.ckpt.aborts", "ckpt.abort", "generation")
+        let (metric, span, detail) = if stw {
+            ("core.ckpt.aborts", "ckpt.abort", "generation")
         } else {
-            (
-                " drain",
-                "core.ckpt.drain_aborts",
-                "ckpt.drain_abort",
-                "drain",
-            )
+            ("core.ckpt.drain_aborts", "ckpt.drain_abort", "drain")
         };
-        k.trace_with("coord", || format!("ckpt gen {gen}{phase} ABORTED"));
         k.obs().metrics.inc(metric, 0);
         let (at, track) = (k.now(), k.track());
         k.obs()
@@ -563,13 +545,12 @@ impl Coordinator {
                 self.heard_from(k, from);
                 self.barrier_arrival(k, from, gen, stg, count);
             }
-            Msg::RelayRegister(host) => {
+            Msg::RelayRegister(_host) => {
                 let now = k.now();
                 self.clients[from].info.relay = Some(RelayInfo {
                     members: 0,
                     last_heard: now,
                 });
-                k.trace_with("coord", || format!("relay registered from {host}"));
             }
             Msg::RelayMembership(count, lost) => {
                 self.heard_from(k, from);
@@ -726,7 +707,6 @@ impl Coordinator {
         if let Some(gs) = self.gen_stat(k, gen) {
             gs.releases.insert(stg, now);
         }
-        k.trace_with("barrier", || format!("gen {gen} stage {stg} released"));
         k.obs().metrics.inc("core.barrier.releases", stg as u64);
         let track = k.track();
         k.obs().spans.instant(
@@ -873,9 +853,7 @@ impl Program for Coordinator {
             if k.now() >= at {
                 if self.in_progress && !self.released.contains(&(self.gen, stage::SUSPENDED)) {
                     k.obs().metrics.inc("core.ckpt.request_retries", 0);
-                    let gen = self.gen;
-                    k.trace_with("coord", || format!("ckpt gen {gen} request retransmitted"));
-                    self.broadcast(k, &Msg::CkptRequest(gen));
+                    self.broadcast(k, &Msg::CkptRequest(self.gen));
                     self.retry_backoff = self.retry_backoff + self.retry_backoff;
                     self.retry_at = Some(k.now() + self.retry_backoff);
                     wake_after(k, self.retry_backoff);
@@ -907,9 +885,6 @@ impl Program for Coordinator {
                             // (A relay never registers a vpid, so it was
                             // not counted in `participants`.)
                             self.clients.remove(k, i);
-                            k.trace_with("coord", || {
-                                "relay timed out mid-generation; dropping it".to_string()
-                            });
                             k.obs().metrics.inc("coord.relay_timeouts", 0);
                         }
                         self.abandon(k);
@@ -960,16 +935,12 @@ pub fn record_image(w: &mut World, root_port: u16, path: String, host: String) {
         .push((path, host));
 }
 
-/// Post a checkpoint request to the coordinator on `port` (the `dmtcp
-/// command --checkpoint` path against a specific dmtcpd shard) and wake it.
-pub fn request_checkpoint_on(w: &mut World, sim: &mut oskit::world::OsSim, port: u16) {
-    coord_shared_for(w, port).ckpt_request_pending = true;
-    if let Some(pid) = coord_shared_for(w, port).coord_pid {
+/// Post a checkpoint request to the coordinator on `port` (`dmtcp command
+/// --checkpoint`, the dmtcpaware API, a dmtcpd shard) and wake it.
+pub fn request_checkpoint(w: &mut World, sim: &mut oskit::world::OsSim, port: u16) {
+    let cs = coord_shared_for(w, port);
+    cs.ckpt_request_pending = true;
+    if let Some(pid) = cs.coord_pid {
         w.wake(sim, (pid, Tid(0)));
     }
-}
-
-/// Post a checkpoint request to the default-port coordinator and wake it.
-pub fn request_checkpoint(w: &mut World, sim: &mut oskit::world::OsSim) {
-    request_checkpoint_on(w, sim, COORD_PORT);
 }

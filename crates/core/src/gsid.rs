@@ -51,8 +51,6 @@ pub struct DmtcpGlobal {
     next_gsid: u64,
 }
 
-const EXT_KEY: &str = "dmtcp-global";
-
 impl DmtcpGlobal {
     /// Allocate a fresh gsid.
     pub fn alloc(&mut self) -> Gsid {
@@ -94,14 +92,9 @@ impl DmtcpGlobal {
 }
 
 /// Access (creating on first use) the world's DMTCP singleton, kept in the
-/// kernel's named extension-slot table so it outlives any single process.
+/// world's extension store so it outlives any single process.
 pub fn global(w: &mut World) -> &mut DmtcpGlobal {
-    let slot = w
-        .ext_slots
-        .entry(EXT_KEY.to_string())
-        .or_insert_with(|| Box::new(DmtcpGlobal::default()));
-    slot.downcast_mut::<DmtcpGlobal>()
-        .expect("dmtcp global slot holds DmtcpGlobal")
+    w.ext()
 }
 
 #[cfg(test)]

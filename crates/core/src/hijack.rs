@@ -223,7 +223,13 @@ pub fn is_traced(w: &World, pid: Pid) -> bool {
 
 /// Is this process running under DMTCP?
 pub fn is_traced_proc(p: &oskit::proc::Process) -> bool {
-    p.ext.as_ref().map(|e| e.is::<Hijack>()).unwrap_or(false)
+    hijack_in(p).is_some()
+}
+
+/// The hijack state of `p`, if it is traced — the read-only counterpart of
+/// [`hijack_of`] for code walking `World::procs`.
+pub fn hijack_in(p: &oskit::proc::Process) -> Option<&Hijack> {
+    p.ext.as_ref()?.downcast_ref::<Hijack>()
 }
 
 #[cfg(test)]

@@ -322,8 +322,6 @@ fn hijack_new_process(w: &mut World, sim: &mut OsSim, pid: Pid) -> Pid {
     p.pid_map.insert(vpid, pid.0);
     let tid = p.add_thread(Box::new(Manager::new(Mode::Steady)), false);
     w.schedule_dispatch(sim, pid, tid);
-    w.trace
-        .emit_with(sim.now(), "hijack", || format!("pid {} traced", pid.0));
     pid
 }
 
@@ -352,14 +350,8 @@ pub fn relay_port_for(root_port: u16) -> u16 {
 /// World registry of spawned per-node relays, keyed by (node, root port):
 /// one relay per node *per shard*, so tenants on different shards sharing
 /// a node each get an aggregation point for their own root.
-fn relay_pids(w: &mut World) -> &mut BTreeMap<(NodeId, u16), Pid> {
-    let slot = w
-        .ext_slots
-        .entry("dmtcp-relays".to_string())
-        .or_insert_with(|| Box::new(BTreeMap::<(NodeId, u16), Pid>::new()));
-    slot.downcast_mut::<BTreeMap<(NodeId, u16), Pid>>()
-        .expect("slot holds relay registry")
-}
+#[derive(Default)]
+struct RelayPids(BTreeMap<(NodeId, u16), Pid>);
 
 /// Ensure a relay for `opts.coord_port`'s root is running on `node`,
 /// spawning one if needed. Like the coordinator, relays are control plane:
@@ -367,7 +359,7 @@ fn relay_pids(w: &mut World) -> &mut BTreeMap<(NodeId, u16), Pid> {
 /// survive `Session::kill_computation`.
 pub fn ensure_relay(w: &mut World, sim: &mut OsSim, node: NodeId, opts: &Options) -> Pid {
     let key = (node, opts.coord_port);
-    if let Some(pid) = relay_pids(w).get(&key).copied() {
+    if let Some(pid) = w.ext::<RelayPids>().0.get(&key).copied() {
         if w.procs.get(&pid).map(|p| p.alive()).unwrap_or(false) {
             return pid;
         }
@@ -386,7 +378,7 @@ pub fn ensure_relay(w: &mut World, sim: &mut OsSim, node: NodeId, opts: &Options
         BTreeMap::new(),
     );
     faultkit::note_relay(w, pid, node);
-    relay_pids(w).insert(key, pid);
+    w.ext::<RelayPids>().0.insert(key, pid);
     pid
 }
 

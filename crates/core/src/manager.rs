@@ -221,7 +221,6 @@ impl Manager {
                     // like node death: kill the process; a restart rolls
                     // back to the last durable generation.
                     let pid = k.pid;
-                    k.trace("manager", "control channel lost; terminating process");
                     k.obs().metrics.inc("core.manager.orphaned", 0);
                     k.w.signal(k.sim, pid, oskit::proc::sig::SIGKILL);
                     return Err(());
@@ -260,10 +259,6 @@ impl Manager {
                 // as node death and let restart roll back to the last
                 // durable generation.
                 let pid = k.pid;
-                k.trace(
-                    "manager",
-                    "control channel lost on barrier send; terminating",
-                );
                 k.obs().metrics.inc("core.manager.orphaned", 0);
                 k.w.signal(k.sim, pid, oskit::proc::sig::SIGKILL);
             }
@@ -973,7 +968,6 @@ impl Manager {
         let pid = k.pid;
         k.w.resume_user_threads(k.sim, pid);
         k.obs().metrics.inc("core.ckpt.manager_aborts", 0);
-        k.trace_with("manager", || format!("gen {gen} aborted; rolled back"));
         self.phase = Phase::Idle;
     }
 
@@ -1203,18 +1197,14 @@ impl oskit::program::Program for Manager {
                     let pid = k.pid;
                     k.w.resume_user_threads(k.sim, pid);
                     self.record_stats(k);
-                    let gen = self.cur_gen;
-                    if self.forked.is_some() {
-                        // Perceived downtime ends here; the overlapped
-                        // drain phase continues behind the application.
-                        k.trace_with("manager", || {
-                            format!("gen {gen} resumed; background write draining")
-                        });
-                        self.phase = Phase::BgWait;
+                    // With a forked write, perceived downtime ends here;
+                    // the overlapped drain phase continues behind the
+                    // application.
+                    self.phase = if self.forked.is_some() {
+                        Phase::BgWait
                     } else {
-                        self.phase = Phase::Idle;
-                        k.trace_with("manager", || format!("gen {gen} complete"));
-                    }
+                        Phase::Idle
+                    };
                 }
                 Phase::BgWait => {
                     let done_at = self
@@ -1283,19 +1273,13 @@ impl oskit::program::Program for Manager {
                     self.phase = Phase::AwaitWritten;
                 }
                 Phase::AwaitWritten => match self.released(k, stage::CKPT_WRITTEN) {
-                    Verdict::Released => {
-                        let gen = self.cur_gen;
-                        k.trace_with("manager", || format!("gen {gen} complete (background)"));
-                        self.phase = Phase::Idle;
-                    }
+                    Verdict::Released => self.phase = Phase::Idle,
                     Verdict::Aborted => {
                         // A peer died during the overlapped drain. User
                         // threads are already running — nothing to roll
                         // back; our image simply never joins a restart
                         // script (restart uses the previous generation).
-                        let gen = self.cur_gen;
                         k.obs().metrics.inc("core.ckpt.drain_aborts_seen", 0);
-                        k.trace_with("manager", || format!("gen {gen} drain aborted"));
                         self.phase = Phase::Idle;
                     }
                     Verdict::Blocked => return Step::Block,
@@ -1366,7 +1350,6 @@ impl oskit::program::Program for Manager {
                         crate::restart::record_restart_sample(k.w, vpid, gen, partial, refill);
                     }
                     self.phase = Phase::Idle;
-                    k.trace("manager", "restart complete");
                 }
             }
         }

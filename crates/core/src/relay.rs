@@ -82,14 +82,9 @@ pub struct RelayShared {
     pub relays: BTreeMap<u32, RelayMirror>,
 }
 
-/// Access the relay mirror map (world singleton ext slot).
+/// Access the relay mirror map (world singleton).
 pub fn relay_shared(w: &mut World) -> &mut RelayShared {
-    let slot = w
-        .ext_slots
-        .entry("dmtcp-relay-shared".to_string())
-        .or_insert_with(|| Box::new(RelayShared::default()));
-    slot.downcast_mut::<RelayShared>()
-        .expect("slot holds RelayShared")
+    w.ext()
 }
 
 /// The relay program (one per node under `Topology::Hierarchical`).
@@ -176,9 +171,6 @@ impl Relay {
     /// aborted — the computation rolls back to the previous generation.
     fn give_up(&mut self, k: &mut Kernel<'_>) {
         let gen = self.gen;
-        k.trace_with("relay", || {
-            format!("root unreachable during gen {gen}; aborting locals and going dormant")
-        });
         k.obs().metrics.inc("relay.give_ups", 0);
         let at = k.now();
         let node = k.node().0 as u64;

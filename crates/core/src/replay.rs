@@ -32,7 +32,7 @@
 //!    is bit-faithful; the snapshot shows everything the kernel knew at the
 //!    seek point.
 
-use crate::coord::coord_shared;
+use crate::coord::{coord_shared_for, COORD_PORT};
 use crate::relay::relay_shared;
 use crate::session::Session;
 use obs::journal::{DecodedJournal, Divergence};
@@ -225,7 +225,7 @@ pub fn snapshot(w: &mut World, now: Nanos) -> String {
         evs[skip..].iter().map(|e| e.describe()).collect()
     };
     let coord = {
-        let cs = coord_shared(w);
+        let cs = coord_shared_for(w, COORD_PORT);
         (
             cs.coord_gen,
             cs.coord_in_progress,

@@ -35,14 +35,14 @@ use oskit::{Errno, Fd, Kernel};
 use simkit::{Nanos, Snap};
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Restored vpid → new real pid (see [`restored_real`]).
+#[derive(Default)]
+struct RestoredReal(BTreeMap<u32, u32>);
+
 /// The world-side registry of restored vpid → new real pid, filled by
 /// restart processes and consumed by each manager's pid-map fixup.
 pub fn restored_real(w: &mut oskit::world::World) -> &mut BTreeMap<u32, u32> {
-    let slot = w
-        .ext_slots
-        .entry("dmtcp-restored-real".to_string())
-        .or_insert_with(|| Box::new(BTreeMap::<u32, u32>::new()));
-    slot.downcast_mut().expect("slot holds pid map")
+    &mut w.ext::<RestoredReal>().0
 }
 
 struct Loaded {

@@ -1,7 +1,6 @@
 //! Heterogeneous restart planning and live migration.
 //!
-//! [`RestartPlan`] is the typed replacement for the stringly
-//! `parse_restart_script` / `restart_from_script` pair: it maps a committed
+//! [`RestartPlan`] is the one way to restart: it maps a committed
 //! checkpoint generation onto an *arbitrary* target topology — the nodes
 //! that wrote the images, fewer (the paper's "continue on your laptop"
 //! pack-down), or more (gang rescheduling onto a grown cluster) — and can
@@ -47,10 +46,10 @@
 
 use crate::coord::{coord_shared_for, stage};
 use crate::gsid::Gsid;
-use crate::hijack::FdKindRec;
+use crate::hijack::{hijack_in, FdKindRec};
 use crate::launch::Topology;
 use crate::restart::RestartProc;
-use crate::session::{rewrite_gen, RestartError, RestartOutcome, Session};
+use crate::session::{rewrite_gen, wait_until, Order, RestartError, RestartOutcome, Session};
 use oskit::proc::sig;
 use oskit::world::{NodeId, OsSim, Pid, World};
 use simkit::{Nanos, Snap};
@@ -119,11 +118,10 @@ impl RestartPlanBuilder {
         self
     }
 
-    /// Whole-generation fallback (the behavior of
-    /// `Session::restart_resilient`): validate every image of the chosen
-    /// generation and fall back one generation at a time when any image is
-    /// torn, rotted, or missing. Only meaningful when no generation is
-    /// pinned.
+    /// Whole-generation fallback: validate every image of the newest
+    /// generation and fall back one generation at a time, down to
+    /// generation 1, when any image is torn, rotted, or missing. Only
+    /// meaningful when no generation is pinned.
     pub fn resilient(mut self, on: bool) -> Self {
         self.plan.resilient = on;
         self
@@ -346,7 +344,7 @@ impl RestartPlan {
             }
         };
         let g = gs.gen;
-        if Session::wait_ckpt_written_on(w, sim, port, g, max_events).is_none() {
+        if Session::await_release(w, sim, port, g, stage::CKPT_WRITTEN, max_events).is_none() {
             return Err(RestartError::AbortedDuringMigration { gen: g });
         }
 
@@ -389,10 +387,7 @@ impl RestartPlan {
             .iter()
             .filter(|(_, p)| p.alive())
             .filter(|(_, p)| {
-                p.ext
-                    .as_ref()
-                    .and_then(|e| e.downcast_ref::<crate::hijack::Hijack>())
-                    .is_some_and(|h| h.root_port == port && only.contains(&h.vpid))
+                hijack_in(p).is_some_and(|h| h.root_port == port && only.contains(&h.vpid))
             })
             .map(|(pid, _)| *pid)
             .collect();
@@ -405,12 +400,10 @@ impl RestartPlan {
             Topology::Hierarchical => 0,
         };
         let target = before.saturating_sub(direct);
-        let ev0 = sim.events_fired();
-        while coord_shared_for(w, port).coord_participants > target {
-            if !sim.step(w) || sim.events_fired() - ev0 >= max_events {
-                return Err(RestartError::AbortedDuringMigration { gen: g });
-            }
-        }
+        wait_until(w, sim, max_events, Order::CheckFirst, |w| {
+            (coord_shared_for(w, port).coord_participants <= target).then_some(())
+        })
+        .map_err(|_| RestartError::AbortedDuringMigration { gen: g })?;
         crate::session::run_for(w, sim, Nanos::from_millis(2));
 
         // 4. Restore-on-target. Placement happens after the kill so the
@@ -446,31 +439,23 @@ impl RestartPlan {
         // newest generation-g stat is the migration's own (pushed when the
         // coordinator received the MigratePlan); the checkpoint's stat for
         // g sits earlier in the list and never gains restart stages.
-        let ev1 = sim.events_fired();
-        loop {
-            let st = coord_shared_for(w, port)
-                .gen_stats
-                .iter()
-                .rev()
-                .find(|x| x.gen == g)
-                .cloned();
-            if let Some(st) = st {
-                if st.aborted {
-                    return Err(RestartError::AbortedDuringMigration { gen: g });
-                }
-                if let Some(done) = st.releases.get(&stage::RESTART_REFILLED) {
-                    return Ok(MigrationReport {
-                        gen: g,
-                        moved: movers.iter().map(|m| m.vpid).collect(),
-                        placement: placement_vpids(&placement, &movers),
-                        pids,
-                        pause: *done - st.requested_at,
-                    });
-                }
+        let pause = wait_until(w, sim, max_events, Order::CheckFirst, |w| {
+            let st = coord_shared_for(w, port).newest(g)?;
+            if st.aborted {
+                return Some(None);
             }
-            if !sim.step(w) || sim.events_fired() - ev1 >= max_events {
-                return Err(RestartError::AbortedDuringMigration { gen: g });
-            }
+            let done = st.releases.get(&stage::RESTART_REFILLED)?;
+            Some(Some(*done - st.requested_at))
+        });
+        match pause {
+            Ok(Some(pause)) => Ok(MigrationReport {
+                gen: g,
+                moved: movers.iter().map(|m| m.vpid).collect(),
+                placement: placement_vpids(&placement, &movers),
+                pids,
+                pause,
+            }),
+            Ok(None) | Err(_) => Err(RestartError::AbortedDuringMigration { gen: g }),
         }
     }
 }

@@ -4,19 +4,86 @@
 //! ```text
 //! dmtcp_checkpoint [options] <program>   → Session::start + Session::launch
 //! dmtcp_command --checkpoint             → Session::checkpoint_and_wait
-//! dmtcp_restart_script.sh                → Session::restart_from_script
+//! dmtcp_restart_script.sh                → restart::plan::RestartPlan::execute
 //! ```
 //!
 //! Tests, examples, and the benchmark harness all drive checkpoints through
-//! this type, so they exercise the same protocol code paths.
+//! this type, so they exercise the same protocol code paths. Every host-side
+//! "run the simulation until …" in this crate and in `svc` is one call of
+//! [`wait_until`].
 
-use crate::coord::{coord_shared, coord_shared_for, stage, GenStat};
+use crate::coord::{coord_shared_for, stage, GenStat};
 use crate::launch::{launch_under_dmtcp, spawn_coordinator, Options};
 use oskit::proc::sig;
 use oskit::program::Program;
 use oskit::world::{NodeId, OsSim, Pid, World};
 use simkit::Nanos;
-use std::collections::BTreeMap;
+
+/// [`wait_until`] gave up before its condition held.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stalled {
+    /// Simulation events consumed while waiting.
+    pub events: u64,
+    /// The event queue drained — nothing will ever make progress again.
+    /// Otherwise the caller's budget ran out with events still pending.
+    pub drained: bool,
+}
+
+impl std::fmt::Display for Stalled {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let Stalled { events, drained } = *self;
+        if drained {
+            write!(f, "event queue drained after {events} events")
+        } else {
+            write!(f, "not settled within {events} events")
+        }
+    }
+}
+
+/// Whether [`wait_until`] consults its condition before the first event or
+/// only after it. This decides at which event the caller resumes, so each
+/// caller states it: a wait that follows a request it just posted steps
+/// first (the answer cannot be there yet, and a stale one must not count);
+/// a wait on something that may already have happened checks first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Order {
+    /// Check, then step while the condition does not hold.
+    CheckFirst,
+    /// Fire one event before the first check.
+    StepFirst,
+}
+
+/// The one host-side wait loop: fire simulation events one at a time until
+/// `ready` yields a value, the event queue drains, or `max_events` have
+/// fired. `ready` runs after every event, so the caller resumes at exactly
+/// the event that made it hold.
+pub fn wait_until<T>(
+    w: &mut World,
+    sim: &mut OsSim,
+    max_events: u64,
+    order: Order,
+    mut ready: impl FnMut(&mut World) -> Option<T>,
+) -> Result<T, Stalled> {
+    let start = sim.events_fired();
+    let mut found = match order {
+        Order::CheckFirst => ready(w),
+        Order::StepFirst => None,
+    };
+    loop {
+        if let Some(v) = found {
+            return Ok(v);
+        }
+        let drained = !sim.step(w);
+        let events = sim.events_fired() - start;
+        if drained {
+            return Err(Stalled { events, drained });
+        }
+        found = ready(w);
+        if found.is_none() && events >= max_events {
+            return Err(Stalled { events, drained });
+        }
+    }
+}
 
 /// A running DMTCP session (one coordinator + its computation).
 #[derive(Debug, Clone)]
@@ -58,7 +125,22 @@ impl Session {
             &[("port", self.opts.coord_port as u64)],
             "",
         );
-        crate::coord::request_checkpoint_on(w, sim, self.opts.coord_port);
+        crate::coord::request_checkpoint(w, sim, self.opts.coord_port);
+    }
+
+    /// How many generations this session's coordinator has opened — the
+    /// mark [`Session::settled_since`] looks past.
+    pub fn generations(&self, w: &mut World) -> usize {
+        coord_shared_for(w, self.opts.coord_port).gen_stats.len()
+    }
+
+    /// The newest generation, once one opened after mark `before` has
+    /// *settled*: the stage-6 barrier released, or the coordinator
+    /// abandoned it because a participant died.
+    pub fn settled_since(&self, w: &mut World, before: usize) -> Option<GenStat> {
+        let stats = &coord_shared_for(w, self.opts.coord_port).gen_stats;
+        let g = stats.get(before..)?.last()?;
+        (g.aborted || g.releases.contains_key(&stage::REFILLED)).then(|| g.clone())
     }
 
     /// Request a checkpoint and run the simulation until it completes
@@ -74,162 +156,104 @@ impl Session {
         sim: &mut OsSim,
         max_events: u64,
     ) -> Result<GenStat, CkptError> {
-        let port = self.opts.coord_port;
-        let before = coord_shared_for(w, port).gen_stats.len();
+        let before = self.generations(w);
         self.request_checkpoint(w, sim);
-        let fired_start = sim.events_fired();
-        loop {
-            if !sim.step(w) {
-                // The event queue drained with the protocol unfinished:
-                // nothing will ever make progress again.
-                return Err(CkptError::BudgetExhausted {
-                    events: sim.events_fired() - fired_start,
-                });
-            }
-            let settled = {
-                let cs = coord_shared_for(w, port);
-                cs.gen_stats.len() > before
-                    && cs
-                        .gen_stats
-                        .last()
-                        .map(|g| g.aborted || g.releases.contains_key(&stage::REFILLED))
-                        .unwrap_or(false)
-            };
-            if settled {
-                let gs = coord_shared_for(w, port)
-                    .gen_stats
-                    .last()
-                    .expect("pushed")
-                    .clone();
-                if gs.aborted {
-                    return Err(CkptError::Aborted {
-                        gen: gs.gen,
-                        stage: first_missing_stage(&gs),
-                    });
-                }
-                return Ok(gs);
-            }
-            if sim.events_fired() - fired_start >= max_events {
-                return Err(CkptError::BudgetExhausted { events: max_events });
-            }
-        }
+        wait_until(w, sim, max_events, Order::StepFirst, |w| {
+            self.settled_since(w, before)
+        })
+        .map_err(CkptError::from)
+        .and_then(completed)
     }
 
     /// Request a checkpoint and run the simulation until it *settles*:
     /// either the stage-6 barrier is released (completed) or the
     /// coordinator abandons the generation because a participant died
     /// (aborted). Unlike [`Session::checkpoint_and_wait`], an abort is a
-    /// reportable outcome here, not a hang.
+    /// reportable outcome here, not an error; a stall panics.
     pub fn checkpoint_until_settled(
         &self,
         w: &mut World,
         sim: &mut OsSim,
         max_events: u64,
     ) -> CkptOutcome {
-        let port = self.opts.coord_port;
-        let before = coord_shared_for(w, port).gen_stats.len();
+        let before = self.generations(w);
         self.request_checkpoint(w, sim);
-        let fired_start = sim.events_fired();
-        loop {
-            assert!(
-                sim.step(w),
-                "event queue drained before the checkpoint settled"
-            );
-            let settled = {
-                let cs = coord_shared_for(w, port);
-                cs.gen_stats.len() > before
-                    && cs
-                        .gen_stats
-                        .last()
-                        .map(|g| g.aborted || g.releases.contains_key(&stage::REFILLED))
-                        .unwrap_or(false)
-            };
-            if settled {
-                let gs = coord_shared_for(w, port)
-                    .gen_stats
-                    .last()
-                    .expect("pushed")
-                    .clone();
-                return if gs.aborted {
-                    CkptOutcome::Aborted(gs)
-                } else {
-                    CkptOutcome::Completed(gs)
-                };
-            }
-            assert!(
-                sim.events_fired() - fired_start < max_events,
-                "checkpoint neither completed nor aborted within {max_events} events \
-                 (virtual time now {:?})",
+        let settled = wait_until(w, sim, max_events, Order::StepFirst, |w| {
+            self.settled_since(w, before)
+        });
+        match settled {
+            Ok(gs) if gs.aborted => CkptOutcome::Aborted(gs),
+            Ok(gs) => CkptOutcome::Completed(gs),
+            Err(e) => panic!(
+                "checkpoint neither completed nor aborted: {e} (virtual time now {:?})",
                 sim.now()
-            );
+            ),
         }
     }
 
     /// The most recent generation stats.
-    pub fn last_gen_stat(w: &mut World) -> Option<GenStat> {
-        coord_shared(w).gen_stats.last().cloned()
+    pub fn last_gen_stat(&self, w: &mut World) -> Option<GenStat> {
+        coord_shared_for(w, self.opts.coord_port)
+            .gen_stats
+            .last()
+            .cloned()
+    }
+
+    /// Run the simulation until the newest generation-`gen` stats of the
+    /// coordinator on `port` show barrier `stg` released, and return them.
+    /// A *checkpoint* stage also gives up — `None` — once that generation
+    /// is abandoned. A restart stage does not: an aborted entry may belong
+    /// to an earlier attempt at the same generation, and the plan being
+    /// awaited opens a fresh one when it reaches the coordinator.
+    ///
+    /// Panics if neither happens within `max_events`.
+    pub fn await_release(
+        w: &mut World,
+        sim: &mut OsSim,
+        port: u16,
+        gen: u64,
+        stg: u8,
+        max_events: u64,
+    ) -> Option<GenStat> {
+        wait_until(w, sim, max_events, Order::CheckFirst, |w| {
+            let g = coord_shared_for(w, port).newest(gen)?;
+            if g.releases.contains_key(&stg) {
+                Some(Some(g.clone()))
+            } else if g.aborted && stg < stage::RESTORED {
+                Some(None)
+            } else {
+                None
+            }
+        })
+        .unwrap_or_else(|e| {
+            panic!(
+                "awaiting {} of generation {gen}: {e}",
+                stage::release_name(stg)
+            )
+        })
     }
 
     /// Run the simulation until generation `gen`'s overlapped drain phase
-    /// settles: either `CKPT_WRITTEN` is released (every image durable and
-    /// acknowledged — returns the updated stats) or the coordinator
-    /// abandons the drain (returns `None`; restart must use the previous
-    /// generation). With forked checkpointing off this returns immediately
-    /// after the checkpoint, since in-line writes ack before refill.
-    ///
-    /// Panics if the drain neither completes nor aborts within
-    /// `max_events`.
+    /// settles on the default-port coordinator: either `CKPT_WRITTEN` is
+    /// released (every image durable and acknowledged — returns the updated
+    /// stats) or the coordinator abandons the drain (returns `None`;
+    /// restart must use the previous generation). With forked checkpointing
+    /// off this returns immediately after the checkpoint, since in-line
+    /// writes ack before refill. Other ports: [`Session::await_release`].
     pub fn wait_ckpt_written(
         w: &mut World,
         sim: &mut OsSim,
         gen: u64,
         max_events: u64,
     ) -> Option<GenStat> {
-        Self::wait_ckpt_written_on(w, sim, crate::coord::COORD_PORT, gen, max_events)
+        let port = crate::coord::COORD_PORT;
+        Self::await_release(w, sim, port, gen, stage::CKPT_WRITTEN, max_events)
     }
 
-    /// [`Session::wait_ckpt_written`] against the coordinator on `port`
-    /// (a dmtcpd shard or a non-default root).
-    pub fn wait_ckpt_written_on(
-        w: &mut World,
-        sim: &mut OsSim,
-        port: u16,
-        gen: u64,
-        max_events: u64,
-    ) -> Option<GenStat> {
-        let start = sim.events_fired();
-        loop {
-            let settled = coord_shared_for(w, port)
-                .gen_stats
-                .iter()
-                .rev()
-                .find(|g| g.gen == gen)
-                .map(|g| {
-                    if g.releases.contains_key(&stage::CKPT_WRITTEN) {
-                        Some(Some(g.clone()))
-                    } else if g.aborted {
-                        Some(None)
-                    } else {
-                        None
-                    }
-                })
-                .unwrap_or(None);
-            if let Some(outcome) = settled {
-                return outcome;
-            }
-            assert!(
-                sim.step(w),
-                "event queue drained before the drain settled (gen {gen})"
-            );
-            assert!(
-                sim.events_fired() - start < max_events,
-                "checkpoint drain neither completed nor aborted within {max_events} events"
-            );
-        }
-    }
-
-    /// Kill the whole traced computation with SIGKILL (simulated failure).
-    /// The coordinator survives, as in real deployments.
+    /// SIGKILL this session's computation — every live process answering
+    /// to this session's root coordinator port — as a simulated failure.
+    /// The coordinator survives, as in real deployments, and so does any
+    /// other session's computation in the same world.
     pub fn kill_computation(&self, w: &mut World, sim: &mut OsSim) {
         w.obs.journal.record(
             sim.now(),
@@ -239,176 +263,26 @@ impl Session {
             &[],
             "",
         );
-        let traced: Vec<Pid> = w
+        let port = self.opts.coord_port;
+        let victims: Vec<Pid> = w
             .procs
             .iter()
-            .filter(|(_, p)| {
-                p.alive()
-                    && p.ext
-                        .as_ref()
-                        .map(|e| e.is::<crate::hijack::Hijack>())
-                        .unwrap_or(false)
-            })
+            .filter(|(_, p)| p.alive())
+            .filter(|(_, p)| crate::hijack::hijack_in(p).is_some_and(|h| h.root_port == port))
             .map(|(pid, _)| *pid)
             .collect();
-        for pid in traced {
+        for pid in victims {
             w.signal(sim, pid, sig::SIGKILL);
         }
         sim.run_until(w, sim.now() + Nanos::from_millis(1));
     }
 
-    /// Parse `dmtcp_restart_script.sh` into `(hostname, image paths)`.
-    #[deprecated(note = "use dmtcp::restart::plan::RestartPlan instead")]
-    pub fn parse_restart_script(w: &World) -> Vec<(String, Vec<String>)> {
-        crate::restart::plan::script_groups(w, crate::coord::COORD_PORT)
-    }
-
-    /// Parse the restart script written by the coordinator rooted at
-    /// `port` (each root writes its own script — see
-    /// [`crate::coord::restart_script_path`]).
-    #[deprecated(note = "use dmtcp::restart::plan::RestartPlan instead")]
-    pub fn parse_restart_script_for(w: &World, port: u16) -> Vec<(String, Vec<String>)> {
-        crate::restart::plan::script_groups(w, port)
-    }
-
-    /// `dmtcp_restart_script.sh`: restart the last checkpoint in (possibly
-    /// another) world. `remap` translates original hostnames to restart
-    /// nodes — identity for in-place restart, everything-to-one-node for
-    /// the paper's "continue on your laptop" use case. Returns the restart
-    /// process pids.
-    ///
-    /// The target world must already contain the image files (see
-    /// [`transplant_storage`]) and a running coordinator for `self`.
-    #[deprecated(note = "use dmtcp::restart::plan::RestartPlan instead")]
-    pub fn restart_from_script(
-        &self,
-        w: &mut World,
-        sim: &mut OsSim,
-        script: &[(String, Vec<String>)],
-        remap: &dyn Fn(&str) -> NodeId,
-        gen: u64,
-    ) -> Vec<Pid> {
-        // Group images by *target* node (migration may merge hosts).
-        let mut by_node: BTreeMap<NodeId, Vec<String>> = BTreeMap::new();
-        for (host, images) in script {
-            by_node
-                .entry(remap(host))
-                .or_default()
-                .extend(images.iter().cloned());
-        }
-        crate::restart::plan::spawn_restart_procs(self, w, sim, by_node, gen, false)
-    }
-
-    /// Restart with whole-generation fallback: validate every image of the
-    /// newest generation named by the restart script (header magic/CRC plus
-    /// every region payload); if *any* image of that generation fails
-    /// validation — torn write, bit rot, missing file — fall back to the
-    /// previous generation, down to generation 1. Returns which generation
-    /// was actually restarted plus every rejected image with its reason, or
-    /// a typed error when no complete generation survives on storage.
-    pub fn restart_resilient(
-        &self,
-        w: &mut World,
-        sim: &mut OsSim,
-        remap: &dyn Fn(&str) -> NodeId,
-    ) -> Result<RestartOutcome, RestartError> {
-        let script = crate::restart::plan::script_groups(w, self.opts.coord_port);
-        if script.is_empty() {
-            return Err(RestartError::NoScript);
-        }
-        let top = script
-            .iter()
-            .flat_map(|(_, imgs)| imgs.iter())
-            .filter_map(|p| crate::restart::parse_gen(p))
-            .max()
-            .unwrap_or(1);
-        let mut rejected = Vec::new();
-        for gen in (1..=top).rev() {
-            let candidate: Vec<(String, Vec<String>)> = script
-                .iter()
-                .map(|(h, imgs)| {
-                    (
-                        h.clone(),
-                        imgs.iter().map(|p| rewrite_gen(p, gen)).collect(),
-                    )
-                })
-                .collect();
-            let mut complete = true;
-            for (host, imgs) in &candidate {
-                let node = remap(host);
-                for p in imgs {
-                    if let Err(e) = mtcp::verify_image(w, node, p) {
-                        w.obs.metrics.inc("core.restart.rejected_images", gen);
-                        rejected.push((p.clone(), e.to_string()));
-                        complete = false;
-                    }
-                }
-            }
-            if !complete {
-                continue;
-            }
-            let mut by_node: BTreeMap<NodeId, Vec<String>> = BTreeMap::new();
-            for (host, images) in &candidate {
-                by_node
-                    .entry(remap(host))
-                    .or_default()
-                    .extend(images.iter().cloned());
-            }
-            let placement = by_node
-                .iter()
-                .map(|(n, imgs)| {
-                    let mut v: Vec<u32> = imgs
-                        .iter()
-                        .filter_map(|p| ckptstore::manifest::parse_vpid(p))
-                        .collect();
-                    v.sort_unstable();
-                    (*n, v)
-                })
-                .collect();
-            let pids = crate::restart::plan::spawn_restart_procs(self, w, sim, by_node, gen, false);
-            return Ok(RestartOutcome {
-                gen,
-                pids,
-                rejected,
-                placement,
-            });
-        }
-        Err(RestartError::NoUsableGeneration { rejected })
-    }
-
     /// Run the simulation until the restart completes (restart-refill
-    /// barrier released for `gen`) on the default-port coordinator.
+    /// barrier released for `gen`) on the default-port coordinator. Other
+    /// ports: [`Session::await_release`].
     pub fn wait_restart_done(w: &mut World, sim: &mut OsSim, gen: u64, max_events: u64) {
-        Self::wait_restart_done_on(w, sim, crate::coord::COORD_PORT, gen, max_events)
-    }
-
-    /// [`Session::wait_restart_done`] against the coordinator on `port`
-    /// (a dmtcpd shard).
-    pub fn wait_restart_done_on(
-        w: &mut World,
-        sim: &mut OsSim,
-        port: u16,
-        gen: u64,
-        max_events: u64,
-    ) {
-        let start = sim.events_fired();
-        loop {
-            let done = coord_shared_for(w, port)
-                .gen_stats
-                .iter()
-                .any(|g| g.gen == gen && g.releases.contains_key(&stage::RESTART_REFILLED));
-            if done {
-                return;
-            }
-            assert!(
-                sim.step(w),
-                "event queue drained before restart completed (gen {gen})"
-            );
-            assert!(
-                sim.events_fired() - start < max_events,
-                "restart did not complete within {max_events} events"
-            );
-        }
+        let port = crate::coord::COORD_PORT;
+        Self::await_release(w, sim, port, gen, stage::RESTART_REFILLED, max_events);
     }
 }
 
@@ -448,6 +322,24 @@ impl std::fmt::Display for CkptError {
 }
 
 impl std::error::Error for CkptError {}
+
+impl From<Stalled> for CkptError {
+    fn from(s: Stalled) -> Self {
+        CkptError::BudgetExhausted { events: s.events }
+    }
+}
+
+/// A settled generation as a result: its stats when it completed, the
+/// typed abort when the coordinator abandoned it.
+pub fn completed(gs: GenStat) -> Result<GenStat, CkptError> {
+    if gs.aborted {
+        return Err(CkptError::Aborted {
+            gen: gs.gen,
+            stage: first_missing_stage(&gs),
+        });
+    }
+    Ok(gs)
+}
 
 /// First of the in-order checkpoint barrier stages that `g` never
 /// released — the stage at which an aborted generation died.
@@ -494,8 +386,7 @@ pub enum CkptOutcome {
     Aborted(GenStat),
 }
 
-/// A successful restart ([`crate::restart::plan::RestartPlan::execute`] or
-/// [`Session::restart_resilient`]).
+/// A successful restart ([`crate::restart::plan::RestartPlan::execute`]).
 #[derive(Debug, Clone)]
 pub struct RestartOutcome {
     /// The generation actually restarted (may be older than the newest).

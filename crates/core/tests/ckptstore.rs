@@ -6,7 +6,7 @@ mod common;
 
 use common::*;
 use dmtcp::session::run_for;
-use dmtcp::{ExpectCkpt, Options, Session};
+use dmtcp::{ExpectCkpt, Options, RestartPlan, Session};
 use oskit::mem::FillProfile;
 use oskit::program::{Program, Step};
 use oskit::world::NodeId;
@@ -126,18 +126,10 @@ fn pipe_run(store: bool, wipe_primary_store: bool) -> String {
             w.nodes[1].fs.remove(&p).unwrap();
         }
     }
-    let hosts: Vec<(String, NodeId)> = (0..w.nodes.len())
-        .map(|i| (w.nodes[i].hostname.clone(), NodeId(i as u32)))
-        .collect();
-    let remap = move |h: &str| {
-        hosts
-            .iter()
-            .find(|(n, _)| n == h)
-            .map(|(_, x)| *x)
-            .expect("known host")
-    };
-    let restored = s
-        .restart_resilient(&mut w, &mut sim, &remap)
+    let restored = RestartPlan::builder()
+        .resilient(true)
+        .build()
+        .execute(&s, &mut w, &mut sim)
         .expect("restart");
     assert_eq!(restored.gen, 2, "latest generation restarts");
     Session::wait_restart_done(&mut w, &mut sim, restored.gen, budget);

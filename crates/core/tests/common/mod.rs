@@ -757,6 +757,16 @@ pub fn run_budget() -> u64 {
         .unwrap_or(8_000_000)
 }
 
+/// FNV-1a, for pinning a journal or a release list to one recorded number.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in bytes {
+        h ^= *b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// Read a /shared result file as a string.
 pub fn shared_result(w: &World, path: &str) -> Option<String> {
     w.shared_fs

@@ -4,8 +4,9 @@
 mod common;
 
 use common::*;
-use dmtcp::session::run_for;
+use dmtcp::session::{enable_flight_recorder, run_for};
 use dmtcp::{ExpectCkpt, Options, RestartPlan, Session};
+use obs::journal::{render_timeline, CLASS_ALL};
 use oskit::proc::ThreadState;
 use oskit::world::NodeId;
 use simkit::Nanos;
@@ -14,7 +15,7 @@ use simkit::Nanos;
 fn restart_diagnosis() {
     let rounds = 400;
     let (mut w, mut sim) = cluster(2);
-    w.trace.set_enabled(true);
+    enable_flight_recorder(&mut w, CLASS_ALL, &[]);
     let s = Session::start(
         &mut w,
         &mut sim,
@@ -80,11 +81,9 @@ fn restart_diagnosis() {
                 c.dirs[1].recv_buf.len(), c.dirs[1].in_flight,
             );
         }
-        eprintln!("=== last trace ===");
-        let ev = w.trace.events();
-        for e in ev.iter().rev().take(40).collect::<Vec<_>>().iter().rev() {
-            eprintln!("{} [{}] {}", e.at, e.tag, e.detail);
-        }
+        eprintln!("=== last journal events ===");
+        let ev = w.obs.journal.events();
+        eprint!("{}", render_timeline(&ev[ev.len().saturating_sub(40)..]));
         panic!("restart diagnosis failed: result {result:?}");
     }
 }
@@ -204,7 +203,7 @@ fn exact_copy_of_failing_test() {
 #[test]
 fn pipe_ckpt_diagnosis() {
     let (mut w, mut sim) = cluster(1);
-    w.trace.set_enabled(true);
+    enable_flight_recorder(&mut w, CLASS_ALL, &[]);
     let s = Session::start(
         &mut w,
         &mut sim,
@@ -220,7 +219,7 @@ fn pipe_ckpt_diagnosis() {
     run_for(&mut w, &mut sim, Nanos::from_millis(30));
     s.request_checkpoint(&mut w, &mut sim);
     let done = sim.run_bounded(&mut w, 5_000_000);
-    let stat = Session::last_gen_stat(&mut w);
+    let stat = s.last_gen_stat(&mut w);
     let complete = stat
         .as_ref()
         .map(|g| g.releases.contains_key(&6u8))
@@ -250,18 +249,8 @@ fn pipe_ckpt_diagnosis() {
             eprintln!("conn {} kind {:?} refs {:?} closed {:?} owners {:?} d0(buf {} fly {}) d1(buf {} fly {})",
               cid.0, c.kind, c.end_refs, c.closed, c.owner_pid, c.dirs[0].recv_buf.len(), c.dirs[0].in_flight, c.dirs[1].recv_buf.len(), c.dirs[1].in_flight);
         }
-        for e in w
-            .trace
-            .events()
-            .iter()
-            .rev()
-            .take(30)
-            .collect::<Vec<_>>()
-            .iter()
-            .rev()
-        {
-            eprintln!("{} [{}] {}", e.at, e.tag, e.detail);
-        }
+        let ev = w.obs.journal.events();
+        eprint!("{}", render_timeline(&ev[ev.len().saturating_sub(30)..]));
         panic!("pipe checkpoint stalled");
     }
 }

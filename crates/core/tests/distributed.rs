@@ -4,7 +4,7 @@
 mod common;
 
 use common::*;
-use dmtcp::coord::{coord_shared, stage};
+use dmtcp::coord::{coord_shared_for, stage, COORD_PORT};
 use dmtcp::session::{run_for, transplant_storage};
 use dmtcp::{ExpectCkpt, Options, RestartPlan, Session};
 use oskit::proc::ProcState;
@@ -281,12 +281,12 @@ fn interval_checkpointing_produces_multiple_generations() {
         sim.run_bounded(&mut w, 20_000_000),
         "interval run deadlocked"
     );
-    let gens = coord_shared(&mut w).gen_stats.len();
+    let gens = coord_shared_for(&mut w, COORD_PORT).gen_stats.len();
     assert!(
         gens >= 3,
         "expected several interval checkpoints, got {gens}"
     );
-    for g in &coord_shared(&mut w).gen_stats {
+    for g in &coord_shared_for(&mut w, COORD_PORT).gen_stats {
         assert!(
             g.releases.contains_key(&stage::REFILLED),
             "gen {} incomplete",
@@ -894,6 +894,67 @@ fn zombie_free_teardown_and_coordinator_client_tracking() {
             assert!(matches!(p.state, ProcState::Zombie(0)), "{:?}", p.state);
         }
     }
+}
+
+/// Coordinator state is one map keyed by port inside one world extension:
+/// a request or an image recorded for one port is invisible on another.
+#[test]
+fn coordinators_on_different_ports_share_nothing() {
+    let (mut w, mut sim) = cluster(1);
+    dmtcp::coord::request_checkpoint(&mut w, &mut sim, COORD_PORT);
+    dmtcp::coord::record_image(&mut w, 7800, "/ckpt/a".into(), "node00".into());
+    let root = coord_shared_for(&mut w, COORD_PORT);
+    assert!(root.ckpt_request_pending);
+    assert!(root.last_images.is_empty());
+    let shard = coord_shared_for(&mut w, 7800);
+    assert!(!shard.ckpt_request_pending);
+    assert_eq!(shard.last_images.len(), 1);
+    assert!(!coord_shared_for(&mut w, 7802).ckpt_request_pending);
+}
+
+/// Two sessions — two coordinators on different ports — share one world.
+/// `kill_computation` is scoped to the session it is called on: the other
+/// session's processes stay alive and its next generation commits with all
+/// of its participants.
+#[test]
+fn killing_one_sessions_computation_spares_the_other() {
+    let (mut w, mut sim) = cluster(2);
+    let a = Session::start(&mut w, &mut sim, opts_shared_dir());
+    let b = Session::start(
+        &mut w,
+        &mut sim,
+        Options::builder()
+            .coord_port(COORD_PORT + 10)
+            .ckpt_dir("/shared/ckpt_b")
+            .build(),
+    );
+    launch_chain(&mut w, &mut sim, &a, 2_000);
+    b.launch(
+        &mut w,
+        &mut sim,
+        NodeId(0),
+        "pipechain",
+        Box::new(PipeChain::new(3_000_000)),
+    );
+    run_for(&mut w, &mut sim, Nanos::from_millis(30));
+    let b1 = b.checkpoint_and_wait(&mut w, &mut sim, EV).expect_ckpt();
+    assert_eq!(b1.participants, 2, "pipechain parent + forked child");
+    let live_before = w.live_procs();
+
+    a.kill_computation(&mut w, &mut sim);
+
+    assert_eq!(
+        w.live_procs(),
+        live_before - 2,
+        "exactly A's server and client died"
+    );
+    let b2 = b.checkpoint_and_wait(&mut w, &mut sim, EV).expect_ckpt();
+    assert_eq!((b2.gen, b2.participants), (2, 2), "B commits undisturbed");
+    assert!(
+        sim.run_bounded(&mut w, EV),
+        "B's computation runs to its end"
+    );
+    shared_result(&w, "/shared/pipe_result").expect("B finished with its own integrity checks");
 }
 
 #[test]

@@ -39,7 +39,7 @@ mod common;
 use common::*;
 use dmtcp::coord::stage;
 use dmtcp::session::{enable_flight_recorder, export_journal, run_for, CkptOutcome};
-use dmtcp::{ExpectCkpt, Options, Session};
+use dmtcp::{ExpectCkpt, Options, RestartPlan, Session};
 use faultkit::{FaultKind, FaultPlan};
 use obs::journal::{CLASS_FAULT, CLASS_NET, CLASS_STAGE};
 use oskit::world::{NodeId, OsSim, Pid, World};
@@ -631,18 +631,10 @@ fn drive_cell(
         let _ = w.shared_fs.remove(p);
     }
 
-    let hosts: Vec<(String, NodeId)> = (0..w.nodes.len())
-        .map(|i| (w.nodes[i].hostname.clone(), NodeId(i as u32)))
-        .collect();
-    let remap = move |h: &str| {
-        hosts
-            .iter()
-            .find(|(n, _)| n == h)
-            .map(|(_, x)| *x)
-            .expect("known host")
-    };
-    let restored = s
-        .restart_resilient(&mut *w, &mut *sim, &remap)
+    let restored = RestartPlan::builder()
+        .resilient(true)
+        .build()
+        .execute(&s, &mut *w, &mut *sim)
         .expect("gen 1 completed cleanly, so a usable generation exists");
 
     if cell.forked {
@@ -821,6 +813,11 @@ fn crash_consistency_matrix() {
 fn matrix_meets_minimum_dimensions() {
     let all = cells(&DEFAULT_BASES);
     assert!(all.len() >= 150, "matrix has only {} cells", all.len());
+    // The number README advertises is this one.
+    let readme = concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md");
+    let readme = std::fs::read_to_string(readme).expect("README.md at the repo root");
+    let claim = format!("{}-cell", all.len());
+    assert!(readme.contains(&claim), "README must say {claim:?}");
 
     let kinds: BTreeSet<&str> = all.iter().map(|c| c.kind.name()).collect();
     let stages: BTreeSet<u8> = all.iter().map(|c| c.stage).collect();
@@ -943,18 +940,10 @@ fn run_relay_fault(kind: FaultKind) {
         let _ = w.shared_fs.remove(p);
     }
 
-    let hosts: Vec<(String, NodeId)> = (0..w.nodes.len())
-        .map(|i| (w.nodes[i].hostname.clone(), NodeId(i as u32)))
-        .collect();
-    let remap = move |h: &str| {
-        hosts
-            .iter()
-            .find(|(n, _)| n == h)
-            .map(|(_, x)| *x)
-            .expect("known host")
-    };
-    let restored = s
-        .restart_resilient(&mut w, &mut sim, &remap)
+    let restored = RestartPlan::builder()
+        .resilient(true)
+        .build()
+        .execute(&s, &mut w, &mut sim)
         .expect("gen 1 completed cleanly, so a usable generation exists");
     assert_eq!(
         restored.gen, 1,

@@ -14,9 +14,9 @@
 mod common;
 
 use common::{cluster, run_budget, shared_result, CowProbe, ShmProbe};
-use dmtcp::coord::{coord_shared, stage};
+use dmtcp::coord::{coord_shared_for, stage, COORD_PORT};
 use dmtcp::session::run_for;
-use dmtcp::{ExpectCkpt, Options, Session};
+use dmtcp::{ExpectCkpt, Options, RestartPlan, Session};
 use oskit::world::{NodeId, OsSim, World};
 use simkit::{Nanos, RunOutcome};
 
@@ -38,17 +38,11 @@ fn restart_and_dump(s: &Session, w: &mut World, sim: &mut OsSim, flags: &[&str],
         let _ = w.shared_fs.remove(f);
     }
     w.shared_fs.write_all(dump, b"1").expect("dump flag");
-    let hosts: Vec<(String, NodeId)> = (0..w.nodes.len())
-        .map(|i| (w.nodes[i].hostname.clone(), NodeId(i as u32)))
-        .collect();
-    let remap = move |h: &str| {
-        hosts
-            .iter()
-            .find(|(n, _)| n == h)
-            .map(|(_, x)| *x)
-            .expect("known host")
-    };
-    let restored = s.restart_resilient(w, sim, &remap).expect("restart");
+    let restored = RestartPlan::builder()
+        .resilient(true)
+        .build()
+        .execute(s, w, sim)
+        .expect("restart");
     assert!(restored.rejected.is_empty(), "no image may be rejected");
     Session::wait_restart_done(w, sim, restored.gen, budget);
     match sim.run_budgeted(w, budget) {
@@ -150,7 +144,7 @@ fn overlapping_requests_serialize_on_ckpt_written() {
         .expect_ckpt();
     assert_eq!(g2.gen, 2);
 
-    let written1 = coord_shared(&mut w)
+    let written1 = coord_shared_for(&mut w, COORD_PORT)
         .gen_stats
         .iter()
         .find(|g| g.gen == 1)

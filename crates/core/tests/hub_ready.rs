@@ -64,15 +64,6 @@ fn world() -> (World, OsSim) {
     (World::new(HwSpec::cluster(), NODES, reg), Sim::new())
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// What one run of the scenario leaves behind (plain numbers, so both
 /// tests can share a single run).
 struct Outcome {
@@ -127,7 +118,7 @@ fn run_scenario() -> Outcome {
     let post_would_block = would_block(&w) - before;
     let post_root_msgs = w.obs.metrics.counter("coord.root_msgs", g2.gen);
 
-    let releases = dmtcp::coord::coord_shared(&mut w)
+    let releases = dmtcp::coord::coord_shared_for(&mut w, s.opts.coord_port)
         .gen_stats
         .iter()
         .flat_map(|g| g.releases.iter().map(|(s, t)| (g.gen, *s, t.0)))

@@ -12,7 +12,7 @@ mod common;
 
 use common::*;
 use dmtcp::session::run_for;
-use dmtcp::{ExpectCkpt, Options, Session};
+use dmtcp::{ExpectCkpt, Options, RestartPlan, Session};
 use oskit::mem::{Content, FillProfile, RegionId, RegionKind, PROT_W};
 use oskit::program::{Program, Step};
 use oskit::world::{NodeId, OsSim, Pid, World};
@@ -314,18 +314,10 @@ fn protocol_run(incremental: bool, forked: bool) -> String {
     }
     s.kill_computation(&mut w, &mut sim);
     let _ = w.shared_fs.remove("/shared/pipe_result");
-    let hosts: Vec<(String, NodeId)> = (0..w.nodes.len())
-        .map(|i| (w.nodes[i].hostname.clone(), NodeId(i as u32)))
-        .collect();
-    let remap = move |h: &str| {
-        hosts
-            .iter()
-            .find(|(n, _)| n == h)
-            .map(|(_, x)| *x)
-            .expect("known host")
-    };
-    let restored = s
-        .restart_resilient(&mut w, &mut sim, &remap)
+    let restored = RestartPlan::builder()
+        .resilient(true)
+        .build()
+        .execute(&s, &mut w, &mut sim)
         .expect("restart");
     assert_eq!(restored.gen, 5, "latest generation restarts");
     Session::wait_restart_done(&mut w, &mut sim, restored.gen, budget);

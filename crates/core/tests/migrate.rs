@@ -17,8 +17,8 @@
 mod common;
 
 use common::*;
-use dmtcp::coord::{coord_shared, stage};
-use dmtcp::hijack::Hijack;
+use dmtcp::coord::{coord_shared_for, stage, COORD_PORT};
+use dmtcp::hijack::hijack_in;
 use dmtcp::session::{enable_flight_recorder, export_journal, run_for, transplant_storage};
 use dmtcp::{ExpectCkpt, Options, Packing, RestartError, RestartPlan, Session};
 use faultkit::{FaultKind, FaultPlan};
@@ -118,8 +118,7 @@ fn vpid_of(w: &World, cmd: &str) -> u32 {
     w.procs
         .values()
         .find(|p| p.alive() && p.cmd == cmd)
-        .and_then(|p| p.ext.as_ref())
-        .and_then(|e| e.downcast_ref::<Hijack>())
+        .and_then(hijack_in)
         .map(|h| h.vpid)
         .unwrap_or_else(|| panic!("{cmd} is not a live traced process"))
 }
@@ -138,8 +137,7 @@ fn traced_vpids(w: &World, node: Option<NodeId>) -> BTreeSet<u32> {
     w.procs
         .values()
         .filter(|p| p.alive() && node.is_none_or(|n| p.node == n))
-        .filter_map(|p| p.ext.as_ref())
-        .filter_map(|e| e.downcast_ref::<Hijack>())
+        .filter_map(hijack_in)
         .map(|h| h.vpid)
         .collect()
 }
@@ -303,7 +301,10 @@ fn live_migration_moves_subset_while_bystanders_run() {
     // No generation was abandoned: bystanders were checkpointed and
     // resumed, never aborted.
     assert!(
-        coord_shared(&mut w).gen_stats.iter().all(|g| !g.aborted),
+        coord_shared_for(&mut w, COORD_PORT)
+            .gen_stats
+            .iter()
+            .all(|g| !g.aborted),
         "no generation aborted during live migration"
     );
 
@@ -470,6 +471,92 @@ fn plan_validation_yields_typed_errors() {
         matches!(err, RestartError::TopologyTooSmall { got: 0, .. }),
         "unexpected error: {err}"
     );
+}
+
+// ---------------------------------------------------------------------
+// Whole-generation fallback. `RestartPlan::resilient` replaced a second
+// implementation (`Session::restart_resilient`); the constants below were
+// recorded from that implementation at commit fc265d7, and the plan must
+// reproduce them exactly — same generation, same rejected images, same
+// event at which the restart refills, same flight-recorder journal.
+// ---------------------------------------------------------------------
+
+/// 2 nodes, three generations, one bit flipped in one image of the newest,
+/// kill, resilient restart. Returns (restored generation, rejected paths,
+/// `events_fired` at `RESTART_REFILLED`, journal hash).
+fn bit_rot_fallback(seed: u64) -> (u64, Vec<String>, u64, u64) {
+    const EV: u64 = 5_000_000;
+    let mut rng = simkit::DetRng::seed_from_u64(seed);
+    let (mut w, mut sim) = cluster(2);
+    enable_flight_recorder(&mut w, CLASS_NET | CLASS_FAULT | CLASS_STAGE, &[]);
+    w.obs.journal.set_capacity(1 << 20);
+    let s = Session::start(&mut w, &mut sim, opts());
+    s.launch(
+        &mut w,
+        &mut sim,
+        NodeId(1),
+        "server",
+        Box::new(EchoPlusOne::new(9000)),
+    );
+    s.launch(
+        &mut w,
+        &mut sim,
+        NodeId(0),
+        "client",
+        Box::new(ChainClient::new("node01", 9000, 2_000)),
+    );
+    for gen in 1..=3u64 {
+        run_for(&mut w, &mut sim, Nanos::from_millis(4 + rng.below(8)));
+        let g = s.checkpoint_and_wait(&mut w, &mut sim, EV).expect_ckpt();
+        assert_eq!(g.gen, gen);
+    }
+    run_for(&mut w, &mut sim, Nanos::from_millis(2 + rng.below(4)));
+    let newest: Vec<String> = w
+        .shared_fs
+        .list_prefix("/shared/ckpt/")
+        .filter(|p| p.ends_with("_gen3.dmtcp"))
+        .map(str::to_string)
+        .collect();
+    assert_eq!(newest.len(), 2, "one image per process: {newest:?}");
+    let victim = &newest[rng.below(2) as usize];
+    let blob = &mut w.shared_fs.get_mut(victim).expect("image exists").blob;
+    let (off, bit) = (rng.below(blob.real_len()), rng.below(8) as u8);
+    assert!(blob.flip_bit(off, bit));
+    s.kill_computation(&mut w, &mut sim);
+
+    let out = RestartPlan::builder()
+        .resilient(true)
+        .build()
+        .execute(&s, &mut w, &mut sim)
+        .expect("generation 2 is intact");
+    Session::wait_restart_done(&mut w, &mut sim, out.gen, EV);
+    let events = sim.events_fired();
+    assert_eq!(w.obs.journal.evicted(), 0, "pin journal must be lossless");
+    let journal = export_journal(&mut w);
+    (
+        out.gen,
+        out.rejected.into_iter().map(|(path, _)| path).collect(),
+        events,
+        fnv1a(journal.as_bytes()),
+    )
+}
+
+#[test]
+fn resilient_plan_reproduces_the_deleted_restart_resilient() {
+    let recorded: [(u64, &str, u64, u64); 3] = [
+        (0xA11CE, "ckpt_4_gen3", 829, 0xa122_b833_4a6e_6134),
+        (0xB0B, "ckpt_3_gen3", 950, 0xb89b_f451_1bf4_c40f),
+        (0xC0FFEE, "ckpt_4_gen3", 910, 0x5041_0f10_d384_a52f),
+    ];
+    for (seed, image, events, journal_hash) in recorded {
+        let want = (
+            2,
+            vec![format!("/shared/ckpt/{image}.dmtcp")],
+            events,
+            journal_hash,
+        );
+        assert_eq!(bit_rot_fallback(seed), want, "seed {seed:#x}");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -646,7 +733,7 @@ fn target_node_loss_aborts_migration_and_movers_fall_back() {
         // checkpoint stat completed and was never aborted, and the
         // bystander is still computing.
         assert!(
-            coord_shared(w)
+            coord_shared_for(w, COORD_PORT)
                 .gen_stats
                 .iter()
                 .any(|g| g.gen == 1 && g.releases.contains_key(&stage::CKPT_WRITTEN) && !g.aborted),

@@ -142,7 +142,7 @@ fn heap_recorded_journal_replays_on_wheel_engine() {
     );
 
     let (mut w, _) = cluster(2);
-    let mut sim: OsSim = Sim::new_wheel();
+    let mut sim: OsSim = Sim::new();
     dmtcp::replay::arm(&mut w, &recorded).expect("lossless recording arms");
     let s = Session::start(&mut w, &mut sim, options());
     launch_workload(&mut w, &mut sim, &s);

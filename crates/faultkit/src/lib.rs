@@ -41,8 +41,9 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-/// Extension-slot key under which the shared state lives.
-const SLOT: &str = "faultkit-state";
+/// The installed plan's shared state (a typed world extension).
+#[derive(Default)]
+struct Installed(Option<Rc<RefCell<FaultState>>>);
 
 /// Margin added after a partition window before delayed packets arrive.
 const PARTITION_EPS: Nanos = Nanos(50_000); // 50 µs
@@ -418,7 +419,7 @@ pub fn install(w: &mut World, plan: FaultPlan) -> Rc<RefCell<FaultState>> {
     w.net_fault = Some(Box::new(move |pkt| on_packet(&net, pkt)));
     let img = st.clone();
     w.image_fault = Some(Box::new(move |path, blob| on_image(&img, path, blob)));
-    w.ext_slots.insert(SLOT.to_string(), Box::new(st.clone()));
+    w.ext::<Installed>().0 = Some(st.clone());
     st
 }
 
@@ -427,7 +428,7 @@ pub fn install(w: &mut World, plan: FaultPlan) -> Rc<RefCell<FaultState>> {
 pub fn uninstall(w: &mut World) {
     w.net_fault = None;
     w.image_fault = None;
-    w.ext_slots.remove(SLOT);
+    w.ext_remove::<Installed>();
 }
 
 /// Like [`uninstall`], but journals a `fault.uninstall` flight-recorder
@@ -449,10 +450,7 @@ pub fn uninstall_at(w: &mut World, now: Nanos) {
 
 /// The installed state, if any.
 pub fn state(w: &World) -> Option<Rc<RefCell<FaultState>>> {
-    w.ext_slots
-        .get(SLOT)?
-        .downcast_ref::<Rc<RefCell<FaultState>>>()
-        .cloned()
+    w.ext_ref::<Installed>()?.0.clone()
 }
 
 /// Mark `cid` as carrying coordinator protocol traffic (called by the

@@ -30,14 +30,7 @@ use crate::image::StoredAs;
 use oskit::mem::RegionId;
 use oskit::world::{Pid, World};
 use simkit::{Snap, SnapReader, SnapWriter};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
-
-/// `World::ext_slots` key holding the per-process incremental state map.
-pub const SLOT: &str = "mtcp-incr-state";
-/// `World::ext_slots` key disabling incremental capture (bench baselines).
-const DISABLE_SLOT: &str = "mtcp-incr-disable";
 
 /// Magic prefix of an alias extent's virtual-chunk metadata.
 pub const ALIAS_MAGIC: &[u8; 8] = b"MTCPALS1";
@@ -87,39 +80,27 @@ pub struct IncrState {
     pub regions: BTreeMap<RegionId, RegionRec>,
 }
 
-type StateMap = Rc<RefCell<BTreeMap<Pid, IncrState>>>;
+/// The world's per-process incremental state (a typed world extension).
+#[derive(Default)]
+struct IncrStates(BTreeMap<Pid, IncrState>);
 
-fn map(w: &World) -> Option<StateMap> {
-    w.ext_slots
-        .get(SLOT)
-        .and_then(|b| b.downcast_ref::<StateMap>())
-        .cloned()
-}
-
-fn map_or_init(w: &mut World) -> StateMap {
-    if let Some(m) = map(w) {
-        return m;
-    }
-    let m: StateMap = Rc::new(RefCell::new(BTreeMap::new()));
-    w.ext_slots.insert(SLOT.to_string(), Box::new(m.clone()));
-    m
-}
+/// Present in a world exactly while incremental capture is switched off.
+#[derive(Default)]
+struct IncrDisabled;
 
 /// The cached state for `pid`, if a prior compressed capture recorded one.
 pub fn state_of(w: &World, pid: Pid) -> Option<IncrState> {
-    map(w).and_then(|m| m.borrow().get(&pid).cloned())
+    w.ext_ref::<IncrStates>()?.0.get(&pid).cloned()
 }
 
 /// Install `state` as `pid`'s last-durable-capture cache.
 pub fn commit_state(w: &mut World, pid: Pid, state: IncrState) {
-    map_or_init(w).borrow_mut().insert(pid, state);
+    w.ext::<IncrStates>().0.insert(pid, state);
 }
 
 /// Drop `pid`'s cache (process death / teardown).
 pub fn clear_state(w: &mut World, pid: Pid) {
-    if let Some(m) = map(w) {
-        m.borrow_mut().remove(&pid);
-    }
+    w.ext::<IncrStates>().0.remove(&pid);
 }
 
 /// Globally enable/disable incremental capture (default: enabled). Bench
@@ -128,15 +109,15 @@ pub fn clear_state(w: &mut World, pid: Pid) {
 /// re-enabling takes effect at the next generation.
 pub fn set_enabled(w: &mut World, enabled: bool) {
     if enabled {
-        w.ext_slots.remove(DISABLE_SLOT);
+        w.ext_remove::<IncrDisabled>();
     } else {
-        w.ext_slots.insert(DISABLE_SLOT.to_string(), Box::new(()));
+        w.ext::<IncrDisabled>();
     }
 }
 
 /// Whether incremental capture is enabled.
 pub fn enabled(w: &World) -> bool {
-    !w.ext_slots.contains_key(DISABLE_SLOT)
+    w.ext_ref::<IncrDisabled>().is_none()
 }
 
 #[cfg(test)]

@@ -21,9 +21,6 @@ use oskit::world::{NodeId, World};
 use simkit::Nanos;
 use std::rc::Rc;
 
-/// `World::ext_slots` key holding the installed [`ImageStore`].
-pub const SLOT: &str = "mtcp-image-store";
-
 /// What a store reports after committing an image.
 #[derive(Debug, Clone, Copy)]
 pub struct SinkCommit {
@@ -81,21 +78,22 @@ pub trait ImageStore {
     }
 }
 
+/// The installed store (a typed world extension; absent = plain files).
+#[derive(Default)]
+struct Installed(Option<Rc<dyn ImageStore>>);
+
 /// Install an image store (replacing any previous one).
 pub fn install(w: &mut World, store: Rc<dyn ImageStore>) {
-    w.ext_slots.insert(SLOT.to_string(), Box::new(store));
+    w.ext::<Installed>().0 = Some(store);
 }
 
 /// Remove the image store; MTCP reverts to plain-file images.
 pub fn uninstall(w: &mut World) {
-    w.ext_slots.remove(SLOT);
+    w.ext_remove::<Installed>();
 }
 
 /// The installed store, if any (cloned out so callers can use it while
 /// mutating the world).
 pub fn installed(w: &World) -> Option<Rc<dyn ImageStore>> {
-    w.ext_slots
-        .get(SLOT)
-        .and_then(|b| b.downcast_ref::<Rc<dyn ImageStore>>())
-        .cloned()
+    w.ext_ref::<Installed>()?.0.clone()
 }

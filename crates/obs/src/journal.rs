@@ -34,8 +34,8 @@
 //! complete one. See DESIGN.md §12 for the format and divergence rules.
 
 use crate::json::{push_escaped, JsonValue, JsonWriter};
-use simkit::trace::Ring;
 use simkit::Nanos;
+use simkit::Ring;
 use std::collections::BTreeMap;
 use std::fmt;
 

@@ -7,12 +7,12 @@
 //! with an explicit `[start, end]` interval. Zero-length protocol moments
 //! (a barrier release) are recorded as instants.
 //!
-//! Finished spans land in a bounded [`Ring`] (re-homed from
-//! `simkit::trace`), so an enabled recorder on a long simulation keeps the
-//! newest `capacity` spans instead of growing without limit.
+//! Finished spans land in a bounded [`Ring`], so an enabled recorder on a
+//! long simulation keeps the newest `capacity` spans instead of growing
+//! without limit.
 
-use simkit::trace::Ring;
 use simkit::Nanos;
+use simkit::Ring;
 
 /// Default retention bound for finished spans.
 pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 17;

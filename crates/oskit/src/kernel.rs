@@ -1001,21 +1001,6 @@ impl<'a> Kernel<'a> {
     }
 
     // ------------------------------------------------------------------
-    // Tracing
-    // ------------------------------------------------------------------
-
-    /// Emit a protocol trace event.
-    pub fn trace(&mut self, tag: &'static str, detail: impl Into<String>) {
-        self.w.trace.emit(self.sim.now(), tag, detail);
-    }
-
-    /// Emit a protocol trace event, building the detail string only when
-    /// tracing is enabled (use instead of `trace` + eager `format!`).
-    pub fn trace_with(&mut self, tag: &'static str, f: impl FnOnce() -> String) {
-        self.w.trace.emit_with(self.sim.now(), tag, f);
-    }
-
-    // ------------------------------------------------------------------
     // Observability
     // ------------------------------------------------------------------
 

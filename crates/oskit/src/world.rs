@@ -18,8 +18,8 @@ use crate::pty::{Pty, PtyId};
 use crate::spec::HwSpec;
 use simkit::resource::{CachedDisk, CorePool, Pipe};
 use simkit::rng::DetRng;
-use simkit::trace::Trace;
 use simkit::{Nanos, Sim};
+use std::any::{Any, TypeId};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -158,8 +158,6 @@ pub struct World {
     pub shm_segs: BTreeMap<(NodeId, String), Rc<RefCell<Vec<u8>>>>,
     /// Program registry (the "executables on disk").
     pub registry: Registry,
-    /// Protocol trace for tests.
-    pub trace: Trace,
     /// Observability layer: virtual-time spans and a metrics registry.
     /// Metrics are always recorded; span capture is opt-in
     /// (`obs.spans.set_enabled(true)`).
@@ -172,9 +170,10 @@ pub struct World {
     pub net_fault: Option<NetFaultHook>,
     /// Checkpoint-image fault-injection hook (see [`ImageFaultHook`]).
     pub image_fault: Option<ImageFaultHook>,
-    /// Named extension slots for layers built on top of the kernel (the
-    /// DMTCP crate keeps its wrapper side tables here). Opaque to oskit.
-    pub ext_slots: BTreeMap<String, Box<dyn std::any::Any>>,
+    /// World-shared state of the layers built on top of the kernel, one
+    /// value per Rust type (see [`World::ext`]). Opaque to oskit, and never
+    /// iterated, so `TypeId` order cannot leak into behaviour.
+    exts: BTreeMap<TypeId, Box<dyn Any>>,
     next_pid: u32,
     next_conn: u64,
     next_listener: u64,
@@ -213,19 +212,41 @@ impl World {
             shared_fs: Fs::new(),
             shm_segs: BTreeMap::new(),
             registry,
-            trace: Trace::disabled(),
             obs: obs::Obs::new(),
             rng: DetRng::seed_from_u64(0xD317C9),
             spawn_hook: None,
             net_fault: None,
             image_fault: None,
-            ext_slots: BTreeMap::new(),
+            exts: BTreeMap::new(),
             next_pid: 2,
             next_conn: 1,
             next_listener: 1,
             next_pty: 0,
             next_open_file: 1,
         }
+    }
+
+    /// The world's one `T`, created from `T::default()` on first use. Each
+    /// layer keeps its world-shared state in a type of its own (per-port or
+    /// per-node state as a map inside that type).
+    pub fn ext<T: Default + 'static>(&mut self) -> &mut T {
+        self.exts
+            .entry(TypeId::of::<T>())
+            .or_insert_with(|| Box::new(T::default()))
+            .downcast_mut()
+            .expect("exts is keyed by the value's own TypeId")
+    }
+
+    /// The world's `T` if [`World::ext`] ever created one; never inserts.
+    pub fn ext_ref<T: 'static>(&self) -> Option<&T> {
+        self.exts.get(&TypeId::of::<T>())?.downcast_ref()
+    }
+
+    /// Take the world's `T` out; the next [`World::ext`] starts from the
+    /// default again.
+    pub fn ext_remove<T: 'static>(&mut self) -> Option<T> {
+        let boxed = self.exts.remove(&TypeId::of::<T>())?;
+        boxed.downcast().ok().map(|b| *b)
     }
 
     /// Resolve a hostname to a node.
@@ -429,8 +450,6 @@ impl World {
         }
         self.wake_all(sim, waiters);
         self.signal(sim, ppid, sig::SIGCHLD);
-        self.trace
-            .emit_with(sim.now(), "exit", || format!("pid {} code {code}", pid.0));
     }
 
     /// Destroy a process record entirely (post-reap, or kill -9 of a whole
@@ -545,11 +564,9 @@ impl World {
 
     /// Freeze user threads of `pid` (checkpoint stage 2). Manager threads
     /// (`user == false`) keep running.
-    pub fn suspend_user_threads(&mut self, sim: &mut OsSim, pid: Pid) {
+    pub fn suspend_user_threads(&mut self, _sim: &mut OsSim, pid: Pid) {
         if let Some(p) = self.procs.get_mut(&pid) {
             p.user_suspended = true;
-            self.trace
-                .emit_with(sim.now(), "suspend", || format!("pid {}", pid.0));
         }
     }
 
@@ -568,8 +585,6 @@ impl World {
         for tid in to_run {
             self.schedule_dispatch(sim, pid, tid);
         }
-        self.trace
-            .emit_with(sim.now(), "resume", || format!("pid {}", pid.0));
     }
 
     // ------------------------------------------------------------------

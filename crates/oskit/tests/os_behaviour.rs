@@ -796,3 +796,28 @@ fn watcher_reports_readiness_and_dies_with_the_last_fd_reference() {
     syscalls(&mut w, &mut sim, pid, |k| k.close(a2).unwrap());
     assert_eq!(w.conns[&cid].watchers, [None, None], "last reference gone");
 }
+
+/// The typed world-extension store the layers above keep their shared
+/// state in: keyed by type alone, reads never insert, removal resets.
+#[test]
+fn typed_ext_store_is_keyed_by_type_alone() {
+    #[derive(Default, Debug, PartialEq)]
+    struct Hits(u32);
+    #[derive(Default, Debug, PartialEq)]
+    struct Misses(u32);
+    let (mut w, _) = world(1);
+    // A lookup of an absent type reports absence and does not create it.
+    assert!(w.ext_ref::<Hits>().is_none());
+    assert!(w.ext_ref::<Hits>().is_none(), "ext_ref must not insert");
+    // Two types with the same shape never collide.
+    w.ext::<Hits>().0 = 7;
+    w.ext::<Misses>().0 += 1;
+    assert_eq!(w.ext_ref::<Hits>(), Some(&Hits(7)));
+    assert_eq!(w.ext_ref::<Misses>(), Some(&Misses(1)));
+    // Removal hands the value back and the next `ext` starts over.
+    assert_eq!(w.ext_remove::<Hits>(), Some(Hits(7)));
+    assert_eq!(w.ext_remove::<Hits>(), None);
+    assert!(w.ext_ref::<Hits>().is_none());
+    assert_eq!(*w.ext::<Hits>(), Hits(0));
+    assert_eq!(w.ext_ref::<Misses>(), Some(&Misses(1)), "neighbour kept");
+}

@@ -19,11 +19,6 @@
 //!   builds one; the differential suite in `tests/diff_engine.rs` holds the
 //!   wheel to bit-identical `(time, seq)` firing sequences against it, and
 //!   `bench/sim` measures the speedup between the two in one binary.
-//!
-//! `DMTCP_SIM_ENGINE=heap` makes [`Sim::new`] build the reference engine
-//! instead (e.g. to record a pre-overhaul flight-recorder journal and
-//! replay it on the wheel engine); any other value, or none, selects the
-//! wheel.
 
 use crate::time::Nanos;
 use crate::wheel::{Entry, Payload, Wheel};
@@ -97,20 +92,8 @@ impl<W> Default for Sim<W> {
 }
 
 impl<W> Sim<W> {
-    /// An empty simulator positioned at `t = 0`, on the timer-wheel engine
-    /// (unless `DMTCP_SIM_ENGINE=heap` selects the reference queue).
+    /// An empty simulator positioned at `t = 0`, on the timer-wheel engine.
     pub fn new() -> Self {
-        if std::env::var("DMTCP_SIM_ENGINE").is_ok_and(|v| v == "heap") {
-            Self::new_reference()
-        } else {
-            Self::with_queue(Queue::Wheel(Wheel::new()))
-        }
-    }
-
-    /// An empty simulator pinned to the timer-wheel queue regardless of
-    /// `DMTCP_SIM_ENGINE` — the `bench/sim` A/B measurement needs both
-    /// engines in one process.
-    pub fn new_wheel() -> Self {
         Self::with_queue(Queue::Wheel(Wheel::new()))
     }
 

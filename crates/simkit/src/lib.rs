@@ -30,16 +30,16 @@
 
 pub mod engine;
 pub mod resource;
+pub mod ring;
 pub mod rng;
 pub mod snap;
 pub mod stats;
 pub mod time;
-pub mod trace;
 mod wheel;
 
 pub use engine::{RunOutcome, Sim};
+pub use ring::Ring;
 pub use rng::{mix2, splitmix64, DetRng};
 pub use snap::{Snap, SnapError, SnapReader, SnapWriter};
 pub use stats::Summary;
 pub use time::Nanos;
-pub use trace::{Ring, Trace, TraceEvent};

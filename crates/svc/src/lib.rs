@@ -8,7 +8,7 @@
 //!   `max_sessions` concurrent sessions of at most `max_procs_per_session`
 //!   participants each, refusals carried as typed
 //!   [`dmtcp::proto::RejectReason`] codes on the wire;
-//! * **sharded root coordinators** — N independent [`dmtcp::Coordinator`]
+//! * **sharded root coordinators** — N independent [`dmtcp::coord::Coordinator`]
 //!   instances on distinct ports, sessions hash-assigned (`sid % shards`),
 //!   each shard reusing the hierarchical relay tier unchanged (shard root
 //!   ports are spaced two apart so every shard's `root_port + 1` relay
@@ -21,17 +21,19 @@
 //! carried as framed [`dmtcp::proto::Msg`] service messages through the
 //! daemon's request mailbox — the simulated stand-in for the daemon's
 //! listening socket; barrier traffic stays on each shard's own coordinator
-//! socket, untouched. [`Client`] mirrors the [`dmtcp::Session`] API, so a
-//! computation ports from the single-session world to dmtcpd by swapping
-//! the handle type.
+//! socket, untouched. A [`Client`] *is* a [`dmtcp::Session`] on its shard
+//! (launch, stats, kill and the settle logic are the session's own) plus
+//! what is genuinely service-level: the sid, posting service frames, and
+//! turning a daemon refusal into [`SvcCkptError::Refused`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dmtcp::coord::{coord_shared_for, stage, Coordinator, GenStat};
-use dmtcp::launch::{launch_under_dmtcp, Options, Topology};
+use dmtcp::coord::{Coordinator, GenStat};
+use dmtcp::launch::{Options, Topology};
 use dmtcp::proto::{frame, FrameBuf, Msg, RejectReason};
-use dmtcp::session::CkptError;
+use dmtcp::session::{completed, wait_until, CkptError, Order};
+use dmtcp::Session;
 use oskit::program::{Program, Step};
 use oskit::world::{NodeId, OsSim, Pid, Tid, World};
 use oskit::Kernel;
@@ -103,38 +105,46 @@ pub struct SessionRec {
     pub dir: String,
 }
 
-/// World-shared daemon state: the request mailbox (the daemon's "listening
-/// socket"), the reply queue, and the session registry — one slot per
-/// daemon port, so several daemons can coexist in one world.
+/// Host-side correlation of a mailbox post with the daemon's answer. Not on
+/// the wire: the mailbox stands in for one socket per caller, and this is
+/// which socket.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Ticket {
+    /// One synchronous call ([`Dmtcpd::open`]); unique per post.
+    Call(u64),
+    /// Checkpoint traffic of session `sid`. A refusal filed here waits —
+    /// through any number of other callers' exchanges — until that
+    /// session's next [`Client::checkpoint_and_wait`] collects it.
+    Session(u64),
+}
+
+/// World-shared state of one daemon: the request mailbox (the daemon's
+/// "listening socket"), the replies, and the session registry.
 #[derive(Debug, Default)]
 pub struct SvcShared {
     /// Daemon process, for waking on mailbox posts.
     pub daemon_pid: Option<Pid>,
-    /// Framed service requests awaiting the daemon.
-    pub inbox: VecDeque<Vec<u8>>,
-    /// Framed service replies awaiting clients (requests are processed in
-    /// order and clients wait synchronously, so a FIFO pairs them up).
-    pub replies: VecDeque<Vec<u8>>,
+    /// Framed service requests awaiting the daemon, each with the ticket
+    /// its answer is filed under.
+    pub inbox: VecDeque<(Ticket, Vec<u8>)>,
+    /// The daemon's answers, by the ticket of the request they answer.
+    pub replies: BTreeMap<Ticket, Msg>,
     /// Open sessions by sid.
     pub sessions: BTreeMap<u64, SessionRec>,
-    /// Shard coordinator pids by shard index.
-    pub shard_pids: Vec<Pid>,
     /// Sessions ever admitted (sid allocator).
     pub admitted: u64,
+    /// [`Ticket::Call`]s ever issued.
+    calls: u64,
 }
 
-fn svc_slot(port: u16) -> String {
-    format!("dmtcpd-shared:{port}")
-}
+/// Every daemon's [`SvcShared`], by service port (one typed world
+/// extension), so several daemons can coexist in one world.
+#[derive(Debug, Default)]
+struct SvcPorts(BTreeMap<u16, SvcShared>);
 
 /// Access (creating if absent) the daemon state for the daemon on `port`.
 pub fn svc_shared(w: &mut World, port: u16) -> &mut SvcShared {
-    let slot = w
-        .ext_slots
-        .entry(svc_slot(port))
-        .or_insert_with(|| Box::new(SvcShared::default()));
-    slot.downcast_mut::<SvcShared>()
-        .expect("slot holds SvcShared")
+    w.ext::<SvcPorts>().0.entry(port).or_default()
 }
 
 /// Root coordinator port of shard `k` under `cfg`.
@@ -150,36 +160,31 @@ struct DaemonProg {
 }
 
 impl DaemonProg {
-    fn reject(&self, k: &mut Kernel<'_>, reason: RejectReason, detail: String) {
+    fn reject(&self, k: &mut Kernel<'_>, to: Ticket, reason: RejectReason, detail: String) {
         k.obs()
             .metrics
             .inc("svc.sessions_rejected", reason as u8 as u64);
-        let port = self.cfg.port;
-        svc_shared(k.w, port)
+        svc_shared(k.w, self.cfg.port)
             .replies
-            .push_back(frame(&Msg::SessionRejected(reason as u8, detail)));
+            .insert(to, Msg::SessionRejected(reason as u8, detail));
     }
 
-    fn handle(&mut self, k: &mut Kernel<'_>, msg: Msg) {
+    fn handle(&mut self, k: &mut Kernel<'_>, from: Ticket, msg: Msg) {
         match msg {
-            Msg::OpenSession(tenant, procs) => self.open_session(k, tenant, procs),
+            Msg::OpenSession(tenant, procs) => self.open_session(k, from, tenant, procs),
             Msg::CloseSession(sid) => self.close_session(k, sid),
-            Msg::SessionCkpt(sid) => self.session_ckpt(k, sid),
-            other => {
-                // Service mailbox speaks only service frames; anything else
-                // is a client bug worth surfacing, not crashing over.
-                k.obs().metrics.inc("svc.unexpected_frames", 0);
-                k.trace_with("dmtcpd", || {
-                    format!("unexpected frame {}", dmtcp::proto::msg_name(&other))
-                });
-            }
+            Msg::SessionCkpt(sid) => self.session_ckpt(k, from, sid),
+            // Service mailbox speaks only service frames; anything else
+            // is a client bug worth surfacing, not crashing over.
+            _ => k.obs().metrics.inc("svc.unexpected_frames", 0),
         }
     }
 
-    fn open_session(&mut self, k: &mut Kernel<'_>, tenant: String, procs: u32) {
+    fn open_session(&mut self, k: &mut Kernel<'_>, from: Ticket, tenant: String, procs: u32) {
         if tenant.is_empty() || procs == 0 {
             return self.reject(
                 k,
+                from,
                 RejectReason::BadRequest,
                 "tenant name and proc count must be non-empty".into(),
             );
@@ -187,6 +192,7 @@ impl DaemonProg {
         if procs > self.cfg.max_procs_per_session {
             return self.reject(
                 k,
+                from,
                 RejectReason::TooManyProcs,
                 format!("{procs} procs > limit {}", self.cfg.max_procs_per_session),
             );
@@ -195,6 +201,7 @@ impl DaemonProg {
         if open >= self.cfg.max_sessions {
             return self.reject(
                 k,
+                from,
                 RejectReason::SessionsFull,
                 format!("{open} sessions open, limit {}", self.cfg.max_sessions),
             );
@@ -203,6 +210,7 @@ impl DaemonProg {
             let used = ckptstore::tenant::usage(k.w, &tenant).unwrap_or(0);
             return self.reject(
                 k,
+                from,
                 RejectReason::QuotaExceeded,
                 format!("tenant {tenant} ledger at {used} bytes"),
             );
@@ -238,7 +246,7 @@ impl DaemonProg {
         let open_now = shared.sessions.len() as u64;
         shared
             .replies
-            .push_back(frame(&Msg::SessionAccepted(sid, shard_port, dir)));
+            .insert(from, Msg::SessionAccepted(sid, shard_port, dir));
         let now = k.now();
         let obs = k.obs();
         obs.metrics.inc("svc.sessions_admitted", sid);
@@ -259,8 +267,11 @@ impl DaemonProg {
     }
 
     fn close_session(&mut self, k: &mut Kernel<'_>, sid: u64) {
-        let removed = svc_shared(k.w, self.cfg.port).sessions.remove(&sid);
-        let open_now = svc_shared(k.w, self.cfg.port).sessions.len() as u64;
+        let shared = svc_shared(k.w, self.cfg.port);
+        let removed = shared.sessions.remove(&sid);
+        // Nobody is left to collect a refusal still filed for the session.
+        shared.replies.remove(&Ticket::Session(sid));
+        let open_now = shared.sessions.len() as u64;
         let now = k.now();
         let obs = k.obs();
         if removed.is_some() {
@@ -279,10 +290,15 @@ impl DaemonProg {
         }
     }
 
-    fn session_ckpt(&mut self, k: &mut Kernel<'_>, sid: u64) {
+    fn session_ckpt(&mut self, k: &mut Kernel<'_>, from: Ticket, sid: u64) {
         let Some(rec) = svc_shared(k.w, self.cfg.port).sessions.get(&sid).cloned() else {
             k.obs().metrics.inc("svc.unknown_session", sid);
-            return self.reject(k, RejectReason::BadRequest, format!("no session {sid}"));
+            return self.reject(
+                k,
+                from,
+                RejectReason::BadRequest,
+                format!("no session {sid}"),
+            );
         };
         if ckptstore::tenant::over_quota(k.w, &rec.tenant) {
             let used = ckptstore::tenant::usage(k.w, &rec.tenant).unwrap_or(0);
@@ -298,6 +314,7 @@ impl DaemonProg {
             );
             return self.reject(
                 k,
+                from,
                 RejectReason::QuotaExceeded,
                 format!("tenant {} ledger at {used} bytes", rec.tenant),
             );
@@ -313,7 +330,7 @@ impl DaemonProg {
             &[("sid", sid), ("shard", rec.shard as u64)],
             &rec.tenant,
         );
-        dmtcp::coord::request_checkpoint_on(k.w, k.sim, rec.shard_port);
+        dmtcp::coord::request_checkpoint(k.w, k.sim, rec.shard_port);
     }
 }
 
@@ -332,12 +349,12 @@ impl Program for DaemonProg {
         while let Ok(fd) = k.accept(self.lfd) {
             k.close(fd).ok();
         }
-        while let Some(bytes) = svc_shared(k.w, self.cfg.port).inbox.pop_front() {
+        while let Some((from, bytes)) = svc_shared(k.w, self.cfg.port).inbox.pop_front() {
             let mut fb = FrameBuf::new();
             fb.feed(&bytes);
             loop {
                 match fb.pop() {
-                    Ok(Some(msg)) => self.handle(k, msg),
+                    Ok(Some(msg)) => self.handle(k, from, msg),
                     Ok(None) => break,
                     Err(_) => {
                         k.obs().metrics.inc("svc.malformed_frames", 0);
@@ -359,8 +376,8 @@ impl Program for DaemonProg {
     }
 }
 
-/// A running daemon: the handle host code keeps (mirrors
-/// [`dmtcp::Session`]'s role for the single-computation path).
+/// A running daemon: the handle host code keeps (what [`dmtcp::Session`]
+/// is to the single-computation path).
 #[derive(Debug, Clone)]
 pub struct Dmtcpd {
     /// Configuration in force.
@@ -401,7 +418,6 @@ impl Dmtcpd {
         );
         // Let the shards bind and the daemon register before clients call.
         sim.run_until(w, sim.now() + Nanos::from_millis(1));
-        svc_shared(w, cfg.port).shard_pids = shard_pids.clone();
         Dmtcpd {
             cfg,
             daemon_pid,
@@ -417,29 +433,40 @@ impl Dmtcpd {
         tenant: &str,
         procs: u32,
     ) -> Result<Client, OpenError> {
+        let port = self.cfg.port;
+        let shared = svc_shared(w, port);
+        shared.calls += 1;
+        let ticket = Ticket::Call(shared.calls);
         post(
             w,
             sim,
-            self.cfg.port,
+            port,
+            ticket,
             &Msg::OpenSession(tenant.into(), procs),
         );
-        match wait_reply(w, sim, self.cfg.port) {
-            Msg::SessionAccepted(sid, shard_port, dir) => Ok(Client {
-                daemon: self.clone(),
+        let reply = wait_until(w, sim, OPEN_BUDGET, Order::CheckFirst, |w| {
+            svc_shared(w, port).replies.remove(&ticket)
+        });
+        match reply {
+            Ok(Msg::SessionAccepted(sid, shard_port, dir)) => Ok(Client {
+                session: Session {
+                    opts: Options::builder()
+                        .coord(self.cfg.node)
+                        .coord_port(shard_port)
+                        .ckpt_dir(dir)
+                        .topology(self.cfg.topology)
+                        .build(),
+                    coord_pid: self.shard_pids[(sid % self.cfg.shards as u64) as usize],
+                },
                 sid,
                 tenant: tenant.to_string(),
-                opts: Options::builder()
-                    .coord(self.cfg.node)
-                    .coord_port(shard_port)
-                    .ckpt_dir(dir)
-                    .topology(self.cfg.topology)
-                    .build(),
+                daemon_port: port,
             }),
-            Msg::SessionRejected(code, detail) => Err(OpenError {
-                reason: RejectReason::from_code(code),
-                detail,
+            Ok(other) => Err(refusal(other)),
+            Err(stalled) => Err(OpenError {
+                reason: None,
+                detail: format!("daemon never answered: {stalled}"),
             }),
-            other => panic!("daemon answered OpenSession with {other:?}"),
         }
     }
 
@@ -491,53 +518,58 @@ impl std::fmt::Display for SvcCkptError {
 
 impl std::error::Error for SvcCkptError {}
 
-/// Post one framed service request into the daemon's mailbox and wake it.
-fn post(w: &mut World, sim: &mut OsSim, port: u16, msg: &Msg) {
+/// Events [`Dmtcpd::open`] lets the simulation run while awaiting the
+/// daemon's answer.
+const OPEN_BUDGET: u64 = 100_000;
+
+/// Post one framed service request into the daemon's mailbox, to be
+/// answered under `ticket`, and wake the daemon.
+fn post(w: &mut World, sim: &mut OsSim, port: u16, ticket: Ticket, msg: &Msg) {
     let shared = svc_shared(w, port);
-    shared.inbox.push_back(frame(msg));
+    shared.inbox.push_back((ticket, frame(msg)));
     if let Some(pid) = shared.daemon_pid {
         w.wake(sim, (pid, Tid(0)));
     }
 }
 
-/// Run the simulation until the daemon's reply FIFO yields a frame.
-fn wait_reply(w: &mut World, sim: &mut OsSim, port: u16) -> Msg {
-    let mut budget = 100_000u32;
-    loop {
-        if let Some(bytes) = svc_shared(w, port).replies.pop_front() {
-            let mut fb = FrameBuf::new();
-            fb.feed(&bytes);
-            return fb
-                .pop()
-                .expect("daemon writes well-formed frames")
-                .expect("reply frame complete");
-        }
-        assert!(sim.step(w), "event queue drained awaiting daemon reply");
-        budget -= 1;
-        assert!(budget > 0, "daemon never replied");
+/// A daemon answer that is not an acceptance, as the typed refusal.
+fn refusal(reply: Msg) -> OpenError {
+    match reply {
+        Msg::SessionRejected(code, detail) => OpenError {
+            reason: RejectReason::from_code(code),
+            detail,
+        },
+        other => OpenError {
+            reason: None,
+            detail: format!(
+                "unexpected service reply {}",
+                dmtcp::proto::msg_name(&other)
+            ),
+        },
     }
 }
 
-/// A client handle for one admitted session — the dmtcpd counterpart of
-/// [`dmtcp::Session`]. Launch, checkpoint, and restart all operate against
-/// the session's shard coordinator and tenant namespace.
+/// A client handle for one admitted session: the [`Session`] on the
+/// session's shard coordinator and tenant namespace, plus the service-level
+/// identity. Launch, stats, kill and restart are the session's own;
+/// checkpoints are requested through the daemon so quota applies.
 #[derive(Debug, Clone)]
 pub struct Client {
-    /// The daemon that admitted this session.
-    pub daemon: Dmtcpd,
+    /// The computation's session: options pinned to the shard's root port
+    /// and the image directory inside the tenant's namespace.
+    pub session: Session,
     /// Session id.
     pub sid: u64,
     /// Owning tenant.
     pub tenant: String,
-    /// Launch options pinned to the session's shard and image directory
-    /// (what [`dmtcp::Session::opts`] is to the single-session path).
-    pub opts: Options,
+    /// Service port of the daemon that admitted this session.
+    daemon_port: u16,
 }
 
 impl Client {
     /// The shard root port this session's barrier traffic answers to.
     pub fn shard_port(&self) -> u16 {
-        self.opts.coord_port
+        self.session.opts.coord_port
     }
 
     /// `dmtcp_checkpoint <program>` inside this session.
@@ -549,139 +581,91 @@ impl Client {
         cmd: &str,
         prog: Box<dyn Program>,
     ) -> Pid {
-        launch_under_dmtcp(w, sim, node, cmd, prog, &self.opts)
+        self.session.launch(w, sim, node, cmd, prog)
     }
 
     /// Asynchronous checkpoint request, carried as a [`Msg::SessionCkpt`]
-    /// service frame (the `dmtcp_command --checkpoint` analogue).
+    /// service frame (the `dmtcp_command --checkpoint` analogue). Should
+    /// the daemon refuse it, this session's next
+    /// [`Client::checkpoint_and_wait`] reports the refusal.
     pub fn request_checkpoint(&self, w: &mut World, sim: &mut OsSim) {
-        post(w, sim, self.daemon.cfg.port, &Msg::SessionCkpt(self.sid));
+        let ticket = Ticket::Session(self.sid);
+        post(
+            w,
+            sim,
+            self.daemon_port,
+            ticket,
+            &Msg::SessionCkpt(self.sid),
+        );
+    }
+
+    /// The daemon's refusal of this session's checkpoint traffic, if one
+    /// is waiting to be collected.
+    fn take_refusal(&self, w: &mut World) -> Option<SvcCkptError> {
+        let reply = svc_shared(w, self.daemon_port)
+            .replies
+            .remove(&Ticket::Session(self.sid))?;
+        Some(SvcCkptError::Refused(refusal(reply)))
     }
 
     /// Request a checkpoint and run the simulation until the session's
     /// shard settles it — completed (stats returned), aborted, out of
-    /// budget, or refused by the daemon (quota).
+    /// budget, or refused by the daemon (quota). A refusal still waiting
+    /// from an earlier [`Client::request_checkpoint`] is returned at once,
+    /// without posting a new request.
     pub fn checkpoint_and_wait(
         &self,
         w: &mut World,
         sim: &mut OsSim,
         max_events: u64,
     ) -> Result<GenStat, SvcCkptError> {
-        let port = self.shard_port();
-        let before = coord_shared_for(w, port).gen_stats.len();
-        self.request_checkpoint(w, sim);
-        let fired_start = sim.events_fired();
-        loop {
-            // A refusal arrives on the service FIFO instead of a barrier.
-            if let Some(bytes) = svc_shared(w, self.daemon.cfg.port).replies.pop_front() {
-                let mut fb = FrameBuf::new();
-                fb.feed(&bytes);
-                match fb.pop() {
-                    Ok(Some(Msg::SessionRejected(code, detail))) => {
-                        return Err(SvcCkptError::Refused(OpenError {
-                            reason: RejectReason::from_code(code),
-                            detail,
-                        }));
-                    }
-                    other => panic!("unexpected service reply {other:?}"),
-                }
-            }
-            if !sim.step(w) {
-                return Err(SvcCkptError::Ckpt(CkptError::BudgetExhausted {
-                    events: sim.events_fired() - fired_start,
-                }));
-            }
-            let settled = {
-                let cs = coord_shared_for(w, port);
-                cs.gen_stats.len() > before
-                    && cs
-                        .gen_stats
-                        .last()
-                        .map(|g| g.aborted || g.releases.contains_key(&stage::REFILLED))
-                        .unwrap_or(false)
-            };
-            if settled {
-                let gs = coord_shared_for(w, port)
-                    .gen_stats
-                    .last()
-                    .expect("pushed")
-                    .clone();
-                if gs.aborted {
-                    return Err(SvcCkptError::Ckpt(CkptError::Aborted {
-                        gen: gs.gen,
-                        stage: dmtcp::session::first_missing_stage(&gs),
-                    }));
-                }
-                return Ok(gs);
-            }
-            if sim.events_fired() - fired_start >= max_events {
-                return Err(SvcCkptError::Ckpt(CkptError::BudgetExhausted {
-                    events: max_events,
-                }));
-            }
+        if let Some(refused) = self.take_refusal(w) {
+            return Err(refused);
         }
+        let before = self.session.generations(w);
+        self.request_checkpoint(w, sim);
+        wait_until(w, sim, max_events, Order::StepFirst, |w| {
+            // A refusal arrives in the mailbox instead of a barrier.
+            if let Some(refused) = self.take_refusal(w) {
+                return Some(Err(refused));
+            }
+            let gs = self.session.settled_since(w, before)?;
+            Some(completed(gs).map_err(SvcCkptError::Ckpt))
+        })
+        .unwrap_or_else(|stalled| Err(SvcCkptError::Ckpt(stalled.into())))
     }
 
     /// The session's most recent generation stats.
     pub fn last_gen_stat(&self, w: &mut World) -> Option<GenStat> {
-        coord_shared_for(w, self.shard_port())
-            .gen_stats
-            .last()
-            .cloned()
+        self.session.last_gen_stat(w)
     }
 
-    /// Restart this session's newest usable generation (whole-generation
-    /// fallback, same semantics as [`dmtcp::Session::restart_resilient`]).
-    pub fn restart_resilient(
-        &self,
-        w: &mut World,
-        sim: &mut OsSim,
-        remap: &dyn Fn(&str) -> NodeId,
-    ) -> Result<dmtcp::session::RestartOutcome, dmtcp::session::RestartError> {
-        self.as_session(w).restart_resilient(w, sim, remap)
-    }
-
-    /// SIGKILL this session's computation only (simulated failure).
-    /// Unlike [`dmtcp::Session::kill_computation`] — which predates
-    /// multi-tenancy and kills every traced process in the world — this
-    /// selects by the root port the processes answer to, so co-tenant
-    /// computations on other shards are untouched.
+    /// SIGKILL this session's computation only (simulated failure):
+    /// co-tenant computations on other shards are untouched.
     pub fn kill_computation(&self, w: &mut World, sim: &mut OsSim) {
-        let port = self.shard_port();
-        let victims: Vec<Pid> = w
-            .procs
-            .iter_mut()
-            .filter(|(_, p)| p.alive())
-            .filter_map(|(pid, p)| {
-                let h = p.ext.as_mut()?.downcast_mut::<dmtcp::hijack::Hijack>()?;
-                (h.root_port == port).then_some(*pid)
-            })
-            .collect();
-        for pid in victims {
-            w.signal(sim, pid, oskit::proc::sig::SIGKILL);
-        }
-        sim.run_until(w, sim.now() + Nanos::from_millis(1));
+        self.session.kill_computation(w, sim)
     }
 
     /// Tear the session down (frees its registry slot; images persist per
     /// the tenant's retention policy).
     pub fn close(&self, w: &mut World, sim: &mut OsSim) {
-        post(w, sim, self.daemon.cfg.port, &Msg::CloseSession(self.sid));
+        let ticket = Ticket::Session(self.sid);
+        post(
+            w,
+            sim,
+            self.daemon_port,
+            ticket,
+            &Msg::CloseSession(self.sid),
+        );
         // Let the daemon process the teardown.
         sim.run_until(w, sim.now() + Nanos::from_millis(1));
     }
 
-    /// View this session as a [`dmtcp::Session`] (shared coordinator
-    /// machinery; useful for helpers that take the session type).
-    pub fn as_session(&self, w: &mut World) -> dmtcp::Session {
-        let shard = svc_shared(w, self.daemon.cfg.port)
-            .sessions
-            .get(&self.sid)
-            .map(|r| r.shard as usize)
-            .unwrap_or(0);
-        dmtcp::Session {
-            opts: self.opts.clone(),
-            coord_pid: self.daemon.shard_pids[shard],
-        }
+    /// This session as a [`dmtcp::Session`] value, for helpers that take
+    /// the session type (`RestartPlan::execute`). Same as cloning
+    /// [`Client::session`]; the unused world parameter is kept because the
+    /// benchmark's frozen surface calls it with one.
+    pub fn as_session(&self, _w: &mut World) -> Session {
+        self.session.clone()
     }
 }

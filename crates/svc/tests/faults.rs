@@ -8,6 +8,8 @@
 //! stage, so every phase of the protocol gets a kill.
 
 use dmtcp::coord::{coord_shared_for, stage, Coordinator};
+use dmtcp::session::{wait_until, Order};
+use dmtcp::{RestartPlan, Session};
 use oskit::program::{Program, Registry, Step};
 use oskit::world::{NodeId, OsSim, Pid, World};
 use oskit::{HwSpec, Kernel};
@@ -64,27 +66,11 @@ const EV: u64 = 8_000_000;
 /// Run until the victim shard's in-flight generation `gen` has released
 /// `stg` (0 = the instant the generation starts).
 fn run_to_stage(w: &mut World, sim: &mut OsSim, port: u16, gen: u64, stg: u8) {
-    let mut budget = EV;
-    loop {
-        let there = {
-            let cs = coord_shared_for(w, port);
-            cs.gen_stats
-                .iter()
-                .rev()
-                .find(|g| g.gen == gen)
-                .map(|g| stg == 0 || g.releases.contains_key(&stg))
-                .unwrap_or(false)
-        };
-        if there {
-            return;
-        }
-        assert!(
-            sim.step(w),
-            "queue drained before gen {gen} reached stage {stg}"
-        );
-        budget -= 1;
-        assert!(budget > 0, "gen {gen} never reached stage {stg}");
-    }
+    wait_until(w, sim, EV, Order::CheckFirst, |w| {
+        let g = coord_shared_for(w, port).newest(gen)?;
+        (stg == 0 || g.releases.contains_key(&stg)).then_some(())
+    })
+    .unwrap_or_else(|e| panic!("gen {gen} never reached stage {stg}: {e}"));
 }
 
 /// One cell: kill tenant A's shard coordinator when A's generation 2
@@ -138,7 +124,7 @@ fn coord_kill_cell(stg: u8) {
     // Victim generation 2 in flight; the shard coordinator dies at `stg`.
     a.request_checkpoint(&mut w, &mut sim);
     run_to_stage(&mut w, &mut sim, a.shard_port(), 2, stg);
-    let victim_coord = a.as_session(&mut w).coord_pid;
+    let victim_coord = a.session.coord_pid;
     w.signal(&mut sim, victim_coord, oskit::proc::sig::SIGKILL);
     sim.run_until(&mut w, sim.now() + Nanos::from_millis(1));
 
@@ -162,14 +148,23 @@ fn coord_kill_cell(stg: u8) {
     );
     assert!(new_coord.0 > 0);
     sim.run_until(&mut w, sim.now() + Nanos::from_millis(1));
-    let out = a
-        .restart_resilient(&mut w, &mut sim, &|_| NodeId(1))
+    let out = RestartPlan::builder()
+        .resilient(true)
+        .build()
+        .execute(&a.session, &mut w, &mut sim)
         .expect("previous generation restartable");
     assert_eq!(
         out.gen, ga1.gen,
         "victim falls back to its previous generation"
     );
-    dmtcp::Session::wait_restart_done_on(&mut w, &mut sim, a.shard_port(), out.gen, EV);
+    Session::await_release(
+        &mut w,
+        &mut sim,
+        a.shard_port(),
+        out.gen,
+        stage::RESTART_REFILLED,
+        EV,
+    );
 
     // Both computations finish with correct answers.
     dmtcp::session::run_for(&mut w, &mut sim, Nanos::from_millis(700));

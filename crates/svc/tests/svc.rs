@@ -1,7 +1,9 @@
 //! dmtcpd integration: admission control, shard isolation, per-session
 //! observability namespacing, quotas, and restart through the service.
 
+use dmtcp::coord::stage;
 use dmtcp::proto::RejectReason;
+use dmtcp::{RestartPlan, Session};
 use oskit::program::{Program, Registry, Step};
 use oskit::world::{NodeId, OsSim, World};
 use oskit::{HwSpec, Kernel};
@@ -163,8 +165,9 @@ fn sessions_checkpoint_on_their_own_shards_without_observable_bleed() {
     assert_eq!((a_stats, b_stats), (2, 1));
 
     // Images land in per-tenant namespaces.
-    assert_eq!(ckptstore::tenant::tenant_of(&a.opts.ckpt_dir), Some("acme"));
-    assert_eq!(ckptstore::tenant::tenant_of(&b.opts.ckpt_dir), Some("bolt"));
+    let dir_of = |c: &svc::Client| c.session.opts.ckpt_dir.clone();
+    assert_eq!(ckptstore::tenant::tenant_of(&dir_of(&a)), Some("acme"));
+    assert_eq!(ckptstore::tenant::tenant_of(&dir_of(&b)), Some("bolt"));
 
     // Per-session metrics: checkpoint requests are labeled by sid, and no
     // third session ever shows up.
@@ -231,11 +234,20 @@ fn victim_session_restarts_while_the_other_keeps_its_generation() {
 
     // Kill tenant A's computation; B is untouched.
     a.kill_computation(&mut w, &mut sim);
-    let out = a
-        .restart_resilient(&mut w, &mut sim, &|_| NodeId(1))
+    let out = RestartPlan::builder()
+        .resilient(true)
+        .build()
+        .execute(&a.session, &mut w, &mut sim)
         .expect("restartable");
     assert_eq!(out.gen, ga.gen);
-    dmtcp::Session::wait_restart_done_on(&mut w, &mut sim, a.shard_port(), ga.gen, EV);
+    Session::await_release(
+        &mut w,
+        &mut sim,
+        a.shard_port(),
+        ga.gen,
+        stage::RESTART_REFILLED,
+        EV,
+    );
 
     // Both computations run to completion with correct answers.
     dmtcp::session::run_for(&mut w, &mut sim, Nanos::from_millis(700));
@@ -264,8 +276,9 @@ fn victim_session_restarts_while_the_other_keeps_its_generation() {
     assert!(!b_stats[0].aborted);
 }
 
-#[test]
-fn quota_exhaustion_refuses_checkpoints_and_admission() {
+/// A one-shard daemon whose tenant "acme" has already spent its quota:
+/// session `a` committed one generation and its ledger is over the ceiling.
+fn exhausted_tenant() -> (World, OsSim, Dmtcpd, svc::Client) {
     let (mut w, mut sim) = cluster(2);
     ckptstore::install(&mut w, ckptstore::Config::default());
     // A quota small enough that the first checkpoint exhausts it.
@@ -306,18 +319,25 @@ fn quota_exhaustion_refuses_checkpoints_and_admission() {
         used > 4 << 10,
         "checkpoint charged the tenant (used {used})"
     );
+    (w, sim, d, a)
+}
 
-    // Ledger over quota: the next checkpoint is refused with a typed code,
-    // and no new generation starts on the shard.
-    let err = a
-        .checkpoint_and_wait(&mut w, &mut sim, EV)
-        .expect_err("over quota");
-    match err {
+fn expect_quota_refusal(r: Result<dmtcp::coord::GenStat, SvcCkptError>) {
+    match r.expect_err("over quota") {
         SvcCkptError::Refused(e) => {
             assert_eq!(e.reason, Some(RejectReason::QuotaExceeded))
         }
         other => panic!("expected a quota refusal, got {other}"),
     }
+}
+
+#[test]
+fn quota_exhaustion_refuses_checkpoints_and_admission() {
+    let (mut w, mut sim, d, a) = exhausted_tenant();
+
+    // Ledger over quota: the next checkpoint is refused with a typed code,
+    // and no new generation starts on the shard.
+    expect_quota_refusal(a.checkpoint_and_wait(&mut w, &mut sim, EV));
     assert_eq!(
         dmtcp::coord::coord_shared_for(&mut w, a.shard_port())
             .gen_stats
@@ -333,4 +353,34 @@ fn quota_exhaustion_refuses_checkpoints_and_admission() {
     assert_eq!(e.reason, Some(RejectReason::QuotaExceeded));
     d.open(&mut w, &mut sim, "bolt", 1)
         .expect("other tenants fine");
+}
+
+/// The daemon's answers are paired with their callers: the refusal of an
+/// *asynchronous* request belongs to the session that sent it and waits
+/// there — it must not answer whoever calls the daemon next.
+#[test]
+fn async_refusal_waits_for_its_own_session() {
+    let (mut w, mut sim, d, a) = exhausted_tenant();
+    // Nobody waits on this request; the daemon refuses it (over quota).
+    a.request_checkpoint(&mut w, &mut sim);
+    dmtcp::session::run_for(&mut w, &mut sim, Nanos::from_millis(5));
+
+    // The next caller gets its own answer, not A's refusal ...
+    let b = d
+        .open(&mut w, &mut sim, "bolt", 1)
+        .expect("bolt is under quota; acme's refusal is not its answer");
+    assert_ne!(b.sid, a.sid);
+    // ... and A's refusal is still there for A, exactly once.
+    expect_quota_refusal(a.checkpoint_and_wait(&mut w, &mut sim, EV));
+    assert!(
+        d.open_sessions(&mut w).contains(&b.sid),
+        "B's admission was real, not a mis-answered call"
+    );
+    assert_eq!(
+        dmtcp::coord::coord_shared_for(&mut w, a.shard_port())
+            .gen_stats
+            .len(),
+        1,
+        "no refused request ever reached the shard"
+    );
 }

@@ -8,7 +8,6 @@
 
 use apps::desktop::{launch_desktop, spec_by_name};
 use apps::registry::full_registry;
-use dmtcp::coord::coord_shared;
 use dmtcp::session::run_for;
 use dmtcp::{Options, RestartPlan, Session};
 use oskit::world::NodeId;
@@ -35,10 +34,10 @@ fn main() {
 
     // Let the interval checkpointer fire a few times.
     run_for(&mut w, &mut sim, Nanos::from_secs(35));
-    let gens = coord_shared(&mut w).gen_stats.len();
+    let gens = session.generations(&mut w);
     println!("automatic interval checkpoints taken: {gens}");
     assert!(gens >= 3, "expected ≥3 interval checkpoints");
-    let last = Session::last_gen_stat(&mut w).expect("stats");
+    let last = session.last_gen_stat(&mut w).expect("stats");
     println!(
         "last checkpoint: {} processes, {:.2}s",
         last.participants,

@@ -121,6 +121,25 @@ stage_lint() {
     cargo clippy --workspace --all-targets -- -D warnings
     echo "== cargo fmt --check =="
     cargo fmt --all -- --check
+    echo "== cargo doc (a doc comment linking a removed item fails) =="
+    RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps
+    echo "== deleted-API guard (a count, not a review) =="
+    # What PR 14 deleted stays deleted: no compatibility shim, no stringly
+    # extension slot, no engine env switch, no second restart path, no
+    # second recorder. `downcast_` is allowed in exactly two files: the
+    # typed store behind World::ext* and the per-process Hijack accessors.
+    local hits
+    hits=$({
+        grep -rnE '#\[deprecated|ext_slots|DMTCP_SIM_ENGINE|restart_resilient|trace_with\(' \
+            crates/*/src src
+        grep -rn 'downcast_' crates/*/src src |
+            grep -vE '^crates/(oskit/src/world|core/src/hijack)\.rs:'
+    } || true)
+    if [[ -n "$hits" ]]; then
+        echo "$hits" >&2
+        echo "tier1: lint found a deleted API or an open-coded downcast (see above)" >&2
+        exit 1
+    fi
 }
 
 run_stage() {

@@ -5,7 +5,6 @@ use dmtcp_repro::prelude::*;
 use dmtcp_repro::{apps, dmtcp};
 
 use apps::registry::full_registry;
-use dmtcp::coord::coord_shared;
 use dmtcp::session::{run_for, transplant_storage};
 
 const EV: u64 = 60_000_000;
@@ -107,11 +106,8 @@ fn revert_to_an_earlier_generation() {
     let spec = apps::desktop::spec_by_name("python").expect("python");
     apps::desktop::launch_desktop(&mut w, &mut sim, Some(&s), NodeId(0), spec, 5);
     run_for(&mut w, &mut sim, Nanos::from_secs(4));
-    let gens: Vec<u64> = coord_shared(&mut w)
-        .gen_stats
-        .iter()
-        .map(|g| g.gen)
-        .collect();
+    // Nothing restarted yet, so the coordinator's generations are 1..=n.
+    let gens: Vec<u64> = (1..=s.generations(&mut w) as u64).collect();
     assert!(gens.len() >= 3, "interval checkpoints: {gens:?}");
     // Images for every generation exist on disk.
     for g in &gens {
