@@ -32,11 +32,11 @@
 use crate::image::{CkptImage, RegionMeta, StoredAs, IMAGE_MAGIC};
 use crate::incr::{self, IncrState, RegionRec};
 use oskit::fs::Blob;
-use oskit::mem::{AddressSpace, Content, CowStats, RegionId};
+use oskit::mem::{AddressSpace, Content, CowStats, FillProfile, RegionId};
 use oskit::proc::{ThreadCtx, ThreadState};
 use oskit::world::{Pid, World};
 use simkit::{Nanos, Snap, SnapWriter};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use szip::SizeEstimator;
 
 /// How the image is produced.
@@ -229,10 +229,7 @@ pub fn write_image(
     dmtcp_meta: Vec<u8>,
 ) -> WriteReport {
     let plan = plan_capture(w, pid, mode, false);
-    let cap = {
-        let p = &w.procs[&pid];
-        capture_planned(&p.mem, mode.compressed(), &plan)
-    };
+    let cap = capture_live(w, pid, mode.compressed(), &plan);
     let (report, state) = commit_image(w, now, pid, path, mode, vpid, dmtcp_meta, cap);
     pending_for(&plan, mode, state).apply(w, pid);
     report
@@ -252,11 +249,7 @@ pub fn write_image_full(
     vpid: u32,
     dmtcp_meta: Vec<u8>,
 ) -> WriteReport {
-    let plan = Plan::Shadow;
-    let cap = {
-        let p = &w.procs[&pid];
-        capture_planned(&p.mem, mode.compressed(), &plan)
-    };
+    let cap = capture_live(w, pid, mode.compressed(), &Plan::Shadow);
     let (report, _) = commit_image(w, now, pid, path, mode, vpid, dmtcp_meta, cap);
     report
 }
@@ -288,7 +281,7 @@ pub fn begin_forked_write(
         .begin_cow_snapshot();
     // Build payloads from the *snapshot*: the application may dirty its own
     // copy the moment it resumes, but the image must hold pre-fork bytes.
-    let cap = capture_planned(&snapshot, true, &plan);
+    let cap = capture_planned(&snapshot, true, &plan, w.ext::<SynthSizes>());
     let (report, state) = commit_image(
         w,
         now,
@@ -338,13 +331,42 @@ struct CaptureOut {
     comp_out: u64,
     /// Regions emitted as alias extents.
     aliased_regions: u64,
+    /// Synthetic regions the size estimator actually ran on (memo misses).
+    synth_sized: u64,
     incremental: bool,
+}
+
+/// The compressed size every synthetic region this world has ever captured
+/// was given: `(seed, len, profile) → (comp_len, sampled)`.
+///
+/// A synthetic region is immutable and its bytes are a pure function of that
+/// triple, szip is deterministic and the [`SizeEstimator`] is a constant, so
+/// the size is a pure function of the key — generating the sample and
+/// compressing it again at every generation (and once per rank for the same
+/// array) can only reproduce the number. Looked up, never iterated; no
+/// eviction, because the key space is the set of synthetic regions the world
+/// ever maps; dropped with the world, so two worlds never share a result.
+#[derive(Default)]
+struct SynthSizes(BTreeMap<(u64, u64, FillProfile), (u64, bool)>);
+
+/// [`capture_planned`] over `pid`'s live address space. The memo and the
+/// address space are both inside `w`, so the memo is lifted out for the
+/// duration of the (pure) capture and put back.
+fn capture_live(w: &mut World, pid: Pid, compressed: bool, plan: &Plan) -> CaptureOut {
+    let mut sizes = std::mem::take(w.ext::<SynthSizes>());
+    let cap = capture_planned(&w.procs[&pid].mem, compressed, plan, &mut sizes);
+    *w.ext::<SynthSizes>() = sizes;
+    cap
 }
 
 /// Phase 1: build the region table and payload byte streams under `plan`.
 /// (Pure data work on a frozen address space; timing charged at commit.)
-fn capture_planned(mem: &AddressSpace, compressed: bool, plan: &Plan) -> CaptureOut {
-    let estimator = SizeEstimator::default();
+fn capture_planned(
+    mem: &AddressSpace,
+    compressed: bool,
+    plan: &Plan,
+    sizes: &mut SynthSizes,
+) -> CaptureOut {
     let mut out = CaptureOut {
         ids: Vec::new(),
         regions: Vec::new(),
@@ -354,8 +376,10 @@ fn capture_planned(mem: &AddressSpace, compressed: bool, plan: &Plan) -> Capture
         comp_in: 0,
         comp_out: 0,
         aliased_regions: 0,
+        synth_sized: 0,
         incremental: matches!(plan, Plan::Incr { .. }),
     };
+    let known = sizes.0.len();
     for (id, region) in mem.iter() {
         let raw_len = region.len();
         out.raw_bytes += raw_len;
@@ -369,7 +393,7 @@ fn capture_planned(mem: &AddressSpace, compressed: bool, plan: &Plan) -> Capture
             }
         }
         out.captured_raw_bytes += raw_len;
-        let (meta, payload, packed) = capture_one(region, raw_len, compressed, &estimator);
+        let (meta, payload, packed) = capture_one(region, raw_len, compressed, sizes);
         if let Some(stored_len) = packed {
             out.comp_in += raw_len;
             out.comp_out += stored_len;
@@ -377,6 +401,8 @@ fn capture_planned(mem: &AddressSpace, compressed: bool, plan: &Plan) -> Capture
         out.regions.push(meta);
         out.payloads.push(payload);
     }
+    // Every estimator run adds exactly one entry.
+    out.synth_sized = (sizes.0.len() - known) as u64;
     out
 }
 
@@ -453,7 +479,7 @@ fn capture_one(
     region: &oskit::mem::Region,
     raw_len: u64,
     compressed: bool,
-    estimator: &SizeEstimator,
+    sizes: &mut SynthSizes,
 ) -> (RegionMeta, Payload, Option<u64>) {
     match &region.content {
         Content::Real(bytes) => {
@@ -505,18 +531,11 @@ fn capture_one(
         Content::Synthetic { seed, len, profile } => {
             let (comp_len, sampled) = if !compressed {
                 (*len, false)
-            } else if estimator.should_sample(*len) {
-                let sample = profile.bytes(*seed, estimator.sample_len as usize);
-                let sample_comp = szip::compressed_len(&sample);
-                (
-                    estimator.extrapolate(*len, sample.len() as u64, sample_comp),
-                    true,
-                )
             } else {
-                (
-                    szip::compressed_len(&profile.bytes(*seed, *len as usize)),
-                    false,
-                )
+                *sizes
+                    .0
+                    .entry((*seed, *len, *profile))
+                    .or_insert_with(|| size_synthetic(*seed, *len, *profile))
             };
             let stored = StoredAs::Synthetic {
                 seed: *seed,
@@ -547,6 +566,25 @@ fn capture_one(
     }
 }
 
+/// Run the estimator: the compressed size of the synthetic region
+/// `(seed, len, profile)` and whether it was extrapolated from a sample.
+fn size_synthetic(seed: u64, len: u64, profile: FillProfile) -> (u64, bool) {
+    let estimator = SizeEstimator::default();
+    if estimator.should_sample(len) {
+        let sample = profile.bytes(seed, estimator.sample_len as usize);
+        let sample_comp = szip::compressed_len(&sample);
+        (
+            estimator.extrapolate(len, sample.len() as u64, sample_comp),
+            true,
+        )
+    } else {
+        (
+            szip::compressed_len(&profile.bytes(seed, len as usize)),
+            false,
+        )
+    }
+}
+
 /// Phases 2–4: thread contexts, file materialization, commit + time
 /// charging, and observability. Also returns the [`IncrState`] describing
 /// this image, for the caller to commit once the image is durable.
@@ -571,6 +609,7 @@ fn commit_image(
         comp_in,
         comp_out,
         aliased_regions,
+        synth_sized,
         incremental,
     } = cap;
 
@@ -706,6 +745,9 @@ fn commit_image(
             w.obs
                 .metrics
                 .add("mtcp.incr.aliased_regions", 0, aliased_regions);
+        }
+        if synth_sized > 0 {
+            w.obs.metrics.add("mtcp.synth_sized", 0, synth_sized);
         }
         if comp_in > 0 {
             w.obs.metrics.add("szip.bytes_in", 0, comp_in);

@@ -50,7 +50,7 @@ pub enum RegionKind {
 impl_snap!(enum RegionKind { Lib, Heap, Anon, Shm { backing } });
 
 /// Deterministic fill recipes with calibrated compressibility.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FillProfile {
     /// All zero bytes (untouched allocations; NAS/IS's empty buckets).
     Zeros,
@@ -142,50 +142,74 @@ impl FillProfile {
     }
 }
 
-/// Incompressible: one splitmix word per aligned 8-byte cell.
-fn fill_random(seed: u64, offset: u64, out: &mut [u8]) {
-    for (i, b) in out.iter_mut().enumerate() {
-        let abs = offset + i as u64;
-        let cell = abs / 8;
-        let mut s = mix2(seed, cell);
-        let word = splitmix64(&mut s);
-        *b = (word >> ((abs % 8) * 8)) as u8;
+/// Fill `out` from fixed-size cells: `cell_bytes(c)` is the content of the
+/// aligned `N`-byte cell `c`, computed once per cell and sliced to whatever
+/// part of it `[offset, offset + out.len())` covers — which is what makes a
+/// fill independent of how the region is chunked, at any alignment.
+fn fill_cells<const N: usize>(
+    offset: u64,
+    out: &mut [u8],
+    mut cell_bytes: impl FnMut(u64) -> [u8; N],
+) {
+    let mut pos = 0usize;
+    while pos < out.len() {
+        let abs = offset + pos as u64;
+        let within = (abs % N as u64) as usize;
+        let take = (N - within).min(out.len() - pos);
+        let cell = cell_bytes(abs / N as u64);
+        out[pos..pos + take].copy_from_slice(&cell[within..within + take]);
+        pos += take;
     }
 }
+
+/// Incompressible: one splitmix word per aligned 8-byte cell.
+fn fill_random(seed: u64, offset: u64, out: &mut [u8]) {
+    fill_cells(offset, out, |cell| {
+        let mut s = mix2(seed, cell);
+        splitmix64(&mut s).to_le_bytes()
+    });
+}
+
+/// Each vocabulary word repeated out to one 16-byte text cell.
+const TEXT_CELLS: [[u8; 16]; 16] = {
+    let mut cells = [[0u8; 16]; 16];
+    let mut w = 0;
+    while w < 16 {
+        let word = WORDS[w].as_bytes();
+        let mut k = 0;
+        while k < 16 {
+            cells[w][k] = word[k % word.len()];
+            k += 1;
+        }
+        w += 1;
+    }
+    cells
+};
 
 /// Text-like: 16-byte cells, each a word chosen by a per-cell hash; szip
 /// finds abundant 3+ byte matches.
 fn fill_text(seed: u64, offset: u64, out: &mut [u8]) {
-    for (i, b) in out.iter_mut().enumerate() {
-        let abs = offset + i as u64;
-        let cell = abs / 16;
-        let w = WORDS[(mix2(seed ^ 0x7e87, cell) % 16) as usize].as_bytes();
-        *b = w[(abs % 16) as usize % w.len()];
-    }
+    fill_cells(offset, out, |cell| {
+        TEXT_CELLS[(mix2(seed ^ 0x7e87, cell) % 16) as usize]
+    });
 }
 
 /// Code-like: 4-byte "instructions" — a small opcode vocabulary, a 16-value
 /// register byte, a displacement that is zero half the time, and a zero high
 /// byte. Compresses ≈ 2× under szip, like real `.so` text under gzip.
 fn fill_code(seed: u64, offset: u64, out: &mut [u8]) {
-    for (i, b) in out.iter_mut().enumerate() {
-        let abs = offset + i as u64;
-        let insn = abs / 4;
+    // The opcode is shared by a group of 16 instructions: hash it once per
+    // group, not once per instruction.
+    let mut group = (u64::MAX, 0u8);
+    fill_cells(offset, out, |insn| {
+        if group.0 != insn / 16 {
+            group = (insn / 16, 0x40 | (mix2(seed ^ 0xc0de, insn / 16) % 8) as u8);
+        }
         let h = mix2(seed ^ 0xc0de, insn);
-        *b = match abs % 4 {
-            0 => 0x40 | (mix2(seed ^ 0xc0de, insn / 16) % 8) as u8,
-            1 => (insn % 16) as u8,
-            2 => {
-                // Displacement byte: zero three times out of four.
-                if h & 0x300 != 0 {
-                    0
-                } else {
-                    (h >> 16) as u8
-                }
-            }
-            _ => 0,
-        };
-    }
+        // Displacement byte: zero three times out of four.
+        let disp = if h & 0x300 != 0 { 0 } else { (h >> 16) as u8 };
+        [group.1, (insn % 16) as u8, disp, 0]
+    });
 }
 
 /// Region contents.
@@ -577,6 +601,86 @@ impl AddressSpace {
 mod tests {
     use super::*;
 
+    /// The per-byte fills as they stood before the per-cell rewrite: the
+    /// definition of each profile's byte stream, kept as the test oracle.
+    mod per_byte {
+        use super::super::*;
+
+        fn fill_random(seed: u64, offset: u64, out: &mut [u8]) {
+            for (i, b) in out.iter_mut().enumerate() {
+                let abs = offset + i as u64;
+                let cell = abs / 8;
+                let mut s = mix2(seed, cell);
+                let word = splitmix64(&mut s);
+                *b = (word >> ((abs % 8) * 8)) as u8;
+            }
+        }
+
+        fn fill_text(seed: u64, offset: u64, out: &mut [u8]) {
+            for (i, b) in out.iter_mut().enumerate() {
+                let abs = offset + i as u64;
+                let cell = abs / 16;
+                let w = WORDS[(mix2(seed ^ 0x7e87, cell) % 16) as usize].as_bytes();
+                *b = w[(abs % 16) as usize % w.len()];
+            }
+        }
+
+        fn fill_code(seed: u64, offset: u64, out: &mut [u8]) {
+            for (i, b) in out.iter_mut().enumerate() {
+                let abs = offset + i as u64;
+                let insn = abs / 4;
+                let h = mix2(seed ^ 0xc0de, insn);
+                *b = match abs % 4 {
+                    0 => 0x40 | (mix2(seed ^ 0xc0de, insn / 16) % 8) as u8,
+                    1 => (insn % 16) as u8,
+                    2 => {
+                        if h & 0x300 != 0 {
+                            0
+                        } else {
+                            (h >> 16) as u8
+                        }
+                    }
+                    _ => 0,
+                };
+            }
+        }
+
+        /// `FillProfile::fill`, one byte at a time (so `Mixed` needs no page
+        /// walk: every byte looks up its own page's roll).
+        pub fn fill(profile: &FillProfile, seed: u64, offset: u64, out: &mut [u8]) {
+            for (i, b) in out.iter_mut().enumerate() {
+                let abs = offset + i as u64;
+                let one = std::slice::from_mut(b);
+                let leaf = match *profile {
+                    FillProfile::Mixed {
+                        zero_pct,
+                        text_pct,
+                        code_pct,
+                    } => {
+                        let roll = (mix2(seed, abs / PAGE) % 100) as u8;
+                        if roll < zero_pct {
+                            FillProfile::Zeros
+                        } else if roll < zero_pct + text_pct {
+                            FillProfile::Text
+                        } else if roll < zero_pct + text_pct + code_pct {
+                            FillProfile::Code
+                        } else {
+                            FillProfile::Random
+                        }
+                    }
+                    leaf => leaf,
+                };
+                match leaf {
+                    FillProfile::Zeros => *b = 0,
+                    FillProfile::Random => fill_random(seed, abs, one),
+                    FillProfile::Text => fill_text(seed, abs, one),
+                    FillProfile::Code => fill_code(seed, abs, one),
+                    FillProfile::Mixed { .. } => unreachable!("resolved above"),
+                }
+            }
+        }
+    }
+
     #[test]
     fn fill_is_chunk_boundary_independent() {
         for profile in [
@@ -603,6 +707,48 @@ mod tests {
                 off = e;
             }
             assert_eq!(whole, pieced, "profile {profile:?}");
+        }
+
+        // Differential against the per-byte definition: random profile
+        // (Mixed included), seed, unaligned offset and length up to three
+        // pages, so every (head, whole cells, tail) shape of every cell
+        // size and the page walk of `Mixed` are all hit.
+        let mut rng = simkit::DetRng::seed_from_u64(0xF111_0001);
+        for case in 0..400 {
+            let profile = match rng.below(5) {
+                0 => FillProfile::Zeros,
+                1 => FillProfile::Random,
+                2 => FillProfile::Text,
+                3 => FillProfile::Code,
+                _ => {
+                    let zero_pct = rng.below(101) as u8;
+                    let text_pct = rng.below(101 - zero_pct as u64) as u8;
+                    let code_pct = rng.below(101 - zero_pct as u64 - text_pct as u64) as u8;
+                    FillProfile::Mixed {
+                        zero_pct,
+                        text_pct,
+                        code_pct,
+                    }
+                }
+            };
+            let seed = rng.next_u64();
+            let offset = match rng.below(3) {
+                0 => rng.below(64),
+                1 => rng.below(1 << 40),
+                _ => (rng.below(1 << 20) * PAGE).saturating_sub(rng.below(32)),
+            };
+            let len = match rng.below(3) {
+                0 => rng.below(40),
+                _ => rng.below(3 * PAGE + 1),
+            } as usize;
+            let mut got = vec![0xEEu8; len];
+            let mut want = vec![0xEEu8; len];
+            profile.fill(seed, offset, &mut got);
+            per_byte::fill(&profile, seed, offset, &mut want);
+            assert_eq!(
+                got, want,
+                "case {case}: {profile:?} seed {seed:#x} offset {offset} len {len}"
+            );
         }
     }
 

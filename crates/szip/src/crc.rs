@@ -12,9 +12,13 @@ pub struct Crc32 {
 
 const POLY: u32 = 0xEDB8_8320;
 
-// Build the byte table at compile time so there is no runtime init to race.
-const TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+// Slice-by-8 (Intel's "slicing" refinement of Sarwate's byte table):
+// `TABLES[0]` is the classic byte table; `TABLES[k][b]` is the CRC state
+// after byte `b` followed by `k` zero bytes, so eight input bytes fold into
+// the state with eight independent lookups instead of eight dependent ones.
+// Built at compile time so there is no runtime init to race.
+const TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -23,10 +27,20 @@ const TABLE: [u32; 256] = {
             c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
 impl Default for Crc32 {
@@ -44,8 +58,24 @@ impl Crc32 {
     /// Absorb bytes.
     pub fn update(&mut self, bytes: &[u8]) {
         let mut c = self.state;
-        for &b in bytes {
-            c = TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ c;
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            c = TABLES[7][(lo & 0xff) as usize]
+                ^ TABLES[6][((lo >> 8) & 0xff) as usize]
+                ^ TABLES[5][((lo >> 16) & 0xff) as usize]
+                ^ TABLES[4][(lo >> 24) as usize]
+                ^ TABLES[3][(hi & 0xff) as usize]
+                ^ TABLES[2][((hi >> 8) & 0xff) as usize]
+                ^ TABLES[1][((hi >> 16) & 0xff) as usize]
+                ^ TABLES[0][(hi >> 24) as usize];
+        }
+        // The sub-word tail (and any split that leaves fewer than eight
+        // bytes) goes a byte at a time; the state is the same either way,
+        // so `update` may be called with any chunking.
+        for &b in words.remainder() {
+            c = TABLES[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
         }
         self.state = c;
     }

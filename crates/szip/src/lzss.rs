@@ -27,6 +27,29 @@ fn hash3(data: &[u8], i: usize) -> usize {
     ((v.wrapping_mul(0x9E37_79B1)) >> (32 - HASH_BITS)) as usize
 }
 
+/// Length of the common prefix of `a` and `b` (equal-length slices), found
+/// eight bytes at a time: the first differing byte of a word pair is the
+/// lowest set byte of their XOR.
+#[inline]
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    debug_assert_eq!(a.len(), b.len());
+    let n = a.len().min(b.len());
+    let mut l = 0usize;
+    while l + 8 <= n {
+        let x = u64::from_le_bytes(a[l..l + 8].try_into().expect("8 bytes"));
+        let y = u64::from_le_bytes(b[l..l + 8].try_into().expect("8 bytes"));
+        let diff = x ^ y;
+        if diff != 0 {
+            return l + (diff.trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    while l < n && a[l] == b[l] {
+        l += 1;
+    }
+    l
+}
+
 /// Sink for compressed output: a real buffer or a byte counter, so the
 /// simulator can size multi-gigabyte images without materializing them.
 pub trait Sink {
@@ -138,21 +161,26 @@ pub fn compress_block<S: Sink>(input: &[u8], scratch: &mut Scratch, out: &mut S)
     while i < n {
         let mut best_len = 0usize;
         let mut best_off = 0usize;
-        if i + MIN_MATCH <= n {
-            let h = hash3(input, i);
+        // Positions within MIN_MATCH of the end are neither searched nor
+        // inserted; everywhere else the position is hashed exactly once.
+        let searchable = i + MIN_MATCH <= n;
+        let mut h = 0usize;
+        if searchable {
+            h = hash3(input, i);
             let mut cand = scratch.head[h];
             let mut chains = 0;
             let limit = (n - i).min(MAX_MATCH);
+            let here = &input[i..i + limit];
             while cand != NIL && chains < MAX_CHAIN {
                 let c = cand as usize;
                 debug_assert!(c < i);
-                // Quick reject on the byte just past the current best.
-                if best_len == 0 || input[c + best_len] == input[i + best_len] {
-                    let mut l = 0usize;
-                    while l < limit && input[c + l] == input[i + l] {
-                        l += 1;
-                    }
-                    if l > best_len {
+                // Quick-reject on the byte just past the current best, then
+                // extend. A hash collision yields a length below MIN_MATCH,
+                // which never wins and never blocks a real match, so it is
+                // dropped (it still costs its chain step).
+                if input[c + best_len] == here[best_len] {
+                    let l = common_prefix(&input[c..c + limit], here);
+                    if l >= MIN_MATCH && l > best_len {
                         best_len = l;
                         best_off = i - c;
                         if l >= limit {
@@ -167,27 +195,28 @@ pub fn compress_block<S: Sink>(input: &[u8], scratch: &mut Scratch, out: &mut S)
 
         if best_len >= MIN_MATCH {
             begin_token!();
-            out.push((best_off & 0xff) as u8);
-            out.push((best_off >> 8) as u8);
-            out.push((best_len - MIN_MATCH) as u8);
+            out.extend(&[
+                (best_off & 0xff) as u8,
+                (best_off >> 8) as u8,
+                (best_len - MIN_MATCH) as u8,
+            ]);
             end_token!(true);
             // Insert every covered position into the chains so later matches
             // can reference the interior of this one.
+            scratch.prev[i] = scratch.head[h];
+            scratch.head[h] = i as u32;
             let end = (i + best_len).min(n.saturating_sub(MIN_MATCH - 1));
-            let mut j = i;
-            while j < end {
+            for j in i + 1..end {
                 let h = hash3(input, j);
                 scratch.prev[j] = scratch.head[h];
                 scratch.head[h] = j as u32;
-                j += 1;
             }
             i += best_len;
         } else {
             begin_token!();
             out.push(input[i]);
             end_token!(false);
-            if i + MIN_MATCH <= n {
-                let h = hash3(input, i);
+            if searchable {
                 scratch.prev[i] = scratch.head[h];
                 scratch.head[h] = i as u32;
             }
@@ -227,6 +256,7 @@ pub fn decompress_block(
 ) -> Result<(), BlockError> {
     let base = out.len();
     let target = base + raw_len;
+    out.reserve(raw_len);
     let mut i = 0usize;
     while out.len() < target {
         if i >= payload.len() {
@@ -249,10 +279,15 @@ pub fn decompress_block(
                 if off == 0 || off > pos - base {
                     return Err(BlockError::BadOffset { at: pos });
                 }
-                // Overlapping copy (off may be < len), byte at a time.
-                for k in 0..len {
-                    let b = out[pos - off + k];
-                    out.push(b);
+                // Overlapping copy (off may be < len): the output is
+                // periodic in `off` from `src` on, so each span may reuse
+                // everything written so far and the spans double.
+                let src = pos - off;
+                let mut left = len;
+                while left > 0 {
+                    let span = left.min(out.len() - src);
+                    out.extend_from_within(src..src + span);
+                    left -= span;
                 }
             } else {
                 if i >= payload.len() {

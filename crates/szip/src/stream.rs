@@ -198,15 +198,17 @@ impl Decompressor {
         }
         loop {
             let mut p = self.pos;
-            let Some((raw_len, p1)) = read_varint(&self.input, p) else {
-                return Ok(()); // incomplete header; wait for more input
+            // An overlong varint is corruption (`?`); a short one is only
+            // an incomplete header — wait for more input.
+            let Some((raw_len, p1)) = read_varint(&self.input, p)? else {
+                return Ok(());
             };
             p = p1;
             let Some(&kind) = self.input.get(p) else {
                 return Ok(());
             };
             p += 1;
-            let Some((payload_len, p2)) = read_varint(&self.input, p) else {
+            let Some((payload_len, p2)) = read_varint(&self.input, p)? else {
                 return Ok(());
             };
             p = p2;
@@ -272,18 +274,25 @@ fn varint_len(v: u64) -> u64 {
     bits.div_ceil(7).max(1)
 }
 
-fn read_varint(buf: &[u8], mut pos: usize) -> Option<(u64, usize)> {
+/// Read one varint at `pos`: `Ok(Some((value, next_pos)))`, `Ok(None)` when
+/// the buffer ends mid-varint (more input may complete it), or
+/// `Err(BadHeader)` when ten bytes have gone by with the continuation bit
+/// still set — no amount of further input makes that a `u64`, so a streaming
+/// caller must not be told to keep waiting.
+fn read_varint(buf: &[u8], mut pos: usize) -> Result<Option<(u64, usize)>, SzipError> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
-        let b = *buf.get(pos)?;
-        pos += 1;
         if shift >= 64 {
-            return None;
+            return Err(SzipError::BadHeader);
         }
+        let Some(&b) = buf.get(pos) else {
+            return Ok(None);
+        };
+        pos += 1;
         v |= ((b & 0x7f) as u64) << shift;
         if b & 0x80 == 0 {
-            return Some((v, pos));
+            return Ok(Some((v, pos)));
         }
         shift += 7;
     }
@@ -300,8 +309,38 @@ mod tests {
             buf.clear();
             put_varint(&mut buf, v);
             assert_eq!(varint_len(v), buf.len() as u64, "v = {v}");
-            assert_eq!(read_varint(&buf, 0), Some((v, buf.len())));
+            assert_eq!(read_varint(&buf, 0), Ok(Some((v, buf.len()))));
+            // Every proper prefix is "incomplete", never an error.
+            for cut in 0..buf.len() {
+                assert_eq!(read_varint(&buf[..cut], 0), Ok(None), "v = {v} cut {cut}");
+            }
         }
+    }
+
+    #[test]
+    fn overlong_varint_is_a_bad_header_not_a_short_read() {
+        // A bit-flipped header whose continuation bits never clear. Before
+        // the fix `write` answered Ok (buffering without bound) and `finish`
+        // answered Truncated — the torn-write verdict for a corrupt byte.
+        let mut bad = MAGIC.to_vec();
+        bad.extend_from_slice(&[0xFF; 11]);
+        let mut d = Decompressor::new();
+        assert_eq!(d.write(&bad), Err(SzipError::BadHeader));
+        assert_eq!(crate::decompress(&bad), Err(SzipError::BadHeader));
+        // Same in the second varint of a header (payload_len).
+        let mut bad = MAGIC.to_vec();
+        bad.extend_from_slice(&[5, 1]);
+        bad.extend_from_slice(&[0x80; 11]);
+        assert_eq!(crate::decompress(&bad), Err(SzipError::BadHeader));
+        // Fed a byte at a time, the error comes as soon as it is certain
+        // and not before: nine continuation bytes could still end well, a
+        // tenth cannot (a u64 varint has at most ten bytes).
+        let mut d = Decompressor::new();
+        d.write(&MAGIC).unwrap();
+        for _ in 0..9 {
+            assert_eq!(d.write(&[0xFF]), Ok(()));
+        }
+        assert_eq!(d.write(&[0xFF]), Err(SzipError::BadHeader));
     }
 
     #[test]
@@ -386,9 +425,9 @@ mod tests {
             let mut ks = std::collections::BTreeSet::new();
             let mut p = MAGIC.len();
             while p < whole.len() {
-                let (_, p1) = read_varint(&whole, p).unwrap();
+                let (_, p1) = read_varint(&whole, p).unwrap().unwrap();
                 ks.insert(whole[p1]);
-                let (plen, p2) = read_varint(&whole, p1 + 1).unwrap();
+                let (plen, p2) = read_varint(&whole, p1 + 1).unwrap().unwrap();
                 p = p2 + plen as usize;
             }
             ks

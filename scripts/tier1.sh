@@ -48,6 +48,12 @@ stage_bench() {
     echo "== bench-regression gate =="
     scripts/bench_gate.sh self-test
     scripts/bench_gate.sh compare
+    echo "== szip/crc32 host micro-bench (recorded in results/BENCH_host.json, not gated) =="
+    # Wall-clock on a shared box, so no gate: the kernels are gated by the
+    # differential tests (crates/szip/tests/prop.rs) and by perf. Running it
+    # here keeps the bench compiling and the recorded keys fresh.
+    cargo bench -p dmtcp-bench --bench micro -- szip crc32
+    test -s results/BENCH_host.json
 }
 
 stage_sim() {
@@ -138,6 +144,23 @@ stage_lint() {
     if [[ -n "$hits" ]]; then
         echo "$hits" >&2
         echo "tier1: lint found a deleted API or an open-coded downcast (see above)" >&2
+        exit 1
+    fi
+    echo "== safe-and-in-the-world guard (also a count) =="
+    # szip stays safe Rust; state lives in the World (typed extensions), never
+    # in the process — a process-wide memo would be the easy wrong answer and
+    # would leak one world's results into the next; and the build stays
+    # offline: thirteen path packages, no registry dependency.
+    hits=$({
+        grep -q '^#!\[forbid(unsafe_code)\]' crates/szip/src/lib.rs ||
+            echo "crates/szip/src/lib.rs: lost #![forbid(unsafe_code)]"
+        grep -rnE 'thread_local!|static[[:space:]]+mut[[:space:]]|static[[:space:]]+[A-Za-z_0-9]+[[:space:]]*:[^=;]*(OnceLock|OnceCell|LazyLock|Mutex|RwLock)' \
+            crates/*/src src
+        grep -n '^source = ' Cargo.lock
+    } || true)
+    if [[ -n "$hits" ]]; then
+        echo "$hits" >&2
+        echo "tier1: lint found unsafe szip, process-wide state, or a registry dependency (see above)" >&2
         exit 1
     fi
 }
