@@ -11,7 +11,7 @@
 #![warn(missing_docs)]
 
 use apps::registry::full_registry;
-use dmtcp::coord::{coord_shared_for, stage, GenStat};
+use dmtcp::coord::{stage, GenStat};
 use dmtcp::session::run_for;
 use dmtcp::{ExpectCkpt, Options, RestartPlan, Session};
 use oskit::world::{OsSim, World};
@@ -293,12 +293,12 @@ pub fn measure_checkpoints(
         let g = s.checkpoint_and_wait(w, sim, EV).expect_ckpt();
         times.push(ckpt_seconds(&g));
         parts = g.participants;
-        let images = coord_shared_for(w, s.opts.coord_port).last_images.clone();
-        size = images
-            .iter()
-            .map(|(path, host)| {
+        size = dmtcp::catalog::read(w, s.opts.coord_port, g.gen)
+            .expect("generation committed")
+            .paths()
+            .map(|(host, path)| {
                 let node = w.resolve(host).expect("host");
-                w.fs_for(node, path).size(path).expect("image exists")
+                w.fs_for(node, &path).size(&path).expect("image exists")
             })
             .sum();
         run_for(w, sim, gap);

@@ -36,14 +36,15 @@ pub mod tenant;
 use oskit::world::World;
 use std::rc::Rc;
 
+/// Chunk size for real byte runs. 256 KiB — four szip blocks — keeps chunk
+/// count moderate while still isolating small-region churn.
+pub const CHUNK_SIZE: u64 = 4 * szip::stream::BLOCK as u64;
+
 /// Store tuning knobs.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Peer nodes each image is replicated to (clamped to cluster size − 1).
     pub replicas: usize,
-    /// Chunk size for real byte runs. 256 KiB — four szip blocks — keeps
-    /// chunk count moderate while still isolating small-region churn.
-    pub chunk_size: u64,
     /// Generations of each image kept before manifests expire and their
     /// now-unreferenced chunks are swept.
     pub retention: u32,
@@ -53,7 +54,6 @@ impl Default for Config {
     fn default() -> Self {
         Config {
             replicas: 1,
-            chunk_size: 4 * szip::stream::BLOCK as u64,
             retention: 4,
         }
     }
@@ -151,7 +151,7 @@ pub fn images_for_gen(w: &World, gen: u32) -> std::collections::BTreeMap<u32, St
             let Some(man) = manifest::Manifest::decode(&bytes) else {
                 continue;
             };
-            if man.gen != gen {
+            if man.gen != gen as u64 {
                 continue;
             }
             if let Some(vpid) = manifest::parse_vpid(&man.src) {
@@ -162,18 +162,13 @@ pub fn images_for_gen(w: &World, gen: u32) -> std::collections::BTreeMap<u32, St
     out
 }
 
-/// Resolve one process's generation-`gen` image for a reader on `node`:
-/// served from the local chunk store when it survived, otherwise from the
-/// first peer holding a complete replica — the live-migration transfer
-/// channel. `None` when no complete copy exists anywhere.
-pub fn read_for_pid(
-    w: &World,
-    node: oskit::world::NodeId,
-    gen: u32,
-    vpid: u32,
-) -> Option<mtcp::ResolvedImage> {
-    let path = images_for_gen(w, gen).remove(&vpid)?;
-    source::resolve(w, node, &path)
+/// Whether any node's store still holds the manifest standing in for the
+/// logical image `path` — false once retention expired it everywhere (or
+/// every disk holding it was lost). What the coordinator's generation
+/// catalog asks before it keeps a record that names the image.
+pub fn holds_manifest(w: &World, path: &str) -> bool {
+    let mpath = manifest::manifest_path(path);
+    w.nodes.iter().any(|n| n.fs.exists(&mpath))
 }
 
 /// Resolve a logical image path for a reader on `node` (local store first,

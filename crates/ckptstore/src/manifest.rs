@@ -53,8 +53,9 @@ impl ChunkRef {
 /// A checkpoint generation: the ordered chunk list for one image file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
-    /// Checkpoint generation number parsed from the image path.
-    pub gen: u32,
+    /// Checkpoint generation of the image (0 when `src` is not an
+    /// [`mtcp::ImageName`]).
+    pub gen: u64,
     /// Total image size in bytes (sum of chunk lens).
     pub logical_len: u64,
     /// The logical image path this manifest stands in for.
@@ -147,29 +148,9 @@ pub fn manifests_prefix() -> String {
     format!("{STORE_ROOT}/manifests/")
 }
 
-/// Generation number embedded in an image path (`..._gen<N>.dmtcp`).
-pub fn parse_gen(path: &str) -> Option<u32> {
-    let at = path.rfind("_gen")?;
-    let digits: String = path[at + 4..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// The same logical path pointed at a different generation.
-pub fn with_gen(path: &str, gen: u32) -> Option<String> {
-    let cur = parse_gen(path)?;
-    Some(path.replace(&format!("_gen{cur}"), &format!("_gen{gen}")))
-}
-
-/// Virtual pid of the writing process embedded in an image path
-/// (`.../ckpt_<vpid>_gen<N>.dmtcp`).
+/// Virtual pid of the process that wrote the image at `path`.
 pub fn parse_vpid(path: &str) -> Option<u32> {
-    let name = path.rsplit('/').next()?;
-    let rest = name.strip_prefix("ckpt_")?;
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
+    mtcp::ImageName::parse(path).map(|n| n.vpid)
 }
 
 #[cfg(test)]
@@ -224,17 +205,6 @@ mod tests {
             Manifest::decode(b"CKPTMAN1 gen=1 len=1 src=/a\nrff-1 1 @x\n"),
             None
         );
-    }
-
-    #[test]
-    fn gen_parsing_and_rewrite() {
-        let p = "/ckpt/ckpt_40001_gen12.dmtcp";
-        assert_eq!(parse_gen(p), Some(12));
-        assert_eq!(
-            with_gen(p, 3).as_deref(),
-            Some("/ckpt/ckpt_40001_gen3.dmtcp")
-        );
-        assert_eq!(parse_gen("/ckpt/no-generation"), None);
     }
 
     #[test]

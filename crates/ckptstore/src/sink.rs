@@ -19,11 +19,10 @@
 //!   the assemble-side length checks already reject.
 
 use crate::manifest::{
-    chunk_path, chunks_prefix, manifest_path, manifests_prefix, parse_gen, with_gen, ChunkRef,
-    Manifest,
+    chunk_path, chunks_prefix, manifest_path, manifests_prefix, ChunkRef, Manifest,
 };
-use crate::Config;
-use mtcp::SinkCommit;
+use crate::{Config, CHUNK_SIZE};
+use mtcp::{ImageName, SinkCommit};
 use oskit::fs::{Blob, Chunk, Fs};
 use oskit::world::{NodeId, World};
 use simkit::Nanos;
@@ -263,8 +262,9 @@ pub(crate) fn commit(
     path: &str,
     blob: &Blob,
 ) -> SinkCommit {
-    let pieces = chunk_blob(blob, cfg.chunk_size);
-    let gen = parse_gen(path).unwrap_or(0);
+    let pieces = chunk_blob(blob, CHUNK_SIZE);
+    let name = ImageName::parse(path);
+    let gen = name.as_ref().map_or(0, |n| n.gen);
     let ni = node.0 as usize;
     // Inside a tenant namespace the owner's retention policy governs GC.
     let retention = crate::tenant::retention_for(w, path, cfg.retention);
@@ -346,24 +346,23 @@ pub(crate) fn commit(
     io_done = io_done.max(w.charge_storage_write(now, node, &mpath, man_len));
 
     // ---- Delta against the previous generation, if it exists. ----
-    if gen > 1 {
-        if let Some(prev_path) = with_gen(path, gen - 1) {
-            if let Ok(prev) = w.nodes[ni].fs.read_all(&manifest_path(&prev_path)) {
-                if let Some(prev_man) = Manifest::decode(&prev) {
-                    let prev_ids: BTreeSet<&str> =
-                        prev_man.chunks.iter().map(|c| c.id.as_str()).collect();
-                    let delta: u64 = man
-                        .chunks
-                        .iter()
-                        .filter(|c| !prev_ids.contains(c.id.as_str()))
-                        .map(|c| c.len)
-                        .sum();
-                    let ratio = delta as f64 / man.logical_len.max(1) as f64;
-                    w.obs.metrics.add("ckptstore.delta_bytes", 0, delta);
-                    w.obs
-                        .metrics
-                        .set_gauge("ckptstore.delta_ratio", node.0 as u64, ratio);
-                }
+    if let Some(prev_name) = name.as_ref().filter(|n| n.gen > 1) {
+        let prev_path = prev_name.with_gen(gen - 1).to_string();
+        if let Ok(prev) = w.nodes[ni].fs.read_all(&manifest_path(&prev_path)) {
+            if let Some(prev_man) = Manifest::decode(&prev) {
+                let prev_ids: BTreeSet<&str> =
+                    prev_man.chunks.iter().map(|c| c.id.as_str()).collect();
+                let delta: u64 = man
+                    .chunks
+                    .iter()
+                    .filter(|c| !prev_ids.contains(c.id.as_str()))
+                    .map(|c| c.len)
+                    .sum();
+                let ratio = delta as f64 / man.logical_len.max(1) as f64;
+                w.obs.metrics.add("ckptstore.delta_bytes", 0, delta);
+                w.obs
+                    .metrics
+                    .set_gauge("ckptstore.delta_ratio", node.0 as u64, ratio);
             }
         }
     }
@@ -425,7 +424,7 @@ pub(crate) fn commit(
         w.obs
             .metrics
             .add("ckptstore.replication_bytes", peer as u64, sent);
-        gc(w, peer, path, gen, retention);
+        gc(w, peer, name.as_ref(), retention);
     }
     if pipelined > 0 {
         w.obs
@@ -437,18 +436,14 @@ pub(crate) fn commit(
         .metrics
         .observe("ckptstore.replication_lag_ns", node.0 as u64, lag.0);
 
-    gc(w, ni, path, gen, retention);
+    gc(w, ni, name.as_ref(), retention);
 
     // Tenant ledger: charge this commit's stored bytes, credit the
     // generations that just expired under the tenant's retention window.
     if let Some(tenant) = crate::tenant::tenant_of(path).map(|t| t.to_string()) {
         crate::tenant::charge(w, &tenant, &mpath, new_bytes);
-        if gen > retention {
-            for old in 1..=(gen - retention) {
-                if let Some(old_path) = with_gen(path, old) {
-                    crate::tenant::credit(w, &tenant, &manifest_path(&old_path));
-                }
-            }
+        for old_path in expired(name.as_ref(), retention) {
+            crate::tenant::credit(w, &tenant, &manifest_path(&old_path));
         }
     }
 
@@ -470,17 +465,21 @@ pub(crate) fn commit(
     }
 }
 
+/// Paths of the generations of `name`'s image that its commit pushes out of
+/// a `retention`-generation window.
+fn expired(name: Option<&ImageName>, retention: u32) -> impl Iterator<Item = String> + '_ {
+    name.into_iter().flat_map(move |n| {
+        (1..=n.gen.saturating_sub(retention as u64)).map(|old| n.with_gen(old).to_string())
+    })
+}
+
 /// Retention + mark-and-sweep on one node's store: drop this image's
 /// manifests older than `retention` generations, then delete any chunk no
 /// remaining manifest references.
-fn gc(w: &mut World, node_idx: usize, path: &str, gen: u32, retention: u32) {
+fn gc(w: &mut World, node_idx: usize, name: Option<&ImageName>, retention: u32) {
     let fs = &mut w.nodes[node_idx].fs;
-    if gen > retention {
-        for old in 1..=(gen - retention) {
-            if let Some(old_path) = with_gen(path, old) {
-                fs.remove(&manifest_path(&old_path)).ok();
-            }
-        }
+    for old_path in expired(name, retention) {
+        fs.remove(&manifest_path(&old_path)).ok();
     }
     // Mark: every chunk referenced by any surviving manifest.
     let mut live: BTreeSet<String> = BTreeSet::new();

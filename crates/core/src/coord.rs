@@ -3,14 +3,17 @@
 //! One coordinator process serves a whole computation: it implements the
 //! six global barriers of the checkpoint algorithm (§4.3), the discovery
 //! service restart needs to find migrated peers (§4.4), interval
-//! checkpointing (`--interval`), and restart-script generation. The paper
+//! checkpointing (`--interval`), and the commit of each generation into the
+//! catalog ([`crate::catalog`], which renders the restart script). The paper
 //! notes the centralized coordinator is not a bottleneck at 32 nodes and
 //! could be replaced by a distributed implementation; `bench/ablation`
 //! measures exactly that claim.
 
+use crate::catalog::GenRecord;
 use crate::gsid::Gsid;
 use crate::peers::{send_frame, wake_after, Peer, PeerSet};
 use crate::proto::Msg;
+use mtcp::ImageName;
 use oskit::program::{Program, Step};
 use oskit::world::{NodeId, Pid, Tid, World};
 use oskit::{Fd, Kernel};
@@ -36,7 +39,7 @@ pub mod stage {
     /// writes this coincides with `CHECKPOINTED`; for forked checkpointing
     /// it is the end of the overlapped drain phase — the background
     /// compress+write pipeline finished *after* user threads resumed at
-    /// `REFILLED`. The restart script is only written once this releases.
+    /// `REFILLED`. The generation commits only once this releases.
     pub const CKPT_WRITTEN: u8 = 7;
     /// Restart: memory and threads restored (Figure 2 step 5).
     pub const RESTORED: u8 = 11;
@@ -71,8 +74,7 @@ pub struct GenStat {
     /// Number of participating processes.
     pub participants: u32,
     /// The generation was abandoned (a participant died mid-protocol); its
-    /// images, if any, must not be trusted and no restart script was
-    /// written for it.
+    /// images, if any, must not be trusted and it has no catalog record.
     pub aborted: bool,
 }
 
@@ -121,9 +123,10 @@ pub struct CoordShared {
     pub coord_pid: Option<Pid>,
     /// Barrier timing per generation.
     pub gen_stats: Vec<GenStat>,
-    /// Paths of every image written in the last completed generation,
-    /// with their hostnames (drives the restart script).
-    pub last_images: Vec<(String, String)>,
+    /// `(host, checkpoint directory, vpid)` of every image written so far
+    /// in the generation in flight. Scratch only: cleared at request and at
+    /// abort, moved into the generation's catalog record at commit.
+    pub last_images: Vec<(String, String, u32)>,
     /// Live mirror of the coordinator's barrier bookkeeping. The
     /// coordinator program is boxed behind `dyn Program`, so `dmtcp
     /// replay` state dumps read this mirror instead: current generation,
@@ -410,6 +413,9 @@ impl Coordinator {
         self.expected = expected;
         self.push_gen_stat(k, self.gen, expected);
         coord_shared_for(k.w, self.port).last_images.clear();
+        // A restart may have rolled the counter back: generations from this
+        // one up are about to have their image files overwritten.
+        crate::catalog::discard_from(k.w, self.port, self.gen);
         // Relay liveness counts from the request; arm the sweep if any
         // relay participates.
         let now = k.now();
@@ -465,12 +471,12 @@ impl Coordinator {
     /// abandon whichever phase of it is open and tell the survivors.
     ///
     /// In the stop-the-world phase they roll back and resume computing; the
-    /// generation's images (if any) are never listed in a restart script.
-    /// In the overlapped drain — the participant died *after* user threads
-    /// resumed but before its background image write finished — survivors
-    /// still draining stand down, and the previous generation's restart
-    /// script stays in place, so a restart rolls back exactly one
-    /// generation (the transparency invariant).
+    /// generation's images (if any) never enter the catalog. In the
+    /// overlapped drain — the participant died *after* user threads resumed
+    /// but before its background image write finished — survivors still
+    /// draining stand down, and the previous generation stays the newest
+    /// committed one, so a restart rolls back exactly one generation (the
+    /// transparency invariant).
     fn abandon(&mut self, k: &mut Kernel<'_>) {
         let stw = self.in_progress;
         if !stw && !self.drain_open {
@@ -480,6 +486,7 @@ impl Coordinator {
         self.drain_open = false;
         self.aborted_gens.insert(gen);
         self.barrier_counts.retain(|(g, _), _| *g != gen);
+        coord_shared_for(k.w, self.port).last_images.clear();
         if stw {
             self.in_progress = false;
             self.retry_at = None;
@@ -730,10 +737,6 @@ impl Coordinator {
             self.retry_at = None;
             if stg == stage::RESTART_REFILLED {
                 self.migrating = None;
-                // Restart completion: the restored images are the script's
-                // content; checkpoints instead publish their script only
-                // once CKPT_WRITTEN confirms every image is durable.
-                self.write_restart_script(k);
                 // A checkpoint requested mid-restore was queued; start it
                 // now that every manager is resumed.
                 self.start_queued(k);
@@ -751,7 +754,11 @@ impl Coordinator {
         }
         if stg == stage::CKPT_WRITTEN {
             self.drain_open = false;
-            self.write_restart_script(k);
+            // Every image is durable and acknowledged: the in-flight list
+            // becomes generation `gen`'s catalog record — the commit.
+            let mut images = std::mem::take(&mut coord_shared_for(k.w, self.port).last_images);
+            images.sort_by(|a, b| a.0.cmp(&b.0)); // stable: by host
+            crate::catalog::commit(k.w, self.port, &GenRecord { gen, images });
             self.start_queued(k);
         }
     }
@@ -773,31 +780,6 @@ impl Coordinator {
         for (key, b) in &self.barrier_counts {
             s.barrier_pending.insert(*key, b.total);
         }
-    }
-
-    /// Generate the restart script listing every image of the last
-    /// generation, grouped by host (§3: "a shell script ... containing all
-    /// the commands needed to restart the distributed computation"). Each
-    /// coordinator writes its own script path (see [`restart_script_path`]),
-    /// so dmtcpd shards never clobber one another's restart plans.
-    fn write_restart_script(&mut self, k: &mut Kernel<'_>) {
-        let images = coord_shared_for(k.w, self.port).last_images.clone();
-        if images.is_empty() {
-            return;
-        }
-        let mut by_host: BTreeMap<String, Vec<String>> = BTreeMap::new();
-        for (path, host) in &images {
-            by_host.entry(host.clone()).or_default().push(path.clone());
-        }
-        let mut script = String::from("#!/bin/sh\n# generated by dmtcp_coordinator\n");
-        for (host, paths) in &by_host {
-            script.push_str(&format!("ssh {host} dmtcp_restart {}\n", paths.join(" ")));
-        }
-        let path = restart_script_path(self.port);
-        let node = k.node();
-        let fs = k.w.fs_for_mut(node, &path);
-        fs.write_all(&path, script.as_bytes())
-            .expect("shared fs writable");
     }
 }
 
@@ -915,10 +897,11 @@ fn traced_candidates(k: &Kernel<'_>) -> Vec<(Pid, NodeId)> {
         .collect()
 }
 
-/// Where the coordinator listening on `port` writes its restart script.
-/// The default port keeps the historical fixed path; every other
-/// coordinator (a dmtcpd shard) gets a port-suffixed one, so concurrent
-/// shards never overwrite each other's restart plans.
+/// Where the restart script of the coordinator listening on `port` is
+/// written (§3: "a shell script ... containing all the commands needed to
+/// restart the distributed computation"). The default port keeps the
+/// historical fixed path; every other coordinator (a dmtcpd shard) gets a
+/// port-suffixed one, so concurrent shards never overwrite each other's.
 pub fn restart_script_path(port: u16) -> String {
     if port == COORD_PORT {
         "/shared/dmtcp_restart_script.sh".to_string()
@@ -927,12 +910,12 @@ pub fn restart_script_path(port: u16) -> String {
     }
 }
 
-/// Record an image written by a manager so the restart script of the root
-/// coordinator on `root_port` includes it.
-pub fn record_image(w: &mut World, root_port: u16, path: String, host: String) {
+/// Record an image written on `host` by a manager, so the generation in
+/// flight at the root coordinator on `root_port` commits with it.
+pub fn record_image(w: &mut World, root_port: u16, host: String, image: ImageName) {
     coord_shared_for(w, root_port)
         .last_images
-        .push((path, host));
+        .push((host, image.dir, image.vpid));
 }
 
 /// Post a checkpoint request to the coordinator on `port` (`dmtcp command

@@ -8,7 +8,7 @@
 //! data, and the `dmtcpaware` flags.
 
 use crate::gsid::Gsid;
-use mtcp::WriteMode;
+use mtcp::{ImageName, WriteMode};
 use oskit::pty::Termios;
 use oskit::world::{Pid, World};
 use simkit::impl_snap;
@@ -176,34 +176,13 @@ pub struct Hijack {
 }
 
 impl Hijack {
-    /// Fresh hijack state for a newly traced process.
-    pub fn new(
-        vpid: u32,
-        coord_host: String,
-        coord_port: u16,
-        ckpt_dir: String,
-        mode: WriteMode,
-    ) -> Self {
-        Hijack {
-            vpid,
-            coord_host,
-            root_port: coord_port,
-            coord_port,
-            ckpt_dir,
-            mode,
-            gen: 0,
-            restarts: 0,
-            aware: AwareState::default(),
-            drained: Vec::new(),
-            table: ConnTable::default(),
-            restart_partial: None,
-            sync: crate::launch::SyncMode::default(),
+    /// This process's image at generation `gen`.
+    pub fn image_name(&self, gen: u64) -> ImageName {
+        ImageName {
+            dir: self.ckpt_dir.clone(),
+            vpid: self.vpid,
+            gen,
         }
-    }
-
-    /// Image path for this process at generation `gen`.
-    pub fn image_path(&self, gen: u64) -> String {
-        format!("{}/ckpt_{}_gen{}.dmtcp", self.ckpt_dir, self.vpid, gen)
     }
 }
 
@@ -287,15 +266,16 @@ mod tests {
     }
 
     #[test]
-    fn image_path_is_per_vpid_and_generation() {
-        let h = Hijack::new(
-            42,
-            "node00".into(),
-            7779,
-            "/shared/ckpt".into(),
-            WriteMode::Compressed,
-        );
-        assert_eq!(h.image_path(3), "/shared/ckpt/ckpt_42_gen3.dmtcp");
-        assert_ne!(h.image_path(3), h.image_path(4));
+    fn image_name_is_per_vpid_and_generation() {
+        let env = [
+            (crate::launch::ENV_COORD_HOST, "node00"),
+            (crate::launch::ENV_COORD_PORT, "7779"),
+            (crate::launch::ENV_CKPT_DIR, "/shared/ckpt"),
+        ]
+        .map(|(k, v)| (k.to_string(), v.to_string()));
+        let h = crate::launch::hijack_from_env(42, &env.into());
+        let path = h.image_name(3).to_string();
+        assert_eq!(path, "/shared/ckpt/ckpt_42_gen3.dmtcp");
+        assert_ne!(h.image_name(3), h.image_name(4));
     }
 }

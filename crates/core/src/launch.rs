@@ -122,22 +122,6 @@ impl Options {
             opts: Options::default(),
         }
     }
-
-    /// The image write mode these options imply.
-    pub fn write_mode(&self) -> WriteMode {
-        match (self.compression, self.forked) {
-            (_, true) => WriteMode::ForkedCompressed,
-            (true, false) => WriteMode::Compressed,
-            (false, false) => WriteMode::Uncompressed,
-        }
-    }
-
-    /// Shared-filesystem path of the restart script the coordinator rooted
-    /// at these options' port publishes after each committed generation —
-    /// what [`crate::restart::plan::RestartPlan`] plans from.
-    pub fn restart_script(&self) -> String {
-        crate::coord::restart_script_path(self.coord_port)
-    }
 }
 
 /// Builder for [`Options`]. Every setter has the default documented on the
@@ -199,6 +183,44 @@ impl OptionsBuilder {
     /// Finish, yielding the configured [`Options`].
     pub fn build(self) -> Options {
         self.opts
+    }
+}
+
+/// Decode the injected `DMTCP_*` environment — what [`launch_under_dmtcp`]
+/// encodes — into the per-process state of virtual pid `vpid`. The one
+/// decoder: the spawn hook runs it on a new process's environment, restart
+/// on the environment saved in the image.
+pub(crate) fn hijack_from_env(vpid: u32, env: &BTreeMap<String, String>) -> Hijack {
+    let coord_port: u16 = env[ENV_COORD_PORT].parse().expect("valid port in env");
+    let compression = env.get(ENV_GZIP).map(|v| v != "0").unwrap_or(true);
+    let forked = env.get(ENV_FORKED).map(|v| v == "1").unwrap_or(false);
+    Hijack {
+        vpid,
+        coord_host: env[ENV_COORD_HOST].clone(),
+        coord_port,
+        root_port: env
+            .get(ENV_ROOT_PORT)
+            .map_or(coord_port, |v| v.parse().expect("valid root port in env")),
+        ckpt_dir: env
+            .get(ENV_CKPT_DIR)
+            .cloned()
+            .unwrap_or_else(|| "/ckpt".to_string()),
+        mode: match (compression, forked) {
+            (_, true) => WriteMode::ForkedCompressed,
+            (true, false) => WriteMode::Compressed,
+            (false, false) => WriteMode::Uncompressed,
+        },
+        sync: match env.get(ENV_SYNC).map(|s| s.as_str()) {
+            Some("after") => SyncMode::AfterCheckpoint,
+            Some("previous") => SyncMode::Previous,
+            _ => SyncMode::None,
+        },
+        gen: 0,
+        restarts: 0,
+        aware: Default::default(),
+        drained: Vec::new(),
+        table: Default::default(),
+        restart_partial: None,
     }
 }
 
@@ -288,36 +310,10 @@ fn hijack_new_process(w: &mut World, sim: &mut OsSim, pid: Pid) -> Pid {
         }
     }
 
-    let env = &w.procs[&pid].env;
-    let coord_host = env[ENV_COORD_HOST].clone();
-    let coord_port: u16 = env[ENV_COORD_PORT].parse().expect("valid port in env");
-    let root_port: u16 = env
-        .get(ENV_ROOT_PORT)
-        .map(|v| v.parse().expect("valid root port in env"))
-        .unwrap_or(coord_port);
-    let ckpt_dir = env
-        .get(ENV_CKPT_DIR)
-        .cloned()
-        .unwrap_or_else(|| "/ckpt".to_string());
-    let compression = env.get(ENV_GZIP).map(|v| v != "0").unwrap_or(true);
-    let forked = env.get(ENV_FORKED).map(|v| v == "1").unwrap_or(false);
-    let sync = match env.get(ENV_SYNC).map(|s| s.as_str()) {
-        Some("after") => SyncMode::AfterCheckpoint,
-        Some("previous") => SyncMode::Previous,
-        _ => SyncMode::None,
-    };
-    let mode = match (compression, forked) {
-        (_, true) => WriteMode::ForkedCompressed,
-        (true, false) => WriteMode::Compressed,
-        (false, false) => WriteMode::Uncompressed,
-    };
     let vpid = pid.0;
     global(w).session_vpids.insert(vpid);
     let p = w.procs.get_mut(&pid).expect("process exists");
-    let mut hijack = Hijack::new(vpid, coord_host, coord_port, ckpt_dir, mode);
-    hijack.root_port = root_port;
-    hijack.sync = sync;
-    p.ext = Some(Box::new(hijack));
+    p.ext = Some(Box::new(hijack_from_env(vpid, &p.env)));
     p.virt_pid = Some(vpid);
     p.pid_map.insert(vpid, pid.0);
     let tid = p.add_thread(Box::new(Manager::new(Mode::Steady)), false);

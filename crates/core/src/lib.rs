@@ -31,6 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod aware;
+pub mod catalog;
 pub mod coord;
 pub mod gsid;
 pub mod hijack;

@@ -690,15 +690,17 @@ impl Manager {
     fn do_write(&mut self, k: &mut Kernel<'_>) -> Nanos {
         use simkit::Snap;
         let pid = k.pid;
-        let (path, mode, vpid, meta) = {
+        let (name, root_port, mode, vpid, meta) = {
             let h = hijack_of(k.w, pid).expect("traced");
             (
-                h.image_path(self.cur_gen),
+                h.image_name(self.cur_gen),
+                h.root_port,
                 h.mode,
                 h.vpid,
                 h.table.to_snap_bytes(),
             )
         };
+        let path = name.to_string();
         let now = k.now();
         if mode == mtcp::WriteMode::ForkedCompressed {
             // Forked checkpointing: COW-snapshot and return after the fork
@@ -736,8 +738,7 @@ impl Manager {
         let host = k.hostname();
         let node = k.node();
         faultkit::image_written(k.w, self.cur_gen, node, &path);
-        let root_port = hijack_of(k.w, pid).expect("traced").root_port;
-        record_image(k.w, root_port, path, host);
+        record_image(k.w, root_port, host, name);
         self.write_resume_at = report.resume_at;
         report.resume_at
     }
@@ -1221,7 +1222,7 @@ impl oskit::program::Program for Manager {
                     }
                     // The COW child's pipeline drained: the image is
                     // durable. Close the dirty ledger, surface the image to
-                    // the fault injector and the restart script, and ack.
+                    // the fault injector and the coordinator, and ack.
                     let fw = self.forked.take().expect("forked write in flight");
                     let pid = k.pid;
                     let (dirty_bytes, incremental) =
@@ -1249,8 +1250,9 @@ impl oskit::program::Program for Manager {
                     let node = k.node();
                     let host = k.hostname();
                     faultkit::image_written(k.w, self.cur_gen, node, &path);
-                    let root_port = hijack_of(k.w, k.pid).expect("traced").root_port;
-                    record_image(k.w, root_port, path, host);
+                    let h = hijack_of(k.w, k.pid).expect("traced");
+                    let (root_port, name) = (h.root_port, h.image_name(self.cur_gen));
+                    record_image(k.w, root_port, host, name);
                     let gen = self.cur_gen;
                     let start = self.t_stage[6];
                     let track = k.track();
@@ -1277,8 +1279,8 @@ impl oskit::program::Program for Manager {
                     Verdict::Aborted => {
                         // A peer died during the overlapped drain. User
                         // threads are already running — nothing to roll
-                        // back; our image simply never joins a restart
-                        // script (restart uses the previous generation).
+                        // back; our image simply never joins a committed
+                        // generation (restart uses the previous one).
                         k.obs().metrics.inc("core.ckpt.drain_aborts_seen", 0);
                         self.phase = Phase::Idle;
                     }

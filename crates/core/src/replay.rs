@@ -34,10 +34,11 @@
 
 use crate::coord::{coord_shared_for, COORD_PORT};
 use crate::relay::relay_shared;
+use crate::restart::plan::RestartPlan;
 use crate::session::Session;
 use obs::journal::{DecodedJournal, Divergence};
 use obs::json::JsonWriter;
-use oskit::world::{NodeId, OsSim, World};
+use oskit::world::{OsSim, World};
 use simkit::Nanos;
 
 /// The driver actions extracted from a recorded journal — the ground-truth
@@ -130,12 +131,11 @@ impl ReplayReport {
 /// [`arm`]ed and then reconstructed exactly as the recording's was —
 /// same session options, same launches, same fault plan.
 ///
-/// `session.restart` events are re-delivered through the default restart
-/// path: the on-disk restart script, retargeted at the *recorded*
-/// generation (replay does not re-run image validation — the recording
-/// already chose the generation), with hostnames remapped to the nodes
-/// bearing them. Drivers that restarted differently (migration remaps)
-/// should re-run their own logic and use [`arm`]/[`snapshot`] directly.
+/// `session.restart` events are re-delivered as the identity-placement
+/// [`RestartPlan`] pinned to the *recorded* generation (the recording
+/// already chose it; validation reads the world but journals nothing).
+/// Drivers that restarted differently (migration remaps) should re-run
+/// their own logic and use [`arm`]/[`snapshot`] directly.
 pub fn drive(
     w: &mut World,
     sim: &mut OsSim,
@@ -168,7 +168,11 @@ pub fn drive(
         match act {
             Act::Request => session.request_checkpoint(w, sim),
             Act::Kill => session.kill_computation(w, sim),
-            Act::Restart(gen) => default_restart(w, sim, session, gen),
+            Act::Restart(gen) => {
+                RestartPlan::from_generation(w, session.opts.coord_port, gen)
+                    .and_then(|plan| plan.execute(session, w, sim))
+                    .expect("the recorded restart's generation is on storage");
+            }
             Act::Uninstall => faultkit::uninstall_at(w, sim.now()),
         }
     }
@@ -182,25 +186,6 @@ pub fn drive(
         expected_remaining: w.obs.journal.expected_remaining(),
         snapshot: snapshot(w, sim.now()),
     }
-}
-
-/// The default re-delivery of a `session.restart` event: restart script on
-/// shared storage, image paths retargeted at the recorded generation,
-/// hostnames remapped to the nodes currently bearing them.
-fn default_restart(w: &mut World, sim: &mut OsSim, session: &Session, gen: u64) {
-    let script = crate::restart::plan::script_groups(w, session.opts.coord_port);
-    let mut by_node: std::collections::BTreeMap<NodeId, Vec<String>> =
-        std::collections::BTreeMap::new();
-    for (host, imgs) in &script {
-        let node = w
-            .resolve(host)
-            .expect("recorded hostname exists in the replay world");
-        by_node
-            .entry(node)
-            .or_default()
-            .extend(imgs.iter().map(|p| crate::session::rewrite_gen(p, gen)));
-    }
-    crate::restart::plan::spawn_restart_procs(session, w, sim, by_node, gen, false);
 }
 
 /// How many trailing journal events the snapshot quotes verbatim.

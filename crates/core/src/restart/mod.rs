@@ -23,8 +23,8 @@
 pub mod plan;
 
 use crate::gsid::{global, Gsid};
-use crate::hijack::{ConnTable, FdKindRec, Hijack, PtyRecord};
-use crate::launch::ENV_RESTART_CHILD;
+use crate::hijack::{ConnTable, FdKindRec, PtyRecord};
+use crate::launch::{hijack_from_env, ENV_RESTART_CHILD};
 use crate::manager::{Manager, Mode};
 use crate::proto::{frame, FrameBuf, Msg};
 use mtcp::CkptImage;
@@ -72,13 +72,11 @@ pub struct RestartProc {
     images: Vec<String>,
     coord_host: String,
     coord_port: u16,
-    /// `Some(total, gen)` on exactly one restart process cluster-wide: it
-    /// re-arms the coordinator's barrier accounting.
-    plan: Option<(u32, u64)>,
-    /// Live migration: announce the plan with [`Msg::MigratePlan`] so the
-    /// coordinator re-arms only the restart-stage barriers for the movers
-    /// instead of replacing the whole computation.
-    migrate: bool,
+    /// The generation being restored.
+    gen: u64,
+    /// `Some` on exactly one restart process cluster-wide: the plan message
+    /// that re-arms the coordinator's barrier accounting.
+    announce: Option<Msg>,
     phase: Phase,
     loaded: Vec<Loaded>,
     coord_fd: Fd,
@@ -99,21 +97,26 @@ pub struct RestartProc {
 }
 
 impl RestartProc {
-    /// Build a restart process for `images`, pointing at the (new)
-    /// coordinator. Pass `plan = Some((total_processes, generation))` on
-    /// exactly one host.
+    /// Build a restart process for `images` of generation `gen`, pointing
+    /// at the (new) coordinator. Pass `announce` on exactly one host:
+    /// [`Msg::RestartPlan`] replaces the whole computation;
+    /// [`Msg::MigratePlan`] restores a *migrating* subset of a live one —
+    /// the coordinator re-arms only the restart-stage barriers for the
+    /// movers and keeps the bystanders registered instead of marking the
+    /// whole computation stale.
     pub fn new(
         images: Vec<String>,
         coord_host: String,
         coord_port: u16,
-        plan: Option<(u32, u64)>,
+        gen: u64,
+        announce: Option<Msg>,
     ) -> Self {
         RestartProc {
             images,
             coord_host,
             coord_port,
-            plan,
-            migrate: false,
+            gen,
+            announce,
             phase: Phase::Load,
             loaded: Vec::new(),
             coord_fd: -1,
@@ -131,22 +134,6 @@ impl RestartProc {
         }
     }
 
-    /// Build a restart process restoring a *migrating* subset of a live
-    /// computation. Pass `plan = Some((movers, generation))` on exactly one
-    /// target host; it announces the subset with [`Msg::MigratePlan`], so
-    /// the coordinator keeps the bystanders registered instead of marking
-    /// the whole computation stale.
-    pub fn migrate(
-        images: Vec<String>,
-        coord_host: String,
-        coord_port: u16,
-        plan: Option<(u32, u64)>,
-    ) -> Self {
-        let mut p = RestartProc::new(images, coord_host, coord_port, plan);
-        p.migrate = true;
-        p
-    }
-
     // ------------------------------------------------------------------
     // Phase 1: load images, recreate files / ptys / listen sockets
     // ------------------------------------------------------------------
@@ -158,12 +145,8 @@ impl RestartProc {
             Err(Errno::ConnRefused) => return Err(Step::Sleep(Nanos::from_millis(5))),
             Err(e) => panic!("restart connect coordinator: {e:?}"),
         }
-        if let Some((n, gen)) = self.plan {
-            let msg = if self.migrate {
-                frame(&Msg::MigratePlan(n, gen))
-            } else {
-                frame(&Msg::RestartPlan(n, gen))
-            };
+        if let Some(plan) = &self.announce {
+            let msg = frame(plan);
             let sent = k.write(self.coord_fd, &msg).expect("plan");
             assert_eq!(sent, msg.len());
         }
@@ -521,27 +504,21 @@ impl RestartProc {
                 }
             }
 
-            // Hijack state carried over from the image.
-            let mut h = Hijack::new(
-                l.table.vpid,
-                self.coord_host.clone(),
-                self.coord_port,
-                l.img
-                    .env
-                    .iter()
-                    .find(|(k2, _)| k2 == crate::launch::ENV_CKPT_DIR)
-                    .map(|(_, v)| v.clone())
-                    .unwrap_or_else(|| "/ckpt".to_string()),
-                if l.img.compressed {
-                    mtcp::WriteMode::Compressed
-                } else {
-                    mtcp::WriteMode::Uncompressed
-                },
-            );
-            h.gen = {
-                // Generation encoded in the image path (…_gen<N>.dmtcp).
-                parse_gen(&l.path).unwrap_or(1)
-            };
+            // Hijack state carried over from the image: the environment it
+            // saved decodes exactly as it did at launch.
+            let mut h = hijack_from_env(l.table.vpid, &k.w.procs[&child].env);
+            // Restart's deliberate differences from the launched state — a
+            // restored manager registers directly with the root coordinator
+            // this restart process was pointed at, checkpoints in-line, and
+            // never syncs. ROADMAP item 2 deletes this block.
+            h.coord_host = self.coord_host.clone();
+            h.coord_port = self.coord_port;
+            h.root_port = self.coord_port;
+            if h.mode == mtcp::WriteMode::ForkedCompressed {
+                h.mode = mtcp::WriteMode::Compressed;
+            }
+            h.sync = crate::launch::SyncMode::None;
+            h.gen = self.gen;
             h.drained = l.table.drained.clone();
             h.table = l.table.clone();
             h.restart_partial = Some((
@@ -602,12 +579,9 @@ impl RestartProc {
     }
 }
 
-/// Parse `…_gen<N>.dmtcp` out of an image path.
+/// The generation the image at `path` belongs to.
 pub fn parse_gen(path: &str) -> Option<u64> {
-    let idx = path.rfind("_gen")?;
-    let rest = &path[idx + 4..];
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
+    mtcp::ImageName::parse(path).map(|n| n.gen)
 }
 
 impl Program for RestartProc {

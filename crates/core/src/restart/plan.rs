@@ -41,15 +41,15 @@
 //! parent/child link, or live connection may cross the subset boundary
 //! (cross-boundary reconnection would need the bystander's cooperation,
 //! which the paper's restart protocol does not have).
-//!
-//! [`Msg::MigratePlan`]: crate::proto::Msg::MigratePlan
 
+use crate::catalog::{self, GenRecord};
 use crate::coord::{coord_shared_for, stage};
 use crate::gsid::Gsid;
 use crate::hijack::{hijack_in, FdKindRec};
 use crate::launch::Topology;
+use crate::proto::Msg;
 use crate::restart::RestartProc;
-use crate::session::{rewrite_gen, wait_until, Order, RestartError, RestartOutcome, Session};
+use crate::session::{wait_until, Order, RestartError, RestartOutcome, Session};
 use oskit::proc::sig;
 use oskit::world::{NodeId, OsSim, Pid, World};
 use simkit::{Nanos, Snap};
@@ -88,8 +88,8 @@ pub struct RestartPlanBuilder {
 }
 
 impl RestartPlanBuilder {
-    /// Pin the generation to restore. Unset: the newest generation named
-    /// by the restart script.
+    /// Pin the generation to restore. Unset: the newest generation in the
+    /// catalog.
     pub fn generation(mut self, gen: u64) -> Self {
         self.plan.gen = Some(gen);
         self
@@ -119,9 +119,9 @@ impl RestartPlanBuilder {
     }
 
     /// Whole-generation fallback: validate every image of the newest
-    /// generation and fall back one generation at a time, down to
-    /// generation 1, when any image is torn, rotted, or missing. Only
-    /// meaningful when no generation is pinned.
+    /// committed generation and fall back one committed generation at a
+    /// time when its record or any of its images is torn, rotted, or
+    /// missing. Only meaningful when no generation is pinned.
     pub fn resilient(mut self, on: bool) -> Self {
         self.plan.resilient = on;
         self
@@ -181,19 +181,12 @@ impl RestartPlan {
     }
 
     /// A plan pinned to generation `gen` of the computation rooted at
-    /// `port`, validated against its restart script:
+    /// `port`, validated against the catalog ([`catalog::read`]):
     /// [`RestartError::NoScript`] when no generation ever committed,
-    /// [`RestartError::MissingGeneration`] when `gen` is outside the
-    /// committed range.
+    /// [`RestartError::MissingGeneration`] when `gen` has no record,
+    /// [`RestartError::BadRecord`] when its record cannot be trusted.
     pub fn from_generation(w: &World, port: u16, gen: u64) -> Result<RestartPlan, RestartError> {
-        let script = script_groups(w, port);
-        if script.is_empty() {
-            return Err(RestartError::NoScript);
-        }
-        let top = newest_gen(&script);
-        if gen == 0 || gen > top {
-            return Err(RestartError::MissingGeneration { gen });
-        }
+        catalog::read(w, port, gen)?;
         Ok(RestartPlan::builder().generation(gen).build())
     }
 
@@ -211,74 +204,50 @@ impl RestartPlan {
         sim: &mut OsSim,
     ) -> Result<RestartOutcome, RestartError> {
         let port = s.opts.coord_port;
-        let script = script_groups(w, port);
-        if script.is_empty() {
+        // Candidate generations, newest first: a pinned generation and the
+        // non-resilient newest are strict — they fail hard on the first bad
+        // record or image; resilient mode rejects the generation and falls
+        // back to the next committed one instead.
+        let strict = self.gen.is_some() || !self.resilient;
+        let cands = match self.gen {
+            Some(g) => vec![g],
+            None => {
+                let committed = catalog::generations(w, port).into_iter().rev();
+                committed
+                    .take(if strict { 1 } else { usize::MAX })
+                    .collect()
+            }
+        };
+        if cands.is_empty() {
             return Err(RestartError::NoScript);
         }
-        let top = newest_gen(&script);
-        // (candidate generations, strict): a pinned generation and the
-        // non-resilient newest fail hard on the first bad image; resilient
-        // mode rejects the generation and falls back instead.
-        let (cands, strict) = match self.gen {
-            Some(g) => {
-                if g == 0 || g > top {
-                    return Err(RestartError::MissingGeneration { gen: g });
-                }
-                (vec![g], true)
-            }
-            None if !self.resilient => (vec![top], true),
-            None => ((1..=top).rev().collect(), false),
-        };
         let mut rejected: Vec<(String, String)> = Vec::new();
-        'gens: for g in cands {
-            // Gather per-image metadata, reading each connection table from
-            // whichever node can still resolve the image (origin first,
-            // then every replica holder).
-            let mut metas = Vec::new();
-            for (host, imgs) in &script {
-                for p in imgs {
-                    let path = rewrite_gen(p, g);
-                    match read_meta(w, host, &path) {
-                        Ok(m) => metas.push(m),
-                        Err(reason) => {
-                            w.obs.metrics.inc("core.restart.rejected_images", g);
-                            rejected.push((path.clone(), reason.clone()));
-                            if strict {
-                                return Err(RestartError::ReplicaUnreachable { path, reason });
-                            }
-                            continue 'gens;
-                        }
-                    }
+        for g in cands {
+            // Generation g's own process set and hosts, from its record.
+            let planned = catalog::read(w, port, g)
+                .and_then(|rec| read_metas(w, &rec))
+                .and_then(|metas| match &self.only {
+                    Some(only) => closed_subset(&metas, only),
+                    None => Ok(metas),
+                })
+                .and_then(|metas| {
+                    let placement = place_verified(w, &metas, self.topology.as_deref(), self.pack)?;
+                    Ok((metas, placement))
+                });
+            let (metas, placement) = match planned {
+                Ok(planned) => planned,
+                // A rotted record rejects its generation like a rotted image.
+                Err(
+                    RestartError::ReplicaUnreachable { path, reason }
+                    | RestartError::BadRecord { path, reason },
+                ) if !strict => {
+                    w.obs.metrics.inc("core.restart.rejected_images", g);
+                    rejected.push((path, reason));
+                    continue;
                 }
-            }
-            let metas = match &self.only {
-                Some(only) => closed_subset(&metas, only)?,
-                None => metas,
+                Err(e) => return Err(e),
             };
-            let placement = place(w, &metas, self.topology.as_deref(), self.pack)?;
-            // Validate every image against the node that will read it —
-            // header, CRCs, region payloads, via the store's replica path.
-            for (node, idxs) in &placement {
-                for &i in idxs {
-                    if let Err(e) = mtcp::verify_image(w, *node, &metas[i].path) {
-                        let reason = e.to_string();
-                        w.obs.metrics.inc("core.restart.rejected_images", g);
-                        rejected.push((metas[i].path.clone(), reason.clone()));
-                        if strict {
-                            return Err(RestartError::ReplicaUnreachable {
-                                path: metas[i].path.clone(),
-                                reason,
-                            });
-                        }
-                        continue 'gens;
-                    }
-                }
-            }
-            let by_node: BTreeMap<NodeId, Vec<String>> = placement
-                .iter()
-                .map(|(n, idxs)| (*n, idxs.iter().map(|&i| metas[i].path.clone()).collect()))
-                .collect();
-            let pids = spawn_restart_procs(s, w, sim, by_node, g, self.only.is_some());
+            let pids = spawn_restart_procs(s, w, sim, &placement, &metas, g, self.only.is_some());
             return Ok(RestartOutcome {
                 gen: g,
                 pids,
@@ -314,10 +283,8 @@ impl RestartPlan {
         max_events: u64,
     ) -> Result<MigrationReport, RestartError> {
         let only = self.only.clone().expect("migrate() requires only_pids()");
-        assert!(
-            self.topology.is_some(),
-            "migrate() requires a target topology()"
-        );
+        let targets = self.topology.as_deref();
+        assert!(targets.is_some(), "migrate() requires a target topology()");
         assert!(
             self.gen.is_none(),
             "migrate() checkpoints now; it cannot restore a pinned generation"
@@ -348,32 +315,8 @@ impl RestartPlan {
             return Err(RestartError::AbortedDuringMigration { gen: g });
         }
 
-        // 2. Plan: metadata for generation g, subset closure, placement.
-        // When the chunk store is installed its per-pid generation index is
-        // the source of truth (replica-served partial reads by pid);
-        // otherwise fall back to the restart script.
-        let script = script_groups(w, port);
-        if script.is_empty() {
-            return Err(RestartError::NoScript);
-        }
-        let mut metas = Vec::new();
-        let store_idx: BTreeMap<u32, String> = if ckptstore::enabled(w) {
-            ckptstore::images_for_gen(w, g as u32)
-        } else {
-            BTreeMap::new()
-        };
-        for (host, imgs) in &script {
-            for p in imgs {
-                let scripted = rewrite_gen(p, g);
-                let path = ckptstore::manifest::parse_vpid(&scripted)
-                    .and_then(|v| store_idx.get(&v).cloned())
-                    .unwrap_or(scripted);
-                match read_meta(w, host, &path) {
-                    Ok(m) => metas.push(m),
-                    Err(reason) => return Err(RestartError::ReplicaUnreachable { path, reason }),
-                }
-            }
-        }
+        // 2. Plan: the record just committed, subset closure, placement.
+        let metas = read_metas(w, &catalog::read(w, port, g)?)?;
         let movers = closed_subset(&metas, &only)?;
 
         // 3. Kill exactly the movers and wait for the coordinator to reap
@@ -408,32 +351,13 @@ impl RestartPlan {
 
         // 4. Restore-on-target. Placement happens after the kill so the
         // movers' own freed listener ports no longer count as in use.
-        let placement = place(
-            w,
-            &movers,
-            Some(self.topology.as_deref().expect("checked above")),
-            self.pack,
-        )?;
-        for (node, idxs) in &placement {
-            for &i in idxs {
-                if let Err(e) = mtcp::verify_image(w, *node, &movers[i].path) {
-                    return Err(RestartError::ReplicaUnreachable {
-                        path: movers[i].path.clone(),
-                        reason: e.to_string(),
-                    });
-                }
-            }
-        }
+        let placement = place_verified(w, &movers, targets, self.pack)?;
         // Faults targeting "node loss during migration" fire here — after
         // the images are committed and validated, before the restore reads
         // them — so a dying source node exercises the replica channel and a
         // dying target kills the restore mid-flight.
         faultkit::migration_started(w, sim, g);
-        let by_node: BTreeMap<NodeId, Vec<String>> = placement
-            .iter()
-            .map(|(n, idxs)| (*n, idxs.iter().map(|&i| movers[i].path.clone()).collect()))
-            .collect();
-        let pids = spawn_restart_procs(s, w, sim, by_node, g, true);
+        let pids = spawn_restart_procs(s, w, sim, &placement, &movers, g, true);
 
         // 5. Drive until the movers resume or the migration aborts. The
         // newest generation-g stat is the migration's own (pushed when the
@@ -460,36 +384,16 @@ impl RestartPlan {
     }
 }
 
-/// Parse the restart script of the coordinator rooted at `port` into
-/// `(hostname, image paths)` groups. Empty when no generation committed.
-pub(crate) fn script_groups(w: &World, port: u16) -> Vec<(String, Vec<String>)> {
-    let path = crate::coord::restart_script_path(port);
-    let Ok(bytes) = w.shared_fs.read_all(&path) else {
-        return Vec::new();
-    };
-    let script = String::from_utf8(bytes).expect("script is utf-8");
-    let mut out = Vec::new();
-    for line in script.lines() {
-        let mut words = line.split_whitespace();
-        if words.next() != Some("ssh") {
-            continue;
-        }
-        let host = words.next().expect("host after ssh").to_string();
-        assert_eq!(words.next(), Some("dmtcp_restart"));
-        out.push((host, words.map(|s| s.to_string()).collect()));
-    }
-    out
-}
-
-/// Spawn one restart process per target node. Exactly one (the first)
-/// carries the plan announcement; `migrate` selects
-/// [`Msg::MigratePlan`](crate::proto::Msg::MigratePlan) semantics (movers
-/// only) over a full [`Msg::RestartPlan`](crate::proto::Msg::RestartPlan).
-pub(crate) fn spawn_restart_procs(
+/// Spawn one restart process per node of `placement`. Exactly one (the
+/// first) carries the plan announcement; `migrate` selects
+/// [`Msg::MigratePlan`] semantics (movers only) over a full
+/// [`Msg::RestartPlan`].
+fn spawn_restart_procs(
     s: &Session,
     w: &mut World,
     sim: &mut OsSim,
-    by_node: BTreeMap<NodeId, Vec<String>>,
+    placement: &BTreeMap<NodeId, Vec<usize>>,
+    metas: &[ImgMeta],
     gen: u64,
     migrate: bool,
 ) -> Vec<Pid> {
@@ -505,41 +409,36 @@ pub(crate) fn spawn_restart_procs(
     }
     crate::launch::install_hook(w);
     let coord_host = w.node(s.opts.coord_node).hostname.clone();
-    let total: u32 = by_node.values().map(|v| v.len() as u32).sum();
+    let total: u32 = placement.values().map(|v| v.len() as u32).sum();
+    let mut announce = Some(if migrate {
+        Msg::MigratePlan(total, gen)
+    } else {
+        Msg::RestartPlan(total, gen)
+    });
     let mut restart_pids = Vec::new();
-    let mut first = true;
-    for (node, images) in by_node {
-        let plan = if first { Some((total, gen)) } else { None };
-        first = false;
-        let prog: Box<RestartProc> = if migrate {
-            Box::new(RestartProc::migrate(
-                images,
-                coord_host.clone(),
-                s.opts.coord_port,
-                plan,
-            ))
-        } else {
-            Box::new(RestartProc::new(
-                images,
-                coord_host.clone(),
-                s.opts.coord_port,
-                plan,
-            ))
-        };
-        let pid = w.spawn(sim, node, "dmtcp_restart", prog, Pid(1), BTreeMap::new());
+    for (node, idxs) in placement {
+        let prog = Box::new(RestartProc::new(
+            idxs.iter().map(|&i| metas[i].path.clone()).collect(),
+            coord_host.clone(),
+            s.opts.coord_port,
+            gen,
+            announce.take(),
+        ));
+        let pid = w.spawn(sim, *node, "dmtcp_restart", prog, Pid(1), BTreeMap::new());
         restart_pids.push(pid);
     }
     restart_pids
 }
 
-/// The newest generation named by a restart script.
-fn newest_gen(script: &[(String, Vec<String>)]) -> u64 {
-    script
-        .iter()
-        .flat_map(|(_, imgs)| imgs.iter())
-        .filter_map(|p| crate::restart::parse_gen(p))
-        .max()
-        .unwrap_or(1)
+/// Planning metadata for every image of `rec`, in record order; the first
+/// image no node can serve fails the generation.
+fn read_metas(w: &World, rec: &GenRecord) -> Result<Vec<ImgMeta>, RestartError> {
+    rec.paths()
+        .map(|(host, path)| {
+            read_meta(w, host, &path)
+                .map_err(|reason| RestartError::ReplicaUnreachable { path, reason })
+        })
+        .collect()
 }
 
 /// Read one image's planning metadata from whichever node can resolve it:
@@ -769,6 +668,28 @@ fn place(
         out.entry(n).or_default().extend(unit.iter().copied());
     }
     Ok(out)
+}
+
+/// [`place`], then validate every image against the node that will read it
+/// — header, CRCs, region payloads, via the store's replica path — so
+/// nothing is spawned for a generation that cannot be restored whole.
+fn place_verified(
+    w: &World,
+    metas: &[ImgMeta],
+    targets: Option<&[NodeId]>,
+    pack: Packing,
+) -> Result<BTreeMap<NodeId, Vec<usize>>, RestartError> {
+    let placement = place(w, metas, targets, pack)?;
+    for (node, idxs) in &placement {
+        for &i in idxs {
+            let path = &metas[i].path;
+            mtcp::verify_image(w, *node, path).map_err(|e| RestartError::ReplicaUnreachable {
+                path: path.clone(),
+                reason: e.to_string(),
+            })?;
+        }
+    }
+    Ok(placement)
 }
 
 /// Project a placement (node → meta indices) onto vpids for reporting.

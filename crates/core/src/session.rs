@@ -393,7 +393,8 @@ pub struct RestartOutcome {
     pub gen: u64,
     /// Restart process pids.
     pub pids: Vec<Pid>,
-    /// Images rejected along the way, with the validation error.
+    /// Images (and catalog records) rejected along the way, with the
+    /// validation error.
     pub rejected: Vec<(String, String)>,
     /// Where each process was restored: node → virtual pids, sorted.
     /// Summing the vpids over every node reproduces the restored process
@@ -405,17 +406,27 @@ pub struct RestartOutcome {
 /// Why a restart plan could not restart (or migrate) anything.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RestartError {
-    /// No restart script exists (no generation ever completed).
+    /// No generation ever committed: the catalog holds no record (and so
+    /// no restart script was ever written).
     NoScript,
-    /// Every candidate generation had at least one invalid image.
+    /// Every committed generation had an invalid image or record.
     NoUsableGeneration {
-        /// Each rejected image with its validation error.
+        /// Each rejected image or record with its validation error.
         rejected: Vec<(String, String)>,
     },
-    /// The plan pinned a generation outside the committed range.
+    /// The plan pinned a generation that has no catalog record: it never
+    /// committed, was rolled back, or its images expired from the store.
     MissingGeneration {
         /// The requested generation.
         gen: u64,
+    },
+    /// A generation's catalog record is on storage but cannot be trusted
+    /// (truncated, bit-rotted, or written for another generation).
+    BadRecord {
+        /// The record's path on shared storage.
+        path: String,
+        /// What is wrong with it.
+        reason: String,
     },
     /// An image of a pinned (or newest, non-resilient) generation could
     /// not be read or validated from any node — no replica survives.
@@ -454,7 +465,7 @@ pub enum RestartError {
 impl std::fmt::Display for RestartError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RestartError::NoScript => write!(f, "no restart script on shared storage"),
+            RestartError::NoScript => write!(f, "no committed generation on shared storage"),
             RestartError::NoUsableGeneration { rejected } => write!(
                 f,
                 "no complete checkpoint generation on storage ({} images rejected)",
@@ -462,6 +473,9 @@ impl std::fmt::Display for RestartError {
             ),
             RestartError::MissingGeneration { gen } => {
                 write!(f, "generation {gen} was never committed")
+            }
+            RestartError::BadRecord { path, reason } => {
+                write!(f, "catalog record {path} is unusable: {reason}")
             }
             RestartError::ReplicaUnreachable { path, reason } => {
                 write!(f, "no replica can serve {path}: {reason}")
@@ -481,23 +495,6 @@ impl std::fmt::Display for RestartError {
 }
 
 impl std::error::Error for RestartError {}
-
-/// Rewrite the generation number embedded in an image path
-/// (`…_gen<N>.dmtcp`) — the restart script names the newest generation,
-/// fallback retargets the same images one generation back.
-pub(crate) fn rewrite_gen(path: &str, gen: u64) -> String {
-    match path.rfind("_gen") {
-        Some(idx) => {
-            let digits_start = idx + 4;
-            let digits_end = path[digits_start..]
-                .find(|c: char| !c.is_ascii_digit())
-                .map(|off| digits_start + off)
-                .unwrap_or(path.len());
-            format!("{}{}{}", &path[..digits_start], gen, &path[digits_end..])
-        }
-        None => path.to_string(),
-    }
-}
 
 /// Copy checkpoint artifacts from one world to another: the shared
 /// filesystem always, and each node's local filesystem onto the same node

@@ -744,6 +744,15 @@ pub fn cluster(nodes: usize) -> (World, OsSim) {
     )
 }
 
+/// Launch the two-node chain workload under `s`: the echo server on node 1,
+/// a client on node 0 driving it for `rounds` round trips.
+pub fn launch_chain(w: &mut World, sim: &mut OsSim, s: &dmtcp::Session, rounds: u64) {
+    let server = Box::new(EchoPlusOne::new(9000));
+    s.launch(w, sim, oskit::world::NodeId(1), "server", server);
+    let client = Box::new(ChainClient::new("node01", 9000, rounds));
+    s.launch(w, sim, oskit::world::NodeId(0), "client", client);
+}
+
 /// Event budget for bounded simulation runs.
 ///
 /// Defaults to 8 million events; override with `DMTCP_TEST_EV_BUDGET` when a

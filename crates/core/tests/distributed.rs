@@ -44,28 +44,6 @@ fn chain_reference(rounds: u64) -> (String, String) {
     )
 }
 
-fn launch_chain(
-    w: &mut oskit::world::World,
-    sim: &mut oskit::world::OsSim,
-    s: &Session,
-    rounds: u64,
-) {
-    s.launch(
-        w,
-        sim,
-        NodeId(1),
-        "server",
-        Box::new(EchoPlusOne::new(9000)),
-    );
-    s.launch(
-        w,
-        sim,
-        NodeId(0),
-        "client",
-        Box::new(ChainClient::new("node01", 9000, rounds)),
-    );
-}
-
 #[test]
 fn checkpoint_mid_stream_then_continue() {
     let rounds = 400;
@@ -163,6 +141,10 @@ fn migrate_cluster_to_single_laptop() {
         transplant_storage(&w, &mut lw);
         // Results were not produced before the crash.
         let _ = lw.shared_fs.remove("/shared/client_result");
+        // Restart plans from the catalog alone; the script is for people.
+        lw.shared_fs
+            .remove("/shared/dmtcp_restart_script.sh")
+            .expect("the committed generation rendered a script");
         (lw, simkit::Sim::new())
     };
     drop(w);
@@ -335,6 +317,99 @@ fn second_checkpoint_after_restart_works() {
     assert_eq!(
         shared_result(&w, "/shared/client_result").as_deref(),
         Some(ref_client.as_str())
+    );
+}
+
+/// Crash consistency across an abort *and* a restart: generation 1 commits,
+/// generation 2 aborts after one of its two processes already wrote an
+/// image, the computation is restarted from generation 1 — and is then
+/// killed again. The second restart must find exactly what the first did:
+/// the aborted generation's lone image never becomes restartable, and
+/// completing a restart publishes nothing.
+#[test]
+fn aborted_generation_never_becomes_restartable() {
+    let rounds = 900;
+    let (ref_client, ref_server) = chain_reference(rounds);
+    let (mut w, mut sim) = cluster(2);
+    let s = Session::start(&mut w, &mut sim, opts_shared_dir());
+    let port = s.opts.coord_port;
+    launch_chain(&mut w, &mut sim, &s, rounds);
+    run_for(&mut w, &mut sim, Nanos::from_millis(30));
+    let g1 = s.checkpoint_and_wait(&mut w, &mut sim, EV).expect_ckpt();
+    assert_eq!((g1.gen, g1.participants), (1, 2));
+    let script_path = dmtcp::coord::restart_script_path(port);
+    let script = w.shared_fs.read_all(&script_path).unwrap();
+
+    // Generation 2: stop at the event where exactly one image is written,
+    // and kill the process that has not written its own yet.
+    run_for(&mut w, &mut sim, Nanos::from_millis(10));
+    let before = s.generations(&mut w);
+    s.request_checkpoint(&mut w, &mut sim);
+    let written = dmtcp::session::wait_until(
+        &mut w,
+        &mut sim,
+        EV,
+        dmtcp::session::Order::StepFirst,
+        |w| {
+            let imgs = &coord_shared_for(w, port).last_images;
+            (imgs.len() == 1).then(|| imgs[0].2)
+        },
+    )
+    .expect("one process writes first");
+    let victim = *w
+        .procs
+        .iter()
+        .find(|(_, p)| p.alive() && p.virt_pid.is_some_and(|v| v != written))
+        .expect("the other traced process")
+        .0;
+    w.signal(&mut sim, victim, oskit::proc::sig::SIGKILL);
+    let g2 = dmtcp::session::wait_until(
+        &mut w,
+        &mut sim,
+        EV,
+        dmtcp::session::Order::CheckFirst,
+        |w| s.settled_since(w, before),
+    )
+    .expect("generation 2 settles");
+    assert!(g2.aborted, "a participant died mid-write");
+    assert!(
+        w.shared_fs
+            .list_prefix("/shared/ckpt/")
+            .any(|p| dmtcp::restart::parse_gen(p) == Some(2)),
+        "the survivor's generation-2 image is on storage"
+    );
+    assert!(
+        coord_shared_for(&mut w, port).last_images.is_empty(),
+        "an abort clears the in-flight list"
+    );
+
+    for attempt in 0..2 {
+        s.kill_computation(&mut w, &mut sim);
+        let out = RestartPlan::newest()
+            .execute(&s, &mut w, &mut sim)
+            .expect("generation 1 is committed");
+        let mut restored: Vec<u32> = out.placement.into_iter().flat_map(|(_, v)| v).collect();
+        restored.sort_unstable();
+        assert_eq!(out.gen, 1, "attempt {attempt}");
+        assert_eq!(restored.len(), 2, "attempt {attempt}: {restored:?}");
+        Session::wait_restart_done(&mut w, &mut sim, 1, EV);
+        run_for(&mut w, &mut sim, Nanos::from_millis(5));
+        assert_eq!(
+            w.shared_fs.read_all(&script_path).unwrap(),
+            script,
+            "attempt {attempt}: neither an abort nor a restart rewrites the script"
+        );
+        assert_eq!(dmtcp::catalog::generations(&w, port), vec![1]);
+    }
+
+    assert!(sim.run_bounded(&mut w, EV), "post-restart deadlock");
+    assert_eq!(
+        shared_result(&w, "/shared/client_result").as_deref(),
+        Some(ref_client.as_str())
+    );
+    assert_eq!(
+        shared_result(&w, "/shared/server_result").as_deref(),
+        Some(ref_server.as_str())
     );
 }
 
@@ -902,7 +977,8 @@ fn zombie_free_teardown_and_coordinator_client_tracking() {
 fn coordinators_on_different_ports_share_nothing() {
     let (mut w, mut sim) = cluster(1);
     dmtcp::coord::request_checkpoint(&mut w, &mut sim, COORD_PORT);
-    dmtcp::coord::record_image(&mut w, 7800, "/ckpt/a".into(), "node00".into());
+    let image = mtcp::ImageName::parse("/ckpt/ckpt_1_gen1.dmtcp").expect("conforming");
+    dmtcp::coord::record_image(&mut w, 7800, "node00".into(), image);
     let root = coord_shared_for(&mut w, COORD_PORT);
     assert!(root.ckpt_request_pending);
     assert!(root.last_images.is_empty());

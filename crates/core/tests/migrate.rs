@@ -473,6 +473,70 @@ fn plan_validation_yields_typed_errors() {
     );
 }
 
+/// A generation restores *its own* process set, not the newest one's: two
+/// processes commit generation 1, one finishes, generation 2 commits with
+/// the survivor alone — and a plan pinned to generation 1 still restores
+/// both.
+#[test]
+fn an_older_generation_restores_its_own_process_set() {
+    let budget = run_budget();
+    let (mut w, mut sim) = world(2);
+    let s = Session::start(&mut w, &mut sim, opts());
+    let port = s.opts.coord_port;
+    s.launch(
+        &mut w,
+        &mut sim,
+        NodeId(0),
+        "brief",
+        Box::new(Ticker::new(0, 150)),
+    );
+    s.launch(
+        &mut w,
+        &mut sim,
+        NodeId(1),
+        "long",
+        Box::new(Ticker::new(1, 4_000)),
+    );
+    run_for(&mut w, &mut sim, Nanos::from_millis(4));
+    let both = traced_vpids(&w, None);
+    let g1 = s
+        .checkpoint_and_wait(&mut w, &mut sim, budget)
+        .expect_ckpt();
+    assert_eq!((g1.gen, g1.participants), (1, 2));
+
+    dmtcp::session::wait_until(
+        &mut w,
+        &mut sim,
+        budget,
+        dmtcp::session::Order::CheckFirst,
+        |w| shared_result(w, "/shared/tick_0"),
+    )
+    .expect("the brief ticker finishes");
+    run_for(&mut w, &mut sim, Nanos::from_millis(2));
+    let g2 = s
+        .checkpoint_and_wait(&mut w, &mut sim, budget)
+        .expect_ckpt();
+    assert_eq!((g2.gen, g2.participants), (2, 1));
+
+    s.kill_computation(&mut w, &mut sim);
+    w.shared_fs.remove("/shared/tick_0").expect("result file");
+    let out = RestartPlan::from_generation(&w, port, 1)
+        .expect("generation 1 committed")
+        .execute(&s, &mut w, &mut sim)
+        .expect("generation 1 restores");
+    let placed: BTreeSet<u32> = out.placement.iter().flat_map(|(_, v)| v).copied().collect();
+    assert_eq!(placed.len() as u32, g1.participants, "{:?}", out.placement);
+    assert_eq!(placed, both);
+    Session::wait_restart_done(&mut w, &mut sim, 1, budget);
+    assert!(sim.run_bounded(&mut w, budget), "post-restart deadlock");
+    assert_eq!(
+        shared_result(&w, "/shared/tick_0").as_deref(),
+        Some("150"),
+        "the process generation 2 no longer had ran again from generation 1"
+    );
+    assert_eq!(shared_result(&w, "/shared/tick_1").as_deref(), Some("4000"));
+}
+
 // ---------------------------------------------------------------------
 // Whole-generation fallback. `RestartPlan::resilient` replaced a second
 // implementation (`Session::restart_resilient`); the constants below were

@@ -23,6 +23,57 @@ use simkit::{impl_snap, Snap, SnapReader, SnapWriter};
 /// Magic prefix of image files.
 pub const IMAGE_MAGIC: &[u8; 8] = b"MTCPIMG1";
 
+/// Where one process's image of one generation lives:
+/// `<dir>/ckpt_<vpid>_gen<gen>.dmtcp`. The only place that file-name
+/// convention is spelled — writers format through [`std::fmt::Display`],
+/// everything that must recover the vpid or generation from a path goes
+/// through [`ImageName::parse`], and another generation of the same image
+/// is [`ImageName::with_gen`] (never string surgery on the digits).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ImageName {
+    /// Checkpoint directory (no trailing slash).
+    pub dir: String,
+    /// Virtual pid of the writing process.
+    pub vpid: u32,
+    /// Checkpoint generation.
+    pub gen: u64,
+}
+
+impl ImageName {
+    /// Parse an image path; `None` for anything that is not exactly the
+    /// convention (a restart script, a manifest, a foreign file).
+    pub fn parse(path: &str) -> Option<ImageName> {
+        let (dir, file) = path.rsplit_once('/')?;
+        let (vpid, gen) = file
+            .strip_prefix("ckpt_")?
+            .strip_suffix(".dmtcp")?
+            .split_once("_gen")?;
+        let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+        if !digits(vpid) || !digits(gen) {
+            return None;
+        }
+        Some(ImageName {
+            dir: dir.to_string(),
+            vpid: vpid.parse().ok()?,
+            gen: gen.parse().ok()?,
+        })
+    }
+
+    /// The same process's image at another generation.
+    pub fn with_gen(&self, gen: u64) -> ImageName {
+        ImageName {
+            gen,
+            ..self.clone()
+        }
+    }
+}
+
+impl std::fmt::Display for ImageName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}/ckpt_{}_gen{}.dmtcp", self.dir, self.vpid, self.gen)
+    }
+}
+
 /// Why a header failed to parse. Distinguishing truncation from corruption
 /// matters to the restart path: a truncated image is a torn write (fall back
 /// to the previous generation), a bad CRC is bit rot.
@@ -232,6 +283,28 @@ mod tests {
             sig_actions: vec![(15, SigAction::Handler)],
             compressed: true,
             dmtcp_meta: vec![1, 2, 3],
+        }
+    }
+
+    #[test]
+    fn image_name_round_trips_and_rejects_foreign_paths() {
+        // Generation-looking directories are not the file name's business.
+        let p = "/ckpt_gen9/t_gen1/ckpt_40001_gen12.dmtcp";
+        let n = ImageName::parse(p).expect("conforming path");
+        assert_eq!(
+            (n.dir.as_str(), n.vpid, n.gen),
+            ("/ckpt_gen9/t_gen1", 40001, 12)
+        );
+        assert_eq!(n.to_string(), p);
+        let older = n.with_gen(3).to_string();
+        assert_eq!(older, "/ckpt_gen9/t_gen1/ckpt_40001_gen3.dmtcp");
+        for bad in [
+            "/ckpt/no-generation",
+            "/ckpt/ckpt_+1_gen2.dmtcp",
+            "/ckpt/ckpt_1_gen2.dmtcp.tmp",
+            "ckpt_1_gen2.dmtcp",
+        ] {
+            assert_eq!(ImageName::parse(bad), None, "{bad}");
         }
     }
 

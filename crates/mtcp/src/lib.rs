@@ -25,7 +25,7 @@ pub mod reader;
 pub mod store;
 pub mod writer;
 
-pub use image::{CkptImage, HeaderError, RegionMeta, StoredAs, IMAGE_MAGIC};
+pub use image::{CkptImage, HeaderError, ImageName, RegionMeta, StoredAs, IMAGE_MAGIC};
 pub use incr::{IncrState, RegionRec};
 pub use reader::{read_image, restore_into, verify_image, ImageError, RestoreError, RestoreReport};
 pub use store::{ImageStore, ResolvedImage, SinkCommit};

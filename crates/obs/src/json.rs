@@ -160,92 +160,16 @@ impl JsonWriter {
     }
 }
 
-/// Validate that `s` is one syntactically well-formed JSON value.
-///
-/// A recursive-descent checker used by tests (the workspace has no JSON
-/// parser dependency). Returns the byte offset of the first error.
+/// Validate that `s` is one syntactically well-formed JSON value: it is,
+/// exactly when [`JsonValue::parse`] accepts it. Errors carry the byte
+/// offset of the fault.
 pub fn validate(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut i = 0usize;
-    skip_ws(b, &mut i);
-    parse_value(b, &mut i, 0)?;
-    skip_ws(b, &mut i);
-    if i != b.len() {
-        return Err(format!("trailing garbage at byte {i}"));
-    }
-    Ok(())
+    JsonValue::parse(s).map(drop)
 }
 
 fn skip_ws(b: &[u8], i: &mut usize) {
     while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
         *i += 1;
-    }
-}
-
-fn parse_value(b: &[u8], i: &mut usize, depth: usize) -> Result<(), String> {
-    if depth > 256 {
-        return Err("nesting too deep".into());
-    }
-    match b.get(*i) {
-        Some(b'{') => parse_obj(b, i, depth),
-        Some(b'[') => parse_arr(b, i, depth),
-        Some(b'"') => parse_string(b, i),
-        Some(b't') => parse_lit(b, i, "true"),
-        Some(b'f') => parse_lit(b, i, "false"),
-        Some(b'n') => parse_lit(b, i, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, i),
-        _ => Err(format!("expected value at byte {i}")),
-    }
-}
-
-fn parse_obj(b: &[u8], i: &mut usize, depth: usize) -> Result<(), String> {
-    *i += 1; // '{'
-    skip_ws(b, i);
-    if b.get(*i) == Some(&b'}') {
-        *i += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, i);
-        parse_string(b, i)?;
-        skip_ws(b, i);
-        if b.get(*i) != Some(&b':') {
-            return Err(format!("expected ':' at byte {i}"));
-        }
-        *i += 1;
-        skip_ws(b, i);
-        parse_value(b, i, depth + 1)?;
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b',') => *i += 1,
-            Some(b'}') => {
-                *i += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {i}")),
-        }
-    }
-}
-
-fn parse_arr(b: &[u8], i: &mut usize, depth: usize) -> Result<(), String> {
-    *i += 1; // '['
-    skip_ws(b, i);
-    if b.get(*i) == Some(&b']') {
-        *i += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, i);
-        parse_value(b, i, depth + 1)?;
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b',') => *i += 1,
-            Some(b']') => {
-                *i += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {i}")),
-        }
     }
 }
 

@@ -134,16 +134,23 @@ stage_lint() {
     # extension slot, no engine env switch, no second restart path, no
     # second recorder. `downcast_` is allowed in exactly two files: the
     # typed store behind World::ext* and the per-process Hijack accessors.
+    # What PR 16 deleted too: nothing parses the restart script or rewrites
+    # a generation number inside a path (a generation is a catalog record),
+    # and the image file name is spelled in exactly one file.
     local hits
     hits=$({
         grep -rnE '#\[deprecated|ext_slots|DMTCP_SIM_ENGINE|restart_resilient|trace_with\(' \
             crates/*/src src
+        grep -rnE 'rewrite_gen|script_groups|newest_gen|default_restart' crates/*/src src
         grep -rn 'downcast_' crates/*/src src |
             grep -vE '^crates/(oskit/src/world|core/src/hijack)\.rs:'
+        grep -rlF '"_gen"' crates/*/src src | grep -vxF 'crates/mtcp/src/image.rs'
+        grep -qF '"_gen"' crates/mtcp/src/image.rs ||
+            echo 'crates/mtcp/src/image.rs: no longer spells the image file name ("_gen")'
     } || true)
     if [[ -n "$hits" ]]; then
         echo "$hits" >&2
-        echo "tier1: lint found a deleted API or an open-coded downcast (see above)" >&2
+        echo "tier1: lint found a deleted API, an open-coded downcast, or a second spelling of the image file name (see above)" >&2
         exit 1
     fi
     echo "== safe-and-in-the-world guard (also a count) =="
