@@ -28,6 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod gc;
 pub mod manifest;
 mod sink;
 mod source;
@@ -118,6 +119,7 @@ pub fn install(w: &mut World, config: Config) {
 pub fn uninstall(w: &mut World) {
     mtcp::store::uninstall(w);
     w.ext_remove::<Installed>();
+    w.ext_remove::<gc::Index>();
 }
 
 /// Whether the store is installed in this world.

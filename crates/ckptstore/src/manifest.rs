@@ -80,34 +80,32 @@ impl Manifest {
         out.into_bytes()
     }
 
-    /// Parse the text format; `None` on any malformation.
+    /// Parse the text format; `None` unless `bytes` is exactly what
+    /// [`Manifest::encode`] prints for some manifest — every line ended by
+    /// `\n`, the head fields in order, every number without sign or leading
+    /// zero — so a manifest that decodes re-encodes to the same bytes and a
+    /// torn or altered file cannot pass for a different, shorter one by
+    /// accident of a lenient parser.
     pub fn decode(bytes: &[u8]) -> Option<Manifest> {
         let text = std::str::from_utf8(bytes).ok()?;
-        let mut lines = text.lines();
-        let head = lines.next()?;
-        let mut fields = head.split(' ');
-        if fields.next()? != MANIFEST_MAGIC {
+        let mut lines = text.strip_suffix('\n')?.split('\n');
+        let mut head = lines.next()?.split(' ');
+        if head.next()? != MANIFEST_MAGIC {
             return None;
         }
-        let mut gen = None;
-        let mut logical_len = None;
-        let mut src = None;
-        for f in fields {
-            let (k, v) = f.split_once('=')?;
-            match k {
-                "gen" => gen = Some(v.parse().ok()?),
-                "len" => logical_len = Some(v.parse().ok()?),
-                "src" => src = Some(v.to_string()),
-                _ => return None,
-            }
+        let gen = number(head.next()?.strip_prefix("gen=")?)?;
+        let logical_len = number(head.next()?.strip_prefix("len=")?)?;
+        let src = head.next()?.strip_prefix("src=")?.to_string();
+        if head.next().is_some() {
+            return None;
         }
         let mut chunks = Vec::new();
         for line in lines {
             let mut parts = line.split(' ');
-            let id = parts.next()?;
-            let len = parts.next()?.parse().ok()?;
+            let id = parts.next().filter(|id| !id.is_empty())?;
+            let len = number(parts.next()?)?;
             let off = match parts.next() {
-                Some(tok) => Some(tok.strip_prefix('@')?.parse().ok()?),
+                Some(tok) => Some(number(tok.strip_prefix('@')?)?),
                 None => None,
             };
             if parts.next().is_some() {
@@ -120,12 +118,18 @@ impl Manifest {
             });
         }
         Some(Manifest {
-            gen: gen?,
-            logical_len: logical_len?,
-            src: src?,
+            gen,
+            logical_len,
+            src,
             chunks,
         })
     }
+}
+
+/// A `u64` spelled the one way `Display` spells it.
+fn number(s: &str) -> Option<u64> {
+    let canonical = s.bytes().all(|b| b.is_ascii_digit()) && (s == "0" || !s.starts_with('0'));
+    canonical.then(|| s.parse().ok())?
 }
 
 /// Store path of a chunk file.
@@ -146,6 +150,57 @@ pub fn manifest_path(logical: &str) -> String {
 /// Prefix under which all manifests live.
 pub fn manifests_prefix() -> String {
     format!("{STORE_ROOT}/manifests/")
+}
+
+/// The manifests of one image across its generations, and which of them
+/// the commit of `name` pushes out of a `retention`-generation window:
+/// every generation *g* that exists with 1 ≤ *g* ≤ `name.gen − retention`.
+/// Found by listing what is there under the lineage's prefix — a store's
+/// files, a ledger's keys — never by counting up from 1.
+pub(crate) struct Lineage<'a> {
+    name: &'a mtcp::ImageName,
+    stem: String,
+    /// Store-path prefix shared by every generation's manifest.
+    pub(crate) prefix: String,
+    newest_expired: u64,
+}
+
+impl<'a> Lineage<'a> {
+    pub(crate) fn expiring(name: &'a mtcp::ImageName, retention: u32) -> Self {
+        let stem = name.lineage_prefix();
+        Lineage {
+            name,
+            prefix: manifest_path(&stem),
+            stem,
+            newest_expired: name.gen.saturating_sub(retention as u64),
+        }
+    }
+
+    /// Is `mpath` the manifest of an expired generation of this image? The
+    /// part after the prefix goes back through [`mtcp::ImageName::parse`],
+    /// and only the spelling `Display` gives that generation counts
+    /// (`gen07` is a stranger's file, not generation 7).
+    fn expired(&self, mpath: &str) -> bool {
+        let Some(rest) = mpath.strip_prefix(&self.prefix) else {
+            return false;
+        };
+        let logical = format!("{}{rest}", self.stem);
+        mtcp::ImageName::parse(&logical).is_some_and(|n| {
+            (1..=self.newest_expired).contains(&n.gen)
+                && n == self.name.with_gen(n.gen)
+                && n.to_string() == logical
+        })
+    }
+
+    /// The expired manifests among `sorted`, an ascending walk of paths
+    /// that starts at [`Lineage::prefix`] (it is cut where the prefix ends).
+    pub(crate) fn expired_among<'p>(&self, sorted: impl Iterator<Item = &'p str>) -> Vec<String> {
+        sorted
+            .take_while(|p| p.starts_with(&self.prefix))
+            .filter(|p| self.expired(p))
+            .map(str::to_string)
+            .collect()
+    }
 }
 
 /// Virtual pid of the process that wrote the image at `path`.

@@ -18,9 +18,8 @@
 //!   replica that *has* a manifest is complete up to torn-transfer damage
 //!   the assemble-side length checks already reject.
 
-use crate::manifest::{
-    chunk_path, chunks_prefix, manifest_path, manifests_prefix, ChunkRef, Manifest,
-};
+use crate::gc::{self, Pass};
+use crate::manifest::{chunk_path, manifest_path, ChunkRef, Lineage, Manifest};
 use crate::{Config, CHUNK_SIZE};
 use mtcp::{ImageName, SinkCommit};
 use oskit::fs::{Blob, Chunk, Fs};
@@ -268,9 +267,11 @@ pub(crate) fn commit(
     let ni = node.0 as usize;
     // Inside a tenant namespace the owner's retention policy governs GC.
     let retention = crate::tenant::retention_for(w, path, cfg.retention);
+    let expiring = name.as_ref().map(|n| Lineage::expiring(n, retention));
 
     // ---- Local store: new chunks (alias extents become slice refs into
     // already-stored chunks), then the manifest. ----
+    let mut pass = Pass::begin(w, ni);
     let mut new_bytes = 0u64;
     let mut deduped_bytes = 0u64;
     let mut io_done = now;
@@ -337,11 +338,14 @@ pub(crate) fn commit(
         chunks: entries,
     };
     let man_bytes = man.encode();
+    let man_names = gc::named(&man_bytes);
     let mpath = manifest_path(path);
-    let man_len = w.nodes[ni]
-        .fs
-        .write_all(&mpath, &man_bytes)
-        .expect("store dir writable");
+    let man_len = pass.write_manifest(
+        &mut w.nodes[ni].fs,
+        &mpath,
+        &man_bytes,
+        man_names.as_deref(),
+    );
     new_bytes += man_len;
     io_done = io_done.max(w.charge_storage_write(now, node, &mpath, man_len));
 
@@ -381,6 +385,7 @@ pub(crate) fn commit(
     let mut pipelined = 0u64;
     for k in 1..=r {
         let peer = (ni + k) % n_nodes;
+        let mut peer_pass = Pass::begin(w, peer);
         let mut sent = 0u64;
         let mut chunks_durable = now;
         for item in &rep_items {
@@ -412,10 +417,12 @@ pub(crate) fn commit(
                 sent += n;
             }
         }
-        w.nodes[peer]
-            .fs
-            .write_all(&mpath, &man_bytes)
-            .expect("store dir writable");
+        peer_pass.write_manifest(
+            &mut w.nodes[peer].fs,
+            &mpath,
+            &man_bytes,
+            man_names.as_deref(),
+        );
         sent += man_len;
         let man_start = io_done.max(chunks_durable);
         let tx_done = w.nodes[ni].nic_tx.transfer(man_start, man_len) + w.spec.net_latency;
@@ -424,7 +431,7 @@ pub(crate) fn commit(
         w.obs
             .metrics
             .add("ckptstore.replication_bytes", peer as u64, sent);
-        gc(w, peer, name.as_ref(), retention);
+        peer_pass.finish(w, expiring.as_ref());
     }
     if pipelined > 0 {
         w.obs
@@ -436,14 +443,14 @@ pub(crate) fn commit(
         .metrics
         .observe("ckptstore.replication_lag_ns", node.0 as u64, lag.0);
 
-    gc(w, ni, name.as_ref(), retention);
+    pass.finish(w, expiring.as_ref());
 
     // Tenant ledger: charge this commit's stored bytes, credit the
     // generations that just expired under the tenant's retention window.
-    if let Some(tenant) = crate::tenant::tenant_of(path).map(|t| t.to_string()) {
-        crate::tenant::charge(w, &tenant, &mpath, new_bytes);
-        for old_path in expired(name.as_ref(), retention) {
-            crate::tenant::credit(w, &tenant, &manifest_path(&old_path));
+    if let Some(tenant) = crate::tenant::tenant_of(path) {
+        crate::tenant::charge(w, tenant, &mpath, new_bytes);
+        if let Some(lineage) = &expiring {
+            crate::tenant::credit_expired(w, tenant, lineage);
         }
     }
 
@@ -462,59 +469,6 @@ pub(crate) fn commit(
     SinkCommit {
         stored_bytes: new_bytes,
         io_done: rep_done,
-    }
-}
-
-/// Paths of the generations of `name`'s image that its commit pushes out of
-/// a `retention`-generation window.
-fn expired(name: Option<&ImageName>, retention: u32) -> impl Iterator<Item = String> + '_ {
-    name.into_iter().flat_map(move |n| {
-        (1..=n.gen.saturating_sub(retention as u64)).map(|old| n.with_gen(old).to_string())
-    })
-}
-
-/// Retention + mark-and-sweep on one node's store: drop this image's
-/// manifests older than `retention` generations, then delete any chunk no
-/// remaining manifest references.
-fn gc(w: &mut World, node_idx: usize, name: Option<&ImageName>, retention: u32) {
-    let fs = &mut w.nodes[node_idx].fs;
-    for old_path in expired(name, retention) {
-        fs.remove(&manifest_path(&old_path)).ok();
-    }
-    // Mark: every chunk referenced by any surviving manifest.
-    let mut live: BTreeSet<String> = BTreeSet::new();
-    let manifest_files: Vec<String> = fs
-        .list_prefix(&manifests_prefix())
-        .map(|s| s.to_string())
-        .collect();
-    for mf in &manifest_files {
-        if let Ok(bytes) = fs.read_all(mf) {
-            if let Some(m) = Manifest::decode(&bytes) {
-                live.extend(m.chunks.into_iter().map(|c| c.id));
-            }
-        }
-    }
-    // Sweep: unreferenced chunk files.
-    let prefix = chunks_prefix();
-    let dead: Vec<(String, u64)> = fs
-        .list_prefix(&prefix)
-        .filter(|p| {
-            !live.contains(
-                p.strip_prefix(prefix.as_str())
-                    .expect("listed under prefix"),
-            )
-        })
-        .map(|p| (p.to_string(), fs.size(p).unwrap_or(0)))
-        .collect();
-    let mut reclaimed = 0u64;
-    for (p, sz) in dead {
-        fs.remove(&p).ok();
-        reclaimed += sz;
-    }
-    if reclaimed > 0 {
-        w.obs
-            .metrics
-            .add("ckptstore.gc_reclaimed", node_idx as u64, reclaimed);
     }
 }
 

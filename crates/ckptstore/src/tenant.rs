@@ -15,8 +15,10 @@
 //! mid-image would tear the generation). The store's job is to keep the
 //! account current and answer [`over_quota`].
 
+use crate::manifest::Lineage;
 use oskit::world::World;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// Storage policy for one tenant.
 #[derive(Debug, Clone)]
@@ -139,6 +141,20 @@ pub(crate) fn credit(w: &mut World, name: &str, manifest: &str) {
     w.obs
         .metrics
         .set_gauge("ckptstore.tenant_bytes", id, used as f64);
+}
+
+/// Credit the generations a commit pushes out of its image's retention
+/// window — found among the ledger's own keys, so a service that commits
+/// without end pays for the window, not for its age.
+pub(crate) fn credit_expired(w: &mut World, name: &str, expiring: &Lineage) {
+    let Some(s) = tenant(w, name) else {
+        return;
+    };
+    let from_prefix = (Bound::Included(expiring.prefix.as_str()), Bound::Unbounded);
+    let keys = s.per_manifest.range::<str, _>(from_prefix);
+    for manifest in expiring.expired_among(keys.map(|(k, _)| k.as_str())) {
+        credit(w, name, &manifest);
+    }
 }
 
 #[cfg(test)]

@@ -119,16 +119,17 @@ pub(crate) fn commit(w: &mut World, port: u16, rec: &GenRecord) {
     fs.write_all(&script_path, script.as_bytes())
         .expect("shared fs writable");
     // The chunk store expires images (retention); a record naming an
-    // expired image can restore nothing and a service commits without end,
-    // so drop, oldest first, each record whose first image no node holds a
-    // manifest for. Plain-file images are never deleted, so without the
-    // store every record stays usable and stays.
+    // expired image cannot restore the generation it describes and a
+    // service commits without end, so drop each record any image of which
+    // no node holds a manifest for — any, not the first: a process that
+    // checkpointed once and exited never expires its own image, and would
+    // keep alive every record it heads. Plain-file images are never
+    // deleted, so without the store every record stays usable and stays.
     if ckptstore::enabled(w) {
         for g in generations(w, port) {
-            let first = read(w, port, g)
-                .ok()
-                .and_then(|r| Some(r.paths().next()?.1));
-            if first.is_some_and(|path| !ckptstore::holds_manifest(w, &path)) {
+            let expired = read(w, port, g)
+                .is_ok_and(|r| r.paths().any(|(_, p)| !ckptstore::holds_manifest(w, &p)));
+            if expired {
                 w.shared_fs.remove(&record_path(port, g)).ok();
             }
         }

@@ -228,3 +228,83 @@ fn store_retention_bounds_the_record_count() {
         .expect("newest generation restores");
     assert_eq!(out.gen, total);
 }
+
+/// A record goes when *any* image it names is gone, not only its first. A
+/// process that checkpoints once and exits never commits again, so its one
+/// image never expires; when its host sorts first it heads the record of
+/// that generation, and a rule that asks after the first image alone keeps
+/// the record for good — naming long-lived processes' images that expired
+/// long ago. Every record that survives must restore everyone it names.
+#[test]
+fn a_process_that_exits_does_not_keep_its_generations_record_alive() {
+    use oskit::world::NodeId;
+    const RETENTION: u32 = 2;
+    let (mut w, mut sim) = cluster(3);
+    ckptstore::install(
+        &mut w,
+        ckptstore::Config {
+            retention: RETENTION,
+            ..Default::default()
+        },
+    );
+    let s = Session::start(&mut w, &mut sim, Options::default());
+    let port = s.opts.coord_port;
+    // Long-lived: the chain across nodes 1 and 2.
+    s.launch(
+        &mut w,
+        &mut sim,
+        NodeId(2),
+        "server",
+        Box::new(EchoPlusOne::new(9000)),
+    );
+    let client = ChainClient::new("node02", 9000, 6_000);
+    s.launch(&mut w, &mut sim, NodeId(1), "client", Box::new(client));
+    // First by host name and short-lived: a chain inside node 0 that is
+    // done soon after generation 1.
+    s.launch(
+        &mut w,
+        &mut sim,
+        NodeId(0),
+        "server",
+        Box::new(EchoPlusOne::new(9001)),
+    );
+    let client = ChainClient::new("node00", 9001, 70);
+    s.launch(&mut w, &mut sim, NodeId(0), "client", Box::new(client));
+
+    let total = 1 + 3 * RETENTION as u64;
+    for gen in 1..=total {
+        run_for(&mut w, &mut sim, Nanos::from_millis(10));
+        let g = s.checkpoint_and_wait(&mut w, &mut sim, EV).expect_ckpt();
+        assert_eq!(g.gen, gen);
+        if gen == 1 {
+            let rec = catalog::read(&w, port, 1).expect("just committed");
+            assert_eq!(rec.images.len(), 4, "everyone is in generation 1");
+            assert_eq!(rec.images[0].0, "node00", "the short-lived pair heads it");
+        }
+    }
+    let kept = catalog::generations(&w, port);
+    assert_eq!(kept.last(), Some(&total));
+    assert!(
+        kept.len() <= RETENTION as usize + 2,
+        "records must not outlive their images: {kept:?}"
+    );
+    for g in &kept {
+        let rec = catalog::read(&w, port, *g).expect("listed");
+        for (host, path) in rec.paths() {
+            let node = w.resolve(host).expect("a host of this cluster");
+            assert!(
+                ckptstore::resolve_image(&w, node, &path).is_some(),
+                "record {g} names {path}, which no store can produce"
+            );
+        }
+    }
+    let oldest = catalog::read(&w, port, kept[0]).expect("listed");
+    assert_eq!(oldest.images.len(), 2, "the pair on node 0 exited long ago");
+    s.kill_computation(&mut w, &mut sim);
+    let out = RestartPlan::from_generation(&w, port, kept[0])
+        .expect("record present")
+        .execute(&s, &mut w, &mut sim)
+        .expect("every image it names is there");
+    let restored: usize = out.placement.iter().map(|(_, v)| v.len()).sum();
+    assert_eq!(restored, oldest.images.len(), "{:?}", out.placement);
+}

@@ -66,6 +66,15 @@ impl ImageName {
             ..self.clone()
         }
     }
+
+    /// The path up to the generation digits — what every generation of
+    /// this process's image starts with and no other image does, so a
+    /// sorted listing finds the generations that exist without counting
+    /// from 1. The rest of a listed path goes back through
+    /// [`ImageName::parse`].
+    pub fn lineage_prefix(&self) -> String {
+        format!("{}/ckpt_{}_gen", self.dir, self.vpid)
+    }
 }
 
 impl std::fmt::Display for ImageName {
@@ -298,6 +307,14 @@ mod tests {
         assert_eq!(n.to_string(), p);
         let older = n.with_gen(3).to_string();
         assert_eq!(older, "/ckpt_gen9/t_gen1/ckpt_40001_gen3.dmtcp");
+        // Every generation starts with the lineage prefix; another vpid
+        // that merely starts with the same digits does not.
+        assert_eq!(older.strip_prefix(&n.lineage_prefix()), Some("3.dmtcp"));
+        let longer_vpid = ImageName {
+            vpid: 400010,
+            ..n.clone()
+        };
+        assert!(!longer_vpid.to_string().starts_with(&n.lineage_prefix()));
         for bad in [
             "/ckpt/no-generation",
             "/ckpt/ckpt_+1_gen2.dmtcp",

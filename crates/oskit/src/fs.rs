@@ -14,6 +14,7 @@
 //! and support byte-accurate read-back.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 /// Mount point of the cluster-shared filesystem.
 pub const SHARED_MOUNT: &str = "/shared";
@@ -227,17 +228,62 @@ pub enum FsError {
     NotMaterialized,
 }
 
-/// One filesystem tree (flat path → file map; directories are implicit).
+/// A token whose holder can tell, in O(1), whether anything but itself has
+/// changed a filesystem's [`STORE_ROOT`] subtree since it last looked: the
+/// holder puts the seal on with [`Fs::seal_store`] after its own writes, and
+/// every other mutation under [`STORE_ROOT`] takes it off. Identity is the
+/// allocation, not a number: a seal found on an [`Fs`] was put there by the
+/// holder of that very seal, on that very `Fs` value — a clone starts
+/// unsealed, so a filesystem that was *replaced* (a transplanted disk, two
+/// nodes' disks swapped) can never pass for the one that was sealed.
 #[derive(Debug, Clone, Default)]
+pub struct StoreSeal(Rc<()>);
+
+/// One filesystem tree (flat path → file map; directories are implicit).
+#[derive(Debug, Default)]
 pub struct Fs {
     files: BTreeMap<String, FileNode>,
     readonly_dirs: BTreeSet<String>,
+    /// On while nothing has changed a store path since [`Fs::seal_store`].
+    store_seal: Option<StoreSeal>,
+}
+
+/// A copy is another disk: same files, no seal.
+impl Clone for Fs {
+    fn clone(&self) -> Self {
+        Fs {
+            files: self.files.clone(),
+            readonly_dirs: self.readonly_dirs.clone(),
+            store_seal: None,
+        }
+    }
 }
 
 impl Fs {
     /// An empty filesystem.
     pub fn new() -> Self {
         Fs::default()
+    }
+
+    /// Put `seal` on the store subtree (see [`StoreSeal`]).
+    pub fn seal_store(&mut self, seal: &StoreSeal) {
+        self.store_seal = Some(seal.clone());
+    }
+
+    /// Is `seal` still on — has every change under [`STORE_ROOT`] since
+    /// `seal_store(seal)` been followed by another `seal_store(seal)`?
+    pub fn store_sealed_by(&self, seal: &StoreSeal) -> bool {
+        self.store_seal
+            .as_ref()
+            .is_some_and(|s| Rc::ptr_eq(&s.0, &seal.0))
+    }
+
+    /// Every method that can change what a path holds calls this first: a
+    /// change under [`STORE_ROOT`] takes the seal off.
+    fn unseal(&mut self, path: &str) {
+        if self.store_seal.is_some() && path.starts_with(STORE_ROOT) {
+            self.store_seal = None;
+        }
     }
 
     /// Does `path` exist?
@@ -260,6 +306,7 @@ impl Fs {
 
     /// Create or truncate a file; fails under a read-only directory.
     pub fn create(&mut self, path: &str) -> Result<(), FsError> {
+        self.unseal(path);
         if let Some(f) = self.files.get_mut(path) {
             if !f.writable {
                 return Err(FsError::ReadOnly);
@@ -284,6 +331,7 @@ impl Fs {
     /// caller whose write was torn (truncated by a fault) can compare against
     /// the file's eventual size and resume the interrupted extent.
     pub fn append(&mut self, path: &str, bytes: &[u8]) -> Result<u64, FsError> {
+        self.unseal(path);
         let f = self.files.get_mut(path).ok_or(FsError::NotFound)?;
         if !f.writable {
             return Err(FsError::ReadOnly);
@@ -295,6 +343,7 @@ impl Fs {
     /// Append a virtual extent to an existing file. Returns the extent size
     /// written (see [`Fs::append`]).
     pub fn append_virtual(&mut self, path: &str, len: u64, meta: Vec<u8>) -> Result<u64, FsError> {
+        self.unseal(path);
         let f = self.files.get_mut(path).ok_or(FsError::NotFound)?;
         if !f.writable {
             return Err(FsError::ReadOnly);
@@ -322,6 +371,7 @@ impl Fs {
 
     /// Mutably borrow a file node.
     pub fn get_mut(&mut self, path: &str) -> Option<&mut FileNode> {
+        self.unseal(path);
         self.files.get_mut(path)
     }
 
@@ -332,6 +382,7 @@ impl Fs {
 
     /// Delete a file.
     pub fn remove(&mut self, path: &str) -> Result<(), FsError> {
+        self.unseal(path);
         self.files.remove(path).map(|_| ()).ok_or(FsError::NotFound)
     }
 
@@ -460,6 +511,34 @@ mod tests {
         assert_eq!(fs.create("/usr/lib/libc.so"), Err(FsError::ReadOnly));
         assert!(fs.create("/home/u/f").is_ok());
         assert!(!fs.dir_writable("/usr/lib/x/y"));
+    }
+
+    #[test]
+    fn store_seal_comes_off_on_any_store_change_and_never_copies() {
+        let chunk = format!("{STORE_ROOT}/chunks/r0-1");
+        let mut fs = Fs::new();
+        fs.write_all(&chunk, b"x").unwrap();
+        let seal = StoreSeal::default();
+        assert!(!fs.store_sealed_by(&seal));
+        let change: [fn(&mut Fs, &str); 5] = [
+            |fs, p| _ = fs.create(p),
+            |fs, p| _ = fs.append(p, b"y"),
+            |fs, p| _ = fs.append_virtual(p, 1, vec![]),
+            |fs, p| _ = fs.get_mut(p),
+            |fs, p| _ = fs.remove(p),
+        ];
+        for f in change {
+            fs.seal_store(&seal);
+            f(&mut fs, "/ckpt/plain.img");
+            assert!(fs.store_sealed_by(&seal), "not a store path");
+            f(&mut fs, &chunk);
+            assert!(!fs.store_sealed_by(&seal));
+        }
+        // Another holder's seal is not this one, and a copy is another disk.
+        fs.seal_store(&seal);
+        assert!(!fs.store_sealed_by(&StoreSeal::default()));
+        assert!(!fs.clone().store_sealed_by(&seal));
+        assert!(fs.store_sealed_by(&seal));
     }
 
     #[test]

@@ -112,14 +112,19 @@ stage_perf() {
     echo "== perf package: build + unit tests (perf/Cargo.toml, outside the workspace) =="
     cargo build --release --offline --manifest-path perf/Cargo.toml
     cargo test --offline --manifest-path perf/Cargo.toml
-    echo "== perf smoke run (scale-relay, 1 s, untraced) =="
-    local last
-    last=$(./perf/target/release/perf run --workload scale-relay --seed 1 --seconds 1 --trace 0 | tail -n 1)
-    echo "$last"
-    if [[ "$last" != *'"correct":true'* || "$last" != *'"failed":0'* ]]; then
-        echo "tier1: perf smoke run did not report correct:true and failed:0" >&2
-        exit 1
-    fi
+    # Two smoke runs, one per half of the system: scale-relay never installs
+    # the chunk store; tenants-svc is the only path through svc admission,
+    # the tenant ledger and the store's GC.
+    local workload last
+    for workload in scale-relay tenants-svc; do
+        echo "== perf smoke run ($workload, 1 s, untraced) =="
+        last=$(./perf/target/release/perf run --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+        echo "$last"
+        if [[ "$last" != *'"correct":true'* || "$last" != *'"failed":0'* ]]; then
+            echo "tier1: perf smoke run ($workload) did not report correct:true and failed:0" >&2
+            exit 1
+        fi
+    done
 }
 
 stage_lint() {
