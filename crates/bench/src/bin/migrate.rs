@@ -13,6 +13,14 @@
 //!   stop-the-world reschedule. Total is checkpoint request → the restart's
 //!   refill barrier.
 //!
+//! A third run repeats the migration through the chunk store (node-local
+//! images, the replica ring as transfer channel) onto a node that holds no
+//! copy of the mover's image, and takes one more generation afterwards: the
+//! bytes that generation captures. A migrated process keeps its incremental
+//! baseline, so they are what the computation dirtied or mapped since —
+//! RunCMS, 0.4 s into loading its libraries here, maps twenty more — not
+//! the mover's whole image over again.
+//!
 //! Acceptance bar (enforced here, tracked by `scripts/bench_gate.sh`): the
 //! subset migration pause must be at least 3× shorter than the full
 //! checkpoint-restart cycle.
@@ -34,10 +42,15 @@ use simmpi::launch::{mpirun, Flavor, Launcher, MpiJob};
 
 const NODES: usize = 3;
 
-/// The shared workload: CG on nodes 0–1, RunCMS alone on node 1.
-fn workload() -> (World, OsSim, Session) {
+/// The shared workload: CG on nodes 0–1, RunCMS alone on node 1. Images go
+/// to the shared filesystem, or — `store` — through the chunk store to
+/// node-local disks.
+fn workload(store: bool) -> (World, OsSim, Session) {
     let (mut w, mut sim) = cluster_world(NODES);
-    let s = Session::start(&mut w, &mut sim, options(true, false, false));
+    if store {
+        ckptstore::install(&mut w, ckptstore::Config::default());
+    }
+    let s = Session::start(&mut w, &mut sim, options(true, false, store));
     let job = MpiJob {
         flavor: Flavor::OpenMpi,
         nodes: vec![NodeId(0), NodeId(1)],
@@ -73,7 +86,7 @@ fn mover(w: &World) -> (u32, NodeId) {
 
 /// Mean mover downtime across `reps` live migrations (node 1 ↔ node 2).
 fn measure_migrate(reps: usize) -> f64 {
-    let (mut w, mut sim, s) = workload();
+    let (mut w, mut sim, s) = workload(false);
     let mut pause = 0.0;
     for _ in 0..reps {
         let (vpid, node) = mover(&w);
@@ -97,7 +110,7 @@ fn measure_migrate(reps: usize) -> f64 {
 /// Mean time for `reps` full stop-the-world reschedules: checkpoint, kill
 /// everything, restart the generation packed onto a 2-node topology.
 fn measure_full_cycle(reps: usize) -> f64 {
-    let (mut w, mut sim, s) = workload();
+    let (mut w, mut sim, s) = workload(false);
     let mut total = 0.0;
     for _ in 0..reps {
         let t0 = sim.now();
@@ -118,6 +131,27 @@ fn measure_full_cycle(reps: usize) -> f64 {
     total / reps as f64
 }
 
+/// Raw bytes the first generation after a store-served migration reads and
+/// compresses, all processes together. RunCMS moves from node 1 to node 0:
+/// node 1's ring successor is node 2, so the target restores off a peer and
+/// starts with nothing of the image in its own store.
+fn measure_post_migrate() -> f64 {
+    let (mut w, mut sim, s) = workload(true);
+    let (vpid, node) = mover(&w);
+    assert_eq!(node, NodeId(1));
+    RestartPlan::builder()
+        .only_pids([vpid])
+        .topology([NodeId(0)])
+        .build()
+        .migrate(&s, &mut w, &mut sim, EV)
+        .expect("live migration through the store");
+    run_for(&mut w, &mut sim, Nanos::from_millis(50));
+    let before = w.obs.metrics.counter_total("szip.bytes_in");
+    let g = s.checkpoint_and_wait(&mut w, &mut sim, EV).expect_ckpt();
+    Session::wait_ckpt_written(&mut w, &mut sim, g.gen, EV).expect("generation committed");
+    (w.obs.metrics.counter_total("szip.bytes_in") - before) as f64
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let reps = if smoke { 1 } else { 3 };
@@ -126,11 +160,16 @@ fn main() {
     let migrate_pause_s = measure_migrate(reps);
     let restart_hetero_total_s = measure_full_cycle(reps);
     let ratio = restart_hetero_total_s / migrate_pause_s.max(1e-12);
+    let post_migrate_captured_bytes = measure_post_migrate();
 
     println!("  strategy                       downtime");
     println!("  live migration (1 process)    {migrate_pause_s:>8.3}s   (mover only; MPI job never stops)");
     println!("  full checkpoint-restart cycle {restart_hetero_total_s:>8.3}s   (everything down, repacked 3->2 nodes)");
     println!("  full/migrate ratio            {ratio:>8.1}x");
+    println!(
+        "  next generation after a store-served migration captures {:.3} MB",
+        post_migrate_captured_bytes / 1e6
+    );
 
     let mut j = JsonWriter::new();
     j.obj_begin()
@@ -138,6 +177,7 @@ fn main() {
         .field_f64("migrate_pause_s", migrate_pause_s)
         .field_f64("restart_hetero_total_s", restart_hetero_total_s)
         .field_f64("migrate_speedup_ratio", ratio)
+        .field_f64("post_migrate_captured_bytes", post_migrate_captured_bytes)
         .obj_end();
     match write_jsonl_lines("migrate", vec![j.into_string()]) {
         Ok(p) => println!("# wrote {p}"),
@@ -152,6 +192,7 @@ fn main() {
             ("migrate_pause_s", migrate_pause_s),
             ("restart_hetero_total_s", restart_hetero_total_s),
             ("migrate_speedup_ratio", ratio),
+            ("post_migrate_captured_bytes", post_migrate_captured_bytes),
         ],
     ) {
         eprintln!("# BENCH_migrate.json write failed: {e}");

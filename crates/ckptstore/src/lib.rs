@@ -103,6 +103,17 @@ impl mtcp::ImageStore for ChunkStore {
             .ok()?;
         Some(manifest::Manifest::decode(&bytes)?.logical_len)
     }
+
+    fn adopt(
+        &self,
+        w: &mut World,
+        now: simkit::Nanos,
+        node: oskit::world::NodeId,
+        from: oskit::world::NodeId,
+        path: &str,
+    ) {
+        sink::adopt(w, now, node, from, path)
+    }
 }
 
 /// Install the store into a world: every subsequent `mtcp::write_image`
@@ -289,6 +300,147 @@ mod tests {
         let img = mtcp::verify_image(&w, NodeId(0), "/ckpt/ckpt_1_gen1.dmtcp")
             .expect("replica must serve the image");
         assert!(!img.regions.is_empty());
+    }
+
+    /// Paths under `fs`'s store, for "these two stores hold the same files".
+    fn store_files(fs: &oskit::fs::Fs) -> Vec<(String, u64)> {
+        fs.list_prefix(oskit::fs::STORE_ROOT)
+            .map(|p| (p.to_string(), fs.size(p).expect("listed")))
+            .collect()
+    }
+
+    /// Give the hog real memory too and write two generations, the second
+    /// an incremental one: its manifest slices into the first's chunks.
+    fn two_generations(w: &mut World, sim: &OsSim, pid: Pid) -> String {
+        use oskit::mem::{Content, FillProfile, RegionKind, PROT_R, PROT_W};
+        let mem = &mut w.procs.get_mut(&pid).expect("live").mem;
+        let ids: Vec<_> = (0..6u64)
+            .map(|i| {
+                let bytes = FillProfile::Code.bytes(i + 1, 200_000);
+                let content = Content::Real(Rc::new(bytes));
+                mem.map(
+                    format!("heap{i}"),
+                    RegionKind::Heap,
+                    PROT_R | PROT_W,
+                    content,
+                )
+            })
+            .collect();
+        write_gen(w, sim, pid, 1);
+        w.procs
+            .get_mut(&pid)
+            .expect("live")
+            .mem
+            .write(ids[2], 9, b"dirty");
+        assert!(write_gen(w, sim, pid, 2).incremental);
+        "/ckpt/ckpt_1_gen2.dmtcp".to_string()
+    }
+
+    fn restore_on(w: &mut World, sim: &mut OsSim, node: NodeId, path: &str) -> Pid {
+        let img = mtcp::verify_image(w, node, path).expect("some store serves it");
+        let husk = w.spawn(
+            sim,
+            node,
+            "husk",
+            Box::new(Hog { pc: 1 }),
+            Pid(1),
+            BTreeMap::new(),
+        );
+        mtcp::restore_into(w, sim.now(), husk, node, path, &img).expect("restores");
+        husk
+    }
+
+    #[test]
+    fn a_restore_served_by_a_peer_adopts_the_image_file_for_file() {
+        let (mut w, mut sim, pid) = world();
+        install(&mut w, Config::default());
+        let path = two_generations(&mut w, &sim, pid);
+        // Node 0 wrote it, node 1 is its ring successor; node 2 has nothing.
+        assert!(store_files(&w.nodes[2].fs).is_empty());
+        let total = |w: &World, name| w.obs.metrics.counter_total(name);
+        let counted = [
+            "ckptstore.bytes_written",
+            "ckptstore.chunks_written",
+            "ckptstore.bytes_deduped",
+            "ckptstore.replication_bytes",
+        ];
+        let before = counted.map(|c| total(&w, c));
+        let served = total(&w, "ckptstore.replica_fetch_bytes");
+
+        let husk = restore_on(&mut w, &mut sim, NodeId(2), &path);
+        assert!(total(&w, "ckptstore.replica_fetch_bytes") > served);
+
+        // The target's store alone assembles the image now, to the blob the
+        // writer's store assembles; it holds the manifest byte for byte and
+        // exactly the chunk files that manifest names — copied, not cut,
+        // hashed, deduplicated or sent on.
+        let here = source::assemble(&w.nodes[2].fs, &path).expect("adopted whole");
+        let there = source::assemble(&w.nodes[0].fs, &path).expect("still served");
+        assert_eq!(format!("{here:?}"), format!("{there:?}"));
+        let mpath = manifest::manifest_path(&path);
+        let man = w.nodes[2].fs.read_all(&mpath).expect("manifest adopted");
+        assert_eq!(man, w.nodes[0].fs.read_all(&mpath).unwrap());
+        let named = gc::named(&man).expect("decodes");
+        let mut want: Vec<(String, u64)> = named
+            .iter()
+            .map(|id| manifest::chunk_path(id))
+            .chain([mpath.clone()])
+            .map(|p| (p.clone(), w.nodes[0].fs.size(&p).expect("on the peer")))
+            .collect();
+        want.sort();
+        assert_eq!(store_files(&w.nodes[2].fs), want);
+        assert_eq!(counted.map(|c| total(&w, c)), before);
+        assert_eq!(
+            w.obs.metrics.counter("ckptstore.adopted_bytes", 2),
+            want.iter().map(|(_, len)| len).sum::<u64>()
+        );
+        // The pass looked at this manifest's files, not at a store's history.
+        let visited = w.obs.metrics.counter("ckptstore.gc_visited", 2);
+        assert!(visited <= want.len() as u64, "visited {visited}");
+
+        // Which is all the restored process's next commit needs to alias.
+        w.suspend_user_threads(&mut sim, husk);
+        let r = mtcp::write_image(
+            &mut w,
+            sim.now(),
+            husk,
+            "/ckpt/ckpt_1_gen3.dmtcp",
+            mtcp::WriteMode::Compressed,
+            1,
+            vec![],
+        );
+        assert!(r.incremental);
+        assert_eq!(r.captured_raw_bytes, 0, "nothing dirtied since the restore");
+        mtcp::verify_image(&w, NodeId(2), "/ckpt/ckpt_1_gen3.dmtcp").expect("verifies");
+        // A second restore there is local: nothing more to adopt.
+        let adopted = w.obs.metrics.counter_total("ckptstore.adopted_bytes");
+        restore_on(&mut w, &mut sim, NodeId(2), &path);
+        assert_eq!(total(&w, "ckptstore.adopted_bytes"), adopted);
+    }
+
+    #[test]
+    fn a_torn_copy_is_not_adopted() {
+        let (mut w, mut sim, pid) = world();
+        install(&mut w, Config::default());
+        let path = two_generations(&mut w, &sim, pid);
+        // Tear one chunk of the writer's copy.
+        let man = w.nodes[0]
+            .fs
+            .read_all(&manifest::manifest_path(&path))
+            .unwrap();
+        let victim = manifest::chunk_path(&gc::named(&man).unwrap()[0]);
+        let torn = w.nodes[0].fs.get_mut(&victim).expect("chunk file");
+        let len = torn.blob.len();
+        torn.blob.truncate(len / 2);
+
+        sink::adopt(&mut w, Nanos::ZERO, NodeId(2), NodeId(0), &path);
+        assert!(store_files(&w.nodes[2].fs).is_empty(), "nothing adopted");
+
+        // The restore itself is served by the next whole copy — the ring
+        // successor's — and adopts that one.
+        restore_on(&mut w, &mut sim, NodeId(2), &path);
+        assert!(source::assemble(&w.nodes[2].fs, &path).is_some());
+        assert!(source::assemble(&w.nodes[0].fs, &path).is_none());
     }
 
     #[test]

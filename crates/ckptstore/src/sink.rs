@@ -20,7 +20,7 @@
 
 use crate::gc::{self, Pass};
 use crate::manifest::{chunk_path, manifest_path, ChunkRef, Lineage, Manifest};
-use crate::{Config, CHUNK_SIZE};
+use crate::{source, Config, CHUNK_SIZE};
 use mtcp::{ImageName, SinkCommit};
 use oskit::fs::{Blob, Chunk, Fs};
 use oskit::world::{NodeId, World};
@@ -470,6 +470,46 @@ pub(crate) fn commit(
         stored_bytes: new_bytes,
         io_done: rep_done,
     }
+}
+
+/// Make `node` a holder of the image `path` that `from`'s store has just
+/// served it for a restore: the manifest and every chunk file it names,
+/// copied file for file, manifest last. Nothing is re-chunked, hashed or
+/// replicated onward — the bytes crossed the wire for the restore and were
+/// CRC-checked on arrival, and `from` stays as much of a replica as it was.
+/// A copy on `from` that is no longer whole is not adopted at all. The
+/// local writes are charged at `now`; nobody waits for them.
+pub(crate) fn adopt(w: &mut World, now: Nanos, node: NodeId, from: NodeId, path: &str) {
+    let (ni, fi) = (node.0 as usize, from.0 as usize);
+    let mpath = manifest_path(path);
+    let Ok(man_bytes) = w.nodes[fi].fs.read_all(&mpath) else {
+        return;
+    };
+    let whole = Manifest::decode(&man_bytes).filter(|m| source::complete(&w.nodes[fi].fs, m));
+    let Some(names) = whole.and_then(|_| gc::named(&man_bytes)) else {
+        return;
+    };
+    let mut pass = Pass::begin(w, ni);
+    let mut adopted = 0u64;
+    for id in &names {
+        let cpath = chunk_path(id);
+        let theirs = &w.nodes[fi].fs.get(&cpath).expect("complete above").blob;
+        // Content-addressed: a local file of that name and length is it.
+        if w.nodes[ni].fs.size(&cpath) == Some(theirs.len()) {
+            continue;
+        }
+        let blob = theirs.clone();
+        adopted += blob.len();
+        let fs = &mut w.nodes[ni].fs;
+        fs.create(&cpath).expect("store dir writable");
+        fs.get_mut(&cpath).expect("just created").blob = blob;
+    }
+    adopted += pass.write_manifest(&mut w.nodes[ni].fs, &mpath, &man_bytes, Some(&names));
+    w.charge_storage_write(now, node, &mpath, adopted);
+    pass.finish(w, None);
+    w.obs
+        .metrics
+        .add("ckptstore.adopted_bytes", node.0 as u64, adopted);
 }
 
 #[cfg(test)]

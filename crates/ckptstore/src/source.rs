@@ -2,10 +2,37 @@
 //! chunks — from the reader's own store when it survived, otherwise from
 //! the first peer node whose store holds a complete replica.
 
-use crate::manifest::{chunk_path, manifest_path, Manifest};
+use crate::manifest::{chunk_path, manifest_path, ChunkRef, Manifest};
 use mtcp::ResolvedImage;
-use oskit::fs::{Blob, Chunk, Fs};
+use oskit::fs::{Blob, Chunk, FileNode, Fs};
 use oskit::world::{NodeId, World};
+
+/// The stored file behind manifest entry `c`, if it is there and can supply
+/// what the entry asks of it: its full length for a whole-chunk ref,
+/// materialized bytes up to the slice's end for a slice ref (a torn or
+/// virtual chunk cannot satisfy one). `None` is a torn upload that never
+/// completed.
+fn chunk_file<'f>(fs: &'f Fs, c: &ChunkRef) -> Option<&'f FileNode> {
+    let f = fs.get(&chunk_path(&c.id))?;
+    let fits = match c.off {
+        None => f.blob.len() == c.len,
+        Some(off) => {
+            f.blob.real_len() == f.blob.len()
+                && off
+                    .checked_add(c.len)
+                    .is_some_and(|end| end <= f.blob.len())
+        }
+    };
+    fits.then_some(f)
+}
+
+/// Whether the store on `fs` holds every byte `man` describes — the rule
+/// [`assemble`] trusts a replica by, for a caller that wants the files and
+/// not the blob.
+pub(crate) fn complete(fs: &Fs, man: &Manifest) -> bool {
+    man.chunks.iter().all(|c| chunk_file(fs, c).is_some())
+        && man.chunks.iter().map(|c| c.len).sum::<u64>() == man.logical_len
+}
 
 /// Reassemble `logical` from one store, or `None` when the manifest is
 /// missing or any chunk is absent/torn (a partial replica must not be
@@ -15,25 +42,16 @@ use oskit::world::{NodeId, World};
 /// earlier image) are materialized here by slicing the stored chunk's real
 /// bytes, so the blob handed back to `mtcp` is byte-identical to the full
 /// image the writer described — the reader never sees an alias.
-fn assemble(fs: &Fs, logical: &str) -> Option<Blob> {
+pub(crate) fn assemble(fs: &Fs, logical: &str) -> Option<Blob> {
     let bytes = fs.read_all(&manifest_path(logical)).ok()?;
     let man = Manifest::decode(&bytes)?;
     let mut blob = Blob::new();
     for c in &man.chunks {
-        let f = fs.get(&chunk_path(&c.id))?;
+        let f = chunk_file(fs, c)?;
         if let Some(off) = c.off {
-            // A slice ref must land inside materialized bytes; a torn or
-            // virtual chunk cannot satisfy it.
             let stored = f.blob.read_all()?;
-            let end = off.checked_add(c.len)? as usize;
-            if end > stored.len() {
-                return None; // torn upload never completed
-            }
-            blob.append_bytes(&stored[off as usize..end]);
+            blob.append_bytes(&stored[off as usize..(off + c.len) as usize]);
             continue;
-        }
-        if f.blob.len() != c.len {
-            return None; // torn upload never completed
         }
         for ch in f.blob.chunks() {
             match ch {
@@ -73,7 +91,6 @@ pub(crate) fn resolve(w: &World, node: NodeId, path: &str) -> Option<ResolvedIma
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manifest::ChunkRef;
 
     #[test]
     fn assemble_rejects_missing_and_torn_chunks() {

@@ -90,7 +90,11 @@ pub struct Options {
     pub ckpt_dir: String,
     /// gzip the images (DMTCP's default: on).
     pub compression: bool,
-    /// Forked checkpointing (experimental in the paper).
+    /// Forked checkpointing (experimental in the paper): each process *may*
+    /// fork for a checkpoint, and does whenever the fork stops it for less
+    /// time than writing the image in-line would
+    /// ([`mtcp::write_checkpoint`]). Carried in the environment, so it holds
+    /// after a restart as it did at launch.
     pub forked: bool,
     /// `--interval`: periodic checkpoints.
     pub interval: Option<Nanos>,
@@ -156,7 +160,8 @@ impl OptionsBuilder {
         self
     }
 
-    /// Forked (copy-on-write) checkpointing (default off).
+    /// Forked (copy-on-write) checkpointing, wherever forking pays
+    /// (default off).
     pub fn forked(mut self, on: bool) -> Self {
         self.opts.forked = on;
         self

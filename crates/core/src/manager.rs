@@ -131,14 +131,11 @@ pub struct Manager {
     // Stage timestamps (local barrier-release receipt times).
     t_request: Nanos,
     t_stage: [Nanos; 7],
-    write_resume_at: Nanos,
     /// In-flight forked (background) image write: holds the COW snapshot
     /// alive so application writes during the overlapped drain are charged
-    /// as copies. `Some` from the fork until the pipeline drains.
+    /// as copies. `Some` from the fork until the pipeline drains; the image
+    /// is recorded with the coordinator only then.
     forked: Option<mtcp::ForkedWrite>,
-    /// Image path of the in-flight forked write (recorded with the
-    /// coordinator only once durable).
-    bg_path: String,
     /// Retransmit deadline for the in-flight `BarrierReached` (armed while
     /// awaiting a release; the network may have eaten either direction).
     deadline: Option<Nanos>,
@@ -146,6 +143,9 @@ pub struct Manager {
     /// Jitter source, seeded from the vpid so retries are deterministic
     /// per process without consuming the world's RNG.
     rng: Option<DetRng>,
+    /// A request for the next generation that arrived while a release of
+    /// this one was still awaited (see [`Manager::released`]).
+    parked_request: Option<u64>,
 }
 
 impl Manager {
@@ -163,12 +163,11 @@ impl Manager {
             saved_owners: Vec::new(),
             t_request: Nanos::ZERO,
             t_stage: [Nanos::ZERO; 7],
-            write_resume_at: Nanos::ZERO,
             forked: None,
-            bg_path: String::new(),
             deadline: None,
             backoff: BARRIER_RETRY_INITIAL,
             rng: None,
+            parked_request: None,
         }
     }
 
@@ -293,6 +292,17 @@ impl Manager {
                 // The coordinator retransmitted the request that started
                 // this generation; we are already past it.
                 Ok(Some(Msg::CkptRequest(g))) if g <= self.cur_gen => continue,
+                // The coordinator starts the next generation only once this
+                // one has settled, so its request was sent behind the
+                // release awaited here — and overtook it: two sends at one
+                // instant on a loopback control channel arrive shortest
+                // first (a checkpoint requested the moment a restart or a
+                // forked drain completes). Park it; `Idle` takes it up when
+                // the release has been read.
+                Ok(Some(Msg::CkptRequest(g))) => {
+                    self.parked_request = Some(g);
+                    continue;
+                }
                 Ok(Some(Msg::CkptAbort(g))) => {
                     if g == self.cur_gen {
                         self.deadline = None;
@@ -702,45 +712,46 @@ impl Manager {
         };
         let path = name.to_string();
         let now = k.now();
-        if mode == mtcp::WriteMode::ForkedCompressed {
-            // Forked checkpointing: COW-snapshot and return after the fork
-            // pause; compression and I/O drain in the background. The image
-            // is *not* recorded with the coordinator (nor visible to the
-            // fault injector) until the pipeline completes — a restart
-            // before then must use the previous generation.
-            let fw = mtcp::begin_forked_write(k.w, now, pid, &path, vpid, meta);
-            global(k.w).checkpointed_vpids.insert(vpid);
-            if k.obs().journal.wants(obs::journal::CLASS_STAGE) {
-                let gen = self.cur_gen;
-                let args = [
-                    ("gen", gen),
-                    ("vpid", vpid as u64),
-                    ("dirty_bytes", fw.report.captured_raw_bytes),
-                    ("incremental", fw.report.incremental as u64),
-                ];
-                k.obs().journal.record(
-                    now,
-                    obs::journal::CLASS_STAGE,
-                    "drain.begin",
-                    None,
-                    &args,
-                    "",
-                );
-            }
-            self.write_resume_at = fw.report.resume_at;
-            let resume_at = fw.report.resume_at;
-            self.forked = Some(fw);
-            self.bg_path = path;
-            return resume_at;
-        }
-        let report = mtcp::write_image(k.w, now, pid, &path, mode, vpid, meta);
+        // MTCP decides how: forked mode lets it fork, and it does when the
+        // fork stops the application for less than the write would.
+        let written = mtcp::write_checkpoint(k.w, now, pid, &path, mode, vpid, meta);
         global(k.w).checkpointed_vpids.insert(vpid);
-        let host = k.hostname();
-        let node = k.node();
-        faultkit::image_written(k.w, self.cur_gen, node, &path);
-        record_image(k.w, root_port, host, name);
-        self.write_resume_at = report.resume_at;
-        report.resume_at
+        match written {
+            mtcp::Written::Inline(report) => {
+                let host = k.hostname();
+                let node = k.node();
+                faultkit::image_written(k.w, self.cur_gen, node, &path);
+                record_image(k.w, root_port, host, name);
+                report.resume_at
+            }
+            mtcp::Written::Forked(fw) => {
+                // COW-snapshotted; this returns after the fork pause while
+                // compression and I/O drain in the background. The image
+                // is *not* recorded with the coordinator (nor visible to
+                // the fault injector) until the pipeline completes — a
+                // restart before then must use the previous generation.
+                if k.obs().journal.wants(obs::journal::CLASS_STAGE) {
+                    let gen = self.cur_gen;
+                    let args = [
+                        ("gen", gen),
+                        ("vpid", vpid as u64),
+                        ("dirty_bytes", fw.report.captured_raw_bytes),
+                        ("incremental", fw.report.incremental as u64),
+                    ];
+                    k.obs().journal.record(
+                        now,
+                        obs::journal::CLASS_STAGE,
+                        "drain.begin",
+                        None,
+                        &args,
+                        "",
+                    );
+                }
+                let resume_at = fw.report.resume_at;
+                self.forked = Some(fw);
+                resume_at
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -964,7 +975,6 @@ impl Manager {
                     "",
                 );
             }
-            self.bg_path.clear();
         }
         let pid = k.pid;
         k.w.resume_user_threads(k.sim, pid);
@@ -1032,7 +1042,11 @@ impl oskit::program::Program for Manager {
                     Ok(()) => self.phase = Phase::Idle,
                     Err(step) => return step,
                 },
-                Phase::Idle => match self.poll_coord(k) {
+                Phase::Idle => match self
+                    .parked_request
+                    .take()
+                    .map_or_else(|| self.poll_coord(k), |gen| Ok(Some(Msg::CkptRequest(gen))))
+                {
                     Ok(Some(Msg::CkptRequest(gen))) if gen > self.cur_gen => {
                         self.cur_gen = gen;
                         self.t_request = k.now();
@@ -1246,12 +1260,11 @@ impl oskit::program::Program for Manager {
                             "",
                         );
                     }
-                    let path = std::mem::take(&mut self.bg_path);
                     let node = k.node();
                     let host = k.hostname();
-                    faultkit::image_written(k.w, self.cur_gen, node, &path);
                     let h = hijack_of(k.w, k.pid).expect("traced");
                     let (root_port, name) = (h.root_port, h.image_name(self.cur_gen));
+                    faultkit::image_written(k.w, self.cur_gen, node, &name.to_string());
                     record_image(k.w, root_port, host, name);
                     let gen = self.cur_gen;
                     let start = self.t_stage[6];

@@ -509,14 +509,12 @@ impl RestartProc {
             let mut h = hijack_from_env(l.table.vpid, &k.w.procs[&child].env);
             // Restart's deliberate differences from the launched state — a
             // restored manager registers directly with the root coordinator
-            // this restart process was pointed at, checkpoints in-line, and
-            // never syncs. ROADMAP item 2 deletes this block.
+            // this restart process was pointed at and never syncs. The write
+            // mode is not one of them: a process launched forked checkpoints
+            // forked after a restart too. ROADMAP item 2 deletes this block.
             h.coord_host = self.coord_host.clone();
             h.coord_port = self.coord_port;
             h.root_port = self.coord_port;
-            if h.mode == mtcp::WriteMode::ForkedCompressed {
-                h.mode = mtcp::WriteMode::Compressed;
-            }
             h.sync = crate::launch::SyncMode::None;
             h.gen = self.gen;
             h.drained = l.table.drained.clone();

@@ -721,9 +721,61 @@ impl Program for ShmProbe {
     }
 }
 
+/// A second user thread that gives a checkpoint-unaware test process a
+/// working set: it maps a 64 KiB anonymous region and rewrites all of it
+/// every millisecond. The test programs above own no memory at all, and
+/// `mtcp::write_checkpoint` rightly writes an image that small in-line;
+/// with this thread every generation — an incremental one included — has
+/// 64 KiB to compress (4.5 ms in-line) against a 0.3 ms fork, so a forked
+/// session forks. The bytes are noise, which szip stores as they are: a
+/// bit flipped anywhere in the image's payload is a bit flipped in memory,
+/// never slack in a match token that decodes to the same bytes.
+pub struct WorkingSet {
+    pub mapped: bool,
+    pub region: u64,
+    pub tick: u64,
+}
+simkit::impl_snap!(struct WorkingSet { mapped, region, tick });
+
+impl WorkingSet {
+    pub const LEN: usize = 64 << 10;
+
+    /// Add one to the freshly launched process `pid`.
+    pub fn add_to(w: &mut World, sim: &mut OsSim, pid: oskit::world::Pid) {
+        let ws = WorkingSet {
+            mapped: false,
+            region: 0,
+            tick: 0,
+        };
+        let p = w.procs.get_mut(&pid).expect("just launched");
+        let tid = p.add_thread(Box::new(ws), true);
+        w.schedule_dispatch(sim, pid, tid);
+    }
+}
+
+impl Program for WorkingSet {
+    fn step(&mut self, k: &mut Kernel<'_>) -> Step {
+        if !self.mapped {
+            self.region = k.mmap_anon("working-set", Self::LEN) as u64;
+            self.mapped = true;
+        }
+        self.tick += 1;
+        let noise = oskit::mem::FillProfile::Random.bytes(self.tick, Self::LEN);
+        k.mem_write(self.region as usize, 0, &noise);
+        Step::Sleep(Nanos::from_millis(1))
+    }
+    fn tag(&self) -> &'static str {
+        "working-set"
+    }
+    fn save(&self) -> Vec<u8> {
+        self.to_snap_bytes()
+    }
+}
+
 /// Registry with every test application.
 pub fn test_registry() -> Registry {
     let mut r = Registry::new();
+    r.register_snap::<WorkingSet>("working-set");
     r.register_snap::<EchoPlusOne>("echo-plus-one");
     r.register_snap::<ChainClient>("chain-client");
     r.register_snap::<PipeChain>("pipe-chain");

@@ -462,6 +462,29 @@ fn run_cell(cell: &Cell, reference: &[(&'static str, String)], budget: u64) {
     }
 }
 
+/// Launch the cell's workload under `s`. A `forked` cell's processes each
+/// get a [`WorkingSet`]: forked mode forks only where forking pays, and the
+/// cell is about the drain window a fork opens.
+fn launch_workload(cell: &Cell, s: &Session, w: &mut World, sim: &mut OsSim) {
+    let procs: Vec<(NodeId, &str, Box<dyn oskit::program::Program>)> = match cell.wl {
+        Workload::Chain => vec![
+            (NodeId(1), "server", Box::new(EchoPlusOne::new(9000))),
+            (
+                NodeId(0),
+                "client",
+                Box::new(FtChainClient::new("node01", 9000, CHAIN_ROUNDS)),
+            ),
+        ],
+        Workload::Pipe => vec![(NodeId(1), "pipe", Box::new(FtPipeChain::new(PIPE_TOTAL)))],
+    };
+    for (node, cmd, prog) in procs {
+        let pid = s.launch(w, sim, node, cmd, prog);
+        if cell.forked {
+            WorkingSet::add_to(w, sim, pid);
+        }
+    }
+}
+
 /// The cell experiment itself, against a caller-owned world (so the caller
 /// can salvage the flight-recorder journal when this panics).
 fn drive_cell(
@@ -504,33 +527,7 @@ fn drive_cell(
             target_gen: 2,
         },
     );
-    match cell.wl {
-        Workload::Chain => {
-            s.launch(
-                &mut *w,
-                &mut *sim,
-                NodeId(1),
-                "server",
-                Box::new(EchoPlusOne::new(9000)),
-            );
-            s.launch(
-                &mut *w,
-                &mut *sim,
-                NodeId(0),
-                "client",
-                Box::new(FtChainClient::new("node01", 9000, CHAIN_ROUNDS)),
-            );
-        }
-        Workload::Pipe => {
-            s.launch(
-                &mut *w,
-                &mut *sim,
-                NodeId(1),
-                "pipe",
-                Box::new(FtPipeChain::new(PIPE_TOTAL)),
-            );
-        }
-    }
+    launch_workload(cell, &s, &mut *w, &mut *sim);
 
     run_for(&mut *w, &mut *sim, Nanos::from_millis(6));
     let g1 = s
@@ -1086,33 +1083,7 @@ fn replay_cell() {
             target_gen: 2,
         },
     );
-    match cell.wl {
-        Workload::Chain => {
-            s.launch(
-                &mut w,
-                &mut sim,
-                NodeId(1),
-                "server",
-                Box::new(EchoPlusOne::new(9000)),
-            );
-            s.launch(
-                &mut w,
-                &mut sim,
-                NodeId(0),
-                "client",
-                Box::new(FtChainClient::new("node01", 9000, CHAIN_ROUNDS)),
-            );
-        }
-        Workload::Pipe => {
-            s.launch(
-                &mut w,
-                &mut sim,
-                NodeId(1),
-                "pipe",
-                Box::new(FtPipeChain::new(PIPE_TOTAL)),
-            );
-        }
-    }
+    launch_workload(&cell, &s, &mut w, &mut sim);
 
     let report = dmtcp::replay::drive(&mut w, &mut sim, &s, &recorded, Some(seek));
     eprintln!("{}", report.verdict());

@@ -7,7 +7,9 @@
 //! The write patterns are driven by [`simkit::DetRng`] seeds: 32 seeds,
 //! each a generation chain 6 deep, with a random subset of regions mutated
 //! (plus MAP_SHARED writes, late mappings, and unmappings) between
-//! generations.
+//! generations — and one recovery in the middle of every chain: generation
+//! *k* + 1 must be the same capture with a restart or a migration before it
+//! as without.
 mod common;
 
 use common::*;
@@ -17,7 +19,7 @@ use oskit::mem::{Content, FillProfile, RegionId, RegionKind, PROT_W};
 use oskit::program::{Program, Step};
 use oskit::world::{NodeId, OsSim, Pid, World};
 use simkit::{DetRng, Nanos, Snap};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 /// Lays out the address space the differential chains mutate: eight 16 KiB
@@ -92,9 +94,10 @@ fn mutable_regions(w: &World, pid: Pid) -> Vec<RegionId> {
 /// Apply one generation's random write pattern directly through the
 /// process's address space (the same code path `Kernel::mem_write` takes,
 /// so dirty tracking sees exactly these writes).
-fn mutate(w: &mut World, pid: Pid, rng: &mut DetRng) {
+fn mutate(w: &mut World, pid: Pid, rng: &mut DetRng) -> BTreeSet<RegionId> {
     let ids = mutable_regions(w, pid);
     let mem = &mut w.procs.get_mut(&pid).expect("live process").mem;
+    let mut touched = BTreeSet::new();
     for _ in 0..rng.range(1, 5) {
         let id = ids[rng.below(ids.len() as u64) as usize];
         let len = mem.region(id).expect("live region").len();
@@ -102,7 +105,21 @@ fn mutate(w: &mut World, pid: Pid, rng: &mut DetRng) {
         let mut buf = [0u8; 64];
         rng.fill_bytes(&mut buf);
         mem.write(id, off, &buf);
+        touched.insert(id);
     }
+    touched
+}
+
+/// The raw bytes an incremental capture must read: every region written or
+/// mapped since the baseline, and every MAP_SHARED one (someone else may
+/// have written it).
+fn must_capture(w: &World, pid: Pid, dirtied: &BTreeSet<RegionId>) -> u64 {
+    w.procs[&pid]
+        .mem
+        .iter()
+        .filter(|(id, r)| dirtied.contains(id) || matches!(r.content, Content::Shared(_)))
+        .map(|(_, r)| r.len())
+        .sum()
 }
 
 /// Per-region `(name, len, digest)` fingerprint of a process's memory.
@@ -126,8 +143,10 @@ fn write_and_compare(
     gen: u32,
     seed: u64,
 ) -> (mtcp::WriteReport, mtcp::WriteReport) {
-    let inc_path = format!("/ckpt/ckpt_1_gen{gen}.dmtcp");
+    let inc_path = image_path(gen);
     let full_path = format!("/ckpt/full_1_gen{gen}.dmtcp");
+    // Read where the process lives: after a migration that is not node 0.
+    let node = w.procs[&pid].node;
     let r_inc = mtcp::write_image(
         w,
         sim.now(),
@@ -150,13 +169,13 @@ fn write_and_compare(
         r_inc.raw_bytes, r_full.raw_bytes,
         "same instant, same address space"
     );
-    let img_i = mtcp::verify_image(w, NodeId(0), &inc_path)
+    let img_i = mtcp::verify_image(w, node, &inc_path)
         .unwrap_or_else(|e| panic!("seed {seed} gen {gen}: incremental verify: {e:?}"));
-    let img_f = mtcp::verify_image(w, NodeId(0), &full_path)
+    let img_f = mtcp::verify_image(w, node, &full_path)
         .unwrap_or_else(|e| panic!("seed {seed} gen {gen}: full verify: {e:?}"));
-    mtcp::restore_into(w, sim.now(), scratch_i, NodeId(0), &inc_path, &img_i)
+    mtcp::restore_into(w, sim.now(), scratch_i, node, &inc_path, &img_i)
         .unwrap_or_else(|e| panic!("seed {seed} gen {gen}: incremental restore: {e:?}"));
-    mtcp::restore_into(w, sim.now(), scratch_f, NodeId(0), &full_path, &img_f)
+    mtcp::restore_into(w, sim.now(), scratch_f, node, &full_path, &img_f)
         .unwrap_or_else(|e| panic!("seed {seed} gen {gen}: full restore: {e:?}"));
     assert_eq!(
         mem_fingerprint(w, scratch_i),
@@ -166,8 +185,80 @@ fn write_and_compare(
     (r_inc, r_full)
 }
 
+fn image_path(gen: u32) -> String {
+    format!("/ckpt/ckpt_1_gen{gen}.dmtcp")
+}
+
+/// The recovery dropped into the middle of a chain.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Recovery {
+    /// Kill, restart where it ran.
+    InPlace,
+    /// Migrate to the writer's ring successor, which holds a replica.
+    ToSuccessor,
+    /// Migrate to a node whose store holds nothing of the image.
+    ToStranger,
+    /// The newest generation is torn: a resilient restart falls back one.
+    FallBack,
+}
+
+impl Recovery {
+    const ALL: [Recovery; 4] = [
+        Recovery::InPlace,
+        Recovery::ToSuccessor,
+        Recovery::ToStranger,
+        Recovery::FallBack,
+    ];
+}
+
+/// Kill `pid` after it wrote generation `gen` and bring it back as `how`
+/// says, the way `RestartPlan` does: verify, then restore into a fresh
+/// process on the target node. Returns the new process and the generation
+/// it was restored from.
+fn recover(w: &mut World, sim: &mut OsSim, pid: Pid, gen: u32, how: Recovery) -> (Pid, u32) {
+    let home = w.procs[&pid].node;
+    w.signal(sim, pid, oskit::proc::sig::SIGKILL);
+    w.reap(pid);
+    let node = match how {
+        Recovery::InPlace | Recovery::FallBack => home,
+        Recovery::ToSuccessor => NodeId((home.0 + 1) % w.nodes.len() as u32),
+        Recovery::ToStranger => NodeId((home.0 + 2) % w.nodes.len() as u32),
+    };
+    let mut from = gen;
+    if how == Recovery::FallBack {
+        // Tear every copy of the newest generation's manifest.
+        let mpath = ckptstore::manifest::manifest_path(&image_path(gen));
+        for n in &mut w.nodes {
+            if let Some(f) = n.fs.get_mut(&mpath) {
+                let len = f.blob.len();
+                f.blob.truncate(len / 2);
+            }
+        }
+        mtcp::verify_image(w, node, &image_path(gen)).expect_err("torn");
+        from = gen - 1;
+    }
+    let path = image_path(from);
+    let served_locally = ckptstore::resolve_image(w, node, &path)
+        .expect("some store serves it")
+        .fetched_from
+        .is_none();
+    assert_eq!(served_locally, how != Recovery::ToStranger, "{how:?}");
+    let img = mtcp::verify_image(w, node, &path).expect("verifies");
+    let husk = w.spawn(sim, node, "churn", Box::new(Idle), Pid(1), BTreeMap::new());
+    mtcp::restore_into(w, sim.now(), husk, node, &path, &img).expect("restores");
+    // Whoever served the restore, the node it ran on holds the image now.
+    let held = ckptstore::resolve_image(w, node, &path).expect("still served");
+    assert!(held.fetched_from.is_none(), "{how:?}: not adopted");
+    let st = mtcp::incr::state_of(w, husk).expect("a restore leaves a baseline");
+    assert_eq!(
+        st.prev_path, path,
+        "{how:?}: names exactly the image restored"
+    );
+    (husk, from)
+}
+
 fn chain_world(seed: u64) -> (World, OsSim, Pid, Pid, Pid) {
-    let mut w = World::new(oskit::HwSpec::cluster(), 2, registry());
+    let mut w = World::new(oskit::HwSpec::cluster(), 3, registry());
     let mut sim: OsSim = simkit::Sim::new();
     ckptstore::install(&mut w, ckptstore::Config::default());
     let pid = w.spawn(
@@ -202,23 +293,31 @@ fn chain_world(seed: u64) -> (World, OsSim, Pid, Pid, Pid) {
 /// The tentpole property, 32 seeds deep: every generation of a 6-deep
 /// chain restores bit-identically whether captured incrementally or in
 /// full, while generations ≥ 2 actually go incremental (alias extents
-/// emitted, only the dirty subset read and compressed).
+/// emitted, exactly the dirty subset read and compressed) — the one right
+/// after a kill and a restart, a migration, or a fallback included.
 #[test]
 fn incremental_restores_bit_identical_to_full_across_chains() {
     for seed in 0..32u64 {
-        let (mut w, sim, pid, scratch_i, scratch_f) = chain_world(seed);
+        let (mut w, mut sim, mut pid, scratch_i, scratch_f) = chain_world(seed);
         let mut rng = DetRng::seed_from_u64(simkit::mix2(0x1ec4, seed));
-        let mut late: Option<RegionId> = None;
-        for gen in 1..=6u32 {
+        let how = Recovery::ALL[(seed % 4) as usize];
+        let mut recovered = false;
+        let mut dirtied = BTreeSet::new();
+        let mut gen = 1u32;
+        while gen <= 6 {
             if gen > 1 {
-                mutate(&mut w, pid, &mut rng);
+                dirtied.extend(mutate(&mut w, pid, &mut rng));
             }
             // Exercise mapping churn mid-chain: a region mapped after the
             // last capture is dirty by definition; an unmapped one must
             // simply vanish from the next image.
+            let mem = &mut w.procs.get_mut(&pid).expect("live").mem;
+            let late = mem
+                .iter()
+                .find(|(_, r)| r.name == "late-arena")
+                .map(|(id, _)| id);
             if gen == 3 {
-                let mem = &mut w.procs.get_mut(&pid).expect("live").mem;
-                late = Some(mem.map(
+                dirtied.insert(mem.map(
                     "late-arena",
                     RegionKind::Anon,
                     oskit::mem::PROT_R | PROT_W,
@@ -226,23 +325,29 @@ fn incremental_restores_bit_identical_to_full_across_chains() {
                 ));
             }
             if gen == 5 {
-                let mem = &mut w.procs.get_mut(&pid).expect("live").mem;
-                mem.unmap(late.take().expect("mapped at gen 3"));
+                mem.unmap(late.expect("mapped at gen 3"));
             }
+            let expect = must_capture(&w, pid, &dirtied);
             let (r_inc, r_full) =
                 write_and_compare(&mut w, &sim, pid, scratch_i, scratch_f, gen, seed);
             if gen == 1 {
                 assert!(!r_inc.incremental, "no baseline at generation 1");
             } else {
-                assert!(r_inc.incremental, "seed {seed} gen {gen} stayed full");
-                assert!(
-                    r_inc.captured_raw_bytes < r_full.captured_raw_bytes,
-                    "seed {seed} gen {gen}: incremental captured {} of {} raw bytes",
-                    r_inc.captured_raw_bytes,
-                    r_full.captured_raw_bytes,
-                );
+                let at = format!("seed {seed} gen {gen} ({how:?}, recovered: {recovered})");
+                assert!(r_inc.incremental, "{at} stayed full");
+                assert_eq!(r_inc.captured_raw_bytes, expect, "{at}");
+                assert!(r_inc.captured_raw_bytes < r_full.captured_raw_bytes, "{at}");
             }
+            dirtied.clear();
+            if gen == 4 && !recovered {
+                // The next generation number is the one after the image
+                // restored: a fallback writes generation 4 over again.
+                let (husk, from) = recover(&mut w, &mut sim, pid, gen, how);
+                (pid, gen, recovered) = (husk, from, true);
+            }
+            gen += 1;
         }
+        assert!(recovered);
         assert!(
             w.obs.metrics.counter_total("mtcp.incr.aliased_regions") > 0,
             "seed {seed}: chain never emitted an alias extent"

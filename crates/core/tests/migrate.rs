@@ -837,3 +837,152 @@ fn target_node_loss_aborts_migration_and_movers_fall_back() {
         "mover diverged after fallback"
     );
 }
+
+// ---------------------------------------------------------------------
+// The first checkpoint after a recovery, requested with no gap at all.
+// ---------------------------------------------------------------------
+
+/// A checkpoint requested at the very event `wait_restart_done` (or
+/// `migrate`) returns on must complete like any other: "restart done" means
+/// the managers are back in their checkpoint loop, not merely that the
+/// coordinator has sent the release they are still waiting to read.
+fn checkpoint_with_zero_gap_after_recovery(topology: dmtcp::Topology) {
+    let budget = run_budget();
+    let (mut w, mut sim) = world(3);
+    let s = Session::start(
+        &mut w,
+        &mut sim,
+        Options::builder()
+            .ckpt_dir("/shared/ckpt")
+            .topology(topology)
+            .build(),
+    );
+    // One process beside the coordinator (a loopback control channel) and
+    // two across the network.
+    for (node, id) in [(0, 0), (1, 1), (1, 2)] {
+        let prog = Box::new(Ticker::new(id, 6_000));
+        s.launch(&mut w, &mut sim, NodeId(node), &format!("tick{id}"), prog);
+    }
+    run_for(&mut w, &mut sim, Nanos::from_millis(10));
+    let g1 = s
+        .checkpoint_and_wait(&mut w, &mut sim, budget)
+        .expect_ckpt();
+    assert_eq!((g1.gen, g1.participants), (1, 3));
+
+    // Kill → restart → checkpoint, back to back.
+    s.kill_computation(&mut w, &mut sim);
+    let out = RestartPlan::newest()
+        .execute(&s, &mut w, &mut sim)
+        .expect("restart");
+    Session::wait_restart_done(&mut w, &mut sim, out.gen, budget);
+    let g2 = s
+        .checkpoint_and_wait(&mut w, &mut sim, budget)
+        .expect_ckpt();
+    assert_eq!((g2.gen, g2.participants), (2, 3));
+
+    // Migrate → checkpoint, back to back.
+    let mover = vpid_of(&w, "tick0");
+    let report = RestartPlan::builder()
+        .only_pids([mover])
+        .topology([NodeId(2)])
+        .build()
+        .migrate(&s, &mut w, &mut sim, budget)
+        .expect("migration");
+    assert_eq!(report.gen, 3);
+    let g4 = s
+        .checkpoint_and_wait(&mut w, &mut sim, budget)
+        .expect_ckpt();
+    assert_eq!((g4.gen, g4.participants), (4, 3));
+
+    assert!(sim.run_bounded(&mut w, budget), "deadlock after recovery");
+    for id in 0..3 {
+        assert_eq!(
+            shared_result(&w, &Ticker::result_path(id)).as_deref(),
+            Some("6000"),
+            "ticker {id} diverged"
+        );
+    }
+}
+
+#[test]
+fn checkpoint_with_zero_gap_after_recovery_flat() {
+    checkpoint_with_zero_gap_after_recovery(dmtcp::Topology::Flat);
+}
+
+#[test]
+fn checkpoint_with_zero_gap_after_recovery_hierarchical() {
+    checkpoint_with_zero_gap_after_recovery(dmtcp::Topology::Hierarchical);
+}
+
+// ---------------------------------------------------------------------
+// Red cell: after a migration, the node the mover left *and* that node's
+// ring successor both lose their disks. The only whole copy of the mover's
+// image is the one its new node adopted when it restored from a peer.
+// ---------------------------------------------------------------------
+
+#[test]
+fn source_and_its_ring_successor_lost_after_migration_restart_from_the_adopted_copy() {
+    let budget = run_budget();
+    let (mut w, mut sim) = world(4);
+    ckptstore::install(&mut w, ckptstore::Config::default());
+    let s = Session::start(
+        &mut w,
+        &mut sim,
+        Options::builder().ckpt_dir("/ckpt").build(),
+    );
+    // Bystander beside the coordinator; the mover alone on node 1, whose
+    // one replica goes to node 2. Node 3 holds nothing of either.
+    for (node, id) in [(0, 0), (1, 1)] {
+        let prog = Box::new(Ticker::new(id, 3_000));
+        s.launch(&mut w, &mut sim, NodeId(node), &format!("tick{id}"), prog);
+    }
+    run_for(&mut w, &mut sim, Nanos::from_millis(10));
+    let mover = vpid_of(&w, "tick1");
+    let report = RestartPlan::builder()
+        .only_pids([mover])
+        .topology([NodeId(3)])
+        .build()
+        .migrate(&s, &mut w, &mut sim, budget)
+        .expect("live migration");
+    assert_eq!(report.placement, vec![(NodeId(3), vec![mover])]);
+    let image = format!("/ckpt/ckpt_{mover}_gen{}.dmtcp", report.gen);
+    let held_by = |w: &World, n: usize| {
+        let mpath = ckptstore::manifest::manifest_path(&image);
+        w.nodes[n].fs.exists(&mpath)
+    };
+    assert!(held_by(&w, 1) && held_by(&w, 2), "writer and its replica");
+    assert!(held_by(&w, 3), "the node that restored it adopted it");
+    assert!(!held_by(&w, 0));
+
+    // Crash: the whole computation dies, and nodes 1 and 2 with their disks.
+    s.kill_computation(&mut w, &mut sim);
+    for n in [1, 2] {
+        let fs = &mut w.nodes[n].fs;
+        let doomed: Vec<String> = fs.list_prefix("/").map(|p| p.to_string()).collect();
+        for p in doomed {
+            fs.remove(&p).expect("listed");
+        }
+    }
+    assert!(!held_by(&w, 1) && !held_by(&w, 2));
+
+    // The generation the migration committed is still whole: the bystander
+    // from its own node, the mover from the copy node 3 adopted.
+    let out = RestartPlan::builder()
+        .generation(report.gen)
+        .topology([NodeId(0), NodeId(3)])
+        .build()
+        .execute(&s, &mut w, &mut sim)
+        .expect("the adopted copy serves the restart");
+    assert!(out.rejected.is_empty());
+    let placed: BTreeSet<u32> = out.placement.iter().flat_map(|(_, v)| v.clone()).collect();
+    assert_eq!(placed.len(), 2);
+    Session::wait_restart_done(&mut w, &mut sim, out.gen, budget);
+    assert!(sim.run_bounded(&mut w, budget), "post-restart deadlock");
+    for id in [0, 1] {
+        assert_eq!(
+            shared_result(&w, &Ticker::result_path(id)).as_deref(),
+            Some("3000"),
+            "ticker {id} diverged"
+        );
+    }
+}

@@ -25,6 +25,15 @@
 //! [`crate::writer::ForkedWrite::abort`] merges the taken set back into
 //! the live address space and discards the pending cache — the next
 //! incremental capture is always relative to the last *durable* image.
+//!
+//! A restore is the other way a process comes to match a durable image:
+//! [`crate::reader::restore_into`] has just checked every region of the
+//! image against the bytes it mapped, so it rebuilds the state from that
+//! image's region table and arms dirty tracking on the new address space —
+//! a restarted or migrated process's next capture aliases the image it was
+//! restored from. The state dies with the address space it describes: at
+//! process exit (the world's [`oskit::world::ExitHook`]) and whenever a
+//! restore replaces the memory under it.
 
 use crate::image::StoredAs;
 use oskit::mem::RegionId;
@@ -93,9 +102,12 @@ pub fn state_of(w: &World, pid: Pid) -> Option<IncrState> {
     w.ext_ref::<IncrStates>()?.0.get(&pid).cloned()
 }
 
-/// Install `state` as `pid`'s last-durable-capture cache.
+/// Install `state` as `pid`'s last-durable-capture cache. A world that
+/// holds one drops it when its process exits.
 pub fn commit_state(w: &mut World, pid: Pid, state: IncrState) {
     w.ext::<IncrStates>().0.insert(pid, state);
+    w.exit_hook
+        .get_or_insert_with(|| std::rc::Rc::new(clear_state));
 }
 
 /// Drop `pid`'s cache (process death / teardown).

@@ -5,7 +5,7 @@
 //! space and thread contexts into an image file, and restores them. It knows
 //! nothing about sockets, coordinators, or other processes — that is the
 //! DMTCP layer's job, which drives MTCP through the small API in this crate
-//! (`write_image` / `read_image` / `restore_into`), mirroring the "separate
+//! (`write_checkpoint` / `read_image` / `restore_into`), mirroring the "separate
 //! layers with a small API between them" structure the paper credits for
 //! maintainability.
 //!
@@ -30,5 +30,6 @@ pub use incr::{IncrState, RegionRec};
 pub use reader::{read_image, restore_into, verify_image, ImageError, RestoreError, RestoreReport};
 pub use store::{ImageStore, ResolvedImage, SinkCommit};
 pub use writer::{
-    begin_forked_write, write_image, write_image_full, ForkedWrite, WriteMode, WriteReport,
+    begin_forked_write, write_checkpoint, write_image, write_image_full, ForkedWrite, WriteMode,
+    WriteReport, Written,
 };

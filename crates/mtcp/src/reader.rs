@@ -6,7 +6,8 @@
 //! shell, restores fds/sockets around it, and then calls down into MTCP,
 //! matching Figure 2 step 5 ("restore memory and threads").
 
-use crate::image::{CkptImage, HeaderError, StoredAs};
+use crate::image::{CkptImage, HeaderError, RegionMeta, StoredAs};
+use crate::incr::{self, IncrState, RegionRec};
 use oskit::fs::{Blob, Chunk};
 use oskit::mem::{Content, RegionKind};
 use oskit::proc::ThreadState;
@@ -127,18 +128,7 @@ pub fn verify_image(w: &World, node: NodeId, path: &str) -> Result<CkptImage, Im
     for (index, rm) in img.regions.iter().enumerate() {
         match &rm.stored {
             StoredAs::Real { comp_len } | StoredAs::Shared { comp_len, .. } => {
-                let stored = cursor
-                    .take_real(*comp_len as usize)
-                    .ok_or_else(|| RestoreError::BadPayload(rm.name.clone()))?;
-                let raw = unpack_real(&stored, img.compressed)
-                    .map_err(|_| RestoreError::BadPayload(rm.name.clone()))?;
-                if szip::crc32(&raw) != rm.crc {
-                    return Err(RestoreError::CrcMismatch {
-                        region: rm.name.clone(),
-                        index,
-                        offset: payload_off,
-                    });
-                }
+                cursor.take_checked(rm, *comp_len, img.compressed, index, payload_off)?;
                 payload_off += *comp_len;
             }
             StoredAs::Synthetic { comp_len, .. } => {
@@ -159,6 +149,15 @@ pub fn verify_image(w: &World, node: NodeId, path: &str) -> Result<CkptImage, Im
 /// world: recreate a missing backing file when the directory is writable;
 /// overwrite the live segment when the file is writable; otherwise map the
 /// file's current data instead of the checkpointed bytes.
+///
+/// A compressed image becomes the restored process's incremental baseline
+/// (see [`crate::incr`]): every region was just checked against the bytes
+/// mapped for it, so once the whole restore has succeeded the new address
+/// space tracks dirty regions and the process's state names `path` — its
+/// next capture aliases what it did not touch. When the bytes came off a
+/// peer's store, the installed store is asked to
+/// [`adopt`](crate::store::ImageStore::adopt) the image on `node`, which is
+/// where that capture will look for it.
 pub fn restore_into(
     w: &mut World,
     now: Nanos,
@@ -180,59 +179,29 @@ pub fn restore_into(
     cursor.skip_real(header_len);
 
     let mut new_mem = oskit::mem::AddressSpace::new();
+    // What a capture of exactly this image would have left behind: where
+    // each region's payload sits in it, under the ids of the new mapping.
+    // (Nothing aliases an uncompressed image.)
+    let mut baseline = img.compressed.then(|| IncrState {
+        prev_path: path.to_string(),
+        regions: std::collections::BTreeMap::new(),
+    });
     let mut raw_bytes = 0u64;
     let mut payload_off = header_len as u64;
     for (index, rm) in img.regions.iter().enumerate() {
         raw_bytes += rm.raw_len;
-        let region_off = payload_off;
-        payload_off += match &rm.stored {
-            StoredAs::Real { comp_len } => *comp_len,
-            StoredAs::Shared { comp_len, .. } => *comp_len,
-            StoredAs::Synthetic { comp_len, .. } => *comp_len,
-        };
-        match &rm.stored {
+        let (kind, content, stored_len) = match &rm.stored {
             StoredAs::Real { comp_len } => {
-                let stored = cursor
-                    .take_real(*comp_len as usize)
-                    .ok_or_else(|| RestoreError::BadPayload(rm.name.clone()))?;
-                let raw = unpack_real(&stored, img.compressed)
-                    .map_err(|_| RestoreError::BadPayload(rm.name.clone()))?;
-                if szip::crc32(&raw) != rm.crc {
-                    return Err(RestoreError::CrcMismatch {
-                        region: rm.name.clone(),
-                        index,
-                        offset: region_off,
-                    });
-                }
-                new_mem.map(
-                    rm.name.clone(),
-                    rm.kind.clone(),
-                    rm.prot,
-                    Content::Real(Rc::new(raw)),
-                );
+                let raw = cursor.take_checked(rm, *comp_len, img.compressed, index, payload_off)?;
+                (rm.kind.clone(), Content::Real(Rc::new(raw)), *comp_len)
             }
             StoredAs::Shared { backing, comp_len } => {
-                let stored = cursor
-                    .take_real(*comp_len as usize)
-                    .ok_or_else(|| RestoreError::BadPayload(rm.name.clone()))?;
-                let raw = unpack_real(&stored, img.compressed)
-                    .map_err(|_| RestoreError::BadPayload(rm.name.clone()))?;
-                if szip::crc32(&raw) != rm.crc {
-                    return Err(RestoreError::CrcMismatch {
-                        region: rm.name.clone(),
-                        index,
-                        offset: region_off,
-                    });
-                }
+                let raw = cursor.take_checked(rm, *comp_len, img.compressed, index, payload_off)?;
                 let seg = restore_shared_segment(w, node, backing, raw);
-                new_mem.map(
-                    rm.name.clone(),
-                    RegionKind::Shm {
-                        backing: backing.clone(),
-                    },
-                    rm.prot,
-                    Content::Shared(seg),
-                );
+                let kind = RegionKind::Shm {
+                    backing: backing.clone(),
+                };
+                (kind, Content::Shared(seg), *comp_len)
             }
             StoredAs::Synthetic {
                 seed,
@@ -243,18 +212,25 @@ pub fn restore_into(
                 cursor
                     .take_virtual(*comp_len)
                     .ok_or_else(|| RestoreError::BadPayload(rm.name.clone()))?;
-                new_mem.map(
-                    rm.name.clone(),
-                    rm.kind.clone(),
-                    rm.prot,
-                    Content::Synthetic {
-                        seed: *seed,
-                        len: rm.raw_len,
-                        profile: *profile,
-                    },
-                );
+                let content = Content::Synthetic {
+                    seed: *seed,
+                    len: rm.raw_len,
+                    profile: *profile,
+                };
+                (rm.kind.clone(), content, *comp_len)
             }
+        };
+        let id = new_mem.map(rm.name.clone(), kind, rm.prot, content);
+        if let Some(baseline) = &mut baseline {
+            let rec = RegionRec {
+                raw_len: rm.raw_len,
+                crc: rm.crc,
+                stored: rm.stored.clone(),
+                payload_off,
+            };
+            baseline.regions.insert(id, rec);
         }
+        payload_off += stored_len;
     }
 
     // Rebuild threads through the registry (must happen before we borrow
@@ -268,6 +244,15 @@ pub fn restore_into(
         new_threads.push(prog);
     }
 
+    // Nothing can fail from here on: the restore is complete and CRC-clean,
+    // so the image it came from is what the new memory is relative to.
+    match baseline {
+        Some(baseline) => {
+            new_mem.enable_dirty_tracking();
+            incr::commit_state(w, pid, baseline);
+        }
+        None => incr::clear_state(w, pid),
+    }
     {
         let p = w
             .procs
@@ -315,6 +300,11 @@ pub fn restore_into(
         now + spec.memcpy_time(raw_bytes)
     };
     let done_at = io_done.max(cpu_done);
+    // After the restore's own read is on the disk's books, so the copy the
+    // store keeps queues behind it and not the other way round.
+    if let (Some(from), Some(store)) = (fetched_from, crate::store::installed(w)) {
+        store.adopt(w, now, node, from, path);
+    }
     w.obs.metrics.add("mtcp.restore.bytes", 0, image_bytes);
     w.obs.spans.complete(
         obs::TrackId::new(node.0, img.vpid, 0),
@@ -417,6 +407,30 @@ impl<'a> BlobCursor<'a> {
         let out = b[..n].to_vec();
         self.skip_real(n);
         Some(out)
+    }
+
+    /// Take region `rm`'s `comp_len` stored bytes (at byte `offset` of the
+    /// image, region `index` of its table), unpack them and check them
+    /// against the recorded CRC: the raw bytes, or why not.
+    fn take_checked(
+        &mut self,
+        rm: &RegionMeta,
+        comp_len: u64,
+        compressed: bool,
+        index: usize,
+        offset: u64,
+    ) -> Result<Vec<u8>, RestoreError> {
+        let bad = || RestoreError::BadPayload(rm.name.clone());
+        let stored = self.take_real(comp_len as usize).ok_or_else(bad)?;
+        let raw = unpack_real(&stored, compressed).map_err(|_| bad())?;
+        if szip::crc32(&raw) != rm.crc {
+            return Err(RestoreError::CrcMismatch {
+                region: rm.name.clone(),
+                index,
+                offset,
+            });
+        }
+        Ok(raw)
     }
 
     fn take_virtual(&mut self, expect_len: u64) -> Option<()> {

@@ -76,6 +76,16 @@ pub trait ImageStore {
     fn alias_bound(&self, _w: &World, _node: NodeId, _prev_path: &str) -> Option<u64> {
         None
     }
+
+    /// A process on `node` was just restored, at `now`, from the image
+    /// `path` that [`ImageStore::resolve`] served out of `from`'s store
+    /// ([`ResolvedImage::fetched_from`]) — every byte checked on arrival.
+    /// A store that aliases makes `node` a holder of that image too, so the
+    /// restored process's next commit finds its baseline where
+    /// [`ImageStore::alias_bound`] looks for it. Whatever this writes is
+    /// charged at `now` but is not part of the restore: nothing waits for
+    /// it. The default store keeps no second copy.
+    fn adopt(&self, _w: &mut World, _now: Nanos, _node: NodeId, _from: NodeId, _path: &str) {}
 }
 
 /// The installed store (a typed world extension; absent = plain files).

@@ -15,6 +15,11 @@
 //! image is durable, and `ForkedWrite::abort` rolls the incremental
 //! baseline back when the generation dies mid-drain.
 //!
+//! [`write_checkpoint`] is what the checkpoint manager calls: it plans the
+//! capture first and then takes whichever of the two costs the application
+//! less — under [`WriteMode::ForkedCompressed`] it forks exactly when the
+//! fork is cheaper than compressing the planned bytes in-line.
+//!
 //! ## Incremental captures
 //!
 //! At generation N ≥ 2, when the address space has an armed dirty-region
@@ -25,9 +30,11 @@
 //! extents* — virtual payloads naming a byte range of the previous image —
 //! with their `RegionMeta` rebuilt from the cached CRC and compressed
 //! length (sound because szip is deterministic). Everything else — no
-//! store, store can't alias, uncompressed mode, first generation, freshly
-//! restored process — falls back to the full path, which also arms dirty
-//! tracking so the *next* generation can go incremental.
+//! store, store can't alias, uncompressed mode, first generation — falls
+//! back to the full path, which also arms dirty tracking so the *next*
+//! generation can go incremental. A restored process is not on that list:
+//! [`crate::reader::restore_into`] hands it the image it was restored from
+//! as its baseline.
 
 use crate::image::{CkptImage, RegionMeta, StoredAs, IMAGE_MAGIC};
 use crate::incr::{self, IncrState, RegionRec};
@@ -47,7 +54,10 @@ pub enum WriteMode {
     /// Pipe payloads through szip (the paper's gzip default).
     Compressed,
     /// Forked checkpointing: a COW child compresses and writes in the
-    /// background; the parent is blocked only for the fork itself.
+    /// background; the parent is blocked only for the fork itself. Given to
+    /// [`write_checkpoint`] this is permission, not an order — a capture
+    /// whose planned bytes compress faster than the address space forks is
+    /// written in-line.
     ForkedCompressed,
 }
 
@@ -76,6 +86,16 @@ pub struct WriteReport {
     pub captured_raw_bytes: u64,
     /// Whether this was an incremental (alias-extent) capture.
     pub incremental: bool,
+}
+
+/// How [`write_checkpoint`] wrote the image.
+#[derive(Debug)]
+pub enum Written {
+    /// In-line: the image is durable and the incremental baseline committed.
+    Inline(WriteReport),
+    /// Forked: the application resumes at `report.resume_at`; the caller
+    /// holds the handle until `report.image_complete_at`.
+    Forked(ForkedWrite),
 }
 
 /// An in-flight forked (background) checkpoint write.
@@ -235,6 +255,44 @@ pub fn write_image(
     report
 }
 
+/// Checkpoint `pid` into `path` the way that stops it for the shortest
+/// time: plan the capture, then — under [`WriteMode::ForkedCompressed`] —
+/// fork iff forking the address space costs less than compressing the
+/// planned bytes in-line. Both sides are costs the model already charges
+/// ([`oskit::HwSpec::fork_time`] of every mapped byte against
+/// [`oskit::HwSpec::gzip_time`] of the bytes this capture reads), so the
+/// choice follows the input: a process rewriting most of its memory forks,
+/// one that dirtied a region a hundredth of its size does not. The other
+/// modes have nothing to choose and are [`write_image`].
+pub fn write_checkpoint(
+    w: &mut World,
+    now: Nanos,
+    pid: Pid,
+    path: &str,
+    mode: WriteMode,
+    vpid: u32,
+    dmtcp_meta: Vec<u8>,
+) -> Written {
+    let plan = plan_capture(w, pid, mode, false);
+    let cap = capture_live(w, pid, mode.compressed(), &plan);
+    let may_fork = mode == WriteMode::ForkedCompressed;
+    if may_fork && w.spec.fork_time(cap.raw_bytes) < w.spec.gzip_time(cap.captured_raw_bytes) {
+        return Written::Forked(commit_forked(
+            w, now, pid, path, vpid, dmtcp_meta, plan, cap,
+        ));
+    }
+    // In-line — a forked-mode capture sent this way is a plain compressed
+    // one — the image is durable on return, so the baseline moves now.
+    let mode = if may_fork {
+        WriteMode::Compressed
+    } else {
+        mode
+    };
+    let (report, state) = commit_image(w, now, pid, path, mode, vpid, dmtcp_meta, cap);
+    pending_for(&plan, mode, state).apply(w, pid);
+    Written::Inline(report)
+}
+
 /// Capture a *full* image of `pid` at this instant without consuming the
 /// dirty set or moving the incremental baseline. This is the differential
 /// test hook: called next to [`write_image`] on the same suspended process
@@ -269,19 +327,33 @@ pub fn begin_forked_write(
     vpid: u32,
     dmtcp_meta: Vec<u8>,
 ) -> ForkedWrite {
-    // Plan against the *live* address space before forking: take_dirty and
-    // the COW snapshot happen at the same suspended instant, so the dirty
-    // set describes exactly the snapshot the image is built from.
     let plan = plan_capture(w, pid, WriteMode::ForkedCompressed, false);
+    let cap = capture_live(w, pid, true, &plan);
+    commit_forked(w, now, pid, path, vpid, dmtcp_meta, plan, cap)
+}
+
+/// Fork, and commit a planned, captured image from the child. Plan,
+/// capture and COW snapshot all happen at the same suspended instant, so
+/// the payloads read from the live address space are exactly the snapshot's
+/// — the pre-fork bytes the image must hold however soon the application
+/// dirties its own copy — and the dirty set describes exactly that snapshot.
+#[allow(clippy::too_many_arguments)]
+fn commit_forked(
+    w: &mut World,
+    now: Nanos,
+    pid: Pid,
+    path: &str,
+    vpid: u32,
+    dmtcp_meta: Vec<u8>,
+    plan: Plan,
+    cap: CaptureOut,
+) -> ForkedWrite {
     let snapshot = w
         .procs
         .get_mut(&pid)
         .expect("forked write of live process")
         .mem
         .begin_cow_snapshot();
-    // Build payloads from the *snapshot*: the application may dirty its own
-    // copy the moment it resumes, but the image must hold pre-fork bytes.
-    let cap = capture_planned(&snapshot, true, &plan, w.ext::<SynthSizes>());
     let (report, state) = commit_image(
         w,
         now,

@@ -1117,6 +1117,55 @@ mod tests {
     }
 
     #[test]
+    fn whole_region_overwrites_cow_and_dirty_like_any_other_write() {
+        // Property: under a snapshot, a random mix of partial and
+        // whole-region writes leaves the bytes a model array holds, the
+        // snapshot untouched, one charged copy per region however much of
+        // it the first write replaced, and exactly the written regions
+        // dirty.
+        for seed in 0..16u64 {
+            let mut rng = simkit::DetRng::seed_from_u64(0xc0_3e_00 + seed);
+            let (mut a, ids) = space_with_regions(6);
+            a.enable_dirty_tracking();
+            let before: Vec<Vec<u8>> = ids.iter().map(|&id| a.read(id, 0, 256)).collect();
+            let mut model = before.clone();
+            let snap = a.begin_cow_snapshot();
+            let mut touched = BTreeSet::new();
+            let mut ledger = CowStats::default();
+            for _ in 0..rng.range(1, 30) {
+                let i = rng.below(ids.len() as u64) as usize;
+                let (off, len) = if rng.chance(0.4) {
+                    (0, 256)
+                } else {
+                    let off = rng.below(256);
+                    (off, rng.range(1, 256 - off + 1))
+                };
+                let mut buf = vec![0u8; len as usize];
+                rng.fill_bytes(&mut buf);
+                let copied = a.write(ids[i], off, &buf);
+                model[i][off as usize..(off + len) as usize].copy_from_slice(&buf);
+                if touched.insert(ids[i]) {
+                    assert_eq!(copied, 256, "seed {seed}: first write breaks sharing");
+                    ledger.copied_regions += 1;
+                    ledger.copied_bytes += 256;
+                } else {
+                    assert_eq!(copied, 0, "seed {seed}: region already private");
+                }
+            }
+            for (i, &id) in ids.iter().enumerate() {
+                assert_eq!(a.read(id, 0, 256), model[i], "seed {seed}: live bytes");
+                assert_eq!(
+                    snap.read(id, 0, 256),
+                    before[i],
+                    "seed {seed}: frozen bytes"
+                );
+            }
+            assert_eq!(a.dirty_regions(), Some(&touched), "seed {seed}");
+            assert_eq!(a.end_cow_snapshot(), ledger, "seed {seed}");
+        }
+    }
+
+    #[test]
     fn addresses_are_page_aligned_and_disjoint() {
         let mut a = AddressSpace::new();
         let id1 = a.map(

@@ -88,6 +88,11 @@ pub struct Node {
 /// wrapper of §4.5) and must return the pid the process ended up with.
 pub type SpawnHook = Rc<dyn Fn(&mut World, &mut OsSim, Pid) -> Pid>;
 
+/// Hook invoked when a process exits, after its address space is gone — the
+/// checkpoint layer keeps world-side state about a process's memory (its
+/// incremental baseline) and drops it here.
+pub type ExitHook = Rc<dyn Fn(&mut World, Pid)>;
+
 /// A network transmission about to be scheduled, as seen by a fault hook.
 /// Borrowed snapshot only — the hook cannot touch the world, which keeps
 /// the interposition point re-entrancy-free.
@@ -166,6 +171,8 @@ pub struct World {
     pub rng: DetRng,
     /// Process-creation hook (checkpoint-layer injection).
     pub spawn_hook: Option<SpawnHook>,
+    /// Process-exit hook (see [`ExitHook`]).
+    pub exit_hook: Option<ExitHook>,
     /// Network fault-injection hook (see [`NetFaultHook`]).
     pub net_fault: Option<NetFaultHook>,
     /// Checkpoint-image fault-injection hook (see [`ImageFaultHook`]).
@@ -215,6 +222,7 @@ impl World {
             obs: obs::Obs::new(),
             rng: DetRng::seed_from_u64(0xD317C9),
             spawn_hook: None,
+            exit_hook: None,
             net_fault: None,
             image_fault: None,
             exts: BTreeMap::new(),
@@ -421,8 +429,10 @@ impl World {
         pid
     }
 
-    /// Terminate a whole process: mark threads exited, release every fd,
-    /// turn it into a zombie, wake `waitpid` waiters, signal the parent.
+    /// Terminate a whole process: mark threads exited, release every fd and
+    /// the address space, turn it into a zombie, wake `waitpid` waiters,
+    /// signal the parent. A zombie is an exit status waiting to be reaped,
+    /// not memory: whoever never reaps (pid 1) must not pin the image.
     pub fn exit_process(&mut self, sim: &mut OsSim, pid: Pid, code: i32) {
         let Some(p) = self.procs.get_mut(&pid) else {
             return;
@@ -434,12 +444,16 @@ impl World {
             t.state = ThreadState::Exited;
         }
         p.state = ProcState::Zombie(code);
+        p.mem = crate::mem::AddressSpace::new();
         let ppid = p.ppid;
         let waiters = std::mem::take(&mut p.wait_waiters);
         let fds: Vec<FdEntry> = p.fds.clone_entries().iter().map(|(_, e)| *e).collect();
         let ctty = p.ctty.take();
         for e in fds {
             self.release_obj(sim, e.obj);
+        }
+        if let Some(hook) = self.exit_hook.clone() {
+            hook(self, pid);
         }
         if let Some(pty_id) = ctty {
             if let Some(pty) = self.ptys.get_mut(&pty_id) {
@@ -1314,6 +1328,39 @@ mod tests {
         w.signal(&mut sim, pid, sig::SIGKILL);
         sim.run(&mut w);
         assert_eq!(w.procs[&pid].state, ProcState::Zombie(137));
+    }
+
+    #[test]
+    fn a_zombie_is_an_exit_status_not_an_address_space() {
+        use crate::mem::{Content, RegionKind, PROT_R};
+        let (mut w, mut sim) = world();
+        let pid = w.spawn(
+            &mut sim,
+            NodeId(0),
+            "hog",
+            Box::new(CountDown {
+                left: 1_000,
+                done_flag: 0,
+            }),
+            Pid(1),
+            BTreeMap::new(),
+        );
+        w.procs.get_mut(&pid).unwrap().mem.map(
+            "heap",
+            RegionKind::Heap,
+            PROT_R,
+            Content::Real(Rc::new(vec![7u8; 1 << 20])),
+        );
+        let exited = Rc::new(RefCell::new(Vec::new()));
+        let seen = exited.clone();
+        w.exit_hook = Some(Rc::new(move |_w, pid| seen.borrow_mut().push(pid)));
+        w.signal(&mut sim, pid, sig::SIGKILL);
+        // Nobody has reaped it, and pid 1 never will: the status stays, the
+        // memory is gone, and the layers above were told.
+        assert_eq!(w.procs[&pid].state, ProcState::Zombie(137));
+        assert_eq!(w.procs[&pid].mem.total_bytes(), 0);
+        assert_eq!(&*exited.borrow(), &[pid]);
+        assert_eq!(w.reap(pid), Some(137));
     }
 
     #[test]
