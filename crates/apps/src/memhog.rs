@@ -73,10 +73,13 @@ const SCRATCH_LEN: usize = 64 << 10;
 
 /// A mostly-idle desktop process for the incremental-checkpoint bench: it
 /// materializes `mb` MiB of real (non-synthetic) ballast once at startup,
-/// then rewrites a single 64 KiB scratch buffer on every wake. From
-/// generation 2 on the dirty set is just the scratch region, so the
-/// incremental writer aliases the ballast into the previous generation's
-/// chunks while a full capture re-reads and re-compresses every byte.
+/// then rewrites a single 64 KiB scratch buffer on every wake and reads one
+/// word of its ballast, a different 4 MiB region each time. From generation
+/// 2 on the dirty set is just the scratch region, so the incremental writer
+/// aliases the ballast into the previous generation's chunks while a full
+/// capture re-reads and re-compresses every byte — and a restore of such a
+/// generation fills the ballast in behind the process, which waits only
+/// when it reads a region that has not landed yet.
 pub struct IdleHog {
     /// Program counter.
     pub pc: u8,
@@ -138,6 +141,13 @@ impl Program for IdleHog {
             *b = stamp[j % 8] ^ j as u8;
         }
         k.mem_write(self.scratch as usize, 0, &buf);
+        // The ballast regions were mapped one after another right before
+        // the scratch region, so their ids are the `n` below it.
+        let n = self.mb.div_ceil(4);
+        if n > 0 {
+            let ballast = self.scratch - n + self.tick % n;
+            k.mem_read(ballast as usize, 0, 8);
+        }
         Step::Sleep(Nanos::from_millis(10))
     }
     fn tag(&self) -> &'static str {

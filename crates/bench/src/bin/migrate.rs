@@ -21,6 +21,11 @@
 //! RunCMS, 0.4 s into loading its libraries here, maps twenty more — not
 //! the mover's whole image over again.
 //!
+//! A fourth run migrates a mostly idle process with 32 MiB of real memory
+//! through the store after one checkpoint, and reports what the restore
+//! moved behind the mover's release: how long its inherited memory takes to
+//! fill in, and how long the process waited for the regions it read first.
+//!
 //! Acceptance bar (enforced here, tracked by `scripts/bench_gate.sh`): the
 //! subset migration pause must be at least 3× shorter than the full
 //! checkpoint-restart cycle.
@@ -75,13 +80,13 @@ fn workload(store: bool) -> (World, OsSim, Session) {
     (w, sim, s)
 }
 
-/// Virtual pid and current node of the RunCMS mover.
-fn mover(w: &World) -> (u32, NodeId) {
+/// Virtual pid and current node of the live traced process running `cmd`.
+fn mover(w: &World, cmd: &str) -> (u32, NodeId) {
     w.procs
         .values()
-        .find(|p| p.alive() && p.cmd == "runCMS")
+        .find(|p| p.alive() && p.cmd == cmd)
         .and_then(|p| Some((hijack_in(p)?.vpid, p.node)))
-        .expect("runCMS is a live traced process")
+        .unwrap_or_else(|| panic!("{cmd} is a live traced process"))
 }
 
 /// Mean mover downtime across `reps` live migrations (node 1 ↔ node 2).
@@ -89,7 +94,7 @@ fn measure_migrate(reps: usize) -> f64 {
     let (mut w, mut sim, s) = workload(false);
     let mut pause = 0.0;
     for _ in 0..reps {
-        let (vpid, node) = mover(&w);
+        let (vpid, node) = mover(&w, "runCMS");
         let target = if node == NodeId(2) {
             NodeId(1)
         } else {
@@ -137,7 +142,7 @@ fn measure_full_cycle(reps: usize) -> f64 {
 /// starts with nothing of the image in its own store.
 fn measure_post_migrate() -> f64 {
     let (mut w, mut sim, s) = workload(true);
-    let (vpid, node) = mover(&w);
+    let (vpid, node) = mover(&w, "runCMS");
     assert_eq!(node, NodeId(1));
     RestartPlan::builder()
         .only_pids([vpid])
@@ -152,6 +157,46 @@ fn measure_post_migrate() -> f64 {
     (w.obs.metrics.counter_total("szip.bytes_in") - before) as f64
 }
 
+/// What a store-served migration moved behind the mover's release: an
+/// `IdleHog` with 32 MiB of ballast, checkpointed once, so the migration's
+/// generation inherits the ballast and the restore on a node that holds no
+/// copy fills it in behind the running process. Returns the seconds from
+/// the release to the last ballast region landing, and the seconds the hog
+/// spent waiting for regions it read before they had.
+fn measure_fill() -> (f64, f64) {
+    let (mut w, mut sim) = cluster_world(NODES);
+    ckptstore::install(&mut w, ckptstore::Config::default());
+    let s = Session::start(&mut w, &mut sim, options(true, false, true));
+    let hog = Box::new(apps::memhog::IdleHog::new(32));
+    s.launch(&mut w, &mut sim, NodeId(1), "idlehog", hog);
+    run_for(&mut w, &mut sim, Nanos::from_millis(50));
+    s.checkpoint_and_wait(&mut w, &mut sim, EV).expect_ckpt();
+    run_for(&mut w, &mut sim, Nanos::from_millis(50));
+    let (vpid, _) = mover(&w, "idlehog");
+    let waited = |w: &World| w.obs.metrics.counter_total("oskit.mem.fill_wait_ns");
+    let before = waited(&w);
+    RestartPlan::builder()
+        .only_pids([vpid])
+        .topology([NodeId(0)])
+        .build()
+        .migrate(&s, &mut w, &mut sim, EV)
+        .expect("live migration through the store");
+    let released = sim.now();
+    let landed = w
+        .procs
+        .values()
+        .filter(|p| p.alive() && p.cmd == "idlehog")
+        .flat_map(|p| p.mem.iter().map(|(_, r)| r.ready_at))
+        .max()
+        .unwrap_or(released);
+    sim.run_until(&mut w, landed.max(released) + Nanos::from_millis(50));
+    let stall = Nanos(waited(&w) - before);
+    (
+        landed.saturating_sub(released).as_secs_f64(),
+        stall.as_secs_f64(),
+    )
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let reps = if smoke { 1 } else { 3 };
@@ -161,6 +206,7 @@ fn main() {
     let restart_hetero_total_s = measure_full_cycle(reps);
     let ratio = restart_hetero_total_s / migrate_pause_s.max(1e-12);
     let post_migrate_captured_bytes = measure_post_migrate();
+    let (migrate_fill_done_s, migrate_fill_stall_s) = measure_fill();
 
     println!("  strategy                       downtime");
     println!("  live migration (1 process)    {migrate_pause_s:>8.3}s   (mover only; MPI job never stops)");
@@ -170,6 +216,10 @@ fn main() {
         "  next generation after a store-served migration captures {:.3} MB",
         post_migrate_captured_bytes / 1e6
     );
+    println!(
+        "  an idle 32 MiB process migrated through the store: its ballast lands \
+         {migrate_fill_done_s:.3}s after it resumes, reads waited {migrate_fill_stall_s:.3}s"
+    );
 
     let mut j = JsonWriter::new();
     j.obj_begin()
@@ -178,6 +228,8 @@ fn main() {
         .field_f64("restart_hetero_total_s", restart_hetero_total_s)
         .field_f64("migrate_speedup_ratio", ratio)
         .field_f64("post_migrate_captured_bytes", post_migrate_captured_bytes)
+        .field_f64("migrate_fill_done_s", migrate_fill_done_s)
+        .field_f64("migrate_fill_stall_s", migrate_fill_stall_s)
         .obj_end();
     match write_jsonl_lines("migrate", vec![j.into_string()]) {
         Ok(p) => println!("# wrote {p}"),
@@ -193,6 +245,8 @@ fn main() {
             ("restart_hetero_total_s", restart_hetero_total_s),
             ("migrate_speedup_ratio", ratio),
             ("post_migrate_captured_bytes", post_migrate_captured_bytes),
+            ("migrate_fill_done_s", migrate_fill_done_s),
+            ("migrate_fill_stall_s", migrate_fill_stall_s),
         ],
     ) {
         eprintln!("# BENCH_migrate.json write failed: {e}");

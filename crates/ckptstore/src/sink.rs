@@ -121,6 +121,11 @@ fn chunk_blob(blob: &Blob, chunk_size: u64) -> Vec<Piece> {
 /// slice refs already present in the previous manifest, so a chain of
 /// incremental generations always refs real stored chunks directly.
 ///
+/// Every piece is a slice ref, even one that happens to cover a whole
+/// chunk: a manifest's slice refs are then exactly the byte ranges its
+/// image inherited from older generations, which is how a restore tells the
+/// regions the newest generation wrote from the ones it did not.
+///
 /// Panics if the extent is not fully covered: the writer checked the alias
 /// bound against this very manifest, so a shortfall is store corruption.
 fn map_alias(prev_man: &Manifest, off: u64, len: u64) -> Vec<ChunkRef> {
@@ -133,12 +138,10 @@ fn map_alias(prev_man: &Manifest, off: u64, len: u64) -> Vec<ChunkRef> {
         if c_end > off && base < end {
             let s = off.max(base);
             let e = end.min(c_end);
-            let within = c.off.unwrap_or(0) + (s - base);
-            let whole = c.off.is_none() && within == 0 && e - s == c.len;
             out.push(ChunkRef {
                 id: c.id.clone(),
                 len: e - s,
-                off: (!whole).then_some(within),
+                off: Some(c.off.unwrap_or(0) + (s - base)),
             });
             covered += e - s;
         }
@@ -589,12 +592,17 @@ mod tests {
                 },
             ],
         };
-        // Whole-image alias → whole-chunk ref plus the original slice.
+        // Whole-image alias → a slice covering the whole first chunk (an
+        // inherited range stays a slice) plus the original slice.
         let refs = map_alias(&man, 0, 1000);
         assert_eq!(
             refs,
             vec![
-                ChunkRef::whole("ra-400", 400),
+                ChunkRef {
+                    id: "ra-400".into(),
+                    len: 400,
+                    off: Some(0),
+                },
                 ChunkRef {
                     id: "rb-4096".into(),
                     len: 600,

@@ -6,6 +6,7 @@ use crate::manifest::{chunk_path, manifest_path, ChunkRef, Manifest};
 use mtcp::ResolvedImage;
 use oskit::fs::{Blob, Chunk, FileNode, Fs};
 use oskit::world::{NodeId, World};
+use std::ops::Range;
 
 /// The stored file behind manifest entry `c`, if it is there and can supply
 /// what the entry asks of it: its full length for a whole-chunk ref,
@@ -41,15 +42,24 @@ pub(crate) fn complete(fs: &Fs, man: &Manifest) -> bool {
 /// Slice refs (incremental generations aliasing clean regions of an
 /// earlier image) are materialized here by slicing the stored chunk's real
 /// bytes, so the blob handed back to `mtcp` is byte-identical to the full
-/// image the writer described — the reader never sees an alias.
-pub(crate) fn assemble(fs: &Fs, logical: &str) -> Option<Blob> {
+/// image the writer described — the reader never sees an alias. What it is
+/// told instead is where they were: the blob's byte ranges that slice refs
+/// supplied, ascending and merged where they touch — everything this
+/// generation inherited from older ones.
+pub(crate) fn assemble(fs: &Fs, logical: &str) -> Option<(Blob, Vec<Range<u64>>)> {
     let bytes = fs.read_all(&manifest_path(logical)).ok()?;
     let man = Manifest::decode(&bytes)?;
     let mut blob = Blob::new();
+    let mut inherited: Vec<Range<u64>> = Vec::new();
     for c in &man.chunks {
         let f = chunk_file(fs, c)?;
         if let Some(off) = c.off {
             let stored = f.blob.read_all()?;
+            let at = blob.len();
+            match inherited.last_mut() {
+                Some(r) if r.end == at => r.end += c.len,
+                _ => inherited.push(at..at + c.len),
+            }
             blob.append_bytes(&stored[off as usize..(off + c.len) as usize]);
             continue;
         }
@@ -60,7 +70,7 @@ pub(crate) fn assemble(fs: &Fs, logical: &str) -> Option<Blob> {
             }
         }
     }
-    (blob.len() == man.logical_len).then_some(blob)
+    (blob.len() == man.logical_len).then_some((blob, inherited))
 }
 
 /// Resolve an image for a reader on `node`: local store first, then every
@@ -68,24 +78,15 @@ pub(crate) fn assemble(fs: &Fs, logical: &str) -> Option<Blob> {
 /// replica on every run).
 pub(crate) fn resolve(w: &World, node: NodeId, path: &str) -> Option<ResolvedImage> {
     let ni = node.0 as usize;
-    if let Some(blob) = assemble(&w.nodes[ni].fs, path) {
-        return Some(ResolvedImage {
+    let others = (0..w.nodes.len()).filter(|&i| i != ni);
+    std::iter::once(ni).chain(others).find_map(|i| {
+        let (blob, inherited) = assemble(&w.nodes[i].fs, path)?;
+        Some(ResolvedImage {
             blob,
-            fetched_from: None,
-        });
-    }
-    for (i, n) in w.nodes.iter().enumerate() {
-        if i == ni {
-            continue;
-        }
-        if let Some(blob) = assemble(&n.fs, path) {
-            return Some(ResolvedImage {
-                blob,
-                fetched_from: Some(NodeId(i as u32)),
-            });
-        }
-    }
-    None
+            fetched_from: (i != ni).then_some(NodeId(i as u32)),
+            inherited,
+        })
+    })
 }
 
 #[cfg(test)]
@@ -105,8 +106,12 @@ mod tests {
             .unwrap();
         assert!(assemble(&fs, &man.src).is_none(), "chunk missing");
         fs.write_all(&chunk_path("rab-10"), &[1u8; 10]).unwrap();
-        let got = assemble(&fs, &man.src).expect("complete store assembles");
+        let (got, inherited) = assemble(&fs, &man.src).expect("complete store assembles");
         assert_eq!(got.read_all().unwrap(), vec![1u8; 10]);
+        assert!(
+            inherited.is_empty(),
+            "a whole-chunk manifest inherits nothing"
+        );
         fs.get_mut(&chunk_path("rab-10")).unwrap().blob.truncate(4);
         assert!(assemble(&fs, &man.src).is_none(), "torn chunk rejected");
     }
@@ -116,20 +121,33 @@ mod tests {
         let mut fs = Fs::new();
         let stored: Vec<u8> = (0..100u8).collect();
         fs.write_all(&chunk_path("rcd-100"), &stored).unwrap();
+        fs.write_all(&chunk_path("rhd-8"), b"header!!").unwrap();
+        let slice = |len, off| ChunkRef {
+            id: "rcd-100".into(),
+            len,
+            off: Some(off),
+        };
         let man = Manifest {
             gen: 2,
-            logical_len: 30,
+            logical_len: 58,
             src: "/ckpt/b_gen2.dmtcp".into(),
-            chunks: vec![ChunkRef {
-                id: "rcd-100".into(),
-                len: 30,
-                off: Some(40),
-            }],
+            chunks: vec![
+                ChunkRef::whole("rhd-8", 8),
+                slice(30, 40),
+                slice(10, 0),
+                ChunkRef::whole("rhd-8", 8),
+                slice(2, 98),
+            ],
         };
         fs.write_all(&manifest_path(&man.src), &man.encode())
             .unwrap();
-        let got = assemble(&fs, &man.src).expect("slice ref assembles");
-        assert_eq!(got.read_all().unwrap(), stored[40..70].to_vec());
+        let (got, inherited) = assemble(&fs, &man.src).expect("slice refs assemble");
+        let bytes = got.read_all().unwrap();
+        assert_eq!(bytes[8..38], stored[40..70]);
+        assert_eq!(bytes[38..48], stored[0..10]);
+        assert_eq!(bytes[56..58], stored[98..100]);
+        // Adjacent slices merge into one inherited range; whole refs break it.
+        assert_eq!(inherited, vec![8..48, 56..58]);
         // Tear the chunk below the slice's end: the replica must be refused.
         fs.get_mut(&chunk_path("rcd-100"))
             .unwrap()

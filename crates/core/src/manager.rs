@@ -120,6 +120,10 @@ enum Verdict {
 /// per-process jitter keeps retransmissions from synchronizing).
 const BARRIER_RETRY_INITIAL: Nanos = Nanos::from_millis(30);
 
+/// Exit status of a restored process whose restart the coordinator
+/// abandoned (sysexits' `EX_TEMPFAIL`: the restart can be tried again).
+const RESTART_ABANDONED: i32 = 75;
+
 /// The checkpoint-manager thread program.
 pub struct Manager {
     phase: Phase,
@@ -262,6 +266,17 @@ impl Manager {
                 k.w.signal(k.sim, pid, oskit::proc::sig::SIGKILL);
             }
         }
+    }
+
+    /// The coordinator abandoned the restart this process belongs to: a
+    /// peer died before every process was back. Half restored — user
+    /// threads never resumed, buffers never refilled — the process has
+    /// nothing to go on with and exits; the computation is restarted again
+    /// from a committed generation.
+    fn restart_abandoned(&mut self, k: &mut Kernel<'_>) -> oskit::program::Step {
+        let gen = self.cur_gen;
+        k.obs().metrics.inc("core.restart.abandoned", gen);
+        oskit::program::Step::Exit(RESTART_ABANDONED)
     }
 
     /// Poll for `BarrierRelease(cur_gen, stg)`. Stale retransmissions
@@ -1315,7 +1330,7 @@ impl oskit::program::Program for Manager {
                 Phase::AwaitRestored => {
                     match self.released(k, stage::RESTORED) {
                         Verdict::Released => {}
-                        Verdict::Aborted => panic!("checkpoint abort during restart"),
+                        Verdict::Aborted => return self.restart_abandoned(k),
                         Verdict::Blocked => return Step::Block,
                     }
                     // Every process of the computation exists again: rewire
@@ -1337,7 +1352,7 @@ impl oskit::program::Program for Manager {
                 Phase::AwaitRestartRefilled => {
                     match self.released(k, stage::RESTART_REFILLED) {
                         Verdict::Released => {}
-                        Verdict::Aborted => panic!("checkpoint abort during restart"),
+                        Verdict::Aborted => return self.restart_abandoned(k),
                         Verdict::Blocked => return Step::Block,
                     }
                     self.phase = Phase::RestartResume;

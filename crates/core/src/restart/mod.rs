@@ -27,10 +27,11 @@ use crate::hijack::{ConnTable, FdKindRec, PtyRecord};
 use crate::launch::{hijack_from_env, ENV_RESTART_CHILD};
 use crate::manager::{Manager, Mode};
 use crate::proto::{frame, FrameBuf, Msg};
+use faultkit::FillPoint;
 use mtcp::CkptImage;
 use oskit::fdtable::{FdEntry, FdObject};
 use oskit::program::{Program, Step};
-use oskit::world::Pid;
+use oskit::world::{NodeId, OsSim, Pid, World};
 use oskit::{Errno, Fd, Kernel};
 use simkit::{Nanos, Snap};
 use std::collections::{BTreeMap, BTreeSet};
@@ -472,6 +473,9 @@ impl RestartProc {
             // Step 5: restore memory and threads via MTCP.
             let rep = mtcp::restore_into(k.w, k.now(), child, node, &l.path, &l.img)
                 .unwrap_or_else(|e| panic!("restore {}: {e}", l.path));
+            if faultkit::wants_fill(k.w) {
+                notify_fill(k.sim, self.gen, child, node, &rep);
+            }
 
             // Pid virtualization: the restored process keeps its vpid.
             restored_real(k.w).insert(l.table.vpid, child.0);
@@ -507,11 +511,18 @@ impl RestartProc {
             // Hijack state carried over from the image: the environment it
             // saved decodes exactly as it did at launch.
             let mut h = hijack_from_env(l.table.vpid, &k.w.procs[&child].env);
-            // Restart's deliberate differences from the launched state — a
-            // restored manager registers directly with the root coordinator
-            // this restart process was pointed at and never syncs. The write
-            // mode is not one of them: a process launched forked checkpoints
-            // forked after a restart too. ROADMAP item 2 deletes this block.
+            // Restart's deliberate differences from the launched state. The
+            // saved environment describes the session the process was
+            // launched into — a coordinator or relay address that need not
+            // exist any more, and a generation counter. The restored manager
+            // joins the computation this restart process is rebuilding
+            // instead: it registers directly with the root coordinator the
+            // restart was pointed at, resumes at the generation being
+            // restored, and takes that image's drain records and connection
+            // table. It also writes its images without a sync, whatever
+            // policy the session was launched with. The write mode is not
+            // one of the differences: a process launched forked checkpoints
+            // forked after a restart too.
             h.coord_host = self.coord_host.clone();
             h.coord_port = self.coord_port;
             h.root_port = self.coord_port;
@@ -574,6 +585,23 @@ impl RestartProc {
                 let _ = k.close(fd);
             }
         }
+    }
+}
+
+/// Tell the fault layer how far the fill of `pid`, restored on `node` from
+/// generation `gen`, has got: its hot set mapped, halfway to its last cold
+/// region, and that region landed (the last two only when it has a fill).
+fn notify_fill(sim: &mut OsSim, gen: u64, pid: Pid, node: NodeId, rep: &mtcp::RestoreReport) {
+    let (hot, last) = (rep.done_at, rep.fill_done);
+    let mut points = vec![(FillPoint::HotMapped, hot)];
+    if last > hot {
+        let mid = Nanos(hot.0 + (last.0 - hot.0) / 2);
+        points.extend([(FillPoint::MidFill, mid), (FillPoint::LastRegion, last)]);
+    }
+    for (point, at) in points {
+        sim.at(at, move |w: &mut World, sim| {
+            faultkit::fill_progress(w, sim, gen, point, pid, node)
+        });
     }
 }
 

@@ -204,7 +204,10 @@ impl Session {
     /// A *checkpoint* stage also gives up — `None` — once that generation
     /// is abandoned. A restart stage does not: an aborted entry may belong
     /// to an earlier attempt at the same generation, and the plan being
-    /// awaited opens a fresh one when it reaches the coordinator.
+    /// awaited opens a fresh one when it reaches the coordinator. For the
+    /// same reason a restart stage only counts in stats opened at or after
+    /// this call: an earlier restore of the same generation — a migration
+    /// to it, a previous restart — has released it already.
     ///
     /// Panics if neither happens within `max_events`.
     pub fn await_release(
@@ -215,11 +218,15 @@ impl Session {
         stg: u8,
         max_events: u64,
     ) -> Option<GenStat> {
+        let restart = stg >= stage::RESTORED;
+        let since = if restart { sim.now() } else { Nanos::ZERO };
         wait_until(w, sim, max_events, Order::CheckFirst, |w| {
-            let g = coord_shared_for(w, port).newest(gen)?;
+            let g = coord_shared_for(w, port)
+                .newest(gen)
+                .filter(|g| g.requested_at >= since)?;
             if g.releases.contains_key(&stg) {
                 Some(Some(g.clone()))
-            } else if g.aborted && stg < stage::RESTORED {
+            } else if g.aborted && !restart {
                 Some(None)
             } else {
                 None

@@ -14,7 +14,8 @@ use simkit::{Nanos, Sim, Snap};
 
 /// A TCP server: accepts one client, then for each 8-byte LE integer
 /// received replies with value + 1. Exits on client EOF, recording the
-/// number of rounds served in `/shared/server_result`.
+/// number of rounds served in `/shared/server_result` — or, when the client
+/// dies before reading a reply, without recording anything.
 pub struct EchoPlusOne {
     pub pc: u8,
     pub lfd: Fd,
@@ -71,8 +72,12 @@ impl Program for EchoPlusOne {
                                 self.inbuf.clear();
                                 self.rounds += 1;
                                 let reply = (v + 1).to_le_bytes();
-                                let n = k.write(self.cfd, &reply).expect("reply");
-                                assert_eq!(n, 8);
+                                match k.write(self.cfd, &reply) {
+                                    Ok(n) => assert_eq!(n, 8),
+                                    // The client died mid-round: no answer.
+                                    Err(Errno::Pipe) => return Step::Exit(1),
+                                    Err(e) => panic!("server reply: {e:?}"),
+                                }
                             }
                         }
                         Err(Errno::WouldBlock) => return Step::Block,
@@ -747,9 +752,62 @@ impl WorkingSet {
             region: 0,
             tick: 0,
         };
-        let p = w.procs.get_mut(&pid).expect("just launched");
-        let tid = p.add_thread(Box::new(ws), true);
-        w.schedule_dispatch(sim, pid, tid);
+        add_user_thread(w, sim, pid, Box::new(ws));
+    }
+}
+
+/// Start `prog` as one more user thread of the live process `pid`.
+fn add_user_thread(w: &mut World, sim: &mut OsSim, pid: oskit::world::Pid, prog: Box<dyn Program>) {
+    let p = w.procs.get_mut(&pid).expect("just launched");
+    let tid = p.add_thread(prog, true);
+    w.schedule_dispatch(sim, pid, tid);
+}
+
+/// A second user thread that gives a test process memory a restore has to
+/// fill in: it maps four 64 KiB regions of noise, never writes them again,
+/// and reads a word of one of them every millisecond. From the second
+/// generation on an incremental image inherits them from the first, so a
+/// restore maps them cold and this thread's next read waits for one to land.
+pub struct ColdSet {
+    pub regions: Vec<u64>,
+    pub tick: u64,
+}
+simkit::impl_snap!(struct ColdSet { regions, tick });
+
+impl ColdSet {
+    pub const REGIONS: u64 = 4;
+    pub const LEN: usize = 64 << 10;
+
+    /// Add one to the freshly launched process `pid`.
+    pub fn add_to(w: &mut World, sim: &mut OsSim, pid: oskit::world::Pid) {
+        let cs = ColdSet {
+            regions: Vec::new(),
+            tick: 0,
+        };
+        add_user_thread(w, sim, pid, Box::new(cs));
+    }
+}
+
+impl Program for ColdSet {
+    fn step(&mut self, k: &mut Kernel<'_>) -> Step {
+        if self.regions.is_empty() {
+            for i in 0..Self::REGIONS {
+                let id = k.mmap_anon(&format!("cold-set{i}"), Self::LEN);
+                let noise = oskit::mem::FillProfile::Random.bytes(0xc01d ^ i, Self::LEN);
+                k.mem_write(id, 0, &noise);
+                self.regions.push(id as u64);
+            }
+        }
+        self.tick += 1;
+        let id = self.regions[(self.tick % Self::REGIONS) as usize];
+        k.mem_read(id as usize, 0, 8);
+        Step::Sleep(Nanos::from_millis(1))
+    }
+    fn tag(&self) -> &'static str {
+        "cold-set"
+    }
+    fn save(&self) -> Vec<u8> {
+        self.to_snap_bytes()
     }
 }
 
@@ -776,6 +834,7 @@ impl Program for WorkingSet {
 pub fn test_registry() -> Registry {
     let mut r = Registry::new();
     r.register_snap::<WorkingSet>("working-set");
+    r.register_snap::<ColdSet>("cold-set");
     r.register_snap::<EchoPlusOne>("echo-plus-one");
     r.register_snap::<ChainClient>("chain-client");
     r.register_snap::<PipeChain>("pipe-chain");

@@ -38,9 +38,11 @@ mod common;
 
 use common::*;
 use dmtcp::coord::stage;
-use dmtcp::session::{enable_flight_recorder, export_journal, run_for, CkptOutcome};
+use dmtcp::session::{
+    enable_flight_recorder, export_journal, run_for, wait_until, CkptOutcome, Order,
+};
 use dmtcp::{ExpectCkpt, Options, RestartPlan, Session};
-use faultkit::{FaultKind, FaultPlan};
+use faultkit::{FaultKind, FaultPlan, FillPoint};
 use obs::journal::{CLASS_FAULT, CLASS_NET, CLASS_STAGE};
 use oskit::world::{NodeId, OsSim, Pid, World};
 use simkit::{mix2, Nanos, RunOutcome};
@@ -89,7 +91,9 @@ impl Workload {
 /// (or around) the overlapped background drain; `store` installs the chunk
 /// store, which turns generation 2 into an *incremental* capture (clean
 /// regions aliased into generation 1's chunks), so the fault attacks the
-/// incremental drain and restart must cope with aliased manifests.
+/// incremental drain and restart must cope with aliased manifests. `fill`
+/// leaves the checkpoints alone and attacks the restart from generation 2
+/// instead, at that point of a restored process's background memory fill.
 #[derive(Clone, Copy)]
 struct Cell {
     kind: FaultKind,
@@ -99,19 +103,24 @@ struct Cell {
     variant: u64,
     forked: bool,
     store: bool,
+    fill: Option<FillPoint>,
 }
 
 impl Cell {
     fn seed(&self) -> u64 {
-        // `forked` and `store` feed the mix in bit positions the small
-        // workload enum never uses, so all pre-existing cell seeds are
+        // `forked`, `store` and `fill` feed the mix in bit positions the
+        // small workload enum never uses, so all pre-existing cell seeds are
         // unchanged.
+        let fill = self.fill.map_or(0, |p| 1 + p as u64);
         mix2(
             self.base,
             mix2(
                 ((self.kind as u64) << 8) | self.stage as u64,
                 mix2(
-                    self.wl as u64 | ((self.forked as u64) << 8) | ((self.store as u64) << 9),
+                    self.wl as u64
+                        | ((self.forked as u64) << 8)
+                        | ((self.store as u64) << 9)
+                        | (fill << 10),
                     self.variant,
                 ),
             ),
@@ -120,13 +129,15 @@ impl Cell {
 
     fn id(&self) -> String {
         format!(
-            "{}@stage{}/{}+v{}{}{}",
+            "{}@stage{}/{}+v{}{}{}{}",
             self.kind.name(),
             self.stage,
             self.wl.name(),
             self.variant,
             if self.forked { "+forked" } else { "" },
-            if self.store { "+store" } else { "" }
+            if self.store { "+store" } else { "" },
+            self.fill
+                .map_or(String::new(), |p| format!("+{}", p.name()))
         )
     }
 }
@@ -138,8 +149,10 @@ impl Cell {
 /// the start of the overlapped drain, lossy-network faults against the
 /// `CKPT_WRITTEN` acknowledgment, torn background writes), plus 12
 /// incremental-store cells (kills and torn writes against the incremental
-/// drain, where generation 2 aliases generation 1's chunks) — 110 cells,
-/// 220 with the two default bases.
+/// drain, where generation 2 aliases generation 1's chunks), plus 12 fill
+/// cells (a process kill or a node loss at 3 points of the background fill
+/// of a restart from generation 2, × 2 workloads) — 122 cells, 244 with the
+/// two default bases.
 fn cells(bases: &[u64]) -> Vec<Cell> {
     const STAGES: [u8; 5] = [
         stage::SUSPENDED,
@@ -160,103 +173,60 @@ fn cells(bases: &[u64]) -> Vec<Cell> {
 
     let mut out = Vec::new();
     for &base in bases {
-        for &kind in &LIVE {
-            for &stg in &STAGES {
-                for &wl in &Workload::ALL {
-                    out.push(Cell {
-                        kind,
-                        stage: stg,
-                        wl,
-                        base,
-                        variant: 0,
-                        forked: false,
-                        store: false,
-                    });
-                }
-            }
-        }
-        for &kind in &TORN {
+        // One (kind, stage, mode) on every workload, `variants` seeds each.
+        let mut add = |kind, stage, variants, forked, store, fill| {
             for &wl in &Workload::ALL {
-                for variant in 0..4 {
-                    // Torn faults fire at image-write time; the stage field
-                    // is nominal.
+                for variant in 0..variants {
                     out.push(Cell {
                         kind,
-                        stage: stage::CHECKPOINTED,
+                        stage,
                         wl,
                         base,
                         variant,
-                        forked: false,
-                        store: false,
+                        forked,
+                        store,
+                        fill,
                     });
                 }
             }
-        }
-        for &wl in &Workload::ALL {
-            for variant in 0..2 {
-                // Image-delete fires at the CHECKPOINTED release, after
-                // every image of the generation has been written; the
-                // variant seeds a different victim image.
-                out.push(Cell {
-                    kind: FaultKind::ImageDelete,
-                    stage: stage::CHECKPOINTED,
-                    wl,
-                    base,
-                    variant,
-                    forked: false,
-                    store: false,
-                });
+        };
+        for &kind in &LIVE {
+            for &stg in &STAGES {
+                add(kind, stg, 1, false, false, None);
             }
         }
+        // Torn faults fire at image-write time; the stage field is nominal.
+        for &kind in &TORN {
+            add(kind, stage::CHECKPOINTED, 4, false, false, None);
+        }
+        // Image-delete fires at the CHECKPOINTED release, after every image
+        // of the generation has been written; the variant seeds a different
+        // victim image.
+        add(
+            FaultKind::ImageDelete,
+            stage::CHECKPOINTED,
+            2,
+            false,
+            false,
+            None,
+        );
         // Forked (copy-on-write) checkpointing: the same transparency bar
         // with the overlapped background drain on. Kills at the REFILLED
         // release land right as the application resumes and the drain
         // begins; lossy-network faults at CKPT_WRITTEN attack the drain's
         // acknowledgment round; torn writes corrupt the background image.
         for &kind in &[FaultKind::KillProc, FaultKind::KillNode] {
-            for &wl in &Workload::ALL {
-                out.push(Cell {
-                    kind,
-                    stage: stage::REFILLED,
-                    wl,
-                    base,
-                    variant: 0,
-                    forked: true,
-                    store: false,
-                });
-            }
+            add(kind, stage::REFILLED, 1, true, false, None);
         }
         for &kind in &[
             FaultKind::DropMsg,
             FaultKind::DelayMsg,
             FaultKind::ReorderMsg,
         ] {
-            for &wl in &Workload::ALL {
-                out.push(Cell {
-                    kind,
-                    stage: stage::CKPT_WRITTEN,
-                    wl,
-                    base,
-                    variant: 0,
-                    forked: true,
-                    store: false,
-                });
-            }
+            add(kind, stage::CKPT_WRITTEN, 1, true, false, None);
         }
         for &kind in &TORN {
-            for &wl in &Workload::ALL {
-                for variant in 0..2 {
-                    out.push(Cell {
-                        kind,
-                        stage: stage::CHECKPOINTED,
-                        wl,
-                        base,
-                        variant,
-                        forked: true,
-                        store: false,
-                    });
-                }
-            }
+            add(kind, stage::CHECKPOINTED, 2, true, false, None);
         }
         // Incremental-store cells: with the chunk store installed the
         // second generation is an *incremental* forked drain — clean
@@ -266,31 +236,18 @@ fn cells(bases: &[u64]) -> Vec<Cell> {
         // corrupt the incremental image (validation rejects it, restart
         // falls back through the aliased manifest chain).
         for &kind in &[FaultKind::KillProc, FaultKind::KillNode] {
-            for &wl in &Workload::ALL {
-                out.push(Cell {
-                    kind,
-                    stage: stage::REFILLED,
-                    wl,
-                    base,
-                    variant: 0,
-                    forked: true,
-                    store: true,
-                });
-            }
+            add(kind, stage::REFILLED, 1, true, true, None);
         }
         for &kind in &TORN {
-            for &wl in &Workload::ALL {
-                for variant in 0..2 {
-                    out.push(Cell {
-                        kind,
-                        stage: stage::CHECKPOINTED,
-                        wl,
-                        base,
-                        variant,
-                        forked: true,
-                        store: true,
-                    });
-                }
+            add(kind, stage::CHECKPOINTED, 2, true, true, None);
+        }
+        // Fill cells: generation 2 inherits every process's cold memory
+        // from generation 1, and the restart from it is attacked while
+        // that memory fills in behind the restored processes. The stage
+        // field is nominal.
+        for &kind in &[FaultKind::KillProc, FaultKind::NodeLoss] {
+            for point in FillPoint::ALL {
+                add(kind, stage::RESTORED, 1, false, true, Some(point));
             }
         }
     }
@@ -407,6 +364,7 @@ fn record_cell(w: &mut World, cell: &Cell, budget: u64) {
             ("variant", &cell.variant.to_string()),
             ("forked", if cell.forked { "1" } else { "0" }),
             ("store", if cell.store { "1" } else { "0" }),
+            ("fill", cell.fill.map_or("", FillPoint::name)),
             ("seed", &format!("{:#x}", cell.seed())),
             ("budget", &budget.to_string()),
         ],
@@ -462,9 +420,57 @@ fn run_cell(cell: &Cell, reference: &[(&'static str, String)], budget: u64) {
     }
 }
 
+/// Start the cell's session, install the chunk store and the fault plan,
+/// and launch the workload — the world a cell runs in, and a replay of it
+/// rebuilds.
+fn start_cell(cell: &Cell, w: &mut World, sim: &mut OsSim) -> Session {
+    let s = Session::start(
+        w,
+        sim,
+        Options::builder()
+            .ckpt_dir("/shared/ckpt")
+            .forked(cell.forked)
+            .build(),
+    );
+    // Image-delete cells model node-local disk loss: the primary copy of a
+    // just-written image vanishes, and restart must proceed from the chunk
+    // store's replica on the peer node. The store stays installed through
+    // restart — the reader resolves images through it. `store` cells
+    // install it too, which also makes generation 2 incremental: with the
+    // store present, clean regions of gen 2 are aliased into gen 1's
+    // chunks, so the fault lands on the incremental drain and any
+    // replica-served restart walks aliased (slice-ref) manifests.
+    if cell.kind == FaultKind::ImageDelete || cell.store {
+        ckptstore::install(w, ckptstore::Config::default());
+    }
+    // Install before launch: the per-process managers register their
+    // coordinator connections at connect time, and message faults only see
+    // connections registered that way. Generation numbering is
+    // deterministic, so targeting gen 2 arms the fault against the second
+    // (faulted) checkpoint while leaving the clean gen-1 checkpoint alone —
+    // or, in a fill cell, against the restart from it. A node loss there
+    // takes the node that is not the coordinator's.
+    let st = faultkit::install(
+        w,
+        FaultPlan {
+            seed: cell.seed(),
+            kind: cell.kind,
+            stage: cell.stage,
+            target_gen: 2,
+        },
+    );
+    if let Some(point) = cell.fill {
+        st.borrow_mut().target_fill(point);
+        st.borrow_mut().pin_victim_node(NodeId(1));
+    }
+    launch_workload(cell, &s, w, sim);
+    s
+}
+
 /// Launch the cell's workload under `s`. A `forked` cell's processes each
 /// get a [`WorkingSet`]: forked mode forks only where forking pays, and the
-/// cell is about the drain window a fork opens.
+/// cell is about the drain window a fork opens. A `fill` cell's get a
+/// [`ColdSet`]: memory generation 2 inherits, for the restart to fill in.
 fn launch_workload(cell: &Cell, s: &Session, w: &mut World, sim: &mut OsSim) {
     let procs: Vec<(NodeId, &str, Box<dyn oskit::program::Program>)> = match cell.wl {
         Workload::Chain => vec![
@@ -482,6 +488,9 @@ fn launch_workload(cell: &Cell, s: &Session, w: &mut World, sim: &mut OsSim) {
         if cell.forked {
             WorkingSet::add_to(w, sim, pid);
         }
+        if cell.fill.is_some() {
+            ColdSet::add_to(w, sim, pid);
+        }
     }
 }
 
@@ -494,41 +503,7 @@ fn drive_cell(
     w: &mut World,
     sim: &mut OsSim,
 ) {
-    let s = Session::start(
-        &mut *w,
-        &mut *sim,
-        Options::builder()
-            .ckpt_dir("/shared/ckpt")
-            .forked(cell.forked)
-            .build(),
-    );
-    // Image-delete cells model node-local disk loss: the primary copy of a
-    // just-written image vanishes, and restart must proceed from the chunk
-    // store's replica on the peer node. The store stays installed through
-    // restart — the reader resolves images through it. `store` cells
-    // install it too, which also makes generation 2 incremental: with the
-    // store present, clean regions of gen 2 are aliased into gen 1's
-    // chunks, so the fault lands on the incremental drain and any
-    // replica-served restart walks aliased (slice-ref) manifests.
-    if cell.kind == FaultKind::ImageDelete || cell.store {
-        ckptstore::install(&mut *w, ckptstore::Config::default());
-    }
-    // Install before launch: the per-process managers register their
-    // coordinator connections at connect time, and message faults only see
-    // connections registered that way. Generation numbering is
-    // deterministic, so targeting gen 2 arms the fault against the second
-    // (faulted) checkpoint while leaving the clean gen-1 checkpoint alone.
-    faultkit::install(
-        &mut *w,
-        FaultPlan {
-            seed: cell.seed(),
-            kind: cell.kind,
-            stage: cell.stage,
-            target_gen: 2,
-        },
-    );
-    launch_workload(cell, &s, &mut *w, &mut *sim);
-
+    let s = start_cell(cell, &mut *w, &mut *sim);
     run_for(&mut *w, &mut *sim, Nanos::from_millis(6));
     let g1 = s
         .checkpoint_and_wait(&mut *w, &mut *sim, budget)
@@ -537,6 +512,9 @@ fn drive_cell(
     run_for(&mut *w, &mut *sim, Nanos::from_millis(2));
 
     let outcome = s.checkpoint_until_settled(&mut *w, &mut *sim, budget);
+    if let Some(point) = cell.fill {
+        return fill_cell(point, &s, outcome, reference, budget, w, sim);
+    }
     // In forked mode the stop-the-world phase has settled but the background
     // drain is still in flight; let it finish (or drain-abort, if the fault
     // kills a participant) while the fault is still armed.
@@ -606,7 +584,7 @@ fn drive_cell(
             unreachable!("relay faults run as dedicated hierarchical tests, not matrix cells")
         }
         FaultKind::NodeLoss => {
-            unreachable!("node-loss fires at migration time and runs as dedicated migration cells")
+            unreachable!("node-loss fires at a migration's start or during a restore's fill")
         }
     }
     if cell.store {
@@ -733,6 +711,73 @@ fn drive_cell(
     }
 }
 
+/// The rest of a fill cell, once generation 2 has settled. Nothing faults
+/// the checkpoints; the computation crashes, restarts from generation 2,
+/// and the fault strikes at `point` of a restored process's background fill.
+/// A restore only reads its images, so a second restart must come back
+/// from the same generation, whole, and finish with the reference answers.
+fn fill_cell(
+    point: FillPoint,
+    s: &Session,
+    outcome: CkptOutcome,
+    reference: &[(&'static str, String)],
+    budget: u64,
+    w: &mut World,
+    sim: &mut OsSim,
+) {
+    let at = point.name();
+    assert!(
+        matches!(outcome, CkptOutcome::Completed(_)),
+        "{at}: a fill fault waits for the restore, the checkpoint completes"
+    );
+    assert!(
+        w.obs.metrics.counter_total("mtcp.incr.images") > 0,
+        "{at}: generation 2 must inherit memory from generation 1"
+    );
+    let restart = |w: &mut World, sim: &mut OsSim| {
+        run_for(w, sim, Nanos::from_millis(6));
+        s.kill_computation(w, sim);
+        for (p, _) in reference {
+            let _ = w.shared_fs.remove(p);
+        }
+        let out = RestartPlan::builder()
+            .resilient(true)
+            .build()
+            .execute(s, w, sim)
+            .expect("generation 2 completed cleanly");
+        assert_eq!((out.gen, out.rejected.len()), (2, 0), "{at}: restart");
+        out
+    };
+    restart(w, sim);
+    let injected = wait_until(w, sim, budget, Order::CheckFirst, |w| {
+        let st = faultkit::state(w)?;
+        let fired = st.borrow().injected().to_vec();
+        (!fired.is_empty()).then_some(fired)
+    })
+    .unwrap_or_else(|e| panic!("{at}: the fill fault never fired: {e}"));
+    run_for(w, sim, Nanos::from_millis(20));
+    faultkit::uninstall_at(w, sim.now());
+
+    // The generation the fault interrupted restoring is untouched.
+    let again = restart(w, sim);
+    Session::wait_restart_done(w, sim, again.gen, budget);
+    match sim.run_budgeted(w, budget) {
+        RunOutcome::Quiescent | RunOutcome::Halted => {}
+        RunOutcome::BudgetExhausted => panic!("{at}: livelock after restart ({injected:?})"),
+    }
+    for (path, want) in reference {
+        assert_eq!(
+            shared_result(w, path).as_deref(),
+            Some(want.as_str()),
+            "{at}: wrong answer in {path} after the second restart ({injected:?})"
+        );
+    }
+    assert!(
+        w.obs.metrics.counter_total("oskit.mem.fill_faults") > 0,
+        "{at}: a restored process never waited for its cold memory"
+    );
+}
+
 fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
     e.downcast_ref::<String>()
         .cloned()
@@ -840,6 +885,16 @@ fn matrix_meets_minimum_dimensions() {
             .any(|c| c.store && matches!(c.kind, FaultKind::TornTruncate | FaultKind::TornBitFlip)),
         "matrix must tear incremental images"
     );
+    for kind in [FaultKind::KillProc, FaultKind::NodeLoss] {
+        for point in FillPoint::ALL {
+            assert!(
+                all.iter().any(|c| c.kind == kind && c.fill == Some(point)),
+                "matrix must strike a restore's fill at {} with {}",
+                point.name(),
+                kind.name()
+            );
+        }
+    }
 
     // Seed derivation must give every cell a distinct seed, or two cells
     // would silently explore the same fault timing.
@@ -994,7 +1049,11 @@ fn cell_from_meta(j: &obs::journal::DecodedJournal) -> Cell {
     let kind = FaultKind::ALL
         .iter()
         .copied()
-        .chain([FaultKind::RelayKill, FaultKind::RelaySever])
+        .chain([
+            FaultKind::RelayKill,
+            FaultKind::RelaySever,
+            FaultKind::NodeLoss,
+        ])
         .find(|k| k.name() == kind_name)
         .unwrap_or_else(|| panic!("unknown fault kind {kind_name:?}"));
     let wl_name = get("workload");
@@ -1013,6 +1072,10 @@ fn cell_from_meta(j: &obs::journal::DecodedJournal) -> Cell {
         // Journals recorded before the incremental-store cells existed
         // lack the key; those cells all ran storeless.
         store: j.meta_value("store").map(|v| v == "1").unwrap_or(false),
+        // Likewise the fill cells: absent or empty means none.
+        fill: FillPoint::ALL
+            .into_iter()
+            .find(|p| j.meta_value("fill") == Some(p.name())),
     };
     // The seed stamped at record time must match the rebuilt cell, or the
     // seed derivation changed since the journal was written and replaying
@@ -1063,28 +1126,7 @@ fn replay_cell() {
     // options, same fault plan, same launches — then let the journal drive.
     let (mut w, mut sim) = cluster(2);
     dmtcp::replay::arm(&mut w, &recorded).expect("recording arms");
-    let s = Session::start(
-        &mut w,
-        &mut sim,
-        Options::builder()
-            .ckpt_dir("/shared/ckpt")
-            .forked(cell.forked)
-            .build(),
-    );
-    if cell.kind == FaultKind::ImageDelete || cell.store {
-        ckptstore::install(&mut w, ckptstore::Config::default());
-    }
-    faultkit::install(
-        &mut w,
-        FaultPlan {
-            seed: cell.seed(),
-            kind: cell.kind,
-            stage: cell.stage,
-            target_gen: 2,
-        },
-    );
-    launch_workload(&cell, &s, &mut w, &mut sim);
-
+    let s = start_cell(&cell, &mut w, &mut sim);
     let report = dmtcp::replay::drive(&mut w, &mut sim, &s, &recorded, Some(seek));
     eprintln!("{}", report.verdict());
     println!("{}", report.snapshot);

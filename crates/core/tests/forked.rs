@@ -333,7 +333,9 @@ fn generation(s: &Session, w: &mut World, sim: &mut OsSim) -> Gen {
 
 /// Run a scribe through a restart in place, a migration to its ring
 /// successor, a migration to a node holding nothing of it, and a restart
-/// that falls back a generation — and require of the generation after each
+/// that falls back a generation — onto the one that last migration restored
+/// from, so the restart is a second restore of it — and require of the
+/// generation after each
 /// exactly what the steady-state generation before any of them showed.
 fn scribe_through_every_recovery(churn: bool) -> Vec<Gen> {
     let budget = run_budget();
@@ -389,13 +391,6 @@ fn scribe_through_every_recovery(churn: bool) -> Vec<Gen> {
     };
     for recovery in 0..4 {
         run_for(&mut w, &mut sim, gap);
-        if recovery == 3 {
-            // The generation a fallback lands on must not be the one the
-            // migration restored: `wait_restart_done` cannot tell a second
-            // restore of a generation from the first.
-            gens.push(generation(&s, &mut w, &mut sim));
-            run_for(&mut w, &mut sim, gap);
-        }
         let newest = gens.last().expect("steady").stat.gen;
         match recovery {
             0 => restart(&mut w, &mut sim, newest),

@@ -9,7 +9,10 @@
 //! (plus MAP_SHARED writes, late mappings, and unmappings) between
 //! generations — and one recovery in the middle of every chain: generation
 //! *k* + 1 must be the same capture with a restart or a migration before it
-//! as without.
+//! as without. Every image goes through the demand-ordered restore too: the
+//! regions it maps before the process may run are exactly the ones written
+//! since the previous generation plus the shared and synthetic ones, and
+//! once the rest has filled in the address space is the full image's.
 mod common;
 
 use common::*;
@@ -131,8 +134,37 @@ fn mem_fingerprint(w: &World, pid: Pid) -> Vec<(String, u64, u64)> {
         .collect()
 }
 
+/// The regions of `pid` a restore left to fill in behind it.
+fn cold_regions(w: &World, pid: Pid) -> BTreeSet<String> {
+    w.procs[&pid]
+        .mem
+        .iter()
+        .filter(|(_, r)| r.ready_at > Nanos::ZERO)
+        .map(|(_, r)| r.name.clone())
+        .collect()
+}
+
+/// The regions of `pid` a restore of its next image must map before the
+/// process may run: every region written or mapped since the baseline
+/// (`dirtied`), every MAP_SHARED one, and every synthetic recipe. `None`
+/// means all of them — there is no baseline, the image will be full.
+fn hot_regions(w: &World, pid: Pid, dirtied: Option<&BTreeSet<RegionId>>) -> BTreeSet<String> {
+    w.procs[&pid]
+        .mem
+        .iter()
+        .filter(|(id, r)| {
+            dirtied.is_none_or(|d| d.contains(id)) || !matches!(r.content, Content::Real(_))
+        })
+        .map(|(_, r)| r.name.clone())
+        .collect()
+}
+
 /// Write both images at the same suspended instant, verify both, restore
-/// both, and require identical region-level fingerprints.
+/// both, and require identical region-level fingerprints — the incremental
+/// image through the demand-ordered restore, the full one through what is
+/// the eager restore: it inherits nothing, so all of it is hot and it costs
+/// exactly `max(read, gunzip(raw))`, as every restore did before there was
+/// a fill. Returns the incremental restore's hot set.
 #[allow(clippy::too_many_arguments)]
 fn write_and_compare(
     w: &mut World,
@@ -142,7 +174,7 @@ fn write_and_compare(
     scratch_f: Pid,
     gen: u32,
     seed: u64,
-) -> (mtcp::WriteReport, mtcp::WriteReport) {
+) -> (mtcp::WriteReport, mtcp::WriteReport, BTreeSet<String>) {
     let inc_path = image_path(gen);
     let full_path = format!("/ckpt/full_1_gen{gen}.dmtcp");
     // Read where the process lives: after a migration that is not node 0.
@@ -173,16 +205,36 @@ fn write_and_compare(
         .unwrap_or_else(|e| panic!("seed {seed} gen {gen}: incremental verify: {e:?}"));
     let img_f = mtcp::verify_image(w, node, &full_path)
         .unwrap_or_else(|e| panic!("seed {seed} gen {gen}: full verify: {e:?}"));
-    mtcp::restore_into(w, sim.now(), scratch_i, node, &inc_path, &img_i)
+    let rep_i = mtcp::restore_into(w, sim.now(), scratch_i, node, &inc_path, &img_i)
         .unwrap_or_else(|e| panic!("seed {seed} gen {gen}: incremental restore: {e:?}"));
-    mtcp::restore_into(w, sim.now(), scratch_f, node, &full_path, &img_f)
+    let (mut disk, mut cpu) = {
+        let n = &w.nodes[node.0 as usize];
+        (n.disk.clone(), n.cpu.clone())
+    };
+    let rep_f = mtcp::restore_into(w, sim.now(), scratch_f, node, &full_path, &img_f)
         .unwrap_or_else(|e| panic!("seed {seed} gen {gen}: full restore: {e:?}"));
+    let read = disk.read(sim.now(), rep_f.image_bytes);
+    let (_, gunzip) = cpu.run(sim.now(), w.spec.gunzip_time(rep_f.raw_bytes));
+    let at = format!("seed {seed} gen {gen}");
+    assert_eq!(rep_f.done_at, read.max(gunzip), "{at}: eager restore time");
+    assert_eq!(
+        rep_f.fill_done, rep_f.done_at,
+        "{at}: a full image fills nothing"
+    );
+    assert!(cold_regions(w, scratch_f).is_empty(), "{at}");
+    // After the fill the two address spaces hold the same bytes.
     assert_eq!(
         mem_fingerprint(w, scratch_i),
         mem_fingerprint(w, scratch_f),
-        "seed {seed} gen {gen}: incremental restore diverged from full"
+        "{at}: incremental restore diverged from full"
     );
-    (r_inc, r_full)
+    let cold = cold_regions(w, scratch_i);
+    assert_eq!(rep_i.fill_done > rep_i.done_at, !cold.is_empty(), "{at}");
+    let all: BTreeSet<String> = mem_fingerprint(w, scratch_i)
+        .into_iter()
+        .map(|(name, _, _)| name)
+        .collect();
+    (r_inc, r_full, &all - &cold)
 }
 
 fn image_path(gen: u32) -> String {
@@ -328,12 +380,14 @@ fn incremental_restores_bit_identical_to_full_across_chains() {
                 mem.unmap(late.expect("mapped at gen 3"));
             }
             let expect = must_capture(&w, pid, &dirtied);
-            let (r_inc, r_full) =
+            let expect_hot = hot_regions(&w, pid, (gen > 1).then_some(&dirtied));
+            let (r_inc, r_full, hot) =
                 write_and_compare(&mut w, &sim, pid, scratch_i, scratch_f, gen, seed);
+            let at = format!("seed {seed} gen {gen} ({how:?}, recovered: {recovered})");
+            assert_eq!(hot, expect_hot, "{at}: the restore's hot set");
             if gen == 1 {
                 assert!(!r_inc.incremental, "no baseline at generation 1");
             } else {
-                let at = format!("seed {seed} gen {gen} ({how:?}, recovered: {recovered})");
                 assert!(r_inc.incremental, "{at} stayed full");
                 assert_eq!(r_inc.captured_raw_bytes, expect, "{at}");
                 assert!(r_inc.captured_raw_bytes < r_full.captured_raw_bytes, "{at}");
@@ -373,7 +427,7 @@ fn aborted_forked_generation_rolls_baseline_back() {
 
     // The retried generation must still restore identically to a full
     // capture — stale aliasing after the abort would diverge here.
-    let (r_inc, _) = write_and_compare(&mut w, &sim, pid, scratch_i, scratch_f, 2, 77);
+    let (r_inc, _, _) = write_and_compare(&mut w, &sim, pid, scratch_i, scratch_f, 2, 77);
     assert!(r_inc.incremental, "retry still aliases clean regions");
 }
 

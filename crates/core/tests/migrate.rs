@@ -838,6 +838,58 @@ fn target_node_loss_aborts_migration_and_movers_fall_back() {
     );
 }
 
+/// Migrate generation g, then crash and restart g: waiting for the restart
+/// must wait for *that* restart. The migration's stats for g already show
+/// the restart-refill release, and until the new plan reaches the
+/// coordinator they are the newest stats of g there are.
+#[test]
+fn a_restart_of_a_migrated_generation_waits_for_its_own_release() {
+    let budget = run_budget();
+    let (mut w, mut sim) = world(3);
+    let s = Session::start(&mut w, &mut sim, opts());
+    for (node, id) in [(0, 0), (1, 1)] {
+        let prog = Box::new(Ticker::new(id, 4_000));
+        s.launch(&mut w, &mut sim, NodeId(node), &format!("tick{id}"), prog);
+    }
+    run_for(&mut w, &mut sim, Nanos::from_millis(10));
+    let mover = vpid_of(&w, "tick1");
+    let report = RestartPlan::builder()
+        .only_pids([mover])
+        .topology([NodeId(2)])
+        .build()
+        .migrate(&s, &mut w, &mut sim, budget)
+        .expect("live migration");
+    run_for(&mut w, &mut sim, Nanos::from_millis(5));
+
+    s.kill_computation(&mut w, &mut sim);
+    let asked = sim.now();
+    let out = RestartPlan::from_generation(&w, s.opts.coord_port, report.gen)
+        .expect("the migration committed its generation")
+        .execute(&s, &mut w, &mut sim)
+        .expect("restart");
+    Session::wait_restart_done(&mut w, &mut sim, out.gen, budget);
+    let st = coord_shared_for(&mut w, COORD_PORT)
+        .newest(out.gen)
+        .cloned()
+        .expect("stats of the restored generation");
+    assert!(
+        st.requested_at >= asked,
+        "returned on the migration's release ({:?}), not the restart's",
+        st.requested_at
+    );
+    let released = st.releases[&stage::RESTART_REFILLED];
+    assert!(released <= sim.now(), "returned before its own release");
+
+    assert!(sim.run_bounded(&mut w, budget), "post-restart deadlock");
+    for id in [0, 1] {
+        assert_eq!(
+            shared_result(&w, &Ticker::result_path(id)).as_deref(),
+            Some("4000"),
+            "ticker {id} diverged"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // The first checkpoint after a recovery, requested with no gap at all.
 // ---------------------------------------------------------------------

@@ -17,10 +17,11 @@
 //!
 //! The DMTCP layer (which this crate deliberately does *not* depend on)
 //! notifies faultkit of protocol progress: which connections carry
-//! coordinator traffic, when a checkpoint generation starts, and when each
-//! barrier stage is released. Faults are armed against a named stage of a
-//! named generation, so a test cell like "drop one protocol message during
-//! DRAIN of generation 2, seed 0x5EED" is fully deterministic.
+//! coordinator traffic, when a checkpoint generation starts, when each
+//! barrier stage is released, and how far a restored process's background
+//! memory fill has got. Faults are armed against a named stage of a named
+//! generation, so a test cell like "drop one protocol message during DRAIN
+//! of generation 2, seed 0x5EED" is fully deterministic.
 //!
 //! ## Stream safety
 //!
@@ -129,6 +130,37 @@ impl FaultKind {
     }
 }
 
+/// A point in a restored process's background fill, where
+/// [`fill_progress`] notifications arrive and a plan aimed there with
+/// [`FaultState::target_fill`] fires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FillPoint {
+    /// The hot set is mapped and the restored threads may run.
+    HotMapped,
+    /// Halfway from then to the last cold region landing.
+    MidFill,
+    /// The last cold region lands.
+    LastRegion,
+}
+
+impl FillPoint {
+    /// All points, in fill order.
+    pub const ALL: [FillPoint; 3] = [
+        FillPoint::HotMapped,
+        FillPoint::MidFill,
+        FillPoint::LastRegion,
+    ];
+
+    /// Short stable name (cell ids, logs).
+    pub fn name(self) -> &'static str {
+        match self {
+            FillPoint::HotMapped => "hot-mapped",
+            FillPoint::MidFill => "mid-fill",
+            FillPoint::LastRegion => "last-region",
+        }
+    }
+}
+
 /// A fully specified fault to inject: what, at which protocol stage, into
 /// which checkpoint generation, parameterized by a seed. Everything random
 /// about the injection (which message, how long a delay, where the tear
@@ -176,6 +208,8 @@ pub struct FaultState {
     /// Node the next node-scoped fault must hit, when the driver pins one
     /// (migration cells name their victim; the matrix default is random).
     pinned_node: Option<NodeId>,
+    /// Fire the kill/node-loss at this point of a restore's fill instead.
+    fill_point: Option<FillPoint>,
     killed: bool,
     image_deleted: bool,
     /// Images reported written this generation: (gen, writer node, path).
@@ -203,6 +237,7 @@ impl FaultState {
             torn_armed: false,
             torn_skip_writes,
             pinned_node: None,
+            fill_point: None,
             killed: false,
             image_deleted: false,
             images: Vec::new(),
@@ -225,6 +260,13 @@ impl FaultState {
     /// Migration cells use this to choose "source dies" vs "target dies".
     pub fn pin_victim_node(&mut self, node: NodeId) {
         self.pinned_node = Some(node);
+    }
+
+    /// Aim a [`FaultKind::KillProc`] or [`FaultKind::NodeLoss`] plan at
+    /// `point` of a restore of the target generation ([`fill_progress`])
+    /// instead of at a barrier release or a migration's start.
+    pub fn target_fill(&mut self, point: FillPoint) {
+        self.fill_point = Some(point);
     }
 
     /// Start the injection window for message/partition faults.
@@ -584,7 +626,10 @@ pub fn stage_released(
                 return;
             }
         }
-        if matches!(s.plan.kind, FaultKind::KillProc | FaultKind::KillNode) && !s.killed {
+        if matches!(s.plan.kind, FaultKind::KillProc | FaultKind::KillNode)
+            && !s.killed
+            && s.fill_point.is_none()
+        {
             s.killed = true;
             let victims = s.victims(candidates, coord_node);
             for pid in &victims {
@@ -639,7 +684,11 @@ pub fn migration_started(w: &mut World, sim: &mut OsSim, gen: u64) {
     };
     let before = st.borrow().injected.len();
     let mut s = st.borrow_mut();
-    if s.plan.kind != FaultKind::NodeLoss || s.killed || gen != s.plan.target_gen {
+    if s.plan.kind != FaultKind::NodeLoss
+        || s.killed
+        || s.fill_point.is_some()
+        || gen != s.plan.target_gen
+    {
         return;
     }
     let Some(node) = s.pinned_node else {
@@ -648,6 +697,62 @@ pub fn migration_started(w: &mut World, sim: &mut OsSim, gen: u64) {
     s.killed = true;
     s.injected.push(format!("node-loss node{}", node.0));
     drop(s);
+    lose_node(sim, node);
+    journal_new_injections(w, sim.now(), &st, before);
+}
+
+/// Whether the installed plan waits on [`fill_progress`] notifications. The
+/// restart layer only schedules them then, so every other run keeps its
+/// exact event sequence.
+pub fn wants_fill(w: &World) -> bool {
+    state(w).is_some_and(|st| st.borrow().fill_point.is_some())
+}
+
+/// Notification: the fill of process `pid`, restored on `node` from
+/// generation `gen`, reached `point`. A plan aimed there fires now:
+/// [`FaultKind::KillProc`] kills `pid`; [`FaultKind::NodeLoss`] takes down
+/// `node` — or waits for a restore on the pinned victim node, if one is
+/// pinned.
+pub fn fill_progress(
+    w: &mut World,
+    sim: &mut OsSim,
+    gen: u64,
+    point: FillPoint,
+    pid: Pid,
+    node: NodeId,
+) {
+    let Some(st) = state(w) else {
+        return;
+    };
+    let before = st.borrow().injected.len();
+    let mut s = st.borrow_mut();
+    if s.killed || s.fill_point != Some(point) || gen != s.plan.target_gen {
+        return;
+    }
+    let kind = s.plan.kind;
+    match kind {
+        FaultKind::KillProc => {
+            s.killed = true;
+            s.injected
+                .push(format!("kill pid {} at {}", pid.0, point.name()));
+            drop(s);
+            sim.soon(move |w: &mut World, sim| w.signal(sim, pid, sig::SIGKILL));
+        }
+        FaultKind::NodeLoss if s.pinned_node.is_none_or(|n| n == node) => {
+            s.killed = true;
+            s.injected
+                .push(format!("node-loss node{} at {}", node.0, point.name()));
+            drop(s);
+            lose_node(sim, node);
+        }
+        _ => return,
+    }
+    journal_new_injections(w, sim.now(), &st, before);
+}
+
+/// On the next simulation step, kill every process on `node` and wipe its
+/// node-local disk (plain images and chunk store alike).
+fn lose_node(sim: &mut OsSim, node: NodeId) {
     sim.soon(move |w: &mut World, sim| {
         for pid in w.procs_on(node) {
             w.signal(sim, pid, sig::SIGKILL);
@@ -662,7 +767,6 @@ pub fn migration_started(w: &mut World, sim: &mut OsSim, gen: u64) {
         }
         w.obs.metrics.inc("faultkit.node_loss", node.0 as u64);
     });
-    journal_new_injections(w, sim.now(), &st, before);
 }
 
 /// Node-local disk loss for one image: remove the plain file (when the

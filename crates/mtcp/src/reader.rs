@@ -8,12 +8,14 @@
 
 use crate::image::{CkptImage, HeaderError, RegionMeta, StoredAs};
 use crate::incr::{self, IncrState, RegionRec};
-use oskit::fs::{Blob, Chunk};
-use oskit::mem::{Content, RegionKind};
+use crate::store::ResolvedImage;
+use oskit::fs::Chunk;
+use oskit::mem::{Content, RegionId, RegionKind};
 use oskit::proc::ThreadState;
 use oskit::world::{NodeId, Pid, World};
 use simkit::Nanos;
 use std::cell::RefCell;
+use std::ops::Range;
 use std::rc::Rc;
 
 /// Errors surfaced while reading or restoring an image.
@@ -37,6 +39,8 @@ pub enum RestoreError {
     },
     /// A thread's program tag has no loader in the registry.
     UnknownProgram(String),
+    /// The process to restore into does not exist (any more).
+    NoTarget(u32),
 }
 
 /// The satellite-facing name: errors from validating/reading an image file
@@ -60,6 +64,7 @@ impl std::fmt::Display for RestoreError {
                 )
             }
             RestoreError::UnknownProgram(t) => write!(f, "no program loader for tag {t}"),
+            RestoreError::NoTarget(pid) => write!(f, "restore target process {pid} does not exist"),
         }
     }
 }
@@ -69,8 +74,12 @@ impl std::error::Error for RestoreError {}
 /// Timing of a completed restore.
 #[derive(Debug, Clone, Copy)]
 pub struct RestoreReport {
-    /// When memory and threads are fully restored.
+    /// When the hot set is mapped — header, thread state and every region
+    /// the newest generation wrote: the restored threads may run.
     pub done_at: Nanos,
+    /// When the last region inherited from an older generation has landed
+    /// behind them; `done_at` when there is none.
+    pub fill_done: Nanos,
     /// Image file size read.
     pub image_bytes: u64,
     /// Raw bytes reconstructed.
@@ -79,20 +88,21 @@ pub struct RestoreReport {
 
 /// Resolve the blob behind an image path: the plain file when present,
 /// otherwise whatever an installed store source can reassemble — from the
-/// reader's own store or a replica node's. Returns the blob plus the remote
-/// node that served it, if any, so callers can charge the network fetch.
-fn resolve_blob(
-    w: &World,
-    node: NodeId,
-    path: &str,
-) -> Result<(Blob, Option<NodeId>), RestoreError> {
+/// reader's own store or a replica node's. `fetched_from` names the remote
+/// node that served it, if any, so callers can charge the network fetch; a
+/// plain file inherits nothing.
+fn resolve_blob(w: &World, node: NodeId, path: &str) -> Result<ResolvedImage, RestoreError> {
     if let Some(f) = w.fs_for(node, path).get(path) {
-        return Ok((f.blob.clone(), None));
+        return Ok(ResolvedImage {
+            blob: f.blob.clone(),
+            fetched_from: None,
+            inherited: Vec::new(),
+        });
     }
     if let Some(store) = crate::store::installed(w) {
-        if let Some(r) = store.resolve(w, node, path) {
-            let remote = r.fetched_from.filter(|n| *n != node);
-            return Ok((r.blob, remote));
+        if let Some(mut r) = store.resolve(w, node, path) {
+            r.fetched_from = r.fetched_from.filter(|n| *n != node);
+            return Ok(r);
         }
     }
     Err(RestoreError::NotFound)
@@ -101,7 +111,7 @@ fn resolve_blob(
 /// Parse the image header from `path` on `node`'s view of the filesystem
 /// (or from an installed store, when the plain file is gone).
 pub fn read_image(w: &World, node: NodeId, path: &str) -> Result<CkptImage, RestoreError> {
-    let (blob, _) = resolve_blob(w, node, path)?;
+    let blob = resolve_blob(w, node, path)?.blob;
     // The header always lives at the front of the first real chunk.
     let head = match blob.chunks().first() {
         Some(Chunk::Real(bytes)) => bytes,
@@ -117,7 +127,7 @@ pub fn read_image(w: &World, node: NodeId, path: &str) -> Result<CkptImage, Rest
 /// trusting an image — a torn or bit-flipped generation is rejected here
 /// with a typed error so restart can fall back to an older one.
 pub fn verify_image(w: &World, node: NodeId, path: &str) -> Result<CkptImage, ImageError> {
-    let (blob, _) = resolve_blob(w, node, path)?;
+    let blob = resolve_blob(w, node, path)?.blob;
     let mut cursor = BlobCursor::new(blob.chunks());
     let head = cursor
         .peek_real()
@@ -158,6 +168,22 @@ pub fn verify_image(w: &World, node: NodeId, path: &str) -> Result<CkptImage, Im
 /// peer's store, the installed store is asked to
 /// [`adopt`](crate::store::ImageStore::adopt) the image on `node`, which is
 /// where that capture will look for it.
+///
+/// Memory comes back in demand order. A `Real` region whose whole payload
+/// the image inherited from an older generation
+/// ([`ResolvedImage::inherited`]: a clean region an incremental capture
+/// aliased) is *cold*. Everything else is *hot*: the header and thread
+/// state, `Shared` segments, synthetic recipes, and every region the newest
+/// generation wrote. The hot set's read and decompression are charged before
+/// [`RestoreReport::done_at`], when the restored threads may run. Each cold
+/// region's are queued behind them, in region order, and the region is
+/// mapped with the instant it lands as its
+/// [`ready_at`](oskit::mem::Region::ready_at) — a thread touching it sooner
+/// stalls until then. A full image, an uncompressed one and a plain file
+/// inherit nothing, so all of such an image is hot. Either way the host has
+/// unpacked and CRC-checked every byte before this returns, and the cold
+/// regions are clean against the baseline: a checkpoint taken mid-fill
+/// aliases them rather than waiting for them.
 pub fn restore_into(
     w: &mut World,
     now: Nanos,
@@ -167,10 +193,13 @@ pub fn restore_into(
     img: &CkptImage,
 ) -> Result<RestoreReport, RestoreError> {
     // Walk payload chunks in lockstep with the region table.
-    let (blob, fetched_from) = resolve_blob(w, node, path)?;
+    let ResolvedImage {
+        blob,
+        fetched_from,
+        inherited,
+    } = resolve_blob(w, node, path)?;
     let image_bytes = blob.len();
-    let payload_owned = blob.chunks().to_vec();
-    let mut cursor = BlobCursor::new(&payload_owned);
+    let mut cursor = BlobCursor::new(blob.chunks());
     // Skip the header bytes within the first chunk.
     let head = cursor
         .peek_real()
@@ -188,6 +217,8 @@ pub fn restore_into(
     });
     let mut raw_bytes = 0u64;
     let mut payload_off = header_len as u64;
+    // Cold regions: (id in the new mapping, stored bytes, raw bytes).
+    let mut cold: Vec<(RegionId, u64, u64)> = Vec::new();
     for (index, rm) in img.regions.iter().enumerate() {
         raw_bytes += rm.raw_len;
         let (kind, content, stored_len) = match &rm.stored {
@@ -221,6 +252,10 @@ pub fn restore_into(
             }
         };
         let id = new_mem.map(rm.name.clone(), kind, rm.prot, content);
+        let payload = payload_off..payload_off + stored_len;
+        if matches!(rm.stored, StoredAs::Real { .. }) && within(&inherited, payload) {
+            cold.push((id, stored_len, rm.raw_len));
+        }
         if let Some(baseline) = &mut baseline {
             let rec = RegionRec {
                 raw_len: rm.raw_len,
@@ -244,20 +279,48 @@ pub fn restore_into(
         new_threads.push(prog);
     }
 
-    // Nothing can fail from here on: the restore is complete and CRC-clean,
-    // so the image it came from is what the new memory is relative to.
-    match baseline {
-        Some(baseline) => {
-            new_mem.enable_dirty_tracking();
-            incr::commit_state(w, pid, baseline);
-        }
-        None => incr::clear_state(w, pid),
+    // Charge time. The hot set's read — plus the serving peer's NIC when
+    // the bytes came off a replica — overlaps its decompression; the
+    // restored threads may run once both are done. Each cold region's read
+    // then queues behind the hot set's on the same disk and NIC, and one
+    // core, booked from the release on, unpacks the cold regions in region
+    // order: each lands once its bytes are in and its turn has come.
+    let cold_bytes: u64 = cold.iter().map(|&(_, stored, _)| stored).sum();
+    let cold_raw_bytes: u64 = cold.iter().map(|&(_, _, raw)| raw).sum();
+    let spec = &w.spec;
+    let hot_unpack = unpack_time(spec, img.compressed, raw_bytes - cold_raw_bytes);
+    let cold_unpack: Vec<Nanos> = cold
+        .iter()
+        .map(|&(_, _, raw)| unpack_time(spec, img.compressed, raw))
+        .collect();
+    let arrived = fetch(w, now, node, path, fetched_from, image_bytes - cold_bytes);
+    let (_, hot_unpacked) = unpack(w, now, node, img.compressed, hot_unpack);
+    let done_at = arrived.max(hot_unpacked);
+    let mut fill_done = done_at;
+    if !cold.is_empty() {
+        let busy = cold_unpack.iter().fold(Nanos::ZERO, |a, &d| a + d);
+        (fill_done, _) = unpack(w, done_at, node, img.compressed, busy);
     }
+    for (&(id, stored, _), dur) in cold.iter().zip(cold_unpack) {
+        let arrived = fetch(w, now, node, path, fetched_from, stored);
+        fill_done = fill_done.max(arrived) + dur;
+        new_mem.set_ready_at(id, fill_done);
+    }
+    if fetched_from.is_some() {
+        w.obs
+            .metrics
+            .add("ckptstore.replica_fetch_bytes", node.0 as u64, image_bytes);
+    }
+
+    // The restore is complete and CRC-clean, so the image it came from is
+    // what the new memory is relative to.
     {
-        let p = w
-            .procs
-            .get_mut(&pid)
-            .expect("restore target process exists");
+        let Some(p) = w.procs.get_mut(&pid) else {
+            return Err(RestoreError::NoTarget(pid.0));
+        };
+        if baseline.is_some() {
+            new_mem.enable_dirty_tracking();
+        }
         p.mem = new_mem;
         p.cmd = img.cmd.clone();
         p.env = img.env.iter().cloned().collect();
@@ -277,48 +340,91 @@ pub fn restore_into(
             }
         }
     }
-
-    // Charge time: read the image, decompress, copy into place. When a
-    // store source pulled the bytes off a replica node, the fetch also
-    // crosses the network: the replica's NIC plus one propagation delay.
-    let spec = w.spec.clone();
-    let mut io_done = w.charge_storage_read(now, node, path, image_bytes);
-    if let Some(remote) = fetched_from {
-        let net_done =
-            w.nodes[remote.0 as usize].nic_tx.transfer(now, image_bytes) + spec.net_latency;
-        io_done = io_done.max(net_done);
-        w.obs
-            .metrics
-            .add("ckptstore.replica_fetch_bytes", node.0 as u64, image_bytes);
+    match baseline {
+        Some(baseline) => incr::commit_state(w, pid, baseline),
+        None => incr::clear_state(w, pid),
     }
-    let cpu_done = if img.compressed {
-        let (_s, e) = w.nodes[node.0 as usize]
-            .cpu
-            .run(now, spec.gunzip_time(raw_bytes));
-        e
-    } else {
-        now + spec.memcpy_time(raw_bytes)
-    };
-    let done_at = io_done.max(cpu_done);
+
     // After the restore's own read is on the disk's books, so the copy the
     // store keeps queues behind it and not the other way round.
     if let (Some(from), Some(store)) = (fetched_from, crate::store::installed(w)) {
         store.adopt(w, now, node, from, path);
     }
-    w.obs.metrics.add("mtcp.restore.bytes", 0, image_bytes);
-    w.obs.spans.complete(
-        obs::TrackId::new(node.0, img.vpid, 0),
-        "mtcp.restore",
-        "mtcp",
-        now,
-        done_at,
-        vec![("image_bytes", image_bytes), ("raw_bytes", raw_bytes)],
-    );
+    let m = &mut w.obs.metrics;
+    m.add("mtcp.restore.bytes", 0, image_bytes);
+    m.add("mtcp.restore.raw_bytes", 0, raw_bytes);
+    m.add("mtcp.restore.cold_raw_bytes", 0, cold_raw_bytes);
+    let track = obs::TrackId::new(node.0, img.vpid, 0);
+    let sizes = vec![("image_bytes", image_bytes), ("raw_bytes", raw_bytes)];
+    w.obs
+        .spans
+        .complete(track, "mtcp.restore", "mtcp", now, done_at, sizes);
+    if fill_done > done_at {
+        let sizes = vec![
+            ("regions", cold.len() as u64),
+            ("cold_raw_bytes", cold_raw_bytes),
+        ];
+        w.obs
+            .spans
+            .complete(track, "mtcp.fill", "mtcp", done_at, fill_done, sizes);
+    }
     Ok(RestoreReport {
         done_at,
+        fill_done,
         image_bytes,
         raw_bytes,
     })
+}
+
+/// Whether the non-empty byte range `payload` lies inside one of `ranges`
+/// (ascending, disjoint, merged where they touch).
+fn within(ranges: &[Range<u64>], payload: Range<u64>) -> bool {
+    let i = ranges.partition_point(|r| r.end <= payload.start);
+    !payload.is_empty()
+        && ranges
+            .get(i)
+            .is_some_and(|r| r.start <= payload.start && payload.end <= r.end)
+}
+
+/// Charge reading `bytes` of the image at `path` into `node`, asked for at
+/// `now`: the storage read and, when the peer `from` served them, its NIC
+/// plus one propagation delay. Returns when the bytes are in.
+fn fetch(
+    w: &mut World,
+    now: Nanos,
+    node: NodeId,
+    path: &str,
+    from: Option<NodeId>,
+    bytes: u64,
+) -> Nanos {
+    let read = w.charge_storage_read(now, node, path, bytes);
+    match from {
+        Some(peer) => {
+            let sent = w.nodes[peer.0 as usize].nic_tx.transfer(now, bytes);
+            read.max(sent + w.spec.net_latency)
+        }
+        None => read,
+    }
+}
+
+/// How long turning stored bytes back into `raw` bytes of memory takes:
+/// gunzip, or a copy for an uncompressed image.
+fn unpack_time(spec: &oskit::HwSpec, compressed: bool, raw: u64) -> Nanos {
+    if compressed {
+        spec.gunzip_time(raw)
+    } else {
+        spec.memcpy_time(raw)
+    }
+}
+
+/// Charge `dur` of unpacking on `node` from `at`: gunzip runs on one of its
+/// cores, a copy takes none. Returns when it starts and ends.
+fn unpack(w: &mut World, at: Nanos, node: NodeId, compressed: bool, dur: Nanos) -> (Nanos, Nanos) {
+    if compressed {
+        w.nodes[node.0 as usize].cpu.run(at, dur)
+    } else {
+        (at, at + dur)
+    }
 }
 
 /// §4.5 shared-memory restore rules, against the current world state.

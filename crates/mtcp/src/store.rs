@@ -19,6 +19,7 @@
 use oskit::fs::Blob;
 use oskit::world::{NodeId, World};
 use simkit::Nanos;
+use std::ops::Range;
 use std::rc::Rc;
 
 /// What a store reports after committing an image.
@@ -40,6 +41,12 @@ pub struct ResolvedImage {
     /// The node whose store supplied the bytes, when it was not the reader
     /// itself — the reader charges a network fetch on top of the local read.
     pub fetched_from: Option<NodeId>,
+    /// Byte ranges of `blob` this generation inherited from older ones — the
+    /// alias extents its writer emitted, as the store resolved them —
+    /// ascending and disjoint. A region whose whole payload lies inside them
+    /// was not written by this generation, so a restore may fill it in
+    /// behind the running process ([`crate::reader::restore_into`]).
+    pub inherited: Vec<Range<u64>>,
 }
 
 /// A checkpoint-image storage backend.

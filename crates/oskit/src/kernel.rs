@@ -69,6 +69,9 @@ pub struct Fx {
     /// to `oskit.sock.would_block` (labeled by pid) once per step, which
     /// keeps a polling loop's hot path off the metrics registry.
     pub would_block: u64,
+    /// The latest [`crate::mem::Region::ready_at`] this step touched. When it
+    /// is still ahead, the step stalled on a fill fault and ends there.
+    pub fill_until: Nanos,
 }
 
 /// The per-step syscall context.
@@ -980,7 +983,11 @@ impl<'a> Kernel<'a> {
     /// snapshot forces a physical copy — charge that page-duplication work
     /// to a core (it contends with the background compressor) and surface
     /// it as metrics so benches can report the COW tax.
+    ///
+    /// Like [`Kernel::mem_read`], a write to a region a restore is still
+    /// filling in stalls the step until the region lands.
     pub fn mem_write(&mut self, id: RegionId, offset: u64, bytes: &[u8]) {
+        self.await_fill(id);
         let copied = self.proc_mut().mem.write(id, offset, bytes);
         if copied > 0 {
             let now = self.sim.now();
@@ -995,9 +1002,23 @@ impl<'a> Kernel<'a> {
         }
     }
 
-    /// Read from this process's memory.
-    pub fn mem_read(&self, id: RegionId, offset: u64, len: usize) -> Vec<u8> {
+    /// Read from this process's memory. The bytes are always there; but a
+    /// region whose [`ready_at`](crate::mem::Region::ready_at) is still
+    /// ahead — a restore is filling it in behind the running process — is a
+    /// *fill fault*: the step stalls until the region lands, so the thread's
+    /// next dispatch is reckoned from that instant instead of from now.
+    pub fn mem_read(&mut self, id: RegionId, offset: u64, len: usize) -> Vec<u8> {
+        self.await_fill(id);
         self.proc_ref().mem.read(id, offset, len)
+    }
+
+    fn await_fill(&mut self, id: RegionId) {
+        let ready = self
+            .proc_ref()
+            .mem
+            .region(id)
+            .map_or(Nanos::ZERO, |r| r.ready_at);
+        self.fx.fill_until = self.fx.fill_until.max(ready);
     }
 
     // ------------------------------------------------------------------

@@ -19,6 +19,7 @@
 
 use simkit::impl_snap;
 use simkit::rng::{mix2, splitmix64};
+use simkit::Nanos;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
@@ -287,6 +288,10 @@ pub struct Region {
     pub prot: u8,
     /// The bytes.
     pub content: Content,
+    /// When a restore's background fill lands this region: a thread that
+    /// touches it earlier stalls until then ([`crate::Kernel::mem_read`]).
+    /// Zero for a region mapped whole.
+    pub ready_at: Nanos,
 }
 
 impl Region {
@@ -378,6 +383,7 @@ impl AddressSpace {
             kind,
             prot,
             content,
+            ready_at: Nanos::ZERO,
         }));
         let id = self.regions.len() - 1;
         // A region mapped after the last capture has no prior-generation
@@ -407,6 +413,13 @@ impl AddressSpace {
     /// A live region by id.
     pub fn region(&self, id: RegionId) -> Option<&Region> {
         self.regions.get(id).and_then(|r| r.as_ref())
+    }
+
+    /// Mark region `id` as landing at `at` (see [`Region::ready_at`]).
+    pub fn set_ready_at(&mut self, id: RegionId, at: Nanos) {
+        if let Some(r) = self.regions.get_mut(id).and_then(|r| r.as_mut()) {
+            r.ready_at = at;
+        }
     }
 
     /// Number of live regions.

@@ -5,6 +5,7 @@ use crate::mem::AddressSpace;
 use crate::program::Program;
 use crate::pty::PtyId;
 use crate::world::{NodeId, Pid, Tid};
+use simkit::Nanos;
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -70,6 +71,9 @@ pub struct Thread {
     /// Tokens of watched objects (`Kernel::watch_read`) that became readable
     /// since this thread's last `Kernel::take_ready` — sorted, de-duplicated.
     pub ready: BTreeSet<u64>,
+    /// A fill fault holds this thread until then: no dispatch of it is
+    /// scheduled earlier (see [`crate::mem::Region::ready_at`]).
+    pub stalled_until: Nanos,
 }
 
 impl std::fmt::Debug for Thread {
@@ -194,6 +198,7 @@ impl Process {
             dispatch_pending: false,
             fork_ret: None,
             ready: BTreeSet::new(),
+            stalled_until: Nanos::ZERO,
         });
         tid
     }

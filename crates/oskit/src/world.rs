@@ -529,6 +529,7 @@ impl World {
             return;
         }
         t.dispatch_pending = true;
+        let at = at.max(t.stalled_until);
         // Keyed fast path: the dispatcher fires once per quantum per
         // runnable thread, so boxing a closure here would be the single
         // hottest allocation in the whole simulation.
@@ -1088,6 +1089,14 @@ pub fn dispatch(w: &mut World, sim: &mut OsSim, pid: Pid, tid: Tid) {
             .metrics
             .add("oskit.sock.would_block", pid.0 as u64, fx.would_block);
     }
+    // A fill fault stalled the step on a region still landing: the step
+    // ends when it lands, and whatever the program asked for runs from then.
+    let stall = fx.fill_until.saturating_sub(sim.now());
+    if stall > Nanos::ZERO {
+        w.obs.metrics.inc("oskit.mem.fill_faults", 0);
+        w.obs.metrics.add("oskit.mem.fill_wait_ns", 0, stall.0);
+    }
+    let ended = sim.now() + stall;
 
     // Phase 3: put the program back (or its exec replacement) and apply the
     // step. The process may have died during the step (exit/kill).
@@ -1102,20 +1111,23 @@ pub fn dispatch(w: &mut World, sim: &mut OsSim, pid: Pid, tid: Tid) {
         if t.state == ThreadState::Exited {
             return;
         }
+        if stall > Nanos::ZERO {
+            // Held even across a block: a wake cannot dispatch it earlier.
+            t.stalled_until = ended;
+        }
         match step {
             Step::Compute(units) => {
                 let dur = Nanos::from_secs_f64(units as f64 / w.spec.core_ups);
                 let node = p.node;
-                let now = sim.now();
-                let (_start, end) = w.nodes[node.0 as usize].cpu.run(now, dur);
+                let (_start, end) = w.nodes[node.0 as usize].cpu.run(ended, dur);
                 w.schedule_dispatch_at(sim, pid, tid, end);
             }
             Step::Yield => {
-                let at = sim.now() + QUANTUM;
+                let at = ended + QUANTUM;
                 w.schedule_dispatch_at(sim, pid, tid, at);
             }
             Step::Sleep(d) => {
-                let at = sim.now() + d;
+                let at = ended + d;
                 w.schedule_dispatch_at(sim, pid, tid, at);
             }
             Step::Block => {

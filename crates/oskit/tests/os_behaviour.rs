@@ -797,6 +797,80 @@ fn watcher_reports_readiness_and_dies_with_the_last_fd_reference() {
     assert_eq!(w.conns[&cid].watchers, [None, None], "last reference gone");
 }
 
+/// Maps three regions, then touches them one step at a time, logging when
+/// each step was dispatched: `hot` at 1 ms, `cold` at 2 ms (then asks to
+/// run again at once), `late` by a write at the next step (then blocks).
+struct FillProbe {
+    pc: u8,
+    ids: Vec<oskit::mem::RegionId>,
+    log: Rc<RefCell<Vec<Nanos>>>,
+}
+impl FillProbe {
+    fn run(&mut self, k: &mut Kernel<'_>) -> Step {
+        if self.pc == 0 {
+            self.ids = ["hot", "cold", "late"]
+                .map(|name| k.mmap_anon(name, 4096))
+                .to_vec();
+            self.pc = 1;
+            return Step::Sleep(Nanos::from_millis(1));
+        }
+        self.log.borrow_mut().push(k.now());
+        self.pc += 1;
+        match self.pc {
+            2 => {
+                k.mem_read(self.ids[0], 0, 8);
+                Step::Sleep(Nanos::from_millis(1))
+            }
+            3 => {
+                k.mem_read(self.ids[1], 0, 8);
+                Step::Sleep(Nanos::ZERO)
+            }
+            4 => {
+                k.mem_write(self.ids[2], 0, b"x");
+                k.block_forever();
+                Step::Block
+            }
+            _ => Step::Exit(0),
+        }
+    }
+}
+ephemeral!(FillProbe, "fill-probe");
+
+/// A restore fills regions in behind a running process: a step touching one
+/// before its `ready_at` stalls there, so the thread is next dispatched from
+/// that instant — even when it blocked and was woken sooner — and each such
+/// step counts one fill fault and its wait.
+#[test]
+fn a_step_touching_a_region_before_it_lands_stalls_until_it_does() {
+    let (mut w, mut sim) = world(1);
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let probe = FillProbe {
+        pc: 0,
+        ids: Vec::new(),
+        log: log.clone(),
+    };
+    let pid = spawn(&mut w, &mut sim, 0, "probe", Box::new(probe));
+    sim.run_until(&mut w, Nanos::from_micros(500));
+    let mem = &mut w.procs.get_mut(&pid).expect("probe").mem;
+    let id = |mem: &oskit::mem::AddressSpace, name: &str| {
+        mem.iter().find(|(_, r)| r.name == name).expect("mapped").0
+    };
+    let (cold, late) = (id(mem, "cold"), id(mem, "late"));
+    mem.set_ready_at(cold, Nanos::from_millis(50));
+    mem.set_ready_at(late, Nanos::from_millis(80));
+
+    sim.run_until(&mut w, Nanos::from_millis(60));
+    // Blocked since 50 ms, stalled on `late` until 80: a wake now is early.
+    w.wake(&mut sim, (pid, oskit::Tid(0)));
+    sim.run(&mut w);
+    let ms = Nanos::from_millis;
+    assert_eq!(*log.borrow(), [ms(1), ms(2), ms(50), ms(80)]);
+    assert_exit(&w, pid, 0);
+    let m = &w.obs.metrics;
+    assert_eq!(m.counter_total("oskit.mem.fill_faults"), 2);
+    assert_eq!(m.counter_total("oskit.mem.fill_wait_ns"), ms(48 + 30).0);
+}
+
 /// The typed world-extension store the layers above keep their shared
 /// state in: keyed by type alone, reads never insert, removal resets.
 #[test]

@@ -177,6 +177,19 @@ stage_lint() {
     fi
 }
 
+# Record one stage's wall-clock seconds in results/tier1_stages.json, keeping
+# what earlier runs recorded for the other stages. Not gated: it says where
+# the gate's own time goes, on whatever machine ran it.
+record_stage_seconds() {
+    local file=results/tier1_stages.json
+    mkdir -p results
+    {
+        [[ -f "$file" ]] && grep -oE '"[a-z0-9]+": [0-9]+' "$file" | grep -v "^\"$1\":"
+        echo "\"$1\": $2"
+    } | sort | awk 'BEGIN { print "{" } { printf "%s  %s", (NR > 1 ? ",\n" : ""), $0 } END { print "\n}" }' >"$file.tmp"
+    mv "$file.tmp" "$file"
+}
+
 run_stage() {
     local name="$1"
     case "$name" in
@@ -190,6 +203,7 @@ run_stage() {
     t0=$SECONDS
     "stage_$name"
     t1=$SECONDS
+    record_stage_seconds "$name" "$((t1 - t0))"
     echo "tier1: stage $name OK ($((t1 - t0))s)"
 }
 
