@@ -18,6 +18,7 @@ mod common;
 use common::*;
 use dmtcp::session::run_for;
 use dmtcp::{ExpectCkpt, Options, RestartPlan, Session};
+use oskit::fs::Chunk;
 use oskit::mem::{Content, FillProfile, RegionId, RegionKind, PROT_W};
 use oskit::program::{Program, Step};
 use oskit::world::{NodeId, OsSim, Pid, World};
@@ -26,9 +27,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 /// Lays out the address space the differential chains mutate: eight 16 KiB
-/// writable anonymous regions, one MAP_SHARED segment, and synthetic text
-/// ballast (never written — the always-aliasable bulk). Then computes
-/// forever so checkpoints can land at any time.
+/// writable anonymous regions, two of a whole szip block (64 KiB — a capture
+/// or restore holding both packs them on every host core), one MAP_SHARED
+/// segment, and synthetic text ballast (never written — the
+/// always-aliasable bulk). Then computes forever so checkpoints can land at
+/// any time.
 struct Churn {
     pc: u8,
 }
@@ -40,6 +43,12 @@ impl Program for Churn {
             for i in 0..8u64 {
                 let id = k.mmap_anon(&format!("churn{i}"), 16 << 10);
                 k.mem_write(id, 0, &vec![i as u8 + 1; 16 << 10]);
+            }
+            for i in 0..2u64 {
+                let len = szip::stream::BLOCK;
+                let id = k.mmap_anon(&format!("churn-wide{i}"), len);
+                let fill: Vec<u8> = (0..len).map(|b| (b / 4096) as u8 ^ i as u8).collect();
+                k.mem_write(id, 0, &fill);
             }
             let shm = k.mmap_shared("/churn_shm", 16 << 10).expect("shm");
             k.mem_write(shm, 0, &vec![0xAA; 16 << 10]);
@@ -134,6 +143,82 @@ fn mem_fingerprint(w: &World, pid: Pid) -> Vec<(String, u64, u64)> {
         .collect()
 }
 
+/// The image at `path`, just written from `pid`'s suspended address space,
+/// holds exactly what packing its regions one at a time, in region order,
+/// gives: each real or shared region's `szip::compress`ed bytes behind the
+/// header with `szip::crc32` in its meta, each synthetic one a virtual
+/// extent — whether the capture packed them on one host core or several,
+/// and whether it read a region or aliased the previous image's bytes for
+/// it. Returns the baseline a capture of exactly that image leaves.
+fn assert_packed_in_order(w: &World, pid: Pid, path: &str, at: &str) -> Baseline {
+    let node = w.procs[&pid].node;
+    let blob = ckptstore::resolve_image(w, node, path)
+        .unwrap_or_else(|| panic!("{at}: {path} stored"))
+        .blob;
+    let flatten = |chunks: &[Chunk]| {
+        let mut real = Vec::new();
+        let mut virt = Vec::new();
+        for c in chunks {
+            match c {
+                Chunk::Real(bytes) => real.extend_from_slice(bytes),
+                Chunk::Virtual { len, .. } => virt.push((real.len(), *len)),
+            }
+        }
+        (real, virt)
+    };
+    let (real, virt) = flatten(blob.chunks());
+    let (img, header_len) = mtcp::CkptImage::decode_header(&real).expect("header decodes");
+    let mut want = oskit::fs::Blob::from_bytes(real[..header_len].to_vec());
+    let mut baseline = BTreeMap::new();
+    let mem = &w.procs[&pid].mem;
+    assert_eq!(mem.iter().count(), img.regions.len(), "{at}: {path}");
+    for ((id, region), rm) in mem.iter().zip(&img.regions) {
+        let raw = match &region.content {
+            Content::Real(bytes) => Some(bytes.to_vec()),
+            Content::Shared(seg) => Some(seg.borrow().clone()),
+            Content::Synthetic { .. } => None,
+        };
+        let payload_off = want.len();
+        match raw {
+            Some(raw) => {
+                let stored = szip::compress(&raw);
+                assert_eq!(rm.crc, szip::crc32(&raw), "{at}: {path} {}", rm.name);
+                assert_eq!(rm_len(rm), stored.len() as u64, "{at}: {path} {}", rm.name);
+                want.append_bytes(&stored);
+            }
+            None => want.append_virtual(rm_len(rm), Vec::new()),
+        }
+        baseline.insert(id, (rm.raw_len, rm.crc, rm.stored.clone(), payload_off));
+    }
+    assert_eq!(
+        (real, virt),
+        flatten(want.chunks()),
+        "{at}: {path} is not the in-order packing of its regions"
+    );
+    baseline
+}
+
+/// Stored length of a region's payload.
+fn rm_len(rm: &mtcp::RegionMeta) -> u64 {
+    match &rm.stored {
+        mtcp::StoredAs::Real { comp_len }
+        | mtcp::StoredAs::Shared { comp_len, .. }
+        | mtcp::StoredAs::Synthetic { comp_len, .. } => *comp_len,
+    }
+}
+
+/// Per region: raw length, CRC, stored form and payload offset.
+type Baseline = BTreeMap<RegionId, (u64, u32, mtcp::StoredAs, u64)>;
+
+/// `pid`'s incremental baseline, in [`assert_packed_in_order`]'s terms.
+fn baseline_of(w: &World, pid: Pid) -> Baseline {
+    let st = mtcp::incr::state_of(w, pid).expect("a compressed capture leaves a baseline");
+    st.regions
+        .into_iter()
+        .map(|(id, r)| (id, (r.raw_len, r.crc, r.stored, r.payload_off)))
+        .collect()
+}
+
 /// The regions of `pid` a restore left to fill in behind it.
 fn cold_regions(w: &World, pid: Pid) -> BTreeSet<String> {
     w.procs[&pid]
@@ -201,6 +286,9 @@ fn write_and_compare(
         r_inc.raw_bytes, r_full.raw_bytes,
         "same instant, same address space"
     );
+    let at = format!("seed {seed} gen {gen}");
+    let baseline = assert_packed_in_order(w, pid, &inc_path, &at);
+    assert_eq!(baseline_of(w, pid), baseline, "{at}: the baseline left");
     let img_i = mtcp::verify_image(w, node, &inc_path)
         .unwrap_or_else(|e| panic!("seed {seed} gen {gen}: incremental verify: {e:?}"));
     let img_f = mtcp::verify_image(w, node, &full_path)
@@ -215,18 +303,23 @@ fn write_and_compare(
         .unwrap_or_else(|e| panic!("seed {seed} gen {gen}: full restore: {e:?}"));
     let read = disk.read(sim.now(), rep_f.image_bytes);
     let (_, gunzip) = cpu.run(sim.now(), w.spec.gunzip_time(rep_f.raw_bytes));
-    let at = format!("seed {seed} gen {gen}");
     assert_eq!(rep_f.done_at, read.max(gunzip), "{at}: eager restore time");
     assert_eq!(
         rep_f.fill_done, rep_f.done_at,
         "{at}: a full image fills nothing"
     );
     assert!(cold_regions(w, scratch_f).is_empty(), "{at}");
-    // After the fill the two address spaces hold the same bytes.
+    // After the fill the two address spaces hold the same bytes, and those
+    // are the bytes captured.
     assert_eq!(
         mem_fingerprint(w, scratch_i),
         mem_fingerprint(w, scratch_f),
         "{at}: incremental restore diverged from full"
+    );
+    assert_eq!(
+        mem_fingerprint(w, scratch_f),
+        mem_fingerprint(w, pid),
+        "{at}: full restore diverged from the process captured"
     );
     let cold = cold_regions(w, scratch_i);
     assert_eq!(rep_i.fill_done > rep_i.done_at, !cold.is_empty(), "{at}");
@@ -405,6 +498,14 @@ fn incremental_restores_bit_identical_to_full_across_chains() {
         assert!(
             w.obs.metrics.counter_total("mtcp.incr.aliased_regions") > 0,
             "seed {seed}: chain never emitted an alias extent"
+        );
+        // Every full capture and restore holds both `churn-wide` regions,
+        // so each one that could use a second host core did.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(
+            w.obs.metrics.counter_total("mtcp.fanout.regions") > 0,
+            cores > 1,
+            "seed {seed}: regions packed off the calling thread on {cores} cores"
         );
     }
 }

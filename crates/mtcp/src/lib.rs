@@ -15,10 +15,16 @@
 //! (§5.3, Table 1) exploits the simulated kernel's copy-on-write `fork`:
 //! the parent is blocked only for the COW setup while a child does the
 //! compression and I/O in the background.
+//!
+//! The host work behind that model — packing a capture's regions, unpacking
+//! and CRC-checking a restore's — runs on every host core through one
+//! crate-private fan-out (`fanout.rs`), with results taken in region order,
+//! so no stored byte, error or virtual instant depends on the host.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod fanout;
 pub mod image;
 pub mod incr;
 pub mod reader;

@@ -9,7 +9,7 @@
 use crate::image::{CkptImage, HeaderError, RegionMeta, StoredAs};
 use crate::incr::{self, IncrState, RegionRec};
 use crate::store::ResolvedImage;
-use oskit::fs::Chunk;
+use oskit::fs::{Blob, Chunk};
 use oskit::mem::{Content, RegionId, RegionKind};
 use oskit::proc::ThreadState;
 use oskit::world::{NodeId, Pid, World};
@@ -111,14 +111,17 @@ fn resolve_blob(w: &World, node: NodeId, path: &str) -> Result<ResolvedImage, Re
 /// Parse the image header from `path` on `node`'s view of the filesystem
 /// (or from an installed store, when the plain file is gone).
 pub fn read_image(w: &World, node: NodeId, path: &str) -> Result<CkptImage, RestoreError> {
-    let blob = resolve_blob(w, node, path)?.blob;
-    // The header always lives at the front of the first real chunk.
-    let head = match blob.chunks().first() {
-        Some(Chunk::Real(bytes)) => bytes,
-        _ => return Err(RestoreError::BadHeader(HeaderError::Truncated)),
-    };
-    let (img, _) = CkptImage::decode_header(head).map_err(RestoreError::BadHeader)?;
+    let (img, _) = decode_head(&resolve_blob(w, node, path)?.blob)?;
     Ok(img)
+}
+
+/// The image header and its length. The header always lives at the front
+/// of the first real chunk.
+fn decode_head(blob: &Blob) -> Result<(CkptImage, usize), RestoreError> {
+    match blob.chunks().first() {
+        Some(Chunk::Real(head)) => CkptImage::decode_header(head).map_err(RestoreError::BadHeader),
+        _ => Err(RestoreError::BadHeader(HeaderError::Truncated)),
+    }
 }
 
 /// Fully validate an image without restoring it: header magic/CRC, then
@@ -128,28 +131,93 @@ pub fn read_image(w: &World, node: NodeId, path: &str) -> Result<CkptImage, Rest
 /// with a typed error so restart can fall back to an older one.
 pub fn verify_image(w: &World, node: NodeId, path: &str) -> Result<CkptImage, ImageError> {
     let blob = resolve_blob(w, node, path)?.blob;
-    let mut cursor = BlobCursor::new(blob.chunks());
-    let head = cursor
-        .peek_real()
-        .ok_or(RestoreError::BadHeader(HeaderError::Truncated))?;
-    let (img, header_len) = CkptImage::decode_header(head).map_err(RestoreError::BadHeader)?;
-    cursor.skip_real(header_len);
-    let mut payload_off = header_len as u64;
-    for (index, rm) in img.regions.iter().enumerate() {
-        match &rm.stored {
-            StoredAs::Real { comp_len } | StoredAs::Shared { comp_len, .. } => {
-                cursor.take_checked(rm, *comp_len, img.compressed, index, payload_off)?;
-                payload_off += *comp_len;
-            }
-            StoredAs::Synthetic { comp_len, .. } => {
-                cursor
-                    .take_virtual(*comp_len)
-                    .ok_or_else(|| RestoreError::BadPayload(rm.name.clone()))?;
-                payload_off += *comp_len;
-            }
-        }
+    let (img, header_len) = decode_head(&blob)?;
+    let (checked, _) = check_payloads(blob.chunks(), header_len, &img, false);
+    for region in checked {
+        region?;
     }
     Ok(img)
+}
+
+/// Walk `chunks` past the `header_len`-byte header in lockstep with `img`'s
+/// region table, then unpack every real payload and check it against its
+/// recorded CRC — on every host core when at least two of them are a szip
+/// block or more of compressed data ([`crate::fanout::map`]).
+///
+/// Element *i* is region *i*'s raw bytes (empty for a synthetic region, and
+/// dropped once checked unless `keep`) or why it is bad. The list ends at
+/// the first region whose payload the blob does not hold, with that
+/// region's `BadPayload`; read in order, the first error is the one a
+/// region-at-a-time walk would stop at. Also returns how many regions were
+/// unpacked off the calling thread.
+fn check_payloads(
+    chunks: &[Chunk],
+    header_len: usize,
+    img: &CkptImage,
+    keep: bool,
+) -> (Vec<Result<Vec<u8>, RestoreError>>, usize) {
+    let mut cursor = BlobCursor::new(chunks);
+    cursor.skip_real(header_len);
+    let mut jobs = Vec::new();
+    let mut missing = None;
+    let mut offset = header_len as u64;
+    for (index, rm) in img.regions.iter().enumerate() {
+        let (stored, comp_len) = match &rm.stored {
+            StoredAs::Real { comp_len } | StoredAs::Shared { comp_len, .. } => {
+                let Some(bytes) = cursor.take_real(*comp_len as usize) else {
+                    missing = Some(RestoreError::BadPayload(rm.name.clone()));
+                    break;
+                };
+                (Some(bytes), *comp_len)
+            }
+            StoredAs::Synthetic { comp_len, .. } => {
+                if cursor.take_virtual(*comp_len).is_none() {
+                    missing = Some(RestoreError::BadPayload(rm.name.clone()));
+                    break;
+                }
+                (None, *comp_len)
+            }
+        };
+        // Bytes the restored process keeps are allocated here, on the
+        // calling thread (see `fanout::map`); a failed reservation only
+        // leaves the decoder to grow the buffer itself.
+        let mut raw = Vec::new();
+        if keep && stored.is_some() {
+            let _ = raw.try_reserve_exact(rm.raw_len as usize);
+        }
+        jobs.push(Check {
+            index,
+            stored,
+            offset,
+            raw,
+        });
+        offset += comp_len;
+    }
+    let heavy = |job: &Check| {
+        img.compressed
+            && job.stored.is_some()
+            && img.regions[job.index].raw_len >= szip::stream::BLOCK as u64
+    };
+    let (mut checked, off_thread) = crate::fanout::map(jobs, heavy, |job| {
+        let Some(stored) = job.stored else {
+            return Ok(Vec::new());
+        };
+        let rm = &img.regions[job.index];
+        let raw = unpack_checked(rm, stored, img.compressed, job.index, job.offset, job.raw)?;
+        Ok(if keep { raw } else { Vec::new() })
+    });
+    checked.extend(missing.map(Err));
+    (checked, off_thread)
+}
+
+/// One region's payload as the blob lends it: region `index`, its `stored`
+/// bytes (none for a synthetic region) at byte `offset` of the image, and
+/// the buffer its raw bytes are unpacked into.
+struct Check<'a> {
+    index: usize,
+    stored: Option<&'a [u8]>,
+    offset: u64,
+    raw: Vec<u8>,
 }
 
 /// Restore memory, signal state, and threads of `img` into the existing
@@ -192,20 +260,19 @@ pub fn restore_into(
     path: &str,
     img: &CkptImage,
 ) -> Result<RestoreReport, RestoreError> {
-    // Walk payload chunks in lockstep with the region table.
     let ResolvedImage {
         blob,
         fetched_from,
         inherited,
     } = resolve_blob(w, node, path)?;
     let image_bytes = blob.len();
-    let mut cursor = BlobCursor::new(blob.chunks());
-    // Skip the header bytes within the first chunk.
-    let head = cursor
-        .peek_real()
-        .ok_or(RestoreError::BadHeader(HeaderError::Truncated))?;
-    let (_, header_len) = CkptImage::decode_header(head).map_err(RestoreError::BadHeader)?;
-    cursor.skip_real(header_len);
+    let (_, header_len) = decode_head(&blob)?;
+    let (checked, off_thread) = check_payloads(blob.chunks(), header_len, img, true);
+    if off_thread > 0 {
+        w.obs
+            .metrics
+            .add("mtcp.fanout.regions", 0, off_thread as u64);
+    }
 
     let mut new_mem = oskit::mem::AddressSpace::new();
     // What a capture of exactly this image would have left behind: where
@@ -219,15 +286,17 @@ pub fn restore_into(
     let mut payload_off = header_len as u64;
     // Cold regions: (id in the new mapping, stored bytes, raw bytes).
     let mut cold: Vec<(RegionId, u64, u64)> = Vec::new();
-    for (index, rm) in img.regions.iter().enumerate() {
+    // Mapped in region order, each only once every region before it checked
+    // clean: a §4.5 shared-segment rule runs exactly when it did while the
+    // restore unpacked one region at a time.
+    for (rm, raw) in img.regions.iter().zip(checked) {
+        let raw = raw?;
         raw_bytes += rm.raw_len;
         let (kind, content, stored_len) = match &rm.stored {
             StoredAs::Real { comp_len } => {
-                let raw = cursor.take_checked(rm, *comp_len, img.compressed, index, payload_off)?;
                 (rm.kind.clone(), Content::Real(Rc::new(raw)), *comp_len)
             }
             StoredAs::Shared { backing, comp_len } => {
-                let raw = cursor.take_checked(rm, *comp_len, img.compressed, index, payload_off)?;
                 let seg = restore_shared_segment(w, node, backing, raw);
                 let kind = RegionKind::Shm {
                     backing: backing.clone(),
@@ -240,9 +309,6 @@ pub fn restore_into(
                 comp_len,
                 ..
             } => {
-                cursor
-                    .take_virtual(*comp_len)
-                    .ok_or_else(|| RestoreError::BadPayload(rm.name.clone()))?;
                 let content = Content::Synthetic {
                     seed: *seed,
                     len: rm.raw_len,
@@ -469,12 +535,31 @@ fn restore_shared_segment(
     seg
 }
 
-fn unpack_real(stored: &[u8], compressed: bool) -> Result<Vec<u8>, ()> {
+/// Unpack region `rm`'s `stored` bytes (at byte `offset` of the image,
+/// region `index` of its table) into `raw` and check them against the
+/// recorded CRC: the raw bytes, or why not.
+fn unpack_checked(
+    rm: &RegionMeta,
+    stored: &[u8],
+    compressed: bool,
+    index: usize,
+    offset: u64,
+    mut raw: Vec<u8>,
+) -> Result<Vec<u8>, RestoreError> {
     if compressed {
-        szip::decompress(stored).map_err(|_| ())
+        szip::decompress_into(stored, &mut raw)
+            .map_err(|_| RestoreError::BadPayload(rm.name.clone()))?;
     } else {
-        Ok(stored.to_vec())
+        raw.extend_from_slice(stored);
     }
+    if szip::crc32(&raw) != rm.crc {
+        return Err(RestoreError::CrcMismatch {
+            region: rm.name.clone(),
+            index,
+            offset,
+        });
+    }
+    Ok(raw)
 }
 
 /// Walks a blob's chunks, consuming real bytes and virtual extents.
@@ -505,38 +590,11 @@ impl<'a> BlobCursor<'a> {
         self.normalize();
     }
 
-    fn take_real(&mut self, n: usize) -> Option<Vec<u8>> {
-        let b = self.peek_real()?;
-        if b.len() < n {
-            return None;
-        }
-        let out = b[..n].to_vec();
+    /// Lend the next `n` real bytes, when one real chunk holds them all.
+    fn take_real(&mut self, n: usize) -> Option<&'a [u8]> {
+        let out = self.peek_real()?.get(..n)?;
         self.skip_real(n);
         Some(out)
-    }
-
-    /// Take region `rm`'s `comp_len` stored bytes (at byte `offset` of the
-    /// image, region `index` of its table), unpack them and check them
-    /// against the recorded CRC: the raw bytes, or why not.
-    fn take_checked(
-        &mut self,
-        rm: &RegionMeta,
-        comp_len: u64,
-        compressed: bool,
-        index: usize,
-        offset: u64,
-    ) -> Result<Vec<u8>, RestoreError> {
-        let bad = || RestoreError::BadPayload(rm.name.clone());
-        let stored = self.take_real(comp_len as usize).ok_or_else(bad)?;
-        let raw = unpack_real(&stored, compressed).map_err(|_| bad())?;
-        if szip::crc32(&raw) != rm.crc {
-            return Err(RestoreError::CrcMismatch {
-                region: rm.name.clone(),
-                index,
-                offset,
-            });
-        }
-        Ok(raw)
     }
 
     fn take_virtual(&mut self, expect_len: u64) -> Option<()> {

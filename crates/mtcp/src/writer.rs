@@ -426,19 +426,54 @@ struct SynthSizes(BTreeMap<(u64, u64, FillProfile), (u64, bool)>);
 /// duration of the (pure) capture and put back.
 fn capture_live(w: &mut World, pid: Pid, compressed: bool, plan: &Plan) -> CaptureOut {
     let mut sizes = std::mem::take(w.ext::<SynthSizes>());
-    let cap = capture_planned(&w.procs[&pid].mem, compressed, plan, &mut sizes);
+    let (cap, off_thread) = capture_planned(&w.procs[&pid].mem, compressed, plan, &mut sizes);
     *w.ext::<SynthSizes>() = sizes;
+    if off_thread > 0 {
+        w.obs
+            .metrics
+            .add("mtcp.fanout.regions", 0, off_thread as u64);
+    }
     cap
+}
+
+/// Where one region of a capture comes from: emitted without reading its
+/// bytes (an alias extent or a synthetic recipe), or packed from them.
+enum Source<'a> {
+    Done(RegionMeta, Payload),
+    Pack(&'a oskit::mem::Region, Held<'a>),
+}
+
+/// A region's real bytes, held for packing: a private region's are lent
+/// straight from its mapping, a shared segment's through a borrow taken on
+/// the calling thread.
+enum Held<'a> {
+    Private(&'a [u8]),
+    Shared(std::cell::Ref<'a, Vec<u8>>),
+}
+
+impl Held<'_> {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Held::Private(bytes) => bytes,
+            Held::Shared(bytes) => bytes,
+        }
+    }
 }
 
 /// Phase 1: build the region table and payload byte streams under `plan`.
 /// (Pure data work on a frozen address space; timing charged at commit.)
+///
+/// Which regions alias and what each synthetic one sizes to is settled
+/// first, in region order; the real bytes of the rest are then packed
+/// through [`crate::fanout::map`] and everything is assembled in region
+/// order again — the same image a one-region-at-a-time loop writes. Also
+/// returns how many regions were packed off the calling thread.
 fn capture_planned(
     mem: &AddressSpace,
     compressed: bool,
     plan: &Plan,
     sizes: &mut SynthSizes,
-) -> CaptureOut {
+) -> (CaptureOut, usize) {
     let mut out = CaptureOut {
         ids: Vec::new(),
         regions: Vec::new(),
@@ -452,6 +487,7 @@ fn capture_planned(
         incremental: matches!(plan, Plan::Incr { .. }),
     };
     let known = sizes.0.len();
+    let mut sources = Vec::new();
     for (id, region) in mem.iter() {
         let raw_len = region.len();
         out.raw_bytes += raw_len;
@@ -459,23 +495,63 @@ fn capture_planned(
         if let Plan::Incr { dirty, prev, bound } = plan {
             if let Some((meta, payload)) = alias_region(id, region, raw_len, dirty, prev, *bound) {
                 out.aliased_regions += 1;
-                out.regions.push(meta);
-                out.payloads.push(payload);
+                sources.push(Source::Done(meta, payload));
                 continue;
             }
         }
         out.captured_raw_bytes += raw_len;
-        let (meta, payload, packed) = capture_one(region, raw_len, compressed, sizes);
-        if let Some(stored_len) = packed {
-            out.comp_in += raw_len;
-            out.comp_out += stored_len;
-        }
-        out.regions.push(meta);
-        out.payloads.push(payload);
+        sources.push(match &region.content {
+            Content::Real(bytes) => Source::Pack(region, Held::Private(bytes)),
+            // Shared segments are materialized eagerly at this instant (the
+            // fork instant, for a forked write): MAP_SHARED memory is not
+            // COW under fork, so the image carries whatever the segment
+            // held when the snapshot was taken.
+            Content::Shared(seg) => Source::Pack(region, Held::Shared(seg.borrow())),
+            Content::Synthetic { seed, len, profile } => {
+                let recipe = (*seed, *len, *profile);
+                let (meta, payload) = capture_synthetic(region, recipe, compressed, sizes);
+                if compressed {
+                    out.comp_in += raw_len;
+                    out.comp_out += payload.len();
+                }
+                Source::Done(meta, payload)
+            }
+        });
     }
     // Every estimator run adds exactly one entry.
     out.synth_sized = (sizes.0.len() - known) as u64;
-    out
+
+    let jobs: Vec<&[u8]> = sources
+        .iter()
+        .filter_map(|s| match s {
+            Source::Pack(_, held) => Some(held.bytes()),
+            Source::Done(..) => None,
+        })
+        .collect();
+    let heavy = |bytes: &&[u8]| compressed && bytes.len() >= szip::stream::BLOCK;
+    let (packed, off_thread) =
+        crate::fanout::map(jobs, heavy, |bytes| pack_real(bytes, compressed));
+
+    // One packed result per `Pack` source, in the same order.
+    let mut packed = packed.into_iter();
+    for source in sources {
+        let (meta, payload) = match source {
+            Source::Done(meta, payload) => (meta, payload),
+            Source::Pack(region, _) => {
+                let (stored_bytes, crc) = packed.next().unwrap_or_default();
+                let stored_len = stored_bytes.len() as u64;
+                if compressed {
+                    out.comp_in += region.len();
+                    out.comp_out += stored_len;
+                }
+                let meta = packed_meta(region, stored_len, crc);
+                (meta, Payload::Real(stored_bytes))
+            }
+        };
+        out.regions.push(meta);
+        out.payloads.push(payload);
+    }
+    (out, off_thread)
 }
 
 /// Emit `region` as a clean alias extent when the previous capture's record
@@ -545,97 +621,74 @@ fn alias_region(
     }
 }
 
-/// Capture one region the full way. Returns the meta, the payload, and the
-/// stored length when the compressor actually ran on real bytes.
-fn capture_one(
-    region: &oskit::mem::Region,
-    raw_len: u64,
-    compressed: bool,
-    sizes: &mut SynthSizes,
-) -> (RegionMeta, Payload, Option<u64>) {
-    match &region.content {
-        Content::Real(bytes) => {
-            let (stored_bytes, crc) = pack_real(bytes, compressed);
-            let stored_len = stored_bytes.len() as u64;
-            (
-                RegionMeta {
-                    name: region.name.clone(),
-                    kind: region.kind.clone(),
-                    prot: region.prot,
-                    raw_len,
-                    stored: StoredAs::Real {
-                        comp_len: stored_len,
-                    },
-                    crc,
-                },
-                Payload::Real(stored_bytes),
-                compressed.then_some(stored_len),
-            )
-        }
-        Content::Shared(seg) => {
-            // Shared segments are materialized eagerly at this instant
-            // (the fork instant, for a forked write): MAP_SHARED memory
-            // is not COW under fork, so the image carries whatever the
-            // segment held when the snapshot was taken.
-            let bytes = seg.borrow();
-            let (stored_bytes, crc) = pack_real(&bytes, compressed);
-            let stored_len = stored_bytes.len() as u64;
+/// The meta of a real or shared region packed into `stored_len` bytes whose
+/// raw bytes have CRC `crc`.
+fn packed_meta(region: &oskit::mem::Region, stored_len: u64, crc: u32) -> RegionMeta {
+    let stored = match &region.content {
+        Content::Shared(_) => {
             let backing = match &region.kind {
                 oskit::mem::RegionKind::Shm { backing } => backing.clone(),
                 _ => String::new(),
             };
-            (
-                RegionMeta {
-                    name: region.name.clone(),
-                    kind: region.kind.clone(),
-                    prot: region.prot,
-                    raw_len,
-                    stored: StoredAs::Shared {
-                        backing,
-                        comp_len: stored_len,
-                    },
-                    crc,
-                },
-                Payload::Real(stored_bytes),
-                compressed.then_some(stored_len),
-            )
+            StoredAs::Shared {
+                backing,
+                comp_len: stored_len,
+            }
         }
-        Content::Synthetic { seed, len, profile } => {
-            let (comp_len, sampled) = if !compressed {
-                (*len, false)
-            } else {
-                *sizes
-                    .0
-                    .entry((*seed, *len, *profile))
-                    .or_insert_with(|| size_synthetic(*seed, *len, *profile))
-            };
-            let stored = StoredAs::Synthetic {
-                seed: *seed,
-                profile: *profile,
-                comp_len,
-                sampled,
-            };
-            // The virtual chunk's meta carries the recipe so a
-            // reader could re-derive it from the file alone.
-            let mut meta = SnapWriter::new();
-            stored.save(&mut meta);
-            (
-                RegionMeta {
-                    name: region.name.clone(),
-                    kind: region.kind.clone(),
-                    prot: region.prot,
-                    raw_len,
-                    stored,
-                    crc: 0,
-                },
-                Payload::Virtual {
-                    len: comp_len,
-                    meta: meta.into_bytes(),
-                },
-                compressed.then_some(comp_len),
-            )
-        }
+        _ => StoredAs::Real {
+            comp_len: stored_len,
+        },
+    };
+    RegionMeta {
+        name: region.name.clone(),
+        kind: region.kind.clone(),
+        prot: region.prot,
+        raw_len: region.len(),
+        stored,
+        crc,
     }
+}
+
+/// Capture the synthetic region `region` with recipe `(seed, len, profile)`:
+/// its meta and a virtual payload of its (memoised) compressed size.
+fn capture_synthetic(
+    region: &oskit::mem::Region,
+    (seed, len, profile): (u64, u64, FillProfile),
+    compressed: bool,
+    sizes: &mut SynthSizes,
+) -> (RegionMeta, Payload) {
+    let (comp_len, sampled) = if !compressed {
+        (len, false)
+    } else {
+        *sizes
+            .0
+            .entry((seed, len, profile))
+            .or_insert_with(|| size_synthetic(seed, len, profile))
+    };
+    let stored = StoredAs::Synthetic {
+        seed,
+        profile,
+        comp_len,
+        sampled,
+    };
+    // The virtual chunk's meta carries the recipe so a reader could
+    // re-derive it from the file alone.
+    let mut meta = SnapWriter::new();
+    stored.save(&mut meta);
+    (
+        RegionMeta {
+            name: region.name.clone(),
+            kind: region.kind.clone(),
+            prot: region.prot,
+            raw_len: region.len(),
+            stored,
+            crc: 0,
+        },
+        Payload::Virtual {
+            len: comp_len,
+            meta: meta.into_bytes(),
+        },
+    )
 }
 
 /// Run the estimator: the compressed size of the synthetic region
@@ -745,10 +798,7 @@ fn commit_image(
                     payload_off: off,
                 },
             );
-            off += match &payloads[i] {
-                Payload::Real(bytes) => bytes.len() as u64,
-                Payload::Virtual { len, .. } => *len,
-            };
+            off += payloads[i].len();
         }
         st
     };
@@ -858,6 +908,16 @@ fn commit_image(
 enum Payload {
     Real(Vec<u8>),
     Virtual { len: u64, meta: Vec<u8> },
+}
+
+impl Payload {
+    /// Bytes the payload takes in the image.
+    fn len(&self) -> u64 {
+        match self {
+            Payload::Real(bytes) => bytes.len() as u64,
+            Payload::Virtual { len, .. } => *len,
+        }
+    }
 }
 
 /// Compress (or pass through) real bytes and compute their CRC.

@@ -5,11 +5,13 @@
 //! is the contract the restart path's fall-back-to-older-generation logic
 //! (and the fault matrix's torn-image cells) relies on.
 
-use mtcp::{verify_image, write_image, CkptImage, HeaderError, ImageError, WriteMode};
+use mtcp::{
+    restore_into, verify_image, write_image, CkptImage, HeaderError, ImageError, WriteMode,
+};
 use oskit::program::{Program, Registry, Step};
 use oskit::world::{NodeId, OsSim, Pid, World};
 use oskit::{HwSpec, Kernel};
-use simkit::{Nanos, Sim, Snap};
+use simkit::{DetRng, Nanos, Sim, Snap};
 use std::collections::BTreeMap;
 
 /// Minimal checkpointable program: a snap-able counter with one heap region,
@@ -261,5 +263,120 @@ fn crc_mismatch_reports_region_index_and_offset() {
             assert_eq!(region, img.regions[1].name);
         }
         other => panic!("expected CrcMismatch, got {other:?}"),
+    }
+}
+
+/// Six regions of two szip blocks each, of bytes that do not compress, so
+/// every block is stored raw: a flipped payload byte decodes fine and only
+/// the CRC can catch it.
+struct WideMapper {
+    pc: u8,
+}
+simkit::impl_snap!(struct WideMapper { pc });
+
+const WIDE_REGIONS: usize = 6;
+
+impl Program for WideMapper {
+    fn step(&mut self, k: &mut Kernel<'_>) -> Step {
+        if self.pc == 0 {
+            let mut rng = DetRng::seed_from_u64(0x01de);
+            for i in 0..WIDE_REGIONS {
+                let mut bytes = vec![0u8; 2 * szip::stream::BLOCK];
+                rng.fill_bytes(&mut bytes);
+                let id = k.mmap_anon(&format!("wide{i}"), bytes.len());
+                k.mem_write(id, 0, &bytes);
+            }
+            self.pc = 1;
+        }
+        Step::Compute(100_000)
+    }
+    fn tag(&self) -> &'static str {
+        "wide-mapper"
+    }
+    fn save(&self) -> Vec<u8> {
+        self.to_snap_bytes()
+    }
+}
+
+/// With two faults in one image, verify and restore report the one in the
+/// lower-indexed region — what walking the regions one at a time finds
+/// first — even though the payloads are unpacked and checked on every host
+/// core: a bit flip in region 2 and a cut in region 4 is region 2's
+/// `CrcMismatch`, the cut in region 2 and the flip in region 4 is region 2's
+/// `BadPayload`.
+#[test]
+fn first_bad_region_wins_when_payloads_are_checked_in_parallel() {
+    let mut reg = Registry::new();
+    reg.register_snap::<WideMapper>("wide-mapper");
+    reg.register_snap::<Ticker>("ticker");
+    let mut w = World::new(HwSpec::desktop(), 1, reg);
+    let mut sim: OsSim = Sim::new();
+    let pid = w.spawn(
+        &mut sim,
+        NodeId(0),
+        "wide-mapper",
+        Box::new(WideMapper { pc: 0 }),
+        Pid(1),
+        BTreeMap::new(),
+    );
+    sim.run_until(&mut w, Nanos::from_millis(3));
+    w.suspend_user_threads(&mut sim, pid);
+    write_image(
+        &mut w,
+        sim.now(),
+        pid,
+        IMG,
+        WriteMode::Compressed,
+        1,
+        vec![],
+    );
+    let img = verify_image(&w, NodeId(0), IMG).expect("fresh image verifies");
+    assert_eq!(img.regions.len(), WIDE_REGIONS);
+    let intact = w.nodes[0].fs.get(IMG).expect("image").blob.clone();
+    let head = intact.read_all().expect("a plain image is all real bytes");
+    let (_, header_len) = CkptImage::decode_header(&head).expect("header parses");
+    // Where each region's payload starts.
+    let mut offsets = vec![header_len as u64];
+    for r in &img.regions {
+        let mtcp::StoredAs::Real { comp_len } = r.stored else {
+            panic!("{} is a real region", r.name);
+        };
+        offsets.push(offsets.last().copied().unwrap_or_default() + comp_len);
+    }
+    let husk = w.spawn(
+        &mut sim,
+        NodeId(0),
+        "ticker",
+        Box::new(Ticker {
+            pc: 0,
+            heap: 0,
+            ticks: 0,
+        }),
+        Pid(2),
+        BTreeMap::new(),
+    );
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let crc_2 = ImageError::CrcMismatch {
+        region: "wide2".into(),
+        index: 2,
+        offset: offsets[2],
+    };
+    let cut_2 = ImageError::BadPayload("wide2".into());
+    for (flip, cut, want) in [(2, 4, crc_2), (4, 2, cut_2)] {
+        damage(&mut w, |b| {
+            *b = intact.clone();
+            // Inside the first block's stored bytes, past its header.
+            assert!(b.flip_bit(offsets[flip] + 100, 3));
+            b.truncate(offsets[cut] + 1000);
+        });
+        let at = format!("flip in region {flip}, cut in region {cut}");
+        assert_eq!(verify_image(&w, NodeId(0), IMG), Err(want.clone()), "{at}");
+        let before = w.obs.metrics.counter_total("mtcp.fanout.regions");
+        let restored = restore_into(&mut w, sim.now(), husk, NodeId(0), IMG, &img);
+        assert_eq!(restored.map(|_| ()), Err(want), "{at}");
+        // Both regions ahead of the first fault hold two szip blocks, so the
+        // restore unpacked them off the calling thread given a second core.
+        let off_thread = w.obs.metrics.counter_total("mtcp.fanout.regions") - before;
+        assert_eq!(off_thread > 0, cores > 1, "{at}: on {cores} cores");
     }
 }

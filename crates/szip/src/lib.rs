@@ -8,12 +8,15 @@
 //! RunCMS's 680 MB → 225 MB image — emerge from the data rather than being
 //! hard-coded.
 //!
-//! Format: a 4-byte magic, then independent blocks of up to 256 KiB input
-//! each: `raw_len varint · kind u8 (0 = stored, 1 = lzss) · payload_len
-//! varint · payload`. Blocks that would expand are stored raw, so worst-case
-//! overhead is ~6 bytes per 256 KiB. The per-block window reset costs a few
-//! percent of ratio versus gzip's sliding window but makes streaming and
-//! random-access verification trivial.
+//! Format: a 4-byte magic, then blocks of up to [`stream::BLOCK`] (64 KiB)
+//! input each: `raw_len varint · kind u8 (0 = stored, 1 = lzss) ·
+//! payload_len varint · payload`. Blocks that would expand are stored raw,
+//! so worst-case overhead is ~7 bytes per 64 KiB. Blocks are independent:
+//! each starts with an empty match window and decodes from its own bytes
+//! alone, so two buffers compressed or decompressed on different threads
+//! give exactly the bytes one thread would. The per-block window reset
+//! costs a few percent of ratio versus gzip's sliding window but makes
+//! streaming and random-access verification trivial.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,7 +28,7 @@ pub mod stream;
 
 pub use crc::{crc32, Crc32};
 pub use estimate::SizeEstimator;
-pub use stream::{Compressor, Decompressor, SzipError};
+pub use stream::{decompress_into, Compressor, Decompressor, SzipError};
 
 /// Compress a whole buffer in one call.
 pub fn compress(input: &[u8]) -> Vec<u8> {
@@ -34,11 +37,13 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
     c.finish()
 }
 
-/// Decompress a whole buffer in one call.
+/// Decompress a whole buffer in one call, decoding straight from `input`.
+/// Same bytes and same [`SzipError`] as a [`Decompressor`] fed `input` in
+/// one [`Decompressor::write`].
 pub fn decompress(input: &[u8]) -> Result<Vec<u8>, SzipError> {
-    let mut d = Decompressor::new();
-    d.write(input)?;
-    d.finish()
+    let mut out = Vec::new();
+    decompress_into(input, &mut out)?;
+    Ok(out)
 }
 
 /// Compute only the compressed *size* of a buffer, without materializing the

@@ -196,49 +196,15 @@ impl Decompressor {
             self.pos = MAGIC.len();
             self.magic_ok = true;
         }
-        loop {
-            let mut p = self.pos;
-            // An overlong varint is corruption (`?`); a short one is only
-            // an incomplete header — wait for more input.
-            let Some((raw_len, p1)) = read_varint(&self.input, p)? else {
-                return Ok(());
-            };
-            p = p1;
-            let Some(&kind) = self.input.get(p) else {
-                return Ok(());
-            };
-            p += 1;
-            let Some((payload_len, p2)) = read_varint(&self.input, p)? else {
-                return Ok(());
-            };
-            p = p2;
-            if raw_len > (lzss::MAX_BLOCK) as u64 || payload_len > 2 * lzss::MAX_BLOCK as u64 {
-                return Err(SzipError::BadHeader);
-            }
-            if self.input.len() - p < payload_len as usize {
-                return Ok(()); // body not fully arrived
-            }
-            let payload = &self.input[p..p + payload_len as usize];
-            match kind {
-                0 => {
-                    if payload_len != raw_len {
-                        return Err(SzipError::BadHeader);
-                    }
-                    self.out.extend_from_slice(payload);
-                }
-                1 => {
-                    lzss::decompress_block(payload, raw_len as usize, &mut self.out)
-                        .map_err(SzipError::BadBlock)?;
-                }
-                _ => return Err(SzipError::BadHeader),
-            }
-            self.pos = p + payload_len as usize;
+        while let Some(next) = decode_block(&self.input, self.pos, &mut self.out)? {
+            self.pos = next;
             // Reclaim consumed input occasionally to bound memory.
             if self.pos > (1 << 20) {
                 self.input.drain(..self.pos);
                 self.pos = 0;
             }
         }
+        Ok(())
     }
 
     /// Finish the stream; errors if it ends mid-block or never had a magic.
@@ -255,6 +221,62 @@ impl Decompressor {
         }
         Ok(self.out)
     }
+}
+
+/// [`crate::decompress`], appending the raw bytes to `out` — a buffer the
+/// caller sized, or allocated where it wants the bytes to live. Decodes
+/// straight from `input`, with the verdict a [`Decompressor`] gives for the
+/// same bytes fed in one `write`; on error `out` holds whatever decoded
+/// before the corruption.
+pub fn decompress_into(input: &[u8], out: &mut Vec<u8>) -> Result<(), SzipError> {
+    let Some(blocks) = input.strip_prefix(&MAGIC) else {
+        return Err(if input.is_empty() {
+            SzipError::Truncated
+        } else {
+            SzipError::BadMagic
+        });
+    };
+    let mut pos = 0;
+    while pos < blocks.len() {
+        pos = decode_block(blocks, pos, out)?.ok_or(SzipError::Truncated)?;
+    }
+    Ok(())
+}
+
+/// Decode the block whose header starts at `buf[pos]`, appending its raw
+/// bytes to `out`: `Ok(Some(next_pos))`, `Ok(None)` when `buf` ends before
+/// the block does (more input may complete it), or the corruption found.
+fn decode_block(buf: &[u8], pos: usize, out: &mut Vec<u8>) -> Result<Option<usize>, SzipError> {
+    // An overlong varint is corruption (`?`); a short one is only an
+    // incomplete header.
+    let Some((raw_len, p)) = read_varint(buf, pos)? else {
+        return Ok(None);
+    };
+    let Some(&kind) = buf.get(p) else {
+        return Ok(None);
+    };
+    let Some((payload_len, p)) = read_varint(buf, p + 1)? else {
+        return Ok(None);
+    };
+    if raw_len > (lzss::MAX_BLOCK) as u64 || payload_len > 2 * lzss::MAX_BLOCK as u64 {
+        return Err(SzipError::BadHeader);
+    }
+    let Some(payload) = buf.get(p..p + payload_len as usize) else {
+        return Ok(None); // body not fully arrived
+    };
+    match kind {
+        0 => {
+            if payload_len != raw_len {
+                return Err(SzipError::BadHeader);
+            }
+            out.extend_from_slice(payload);
+        }
+        1 => {
+            lzss::decompress_block(payload, raw_len as usize, out).map_err(SzipError::BadBlock)?;
+        }
+        _ => return Err(SzipError::BadHeader),
+    }
+    Ok(Some(p + payload_len as usize))
 }
 
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -363,6 +385,38 @@ mod tests {
             d.write(chunk).unwrap();
         }
         assert_eq!(d.finish().unwrap(), input);
+    }
+
+    #[test]
+    fn one_shot_decode_gives_the_streaming_verdict() {
+        // Every prefix and every single-byte corruption of a two-block
+        // stream (one lzss, one stored), plus short and foreign inputs:
+        // the slice decoder answers exactly what the streaming one does.
+        let streamed = |input: &[u8]| {
+            let mut d = Decompressor::new();
+            d.write(input)?;
+            d.finish()
+        };
+        let mut x: u64 = 0x5eed;
+        let mut input: Vec<u8> = (0..BLOCK).map(|i| (i / 1000) as u8).collect();
+        input.extend((0..300).map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u8
+        }));
+        let comp = crate::compress(&input);
+        assert_eq!(crate::decompress(&comp), Ok(input));
+        let mut cases: Vec<Vec<u8>> = (0..=comp.len()).map(|n| comp[..n].to_vec()).collect();
+        for i in 0..comp.len() {
+            let mut bad = comp.clone();
+            bad[i] ^= [0x01, 0x80, 0xFF][i % 3];
+            cases.push(bad);
+        }
+        cases.extend([b"SZ".to_vec(), b"GZIP....".to_vec(), MAGIC.to_vec()]);
+        for case in &cases {
+            assert_eq!(crate::decompress(case), streamed(case), "{case:?}");
+        }
     }
 
     #[test]

@@ -175,6 +175,19 @@ stage_lint() {
         echo "tier1: lint found unsafe szip, process-wide state, or a registry dependency (see above)" >&2
         exit 1
     fi
+    echo "== one-place-for-host-threads guard (also a count) =="
+    # The simulator is single-threaded: a world, its Rc/RefCell state and its
+    # virtual clock live on one host thread. Host threads start in one file,
+    # mtcp's fan-out, which packs and checks bytes lent to it; the other
+    # exception is the bench harness, which runs whole independent worlds
+    # side by side.
+    hits=$(grep -rnE 'thread::scope|thread::spawn|spawn_scoped|available_parallelism' crates/*/src src |
+        grep -vE '^crates/(mtcp/src/fanout|bench/src/lib)\.rs:' || true)
+    if [[ -n "$hits" ]]; then
+        echo "$hits" >&2
+        echo "tier1: lint found a host thread outside crates/mtcp/src/fanout.rs (see above)" >&2
+        exit 1
+    fi
 }
 
 # Record one stage's wall-clock seconds in results/tier1_stages.json, keeping
