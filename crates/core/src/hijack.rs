@@ -11,7 +11,7 @@ use crate::gsid::Gsid;
 use mtcp::{ImageName, WriteMode};
 use oskit::pty::Termios;
 use oskit::world::{Pid, World};
-use simkit::impl_snap;
+use simkit::{impl_snap, Snap, SnapError, SnapReader, SnapWriter};
 
 /// What kind of object an fd referred to at checkpoint time, with enough
 /// recorded information to recreate it at restart (§4.4 steps 1–2, 4).
@@ -99,6 +99,22 @@ pub struct PtyRecord {
 
 impl_snap!(struct PtyRecord { gsid, to_slave, to_master, termios, controlling_vpid });
 
+/// A readiness watch one of the process's user threads held on an fd at
+/// checkpoint time (the `epoll` interest set a real DMTCP plugin restores):
+/// restart re-arms it, so the restored thread is woken exactly as before.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WatchRec {
+    /// The watched fd (a socket end or a listener).
+    pub fd: i32,
+    /// Which user thread watches it: the index among the process's live
+    /// user threads, the order their contexts are saved and restored in.
+    pub thread: u32,
+    /// The token the thread gave the watch.
+    pub token: u64,
+}
+
+impl_snap!(struct WatchRec { fd, thread, token });
+
 /// The per-process connection-information table written to disk alongside
 /// the memory image (§4.3 stage 4: "the connection information table is
 /// then written to disk").
@@ -122,11 +138,46 @@ pub struct ConnTable {
     /// Virtual pid of the parent when the parent is also traced (0
     /// otherwise) — restores parent-child relationships across restart.
     pub parent_vpid: u32,
+    /// Readiness watches held by the process's user threads, in fd order.
+    pub watches: Vec<WatchRec>,
 }
 
-impl_snap!(struct ConnTable {
-    vpid, host, records, drained, ptys, ctty, known_vpids, parent_vpid
-});
+/// The watches are an optional tail: written only when there are any, and
+/// read back from whatever follows `parent_vpid`. A table is always decoded
+/// whole from an image's `dmtcp_meta`, so the tail is never ambiguous, and a
+/// process that watches nothing writes the same bytes it always did.
+impl Snap for ConnTable {
+    fn save(&self, w: &mut SnapWriter) {
+        self.vpid.save(w);
+        self.host.save(w);
+        self.records.save(w);
+        self.drained.save(w);
+        self.ptys.save(w);
+        self.ctty.save(w);
+        self.known_vpids.save(w);
+        self.parent_vpid.save(w);
+        if !self.watches.is_empty() {
+            self.watches.save(w);
+        }
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(ConnTable {
+            vpid: Snap::load(r)?,
+            host: Snap::load(r)?,
+            records: Snap::load(r)?,
+            drained: Snap::load(r)?,
+            ptys: Snap::load(r)?,
+            ctty: Snap::load(r)?,
+            known_vpids: Snap::load(r)?,
+            parent_vpid: Snap::load(r)?,
+            watches: if r.remaining() == 0 {
+                Vec::new()
+            } else {
+                Snap::load(r)?
+            },
+        })
+    }
+}
 
 /// `dmtcpaware` per-process flags.
 #[derive(Debug, Clone, Default)]
@@ -214,11 +265,10 @@ pub fn hijack_in(p: &oskit::proc::Process) -> Option<&Hijack> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::Snap;
 
-    #[test]
-    fn conn_table_snap_roundtrip() {
-        let t = ConnTable {
+    /// A table touching every record kind, watching nothing.
+    fn sample_table() -> ConnTable {
+        ConnTable {
             vpid: 9,
             host: "node02".into(),
             records: vec![
@@ -260,9 +310,53 @@ mod tests {
             ctty: Some(Gsid(11)),
             known_vpids: vec![9, 12],
             parent_vpid: 7,
-        };
+            watches: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn conn_table_snap_roundtrip() {
+        let t = sample_table();
         let back = ConnTable::from_snap_bytes(&t.to_snap_bytes()).expect("roundtrip");
         assert_eq!(back, t);
+    }
+
+    /// A table without watches is the bytes a table was before watches
+    /// existed, so every image of a process that watches nothing is too.
+    #[test]
+    fn conn_table_without_watches_keeps_its_bytes() {
+        let golden = "09066e6f64653032030600010401010100010a01000c2f7368617265642f6461\
+                      74617b000e0002903f010403010203010b036c730a0001010118500109010b02\
+                      090c07";
+        let hex: String = sample_table()
+            .to_snap_bytes()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, golden);
+    }
+
+    #[test]
+    fn conn_table_watches_roundtrip_as_a_tail() {
+        let mut t = sample_table();
+        let plain = t.to_snap_bytes();
+        t.watches = vec![
+            WatchRec {
+                fd: 3,
+                thread: 0,
+                token: 1,
+            },
+            WatchRec {
+                fd: 7,
+                thread: 2,
+                token: u64::MAX,
+            },
+        ];
+        let bytes = t.to_snap_bytes();
+        assert_eq!(&bytes[..plain.len()], &plain[..], "the watches only append");
+        assert_eq!(ConnTable::from_snap_bytes(&bytes), Ok(t));
+        // A cut inside the tail is an error, not an empty watch list.
+        assert!(ConnTable::from_snap_bytes(&bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]

@@ -27,12 +27,13 @@
 
 use crate::coord::{record_image, stage};
 use crate::gsid::{global, Gsid};
-use crate::hijack::{hijack_of, ConnTable, FdKindRec, FdRecord, PtyRecord};
+use crate::hijack::{hijack_of, ConnTable, FdKindRec, FdRecord, PtyRecord, WatchRec};
 use crate::proto::{drain_token, frame, split_drain_token, FrameBuf, Msg};
 
 use oskit::fdtable::FdObject;
 use oskit::net::Conn;
-use oskit::world::Pid;
+use oskit::proc::ThreadState;
+use oskit::world::{Pid, Tid};
 use oskit::{Errno, Fd, Kernel};
 use simkit::{mix2, DetRng, Nanos};
 use std::collections::BTreeSet;
@@ -687,6 +688,29 @@ impl Manager {
             p.ctty
         }
         .map(|ptid| global(k.w).pty(ptid));
+        // Watches on recorded fds only: the manager's coordinator socket
+        // and protected connections are not restored.
+        let watches = {
+            let p = &k.w.procs[&pid];
+            let user_threads: Vec<Tid> = p
+                .threads
+                .iter()
+                .filter(|t| t.user && t.state != ThreadState::Exited)
+                .map(|t| t.tid)
+                .collect();
+            k.w.watched_ends(pid)
+                .into_iter()
+                .filter(|(fd, _)| records.iter().any(|r| r.fd == *fd))
+                .filter_map(|(fd, watch)| {
+                    let thread = user_threads.iter().position(|&t| t == watch.who.1)?;
+                    Some(WatchRec {
+                        fd,
+                        thread: thread as u32,
+                        token: watch.token,
+                    })
+                })
+                .collect()
+        };
         let known_vpids = k.w.procs[&pid].pid_map.keys().copied().collect();
         let parent_vpid = {
             let ppid = k.w.procs[&pid].ppid;
@@ -705,6 +729,7 @@ impl Manager {
             ctty,
             known_vpids,
             parent_vpid,
+            watches,
         }
     }
 
@@ -941,8 +966,12 @@ impl Manager {
         if let Ok(FdObject::Sock(cid, end)) = k.fd_object(fd) {
             if let Some(conn) = k.w.conns.get_mut(&cid) {
                 let src = Conn::peer(end as usize);
-                conn.dirs[src].recv_buf.extend(data.iter().copied());
+                conn.dirs[src].recv_buf.extend(&data);
+                // A watcher must hear of bytes that did not arrive over the
+                // wire too; a reader that polls will find them anyway.
+                let watch = conn.watchers[end as usize];
                 k.w.obs.metrics.add(refill_metric, gen, data.len() as u64);
+                k.w.notify(k.sim, Vec::new(), watch);
             }
         }
     }

@@ -23,7 +23,7 @@
 pub mod plan;
 
 use crate::gsid::{global, Gsid};
-use crate::hijack::{ConnTable, FdKindRec, PtyRecord};
+use crate::hijack::{ConnTable, FdKindRec, PtyRecord, WatchRec};
 use crate::launch::{hijack_from_env, ENV_RESTART_CHILD};
 use crate::manager::{Manager, Mode};
 use crate::proto::{frame, FrameBuf, Msg};
@@ -31,7 +31,7 @@ use faultkit::FillPoint;
 use mtcp::CkptImage;
 use oskit::fdtable::{FdEntry, FdObject};
 use oskit::program::{Program, Step};
-use oskit::world::{NodeId, OsSim, Pid, World};
+use oskit::world::{NodeId, OsSim, Pid, Tid, World};
 use oskit::{Errno, Fd, Kernel};
 use simkit::{Nanos, Snap};
 use std::collections::{BTreeMap, BTreeSet};
@@ -476,6 +476,7 @@ impl RestartProc {
             if faultkit::wants_fill(k.w) {
                 notify_fill(k.sim, self.gen, child, node, &rep);
             }
+            rearm_watches(k.w, child, &l.table.watches);
 
             // Pid virtualization: the restored process keeps its vpid.
             restored_real(k.w).insert(l.table.vpid, child.0);
@@ -583,6 +584,33 @@ impl RestartProc {
         for (fd, _) in k.list_fds() {
             if fd != self.coord_fd {
                 let _ = k.close(fd);
+            }
+        }
+    }
+}
+
+/// Re-arm the readiness watches a restored process's user threads held at
+/// checkpoint time, each on the restored thread that held it, before the
+/// refill puts a byte back — so the application never learns it was
+/// restarted.
+///
+/// Each re-armed watch also reports its end ready once. The thread cannot
+/// know what its ends did while it was away: a spurious report costs it
+/// one `WouldBlock` read, a missed one a lost wake-up. And the refill's
+/// deliveries, which land while the thread is still suspended, then wake
+/// nobody (the edge rule of `World::notify`): the restored thread first
+/// runs when its manager resumes it, exactly as when nothing watched.
+fn rearm_watches(w: &mut World, pid: Pid, watches: &[WatchRec]) {
+    let users: Vec<Tid> = w.procs.get(&pid).map_or_else(Vec::new, |p| {
+        p.threads.iter().filter(|t| t.user).map(|t| t.tid).collect()
+    });
+    for rec in watches {
+        let Some(&tid) = users.get(rec.thread as usize) else {
+            continue;
+        };
+        if w.watch_read((pid, tid), rec.fd, rec.token).is_ok() {
+            if let Some(t) = w.procs.get_mut(&pid).and_then(|p| p.thread_mut(tid)) {
+                t.ready.insert(rec.token);
             }
         }
     }

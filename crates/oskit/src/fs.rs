@@ -124,6 +124,31 @@ impl Blob {
         Some(out)
     }
 
+    /// `read_all()[start..end]` without materializing the rest: the same
+    /// bytes, and the same `None` when any extent is virtual. Both ends are
+    /// clamped to the blob's length.
+    pub fn read_range(&self, start: usize, end: usize) -> Option<Vec<u8>> {
+        if self
+            .chunks
+            .iter()
+            .any(|c| matches!(c, Chunk::Virtual { .. }))
+        {
+            return None;
+        }
+        let end = end.min(self.len as usize);
+        let mut out = Vec::with_capacity(end.saturating_sub(start));
+        let mut at = 0;
+        for c in &self.chunks {
+            let Chunk::Real(b) = c else { continue };
+            let (lo, hi) = (start.max(at), end.min(at + b.len()));
+            if lo < hi {
+                out.extend_from_slice(&b[lo - at..hi - at]);
+            }
+            at += b.len();
+        }
+        Some(out)
+    }
+
     /// Truncate to empty.
     pub fn clear(&mut self) {
         self.chunks.clear();
@@ -414,6 +439,34 @@ mod tests {
         assert_eq!(b.len(), 11);
         assert_eq!(b.chunks().len(), 1, "adjacent real chunks coalesce");
         assert_eq!(b.read_all().unwrap(), b"hello world");
+    }
+
+    /// `read_range` against `read_all()[start..end]` on random blobs: the
+    /// same bytes, and the same `None` whenever any extent is virtual,
+    /// wherever the range falls.
+    #[test]
+    fn read_range_is_read_all_sliced() {
+        let mut rng = simkit::DetRng::seed_from_u64(0xB10B);
+        for case in 0..500 {
+            let mut b = Blob::new();
+            for _ in 0..rng.below(6) {
+                if rng.chance(0.1) {
+                    b.append_virtual(rng.below(100), vec![]);
+                } else {
+                    let bytes: Vec<u8> =
+                        (0..rng.below(300)).map(|_| rng.next_u64() as u8).collect();
+                    b.append_bytes(&bytes);
+                }
+            }
+            let len = b.len() as usize;
+            let start = rng.below(len as u64 + 20) as usize;
+            let end = start + rng.below(len as u64 + 20) as usize;
+            let want = b.read_all().map(|all| {
+                let end = end.min(all.len());
+                all[start.min(end)..end].to_vec()
+            });
+            assert_eq!(b.read_range(start, end), want, "case {case}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crate::fdtable::{Fd, FdEntry, FdObject, OpenFile};
 use crate::fs::FsError;
 use crate::mem::{Content, FillProfile, RegionId, RegionKind, PROT_R, PROT_W};
-use crate::net::{add_waiter, Conn, ConnId, ConnKind, Listener, PendingConn, Watch};
+use crate::net::{add_waiter, take_front, Conn, ConnId, ConnKind, Listener, PendingConn};
 use crate::proc::ThreadState;
 use crate::program::Program;
 use crate::pty::{PtyId, Termios};
@@ -465,13 +465,15 @@ impl<'a> Kernel<'a> {
                     let f = &self.w.open_files[&id];
                     (f.path.clone(), f.offset)
                 };
-                let data = self.w.fs_for(node, &path).read_all(&path)?;
-                let start = (offset as usize).min(data.len());
-                let end = (start + max).min(data.len());
+                let file = self.w.fs_for(node, &path).get(&path);
+                let blob = &file.ok_or(Errno::NotFound)?.blob;
+                let start = (offset as usize).min(blob.len() as usize);
+                let end = (start + max).min(blob.len() as usize);
+                let data = blob.read_range(start, end).ok_or(Errno::NotMaterialized)?;
                 self.w.open_files.get_mut(&id).expect("open file").offset = end as u64;
                 self.w
                     .charge_storage_read(self.sim.now(), node, &path, (end - start) as u64);
-                Ok(data[start..end].to_vec())
+                Ok(data)
             }
             FdObject::Sock(cid, end) => self.recv_on(cid, end as usize, max),
             FdObject::PtyMaster(ptid) => {
@@ -484,8 +486,7 @@ impl<'a> Kernel<'a> {
                     self.fx.wakes_registered += 1;
                     return Err(Errno::WouldBlock);
                 }
-                let take = p.to_master.len().min(max);
-                Ok(p.to_master.drain(..take).collect())
+                Ok(take_front(&mut p.to_master, max))
             }
             FdObject::PtySlave(ptid) => {
                 let p = self.w.ptys.get_mut(&ptid).ok_or(Errno::BadFd)?;
@@ -497,8 +498,7 @@ impl<'a> Kernel<'a> {
                     self.fx.wakes_registered += 1;
                     return Err(Errno::WouldBlock);
                 }
-                let take = p.to_slave.len().min(max);
-                Ok(p.to_slave.drain(..take).collect())
+                Ok(take_front(&mut p.to_slave, max))
             }
             FdObject::Listener(_) => Err(Errno::NotSock),
         }
@@ -614,40 +614,28 @@ impl<'a> Kernel<'a> {
     }
 
     /// Register a persistent read-readiness watcher on a socket or listener
-    /// (the `epoll_ctl(ADD, EPOLLIN)` analogue): every time a `read` /
-    /// `accept` on `fd` would stop returning `WouldBlock` — data delivered,
-    /// EOF, half-close, peer close, pending connection — `token` joins this
-    /// thread's ready set and the thread is woken. Like epoll, an object
-    /// that is readable right now is reported immediately. One watcher per
-    /// end; it lasts until that end's last fd reference is released.
+    /// (the `epoll_ctl(ADD, EPOLLIN | EPOLLET)` analogue): every time a
+    /// `read` / `accept` on `fd` would stop returning `WouldBlock` — data
+    /// delivered, EOF, half-close, peer close, pending connection — `token`
+    /// joins this thread's ready set. The watcher is edge-triggered: it
+    /// wakes the thread only when `token` *newly* joins the set, so until
+    /// the next [`Kernel::take_ready`] re-arms it, more data on the same
+    /// object wakes nobody. Like epoll, an object that is readable right
+    /// now is reported immediately. One watcher per end; it lasts until
+    /// that end's last fd reference is released, and a checkpoint carries
+    /// it across a restart.
     pub fn watch_read(&mut self, fd: Fd, token: u64) -> Result<(), Errno> {
-        let watch = Watch {
-            who: self.me(),
-            token,
-        };
-        let ready_now = match self.fd_object(fd)? {
-            FdObject::Sock(cid, end) => {
-                let conn = self.w.conns.get_mut(&cid).ok_or(Errno::BadFd)?;
-                conn.watchers[end as usize] = Some(watch);
-                conn.readable(end as usize)
-            }
-            FdObject::Listener(lid) => {
-                let l = self.w.listeners.get_mut(&lid).ok_or(Errno::BadFd)?;
-                l.watcher = Some(watch);
-                !l.backlog.is_empty()
-            }
-            _ => return Err(Errno::NotSock),
-        };
-        if ready_now {
-            self.thread_mut().ready.insert(token);
-        }
-        Ok(())
+        let me = self.me();
+        self.w.watch_read(me, fd, token)
     }
 
     /// Drain this thread's ready set: the tokens of every watched object
     /// that became readable since the last call, ascending and
-    /// de-duplicated. Counts as a registered waker for `Step::Block` — the
-    /// watchers will wake the thread.
+    /// de-duplicated. Draining re-arms their watchers (see
+    /// [`Kernel::watch_read`]), so a caller must serve every token it gets
+    /// — read the object until `WouldBlock` — before it blocks. Counts as
+    /// a registered waker for `Step::Block` — the watchers will wake the
+    /// thread.
     pub fn take_ready(&mut self) -> Vec<u64> {
         self.fx.wakes_registered += 1;
         std::mem::take(&mut self.thread_mut().ready)
@@ -756,8 +744,7 @@ impl<'a> Kernel<'a> {
             return Err(Errno::WouldBlock);
         }
         let dir = &mut conn.dirs[src];
-        let take = dir.recv_buf.len().min(max);
-        let out: Vec<u8> = dir.recv_buf.drain(..take).collect();
+        let out = take_front(&mut dir.recv_buf, max);
         let writers = std::mem::take(&mut dir.write_waiters);
         self.w.wake_all(self.sim, writers);
         self.w

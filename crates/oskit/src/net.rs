@@ -45,9 +45,23 @@ pub fn add_waiter(list: &mut Vec<Waiter>, who: Waiter) {
     }
 }
 
-/// A persistent read-readiness registration (`Kernel::watch_read`): every
-/// time the watched end becomes readable, `token` is added to `who`'s ready
-/// set and `who` is woken. Unlike a waiter it is not consumed by the wake.
+/// Remove and return up to `max` bytes from the front of a kernel byte
+/// queue, copied out of its (at most two) contiguous slices.
+pub fn take_front(buf: &mut VecDeque<u8>, max: usize) -> Vec<u8> {
+    let n = buf.len().min(max);
+    let (a, b) = buf.as_slices();
+    let from_a = n.min(a.len());
+    let mut out = Vec::with_capacity(n);
+    out.extend_from_slice(&a[..from_a]);
+    out.extend_from_slice(&b[..n - from_a]);
+    buf.drain(..n);
+    out
+}
+
+/// A persistent read-readiness registration (`Kernel::watch_read`): when
+/// the watched end becomes readable, `token` is added to `who`'s ready set,
+/// and `who` is woken if the token was not there yet (the edge rule of
+/// `World::notify`). Unlike a waiter it is not consumed by the wake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Watch {
     /// The watching thread.

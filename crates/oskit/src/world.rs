@@ -8,9 +8,9 @@
 //! resume queue, so no application code — and therefore no memory write —
 //! can run while an image is being captured.
 
-use crate::fdtable::{FdEntry, FdObject, ListenerId, OpenFile, OpenFileId};
+use crate::fdtable::{Fd, FdEntry, FdObject, ListenerId, OpenFile, OpenFileId};
 use crate::fs::{Fs, SHARED_MOUNT};
-use crate::kernel::Kernel;
+use crate::kernel::{Errno, Kernel};
 use crate::net::{Conn, ConnId, Listener, Waiter, Watch};
 use crate::proc::{sig, ProcState, Process, SigAction, ThreadState};
 use crate::program::{Program, Registry, Step, Tombstone};
@@ -559,9 +559,15 @@ impl World {
     }
 
     /// An object became readable: wake its blocked `waiters`, and post the
-    /// watcher's token to its thread's ready set before waking it too.
-    /// Every transition after which `read`/`accept` stops returning
-    /// `WouldBlock` ends here.
+    /// watcher's token to its thread's ready set. Every transition after
+    /// which `read`/`accept` stops returning `WouldBlock` ends here.
+    ///
+    /// The watcher is edge-triggered: it wakes its thread only when the
+    /// token *newly* enters the ready set. Until `take_ready` drains the
+    /// set again, further readiness of the same object is already reported
+    /// and wakes nobody — exactly like a blocked reader's one-shot waiter,
+    /// which the first delivery consumes and only the next `WouldBlock`
+    /// read registers again.
     pub fn notify(&mut self, sim: &mut OsSim, waiters: Vec<Waiter>, watch: Option<Watch>) {
         self.wake_all(sim, waiters);
         if let Some(Watch { who, token }) = watch {
@@ -570,11 +576,70 @@ impl World {
                 .get_mut(&who.0)
                 .filter(|p| p.alive())
                 .and_then(|p| p.thread_mut(who.1));
-            if let Some(t) = thread {
-                t.ready.insert(token);
+            if thread.is_some_and(|t| t.ready.insert(token)) {
                 self.wake(sim, who);
             }
         }
+    }
+
+    /// Watch `fd` of process `who.0` for read readiness on behalf of its
+    /// thread `who.1` (see [`Kernel::watch_read`], which is this call for
+    /// the calling thread). The one place a watcher is armed: the process's
+    /// own step, or the checkpoint layer re-arming a restored process.
+    pub fn watch_read(&mut self, who: Waiter, fd: Fd, token: u64) -> Result<(), Errno> {
+        let obj = self
+            .procs
+            .get(&who.0)
+            .and_then(|p| p.fds.get(fd))
+            .ok_or(Errno::BadFd)?
+            .obj;
+        let watch = Watch { who, token };
+        let ready_now = match obj {
+            FdObject::Sock(cid, end) => {
+                let conn = self.conns.get_mut(&cid).ok_or(Errno::BadFd)?;
+                conn.watchers[end as usize] = Some(watch);
+                conn.readable(end as usize)
+            }
+            FdObject::Listener(lid) => {
+                let l = self.listeners.get_mut(&lid).ok_or(Errno::BadFd)?;
+                l.watcher = Some(watch);
+                !l.backlog.is_empty()
+            }
+            _ => return Err(Errno::NotSock),
+        };
+        if ready_now {
+            if let Some(t) = self.procs.get_mut(&who.0).and_then(|p| p.thread_mut(who.1)) {
+                t.ready.insert(token);
+            }
+        }
+        Ok(())
+    }
+
+    /// The ends `pid`'s own threads watch, as `(fd, watch)` in fd order:
+    /// one entry per watched object (an object reachable through several
+    /// fds is listed under the lowest).
+    pub fn watched_ends(&self, pid: Pid) -> Vec<(Fd, Watch)> {
+        let Some(p) = self.procs.get(&pid) else {
+            return Vec::new();
+        };
+        let mut seen = Vec::new();
+        let mut out = Vec::new();
+        for (fd, e) in p.fds.iter() {
+            let watch = match e.obj {
+                FdObject::Sock(cid, end) => {
+                    self.conns.get(&cid).and_then(|c| c.watchers[end as usize])
+                }
+                FdObject::Listener(lid) => self.listeners.get(&lid).and_then(|l| l.watcher),
+                _ => None,
+            };
+            if let Some(watch) = watch.filter(|w| w.who.0 == pid) {
+                if !seen.contains(&e.obj) {
+                    seen.push(e.obj);
+                    out.push((fd, watch));
+                }
+            }
+        }
+        out
     }
 
     /// Freeze user threads of `pid` (checkpoint stage 2). Manager threads
@@ -870,7 +935,7 @@ impl World {
             let n = bytes.len() as u64;
             conn.dirs[e].in_flight -= n;
             conn.dirs[e].rx_total += n;
-            conn.dirs[e].recv_buf.extend(bytes.iter().copied());
+            conn.dirs[e].recv_buf.extend(&bytes);
             if let Some(sid) = send_id {
                 w.obs.journal.record(
                     sim.now(),

@@ -2,7 +2,7 @@
 //! pipes, ptys, fork/wait, shared memory, and remote spawn — the substrate
 //! semantics DMTCP depends on.
 
-use oskit::proc::ProcState;
+use oskit::proc::{ProcState, ThreadState};
 use oskit::program::{Program, Registry, Step};
 use oskit::world::{NodeId, OsSim, Pid, World};
 use oskit::{Errno, Fd, HwSpec, Kernel};
@@ -795,6 +795,45 @@ fn watcher_reports_readiness_and_dies_with_the_last_fd_reference() {
     );
     syscalls(&mut w, &mut sim, pid, |k| k.close(a2).unwrap());
     assert_eq!(w.conns[&cid].watchers, [None, None], "last reference gone");
+}
+
+/// The edge rule: a watcher wakes its thread when its token *newly* enters
+/// the ready set, not on every delivery. A suspended thread — a checkpoint's
+/// drain and refill deliver to it again and again — is dispatched (and
+/// parks) once, however many segments land, until `take_ready` re-arms it.
+#[test]
+fn watcher_wakes_a_suspended_thread_once_until_take_ready() {
+    let (mut w, mut sim) = world(1);
+    let pid = spawn(&mut w, &mut sim, 0, "watcher", Box::new(Parked));
+    sim.run(&mut w);
+    let (a, b) = syscalls(&mut w, &mut sim, pid, |k| {
+        let (a, b) = k.socketpair();
+        k.watch_read(a, 7).unwrap();
+        (a, b)
+    });
+    w.suspend_user_threads(&mut sim, pid);
+    // One segment; the dispatches it caused (every event but the delivery).
+    let deliver = |w: &mut World, sim: &mut OsSim| {
+        let before = sim.events_fired();
+        syscalls(w, sim, pid, |k| k.write(b, b"seg").unwrap());
+        sim.run(w);
+        sim.events_fired() - before - 1
+    };
+    let dispatches: Vec<u64> = (0..5).map(|_| deliver(&mut w, &mut sim)).collect();
+    assert_eq!(dispatches, [1, 0, 0, 0, 0], "one wake per token");
+    assert_eq!(w.procs[&pid].threads[0].state, ThreadState::Runnable);
+    syscalls(&mut w, &mut sim, pid, |k| {
+        assert_eq!(k.take_ready(), [7]);
+        assert_eq!(k.read(a, 64).unwrap(), b"segsegsegsegseg");
+    });
+    assert_eq!(deliver(&mut w, &mut sim), 1, "take_ready re-arms the watch");
+    assert_eq!(deliver(&mut w, &mut sim), 0);
+    // Thawed, the woken thread runs once and blocks again.
+    w.resume_user_threads(&mut sim, pid);
+    let before = sim.events_fired();
+    sim.run(&mut w);
+    assert_eq!(sim.events_fired() - before, 1);
+    assert_eq!(w.procs[&pid].threads[0].state, ThreadState::Blocked);
 }
 
 /// Maps three regions, then touches them one step at a time, logging when

@@ -16,6 +16,13 @@
 //! pauses, `shutdown_write`, close, exit without closing, hang — and a
 //! fifth of them are SIGKILLed at a random instant, possibly with bytes
 //! still on the wire.
+//!
+//! Each case also freezes the reader for a random window, as a checkpoint
+//! suspends user threads while its drain and refill deliver to them. A
+//! delivery to a frozen thread wakes it into a dispatch that parks; the
+//! ready set must cost exactly the parked dispatches the old loop's
+//! one-shot waiters did — one per object until the reader reads it again —
+//! or the event schedule moves.
 
 use oskit::proc::sig;
 use oskit::program::{Program, Registry, Step};
@@ -301,6 +308,14 @@ fn plan(seed: u64) -> Vec<WriterPlan> {
         .collect()
 }
 
+/// When the reader is frozen and thawed: inside the busiest stretch of
+/// the writers' start instants and pauses.
+fn suspend_window(seed: u64) -> (Nanos, Nanos) {
+    let mut rng = DetRng::seed_from_u64(mix2(seed, 5));
+    let freeze = rng.range(500_000, 6_000_000);
+    (Nanos(freeze), Nanos(freeze + rng.range(200_000, 4_000_000)))
+}
+
 struct Outcome {
     obs: Observed,
     events_fired: u64,
@@ -326,6 +341,13 @@ fn run(seed: u64, drive: Drive) -> Outcome {
         Pid(1),
         BTreeMap::new(),
     );
+    let (freeze, thaw) = suspend_window(seed);
+    sim.at(freeze, move |w: &mut World, sim| {
+        w.suspend_user_threads(sim, reader)
+    });
+    sim.at(thaw, move |w: &mut World, sim| {
+        w.resume_user_threads(sim, reader)
+    });
     let plans = plan(seed);
     for (id, p) in plans.iter().enumerate() {
         let (node, script, kill_at) = (NodeId(p.node), p.script.clone(), p.kill_at);

@@ -189,6 +189,26 @@ pub trait Snap: Sized {
     /// Decode a value from `r`.
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
 
+    /// Encode a run of values back to back — the body of a `Vec<Self>`
+    /// after its length. The default saves each element; a type whose
+    /// elements admit a bulk loop overrides it with one that writes the
+    /// same bytes.
+    fn save_slice(items: &[Self], w: &mut SnapWriter) {
+        for item in items {
+            item.save(w);
+        }
+    }
+
+    /// Decode `n` values back to back onto `out` — the inverse of
+    /// [`Snap::save_slice`]. An override must return the values and the
+    /// error the per-element default would.
+    fn load_slice(n: usize, r: &mut SnapReader<'_>, out: &mut Vec<Self>) -> Result<(), SnapError> {
+        for _ in 0..n {
+            out.push(Self::load(r)?);
+        }
+        Ok(())
+    }
+
     /// Convenience: encode into a fresh byte vector.
     fn to_snap_bytes(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
@@ -221,7 +241,58 @@ macro_rules! snap_uint {
     };
 }
 
-snap_uint!(u8);
+impl Snap for u8 {
+    fn save(&self, w: &mut SnapWriter) {
+        w.put_varint(*self as u64);
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let v = r.get_varint()?;
+        u8::try_from(v).map_err(|_| SnapError::BadLen(v))
+    }
+
+    /// A byte's varint is the byte itself below 0x80 and `b, 0x01` from
+    /// there up. The loop is branch-free: it writes every byte followed by
+    /// `0x01` and steps past the `0x01` only for a byte from 0x80 up (the
+    /// next byte overwrites it otherwise).
+    fn save_slice(items: &[u8], w: &mut SnapWriter) {
+        let start = w.buf.len();
+        w.buf.resize(start + 2 * items.len(), 0);
+        let out = &mut w.buf[start..];
+        let mut j = 0;
+        for &b in items {
+            out[j] = b;
+            out[j + 1] = 0x01;
+            j += 1 + (b >> 7) as usize;
+        }
+        w.buf.truncate(start + j);
+    }
+
+    /// Takes canonical one- and two-byte varints in bulk; at the first
+    /// element that is anything else (a longer or non-canonical varint, a
+    /// value past 255, a cut) it hands the rest to the per-element loop.
+    fn load_slice(n: usize, r: &mut SnapReader<'_>, out: &mut Vec<u8>) -> Result<(), SnapError> {
+        let input = &r.buf[r.pos..];
+        let (mut i, mut done) = (0, 0);
+        while done < n {
+            let Some(&b) = input.get(i) else { break };
+            let wide = (b >> 7) as usize;
+            // A byte from 0x80 up must be followed by exactly 0x01.
+            let next = input.get(i + 1).copied().unwrap_or(0);
+            if wide & (next != 0x01) as usize != 0 {
+                break;
+            }
+            out.push(b);
+            i += 1 + wide;
+            done += 1;
+        }
+        r.pos += i;
+        for _ in done..n {
+            out.push(u8::load(r)?);
+        }
+        Ok(())
+    }
+}
+
 snap_uint!(u16);
 snap_uint!(u32);
 snap_uint!(u64);
@@ -294,9 +365,7 @@ impl Snap for String {
 impl<T: Snap> Snap for Vec<T> {
     fn save(&self, w: &mut SnapWriter) {
         w.put_varint(self.len() as u64);
-        for item in self {
-            item.save(w);
-        }
+        T::save_slice(self, w);
     }
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let n = r.get_varint()?;
@@ -306,9 +375,7 @@ impl<T: Snap> Snap for Vec<T> {
             return Err(SnapError::BadLen(n));
         }
         let mut v = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            v.push(T::load(r)?);
-        }
+        T::load_slice(n as usize, r, &mut v)?;
         Ok(v)
     }
 }

@@ -189,6 +189,15 @@ impl MpiRt {
             .all(|r| self.fds[r as usize] >= 0);
         if wired && self.pending_accepts.is_empty() {
             self.phase = InitPhase::Ready;
+            // From here on `pump` reads only the peers the kernel reports
+            // readable; the token of a peer's socket is its rank. The
+            // watches are kernel state: a checkpoint carries them across a
+            // restart, so this runs once per job, not once per restart.
+            for (peer, &fd) in self.fds.iter().enumerate() {
+                if fd >= 0 {
+                    let _ = k.watch_read(fd, peer as u64); // fd is a connected socket
+                }
+            }
         }
         self.phase == InitPhase::Ready
     }
@@ -205,8 +214,16 @@ impl MpiRt {
     /// Flush out-queues and ingest inbound bytes. Returns true if anything
     /// moved. Registers wakers on every blocked direction, so a caller that
     /// sees no progress and no completed receive may safely `Step::Block`.
+    ///
+    /// Only the peers in the kernel's ready set are read (`init` watches
+    /// them), each until `WouldBlock`. Peers are visited in ascending rank
+    /// order, so every send and every read that returns bytes happens in
+    /// the order a loop reading every peer would issue it: a peer left out
+    /// could only have answered `WouldBlock`.
     pub fn pump(&mut self, k: &mut Kernel<'_>) -> bool {
         let mut progressed = false;
+        let mut msgs = 0;
+        let mut ready = k.take_ready().into_iter().peekable();
         for peer in 0..self.size as usize {
             let fd = self.fds[peer];
             if fd < 0 {
@@ -236,11 +253,20 @@ impl MpiRt {
                 }
             }
             // Ingest.
+            while ready.next_if(|&t| t < peer as u64).is_some() {}
+            if ready.next_if_eq(&(peer as u64)).is_none() {
+                continue;
+            }
             loop {
                 match k.read(fd, 64 * 1024) {
                     Ok(b) if b.is_empty() => break, // peer done
                     Ok(b) => {
-                        self.in_partial[peer].extend_from_slice(&b);
+                        let part = &mut self.in_partial[peer];
+                        if part.is_empty() {
+                            *part = b;
+                        } else {
+                            part.extend_from_slice(&b);
+                        }
                         progressed = true;
                     }
                     Err(Errno::WouldBlock) => break,
@@ -260,10 +286,18 @@ impl MpiRt {
                 let data = part[pos + 8..pos + 8 + len].to_vec();
                 self.inbox[peer].push(MpiMsg { tag, data });
                 pos += 8 + len;
+                msgs += 1;
             }
             if pos > 0 {
                 part.drain(..pos);
             }
+        }
+        if msgs > 0 {
+            // Labeled like `oskit.sock.would_block`, so the two compare per
+            // process: a rank's reads that found nothing against the
+            // messages it took in.
+            let pid = k.getpid_real().0 as u64;
+            k.obs().metrics.add("simmpi.msgs_in", pid, msgs);
         }
         progressed
     }
