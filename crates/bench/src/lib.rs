@@ -1,4 +1,4 @@
-//! Experiment harness: everything the per-figure binaries share.
+//! Experiment harness: everything the `paper` binary and the benches share.
 //!
 //! Each experiment builds a fresh simulated cluster, launches a workload
 //! under DMTCP, requests checkpoints, optionally kills and restarts the
@@ -16,7 +16,7 @@ use dmtcp::session::run_for;
 use dmtcp::{ExpectCkpt, Options, RestartPlan, Session};
 use oskit::world::{OsSim, World};
 use oskit::HwSpec;
-use simkit::{Nanos, Sim, Summary};
+use simkit::{Nanos, Sim};
 
 /// Event budget per phase — generous; a hang is a bug.
 pub const EV: u64 = 400_000_000;
@@ -100,76 +100,8 @@ pub fn restart_breakdown(w: &World, gen: Option<u64>) -> RestartBreakdown {
     }
 }
 
-/// One experiment's measurements.
-#[derive(Debug, Clone)]
-pub struct ExpResult {
-    /// Label for the output row.
-    pub label: String,
-    /// Checkpoint wall-clock times (request → stage-5 barrier), seconds.
-    pub ckpt_s: Summary,
-    /// Restart wall-clock (plan → restart-refill barrier), seconds.
-    pub restart_s: Option<f64>,
-    /// Aggregate (cluster-wide) image bytes of the last generation.
-    pub image_bytes: u64,
-    /// Number of checkpointed processes.
-    pub participants: u32,
-    /// Per-stage means from the metrics registry (when measured).
-    pub stages: Option<StageBreakdown>,
-}
-
-impl ExpResult {
-    /// Paper-style row: label, ckpt mean±σ, restart, size in MB.
-    pub fn row(&self) -> String {
-        format!(
-            "{:<24} ckpt {:6.2}s ±{:4.2}  restart {:>6}  size {:9.1} MB  ({} procs)",
-            self.label,
-            self.ckpt_s.mean,
-            self.ckpt_s.stddev,
-            self.restart_s
-                .map(|r| format!("{r:5.2}s"))
-                .unwrap_or_else(|| "  n/a".into()),
-            self.image_bytes as f64 / (1u64 << 20) as f64,
-            self.participants,
-        )
-    }
-
-    /// One machine-readable JSON object (a `results/<name>.jsonl` line).
-    pub fn jsonl(&self) -> String {
-        let mut j = obs::json::JsonWriter::new();
-        j.obj_begin()
-            .field_str("label", &self.label)
-            .field_f64("ckpt_mean_s", self.ckpt_s.mean)
-            .field_f64("ckpt_stddev_s", self.ckpt_s.stddev)
-            .field_f64("ckpt_p50_s", self.ckpt_s.p50)
-            .field_f64("ckpt_p90_s", self.ckpt_s.p90)
-            .field_f64("ckpt_p99_s", self.ckpt_s.p99);
-        // NaN renders as null — restart_s is optional.
-        j.field_f64("restart_s", self.restart_s.unwrap_or(f64::NAN));
-        j.field_u64("image_bytes", self.image_bytes)
-            .field_u64("participants", self.participants as u64);
-        if let Some(s) = self.stages {
-            j.key("stages")
-                .obj_begin()
-                .field_f64("suspend_s", s.suspend)
-                .field_f64("elect_s", s.elect)
-                .field_f64("drain_s", s.drain)
-                .field_f64("write_s", s.write)
-                .field_f64("refill_s", s.refill)
-                .obj_end();
-        }
-        j.obj_end();
-        j.into_string()
-    }
-}
-
-/// Write one JSONL line per result to `results/<name>.jsonl`; returns the
-/// path written.
-pub fn write_results_jsonl(name: &str, results: &[ExpResult]) -> std::io::Result<String> {
-    write_jsonl_lines(name, results.iter().map(|r| r.jsonl()))
-}
-
 /// Write pre-rendered JSON lines to `results/<name>.jsonl`; returns the path
-/// written. For binaries whose rows aren't [`ExpResult`]s.
+/// written.
 pub fn write_jsonl_lines(
     name: &str,
     lines: impl IntoIterator<Item = String>,
@@ -191,22 +123,7 @@ pub fn write_jsonl_lines(
 /// `results/BENCH_ckpt.json`), so each must keep the others' keys: existing
 /// keys keep their position and are overwritten in place, new keys append.
 pub fn merge_flat_json(path: &str, pairs: &[(&str, f64)]) -> std::io::Result<()> {
-    let mut entries: Vec<(String, f64)> = Vec::new();
-    if let Ok(old) = std::fs::read_to_string(path) {
-        for line in old.lines() {
-            let Some((rawk, rawv)) = line.split_once(':') else {
-                continue;
-            };
-            let key = rawk.trim().trim_matches('"');
-            if key.is_empty() {
-                continue;
-            }
-            let Ok(val) = rawv.trim().trim_end_matches(',').parse::<f64>() else {
-                continue;
-            };
-            entries.push((key.to_string(), val));
-        }
-    }
+    let mut entries = read_flat_json(path);
     for &(key, val) in pairs {
         match entries.iter_mut().find(|(k, _)| k == key) {
             Some(e) => e.1 = val,
@@ -223,20 +140,20 @@ pub fn merge_flat_json(path: &str, pairs: &[(&str, f64)]) -> std::io::Result<()>
     std::fs::write(path, format!("{{\n{}\n}}\n", body.join(",\n")))
 }
 
-/// Parse an opt-in `--trace-out <file>` (or `--trace-out=<file>`) flag.
-/// When present, a figure binary enables span capture on one configuration
-/// and dumps a Perfetto-loadable Chrome trace there via [`dump_trace`].
-pub fn trace_out_arg() -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--trace-out" {
-            return args.next();
-        }
-        if let Some(rest) = a.strip_prefix("--trace-out=") {
-            return Some(rest.to_string());
-        }
-    }
-    None
+/// The `(key, value)` pairs of a file [`merge_flat_json`] wrote, in file
+/// order; empty when the file is missing.
+pub fn read_flat_json(path: &str) -> Vec<(String, f64)> {
+    let Ok(text) = std::fs::read_to_string(path) else {
+        return Vec::new();
+    };
+    text.lines()
+        .filter_map(|line| {
+            let (rawk, rawv) = line.split_once(':')?;
+            let key = rawk.trim().trim_matches('"');
+            let val = rawv.trim().trim_end_matches(',').parse::<f64>().ok()?;
+            (!key.is_empty()).then(|| (key.to_string(), val))
+        })
+        .collect()
 }
 
 /// Dump the world's recorded spans as Chrome trace-event JSON (open with
@@ -346,8 +263,8 @@ pub fn run_parallel<T: Send>(jobs: Vec<Box<dyn FnOnce() -> T + Send>>) -> Vec<T>
         .collect()
 }
 
-/// Repetition count: figures use the paper's 10 unless `DMTCP_REPS` says
-/// otherwise (CI uses fewer).
+/// Repetition count for the `scale` and `sim` benches: 3 unless
+/// `DMTCP_REPS` says otherwise.
 pub fn reps() -> usize {
     std::env::var("DMTCP_REPS")
         .ok()
@@ -365,22 +282,6 @@ mod tests {
             .map(|i| Box::new(move || i * i) as Box<dyn FnOnce() -> usize + Send>)
             .collect();
         assert_eq!(run_parallel(jobs), vec![0, 1, 4, 9, 16, 25, 36, 49]);
-    }
-
-    #[test]
-    fn row_formatting_is_stable() {
-        let r = ExpResult {
-            label: "NAS/MG[3]".into(),
-            ckpt_s: Summary::of(&[2.0, 2.2, 1.8]),
-            restart_s: Some(2.5),
-            image_bytes: 1536 << 20,
-            participants: 131,
-            stages: None,
-        };
-        let row = r.row();
-        assert!(row.contains("NAS/MG[3]"));
-        assert!(row.contains("1536.0 MB"));
-        assert!(row.contains("131 procs"));
     }
 
     #[test]
@@ -410,27 +311,5 @@ mod tests {
         assert!(got.contains("\"incr_speedup_ratio\": 12.500000"));
         // In-place overwrite, not duplicate keys.
         assert_eq!(got.matches("mg_inline_total_s").count(), 1);
-    }
-
-    #[test]
-    fn jsonl_line_is_valid_json() {
-        let r = ExpResult {
-            label: "desk\"top".into(),
-            ckpt_s: Summary::of(&[0.5, 0.7]),
-            restart_s: None,
-            image_bytes: 42,
-            participants: 2,
-            stages: Some(StageBreakdown {
-                suspend: 0.01,
-                elect: 0.001,
-                drain: 0.02,
-                write: 0.4,
-                refill: 0.002,
-            }),
-        };
-        let line = r.jsonl();
-        obs::json::validate(&line).expect("valid JSON");
-        assert!(line.contains("\"restart_s\":null"));
-        assert!(line.contains("\"write_s\":0.4"));
     }
 }

@@ -2,7 +2,7 @@
 # Tier-1 gate: everything a PR must keep green.
 #
 # Usage: scripts/tier1.sh [stage...]
-#   stages: build test faults bench sim scale tenants migrate replay perf lint
+#   stages: build test faults bench sim scale tenants migrate replay perf lint paper
 #   No arguments runs every stage in that order (the full PR gate). CI runs
 #   the same stages one job each — `scripts/tier1.sh build`, etc. — so a
 #   local no-arg run reproduces the whole pipeline stage by stage.
@@ -48,12 +48,6 @@ stage_bench() {
     echo "== bench-regression gate =="
     scripts/bench_gate.sh self-test
     scripts/bench_gate.sh compare
-    echo "== szip/crc32 host micro-bench (recorded in results/BENCH_host.json, not gated) =="
-    # Wall-clock on a shared box, so no gate: the kernels are gated by the
-    # differential tests (crates/szip/tests/prop.rs) and by perf. Running it
-    # here keeps the bench compiling and the recorded keys fresh.
-    cargo bench -p dmtcp-bench --bench micro -- szip crc32
-    test -s results/BENCH_host.json
 }
 
 stage_sim() {
@@ -190,6 +184,24 @@ stage_lint() {
     fi
 }
 
+stage_paper() {
+    echo "== paper figures: regenerate results/ and check the paper's shapes =="
+    cargo build --release -p dmtcp-bench
+    # Start from no JSON file, so a key that no figure writes any more shows
+    # up in the diff below as a deletion.
+    rm -f results/BENCH_paper.json
+    ./target/release/paper
+    echo "== paper figures: byte-identical to the committed files =="
+    # Virtual time is deterministic, so there is no tolerance: any difference
+    # is a paper number that moved, in either direction. A change that moves
+    # one on purpose commits the regenerated files, and their diff shows it.
+    if ! git diff --exit-code -- results/BENCH_paper.json \
+        results/{fig3,fig4,fig5,fig6,table1,runcms,ablation}.txt; then
+        echo "tier1: paper figures differ from the committed results/ (diff above)" >&2
+        exit 1
+    fi
+}
+
 # Record one stage's wall-clock seconds in results/tier1_stages.json, keeping
 # what earlier runs recorded for the other stages. Not gated: it says where
 # the gate's own time goes, on whatever machine ran it.
@@ -206,9 +218,9 @@ record_stage_seconds() {
 run_stage() {
     local name="$1"
     case "$name" in
-        build | test | faults | bench | sim | scale | tenants | migrate | replay | perf | lint) ;;
+        build | test | faults | bench | sim | scale | tenants | migrate | replay | perf | lint | paper) ;;
         *)
-            echo "tier1: unknown stage '$name' (stages: build test faults bench sim scale tenants migrate replay perf lint)" >&2
+            echo "tier1: unknown stage '$name' (stages: build test faults bench sim scale tenants migrate replay perf lint paper)" >&2
             exit 2
             ;;
     esac
@@ -221,7 +233,7 @@ run_stage() {
 }
 
 if [[ $# -eq 0 ]]; then
-    set -- build test faults bench sim scale tenants migrate replay perf lint
+    set -- build test faults bench sim scale tenants migrate replay perf lint paper
 fi
 for stage in "$@"; do
     run_stage "$stage"
