@@ -142,3 +142,39 @@ pub(crate) fn discard_from(w: &mut World, port: u16, gen: u64) {
         w.shared_fs.remove(&record_path(port, g)).ok();
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use oskit::program::Registry;
+    use oskit::HwSpec;
+
+    /// Golden restart script for a two-host record, as `commit` writes it:
+    /// one `ssh` line per host, its images in record order.
+    #[test]
+    fn commit_writes_the_restart_script_of_a_two_host_record() {
+        let mut w = World::new(HwSpec::cluster(), 2, Registry::new());
+        let rec = GenRecord {
+            gen: 3,
+            images: vec![
+                ("node00".into(), "/shared/ckpt".into(), 40),
+                ("node00".into(), "/shared/ckpt".into(), 41),
+                ("node01".into(), "/local/ckpt".into(), 57),
+            ],
+        };
+        let port = crate::coord::COORD_PORT;
+        commit(&mut w, port, &rec);
+        let script = w
+            .shared_fs
+            .read_all(&crate::coord::restart_script_path(port))
+            .expect("script written");
+        assert_eq!(
+            String::from_utf8(script).unwrap(),
+            "#!/bin/sh\n\
+             # generated by dmtcp_coordinator\n\
+             ssh node00 dmtcp_restart /shared/ckpt/ckpt_40_gen3.dmtcp /shared/ckpt/ckpt_41_gen3.dmtcp\n\
+             ssh node01 dmtcp_restart /local/ckpt/ckpt_57_gen3.dmtcp\n"
+        );
+        assert_eq!(read(&w, port, 3), Ok(rec), "the record is the commit");
+    }
+}

@@ -455,9 +455,17 @@ impl Coordinator {
         self.retry_backoff = CKPT_RETRY_INITIAL;
         self.retry_at = Some(k.now() + self.retry_backoff);
         wake_after(k, self.retry_backoff);
-        let candidates = traced_candidates(k);
-        let coord_node = k.node();
-        faultkit::checkpoint_requested(k.w, k.sim, gen, stage::SUSPENDED, &candidates, coord_node);
+        if let Some(candidates) = fault_candidates(k) {
+            let coord_node = k.node();
+            faultkit::checkpoint_requested(
+                k.w,
+                k.sim,
+                gen,
+                stage::SUSPENDED,
+                &candidates,
+                coord_node,
+            );
+        }
     }
 
     /// Start the checkpoint that was requested while one was in flight.
@@ -743,9 +751,10 @@ impl Coordinator {
             }
             self.arm_interval(k);
         }
-        let candidates = traced_candidates(k);
-        let coord_node = k.node();
-        faultkit::stage_released(k.w, k.sim, gen, stg, &candidates, coord_node);
+        if let Some(candidates) = fault_candidates(k) {
+            let coord_node = k.node();
+            faultkit::stage_released(k.w, k.sim, gen, stg, &candidates, coord_node);
+        }
         if stg == stage::REFILLED {
             // In-line writers acked CKPT_WRITTEN before CHECKPOINTED; if
             // everyone already reached it, the drain closes at this same
@@ -888,13 +897,14 @@ impl Program for Coordinator {
 }
 
 /// Every live DMTCP-traced process, with its node — the fault injector's
-/// candidate victims for process/node kills at barrier instants.
-fn traced_candidates(k: &Kernel<'_>) -> Vec<(Pid, NodeId)> {
-    k.w.procs
-        .iter()
-        .filter(|(_, p)| crate::hijack::is_traced_proc(p) && p.alive())
-        .map(|(pid, p)| (*pid, p.node))
-        .collect()
+/// candidate victims for process/node kills at barrier instants. `None`
+/// when no fault plan is installed: the injector would ignore the list, and
+/// building it walks every process record the world ever held.
+fn fault_candidates(k: &Kernel<'_>) -> Option<Vec<(Pid, NodeId)>> {
+    faultkit::state(k.w)?;
+    let procs = k.w.procs.iter();
+    let traced = procs.filter(|(_, p)| crate::hijack::is_traced_proc(p) && p.alive());
+    Some(traced.map(|(pid, p)| (*pid, p.node)).collect())
 }
 
 /// Where the restart script of the coordinator listening on `port` is

@@ -21,6 +21,8 @@
 //! than wrote the images) and drives live migration of process subsets.
 
 pub mod plan;
+#[cfg(test)]
+mod tests;
 
 use crate::gsid::{global, Gsid};
 use crate::hijack::{ConnTable, FdKindRec, PtyRecord, WatchRec};
@@ -720,7 +722,40 @@ pub fn record_restart_sample(
 /// Fix up a restored process's pid-translation map once every process of
 /// the computation exists again (manager calls this after the *restored*
 /// barrier).
+///
+/// Only the vpids the process itself knows — its `pid_map` keys and its
+/// own vpid — are looked up in the computation-wide vpid → real map, plus
+/// its parent's for `ppid`; the cost is the process's own map, not the
+/// computation's size.
 pub fn fixup_pid_map(w: &mut oskit::world::World, pid: Pid) {
+    let parent_vpid = crate::hijack::hijack_of(w, pid).map(|h| h.table.parent_vpid);
+    let Some(p) = w.procs.get(&pid) else {
+        return;
+    };
+    let known: Vec<u32> = p.pid_map.keys().copied().chain(p.virt_pid).collect();
+    let map = restored_real(w);
+    let fixed: Vec<(u32, u32)> = known
+        .into_iter()
+        .filter_map(|vpid| map.get(&vpid).map(|real| (vpid, *real)))
+        .collect();
+    // Restore the parent-child relationship when the parent was also
+    // restored (so `waitpid` keeps working across the restart).
+    let real_parent = parent_vpid
+        .filter(|pv| *pv != 0)
+        .and_then(|pv| map.get(&pv).copied());
+    if let Some(p) = w.procs.get_mut(&pid) {
+        p.pid_map.extend(fixed);
+        if let Some(real_parent) = real_parent {
+            p.ppid = Pid(real_parent);
+        }
+    }
+}
+
+/// The clone-and-scan form [`fixup_pid_map`] replaced, kept as its test
+/// oracle: walk the whole computation-wide map and keep the vpids the
+/// process knows.
+#[cfg(test)]
+pub(crate) fn fixup_pid_map_oracle(w: &mut oskit::world::World, pid: Pid) {
     let map = restored_real(w).clone();
     let parent_vpid = crate::hijack::hijack_of(w, pid).map(|h| h.table.parent_vpid);
     if let Some(p) = w.procs.get_mut(&pid) {
@@ -729,8 +764,6 @@ pub fn fixup_pid_map(w: &mut oskit::world::World, pid: Pid) {
                 p.pid_map.insert(*vpid, *real);
             }
         }
-        // Restore the parent-child relationship when the parent was also
-        // restored (so `waitpid` keeps working across the restart).
         if let Some(pv) = parent_vpid {
             if pv != 0 {
                 if let Some(real_parent) = map.get(&pv) {

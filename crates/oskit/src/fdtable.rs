@@ -62,35 +62,56 @@ pub struct OpenFile {
     pub refs: u32,
 }
 
+/// The lowest fd [`FdTable::install`] hands out; 0–2 are the std streams,
+/// which the world wires to a pty or /dev/null at spawn.
+const FIRST_FD: Fd = 3;
+
 /// A per-process fd table.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct FdTable {
     entries: BTreeMap<Fd, FdEntry>,
-    next_fd: Fd,
+    /// Lowest-free hint: every fd in `[FIRST_FD, free_hint)` is open.
+    free_hint: Fd,
+}
+
+impl Default for FdTable {
+    fn default() -> Self {
+        FdTable {
+            entries: BTreeMap::new(),
+            free_hint: FIRST_FD,
+        }
+    }
 }
 
 impl FdTable {
     /// An empty table; fds start at 3 (0–2 reserved for std streams, which
     /// the world wires to a pty or /dev/null at spawn).
     pub fn new() -> Self {
-        FdTable {
-            entries: BTreeMap::new(),
-            next_fd: 3,
-        }
+        Self::default()
     }
 
-    /// Install `entry` at the lowest free fd ≥ `next`, POSIX-style.
+    /// Install `entry` at the lowest free fd ≥ 3, POSIX-style.
+    ///
+    /// Invariant: every fd in `[3, free_hint)` is open, so the scan starts
+    /// at the hint and only steps over fds placed above it by
+    /// [`FdTable::install_at`]; [`FdTable::remove`] lowers the hint to the
+    /// freed fd. The fd returned is the one a scan from 3 would find —
+    /// images record fd numbers in their connection tables, so the
+    /// numbering must not depend on how the table is searched.
     pub fn install(&mut self, entry: FdEntry) -> Fd {
-        let mut fd = self.next_fd;
+        let mut fd = self.free_hint;
         while self.entries.contains_key(&fd) {
             fd += 1;
         }
         self.entries.insert(fd, entry);
+        self.free_hint = fd + 1;
         fd
     }
 
     /// Install at a specific fd, returning whatever was displaced
     /// (dup2 semantics: caller must release the displaced reference).
+    /// Leaves the lowest-free hint alone: filling a hole above it does not
+    /// break the invariant, and every fd below it is already open.
     pub fn install_at(&mut self, fd: Fd, entry: FdEntry) -> Option<FdEntry> {
         self.entries.insert(fd, entry)
     }
@@ -102,7 +123,11 @@ impl FdTable {
 
     /// Remove an fd, returning its entry for the caller to release.
     pub fn remove(&mut self, fd: Fd) -> Option<FdEntry> {
-        self.entries.remove(&fd)
+        let entry = self.entries.remove(&fd);
+        if entry.is_some() && fd >= FIRST_FD {
+            self.free_hint = self.free_hint.min(fd);
+        }
+        entry
     }
 
     /// Iterate `(fd, entry)` in fd order.
@@ -129,12 +154,79 @@ impl FdTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::DetRng;
 
     fn file_entry(id: u64) -> FdEntry {
         FdEntry {
             obj: FdObject::File(OpenFileId(id)),
             cloexec: false,
         }
+    }
+
+    /// The lowest-free rule with no hint: scan from 3 on every install.
+    #[derive(Default)]
+    struct NaiveTable(BTreeMap<Fd, FdEntry>);
+
+    impl NaiveTable {
+        fn install(&mut self, entry: FdEntry) -> Fd {
+            let mut fd = FIRST_FD;
+            while self.0.contains_key(&fd) {
+                fd += 1;
+            }
+            self.0.insert(fd, entry);
+            fd
+        }
+    }
+
+    /// Random `install`/`remove`/`install_at` sequences hand out the same
+    /// fd numbers as the naive scan, and leave the same table behind.
+    #[test]
+    fn install_matches_naive_lowest_free_oracle() {
+        for seed in 0..32u64 {
+            let mut rng = DetRng::seed_from_u64(0xFD7A_B1E0 ^ seed);
+            let (mut t, mut naive) = (FdTable::new(), NaiveTable::default());
+            for op in 0..2_000u64 {
+                let entry = file_entry(op);
+                match rng.below(10) {
+                    0..=4 => assert_eq!(
+                        t.install(entry),
+                        naive.install(entry),
+                        "seed {seed} op {op}"
+                    ),
+                    5..=7 => {
+                        // Mostly open fds, sometimes a free or std-stream one.
+                        let fd = rng.below(t.len() as u64 + 8) as Fd;
+                        assert_eq!(t.remove(fd), naive.0.remove(&fd), "seed {seed} op {op}");
+                    }
+                    _ => {
+                        let fd = rng.below(t.len() as u64 + 16) as Fd;
+                        assert_eq!(t.install_at(fd, entry), naive.0.insert(fd, entry));
+                    }
+                }
+            }
+            assert!(t
+                .iter()
+                .map(|(fd, e)| (fd, *e))
+                .eq(naive.0.iter().map(|(fd, e)| (*fd, *e))));
+        }
+    }
+
+    /// A coordinator re-accepting every manager holds tens of thousands of
+    /// fds; freeing and refilling the lowest one must not rescan them all
+    /// (a scan from 3 makes ≈ 65 k lookups per install here).
+    #[test]
+    fn large_table_refills_the_lowest_hole() {
+        const OPEN: Fd = 65_536;
+        let mut t = FdTable::new();
+        for i in 0..OPEN {
+            assert_eq!(t.install(file_entry(i as u64)), FIRST_FD + i);
+        }
+        for round in 0..4_096u64 {
+            assert_eq!(t.remove(FIRST_FD), Some(file_entry(round)));
+            assert_eq!(t.install(file_entry(round + 1)), FIRST_FD);
+        }
+        assert_eq!(t.install(file_entry(0)), FIRST_FD + OPEN);
+        assert_eq!(t.len(), OPEN as usize + 1);
     }
 
     #[test]

@@ -13,12 +13,17 @@
 # and B first in even ones, so slow drift of a shared box hits both sides
 # alike.
 #
-# Prints, per end-to-end metric, both medians, the B/A ratio of medians,
-# A's interquartile range, and k/n: the pairs in which B did better (every
-# end-to-end metric is lower-is-better). Exits 1 when a run fails, or when
-# any `virt_*` metric, `attempted`, `failed` or `correct` differs between
-# any two runs — virtual numbers repeat bit-exactly per seed, so such a
-# difference is a behaviour change, not noise.
+# Prints, per end-to-end metric, each side's median and quartiles, the B/A
+# ratio of medians, A's interquartile range, k/n: the pairs in which B did
+# better (every end-to-end metric is lower-is-better; ties count for
+# neither side), and a verdict by the pairing rule: "gain" when B wins at
+# least nine tenths of the pairs and its median is below A's by more than
+# A's IQR, "loss" for the same with the sides swapped, "-" otherwise.
+# Then every pair of each metric that varies between runs, parent first.
+# Exits 1 when a run fails, or when any `virt_*` metric,
+# `stored_mb_per_gen`, `attempted`, `failed` or `correct` differs between
+# any two runs — these repeat bit-exactly per seed, so such a difference
+# is a behaviour change, not noise.
 set -euo pipefail
 
 if [[ $# -lt 3 || $# -gt 5 ]]; then
@@ -92,22 +97,30 @@ awk -v pairs="$PAIRS" '
         bad = 0
         n = count["A"] < count["B"] ? count["A"] : count["B"]
         if (n < pairs) { print "perf_pair: incomplete runs" > "/dev/stderr"; exit 1 }
-        printf "%-20s %14s %14s %8s %12s %7s\n", "metric", "median A", "median B", "B/A", "IQR A", "B wins"
+        printf "%-20s %12s %23s %12s %23s %8s %10s %7s %7s\n", "metric", "median A", "Q1-Q3 A", \
+            "median B", "Q1-Q3 B", "B/A", "IQR A", "B wins", "verdict"
         for (m = 1; m <= nn; m++) {
             name = names[m]
-            wins = 0
+            wins = 0; losses = 0
             for (r = 1; r <= n; r++) {
                 a[r] = v["A", name, r] + 0
                 b[r] = v["B", name, r] + 0
                 if (b[r] < a[r]) wins++
-                if (name ~ /^virt_/ && (v["A", name, r] != v["A", name, 1] || v["B", name, r] != v["A", name, 1])) {
+                if (b[r] > a[r]) losses++
+                if (name ~ /^(virt_|stored_mb_per_gen$)/ && (v["A", name, r] != v["A", name, 1] || v["B", name, r] != v["A", name, 1])) {
                     printf "perf_pair: %s differs: A %s, B %s (pair %d)\n", name, v["A", name, r], v["B", name, r], r > "/dev/stderr"
                     bad = 1
                 }
             }
             ma = quantile(a, n, 0.5); mb = quantile(b, n, 0.5)
-            iqr = quantile(a, n, 0.75) - quantile(a, n, 0.25)
-            printf "%-20s %14.6g %14.6g %8.4f %12.4g %4d/%d\n", name, ma, mb, ma ? mb / ma : 0, iqr, wins, n
+            qa1 = quantile(a, n, 0.25); qa3 = quantile(a, n, 0.75)
+            qb1 = quantile(b, n, 0.25); qb3 = quantile(b, n, 0.75)
+            iqr = qa3 - qa1
+            verdict = "-"
+            if (wins * 10 >= 9 * n && ma - mb > iqr) verdict = "gain"
+            if (losses * 10 >= 9 * n && mb - ma > iqr) verdict = "loss"
+            printf "%-20s %12.6g %11.5g-%-11.5g %12.6g %11.5g-%-11.5g %8.4f %10.4g %4d/%d %7s\n", name, ma, qa1, qa3, \
+                mb, qb1, qb3, ma ? mb / ma : 0, iqr, wins, n, verdict
         }
         for (f = 1; f <= 3; f++) {
             key = f == 1 ? "correct" : f == 2 ? "attempted" : "failed"
@@ -116,7 +129,19 @@ awk -v pairs="$PAIRS" '
                     printf "perf_pair: %s differs: A %s, B %s (pair %d)\n", key, scalar["A", key, r], scalar["B", key, r], r > "/dev/stderr"
                     bad = 1
                 }
-            printf "%-20s %14s %14s\n", key, scalar["A", key, 1], scalar["B", key, 1]
+            printf "%-20s %12s %23s %12s\n", key, scalar["A", key, 1], "", scalar["B", key, 1]
+        }
+        print "every pair, A>B:"
+        for (m = 1; m <= nn; m++) {
+            name = names[m]
+            varies = 0
+            for (r = 1; r <= n; r++)
+                if (v["A", name, r] != v["A", name, 1] || v["B", name, r] != v["A", name, 1])
+                    varies = 1
+            if (!varies) continue
+            printf "%-20s", name
+            for (r = 1; r <= n; r++) printf " %.4g>%.4g", v["A", name, r], v["B", name, r]
+            printf "\n"
         }
         exit bad
     }
