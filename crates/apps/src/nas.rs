@@ -326,15 +326,19 @@ impl NasRank {
                 // Phase 0: exchange keys so rank r gets range slice r.
                 0 => {
                     let size = self.rt.size as u64;
-                    let width = (1u64 << 20) / size + 1;
-                    let mut sends: Vec<Vec<u8>> = vec![Vec::new(); size as usize];
-                    for &key in &self.keys {
-                        let dest = (key / width).min(size - 1) as usize;
-                        sends[dest].extend_from_slice(&key.to_le_bytes());
-                    }
                     if self.v0.is_empty() {
                         self.coll = CollOp::begin(&mut self.rt);
                         self.v0 = vec![0.0]; // marker: collective started
+                    }
+                    // The alltoall reads the buckets only until it has sent
+                    // them; a wake after that needs none.
+                    let mut sends: Vec<Vec<u8>> = vec![Vec::new(); size as usize];
+                    if !self.coll.sent() {
+                        let width = (1u64 << 20) / size + 1;
+                        for &key in &self.keys {
+                            let dest = (key / width).min(size - 1) as usize;
+                            sends[dest].extend_from_slice(&key.to_le_bytes());
+                        }
                     }
                     let mut recvs: Vec<Option<Vec<u8>>> = vec![None; size as usize];
                     if !self.coll.alltoall(&mut self.rt, k, &sends, &mut recvs) {

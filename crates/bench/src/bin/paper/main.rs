@@ -1,8 +1,11 @@
 //! The paper's §5 evaluation from one figure table: Table 1, Figures 3–6,
-//! the §5.1 RunCMS numbers and the design ablations.
+//! the §5.1 RunCMS numbers and the design ablations, then the beyond-paper
+//! figures of [`beyond`]: the chunk store, forked downtime, live
+//! migration, relay scale-out and the sharded service.
 //!
 //! Regenerate with: `cargo run --release -p dmtcp-bench --bin paper [id...]`
-//! (ids `fig3 fig4 fig5 fig6 table1 runcms ablation`; none means all).
+//! (ids `fig3 fig4 fig5 fig6 table1 runcms ablation ckptstore downtime
+//! migrate scale tenants`; none means all).
 //!
 //! Every configuration of the selected figures runs in one
 //! [`run_parallel`] pool and returns flat `(key, value)` rows. A figure's
@@ -15,6 +18,8 @@
 //!
 //! `--trace-out <file>` with `table1` dumps a Perfetto-loadable Chrome
 //! trace of the uncompressed mode's checkpoint generation.
+
+mod beyond;
 
 use apps::desktop::{launch_desktop, CATALOGUE};
 use apps::geant::geant_factory;
@@ -86,7 +91,7 @@ struct Figure {
     shapes: fn(&Table) -> Result<(), String>,
 }
 
-const FIGURES: [Figure; 7] = [
+const FIGURES: [Figure; 12] = [
     Figure {
         id: "fig3",
         jobs: fig3_jobs,
@@ -136,6 +141,41 @@ const FIGURES: [Figure; 7] = [
         render: ablation_render,
         shapes: no_shapes,
     },
+    Figure {
+        id: "ckptstore",
+        jobs: beyond::ckptstore_jobs,
+        paper: no_paper,
+        render: beyond::ckptstore_render,
+        shapes: beyond::ckptstore_shapes,
+    },
+    Figure {
+        id: "downtime",
+        jobs: beyond::downtime_jobs,
+        paper: no_paper,
+        render: beyond::downtime_render,
+        shapes: beyond::downtime_shapes,
+    },
+    Figure {
+        id: "migrate",
+        jobs: beyond::migrate_jobs,
+        paper: no_paper,
+        render: beyond::migrate_render,
+        shapes: beyond::migrate_shapes,
+    },
+    Figure {
+        id: "scale",
+        jobs: beyond::scale_jobs,
+        paper: no_paper,
+        render: beyond::scale_render,
+        shapes: beyond::scale_shapes,
+    },
+    Figure {
+        id: "tenants",
+        jobs: beyond::tenants_jobs,
+        paper: no_paper,
+        render: beyond::tenants_render,
+        shapes: beyond::tenants_shapes,
+    },
 ];
 
 fn no_paper(_: &str) -> Option<f64> {
@@ -161,9 +201,10 @@ fn slug(label: &str) -> String {
         .join("_")
 }
 
+/// Rows named `{prefix}{name}`.
 fn keyed(prefix: &str, rows: Vec<(&str, f64)>) -> Rows {
     rows.into_iter()
-        .map(|(q, v)| (format!("{prefix}.{q}"), v))
+        .map(|(q, v)| (format!("{prefix}{q}"), v))
         .collect()
 }
 
@@ -210,7 +251,7 @@ fn bar(
         ("refill_s", st.refill),
     ];
     rows.extend(sync_s.map(|v| ("sync_s", v)));
-    keyed(key, rows)
+    keyed(&format!("{key}."), rows)
 }
 
 /// A bar as a text row: label, ckpt mean ± σ, restart, size, processes.
@@ -617,7 +658,7 @@ fn table1_run(mode: &str, compression: bool, forked: bool, trace: Option<&str>) 
         }
     }
     let mut rows = keyed(
-        &format!("{mode}.ckpt"),
+        &format!("{mode}.ckpt."),
         vec![
             ("suspend_s", c.suspend),
             ("elect_s", c.elect),
@@ -633,7 +674,7 @@ fn table1_run(mode: &str, compression: bool, forked: bool, trace: Option<&str>) 
         run_for(&mut w, &mut sim, Nanos::from_millis(50));
         let r = restart_breakdown(&w, None);
         rows.extend(keyed(
-            &format!("{mode}.restart"),
+            &format!("{mode}.restart."),
             vec![
                 ("files_s", r.files),
                 ("sockets_s", r.sockets),
@@ -881,7 +922,7 @@ fn ablation_jobs(_: Option<&str>) -> Vec<Job> {
             // Pure coordination cost: everything except the image write.
             let t = (g.releases[&stage::DRAINED] - g.requested_at).as_secs_f64();
             keyed(
-                &format!("coord.nodes_{nodes}"),
+                &format!("coord.nodes_{nodes}."),
                 vec![("procs", g.participants as f64), ("coordination_s", t)],
             )
         }) as Job);
@@ -1129,5 +1170,61 @@ mod tests {
         let c = committed("table1").get("compressed.ckpt.total_s");
         let edit = [("forked.ckpt.total_s", c / 9.0)];
         assert_fails("table1", &edit, "(a) forked total");
+    }
+
+    #[test]
+    fn ckptstore_incremental_below_10x_fails() {
+        let edit = [("incr_speedup_ratio", 9.9)];
+        assert_fails("ckptstore", &edit, "only 9.9x faster than full capture");
+    }
+
+    #[test]
+    fn downtime_forked_pause_above_a_fifth_of_total_fails() {
+        let total = committed("downtime").get("mg_forked_total_s");
+        let edit = [("mg_forked_pause_s", total / 4.9)];
+        assert_fails("downtime", &edit, "NAS/MG (4x2): forked perceived pause");
+    }
+
+    #[test]
+    fn downtime_pause_after_restart_above_a_fifth_of_total_fails() {
+        let total = committed("downtime").get("cms_forked_total_s");
+        let edit = [("cms_forked_pause_after_restart_s", total / 4.9)];
+        assert_fails("downtime", &edit, "RunCMS after restart");
+    }
+
+    #[test]
+    fn migrate_below_3x_fails() {
+        let edit = [("migrate_speedup_ratio", 2.9)];
+        assert_fails("migrate", &edit, "only 2.9x below the full cycle");
+    }
+
+    #[test]
+    fn scale_reduction_below_8x_fails() {
+        let edit = [("scale_n16384_root_msgs_reduction_ratio", 7.9)];
+        assert_fails(
+            "scale",
+            &edit,
+            "N=16384: relays cut root messages only 7.9x",
+        );
+    }
+
+    #[test]
+    fn scale_hierarchical_checkpoint_above_1_10_flat_fails() {
+        let flat = committed("scale").get("scale_flat_n8192_ckpt_s");
+        let edit = [("scale_hier_n8192_ckpt_s", flat * 1.11)];
+        assert_fails("scale", &edit, "N=8192: hierarchical checkpoint");
+    }
+
+    #[test]
+    fn tenants_speedup_below_3x_fails() {
+        let edit = [("tenants_speedup_ratio", 2.9)];
+        assert_fails("tenants", &edit, "only 2.9x the shared");
+    }
+
+    #[test]
+    fn tenants_sharded_p99_above_1_10_shared_fails() {
+        let shared = committed("tenants").get("tenants_shared_p99_pause_s");
+        let edit = [("tenants_p99_pause_s", shared * 1.11)];
+        assert_fails("tenants", &edit, "sharded p99 pause");
     }
 }

@@ -172,7 +172,7 @@ impl Ab {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let events: u64 = if smoke { 1_200_000 } else { 8_000_000 };
-    let reps = if smoke { 2 } else { dmtcp_bench::reps().max(3) };
+    let reps = if smoke { 2 } else { 3 };
     println!("# sim: event-loop throughput, timer wheel vs reference heap");
     println!("# {events} events per run, best of {reps} reps per engine\n");
 

@@ -1,4 +1,4 @@
-//! Experiment harness: everything the `paper` binary and the benches share.
+//! Experiment harness: everything the `paper` and `sim` binaries share.
 //!
 //! Each experiment builds a fresh simulated cluster, launches a workload
 //! under DMTCP, requests checkpoints, optionally kills and restarts the
@@ -118,10 +118,9 @@ pub fn write_jsonl_lines(
 }
 
 /// Merge flat numeric key/value pairs into a `{ "key": value, ... }` JSON
-/// file, the format `scripts/bench_gate.sh` parses. Several binaries share
-/// one gate file (`downtime` and `ckptstore` both feed
-/// `results/BENCH_ckpt.json`), so each must keep the others' keys: existing
-/// keys keep their position and are overwritten in place, new keys append.
+/// file, one key per line. A `paper` run of some figures must keep the
+/// other figures' rows in `results/BENCH_paper.json`: existing keys keep
+/// their position and are overwritten in place, new keys append.
 pub fn merge_flat_json(path: &str, pairs: &[(&str, f64)]) -> std::io::Result<()> {
     let mut entries = read_flat_json(path);
     for &(key, val) in pairs {
@@ -261,15 +260,6 @@ pub fn run_parallel<T: Send>(jobs: Vec<Box<dyn FnOnce() -> T + Send>>) -> Vec<T>
         .into_iter()
         .map(|s| s.expect("job finished"))
         .collect()
-}
-
-/// Repetition count for the `scale` and `sim` benches: 3 unless
-/// `DMTCP_REPS` says otherwise.
-pub fn reps() -> usize {
-    std::env::var("DMTCP_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3)
 }
 
 #[cfg(test)]

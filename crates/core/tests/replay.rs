@@ -1,4 +1,4 @@
-//! Flight-recorder replay smoke tests (the CI `replay` stage).
+//! Flight-recorder replay smoke tests (run in the CI `test` stage).
 //!
 //! Records a full checkpointed run with the flight recorder on, then
 //! re-executes it from the journal with [`dmtcp::replay::drive`] and

@@ -47,6 +47,12 @@ impl CollOp {
         }
     }
 
+    /// Whether this rank's own contribution has gone out. A caller whose
+    /// send buffers are costly to build needs them only while this is false.
+    pub fn sent(&self) -> bool {
+        self.sent
+    }
+
     /// Barrier: true when every rank has arrived and been released.
     pub fn barrier(&mut self, rt: &mut MpiRt, k: &mut Kernel<'_>) -> bool {
         let tag = tag_for(KIND_BARRIER, self.seq);

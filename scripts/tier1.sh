@@ -2,7 +2,7 @@
 # Tier-1 gate: everything a PR must keep green.
 #
 # Usage: scripts/tier1.sh [stage...]
-#   stages: build test faults bench sim scale tenants migrate replay perf lint paper
+#   stages: build test faults sim perf lint paper
 #   No arguments runs every stage in that order (the full PR gate). CI runs
 #   the same stages one job each — `scripts/tier1.sh build`, etc. — so a
 #   local no-arg run reproduces the whole pipeline stage by stage.
@@ -39,63 +39,13 @@ stage_faults() {
     DMTCP_FAULT_ROTATING="${DMTCP_FAULT_ROTATING:-2}" cargo test -q -p dmtcp --test faults
 }
 
-stage_bench() {
-    echo "== ckptstore smoke bench (3 generations, NAS/MG + incremental >=10x gate) =="
-    cargo build --release -p dmtcp-bench
-    ./target/release/ckptstore --smoke
-    echo "== downtime smoke bench (perceived vs total checkpoint time) =="
-    ./target/release/downtime --smoke
-    echo "== bench-regression gate =="
-    scripts/bench_gate.sh self-test
-    scripts/bench_gate.sh compare
-}
-
 stage_sim() {
     echo "== sim engine throughput bench (timer wheel vs reference heap, >=5x gate) =="
     cargo build --release -p dmtcp-bench
     ./target/release/sim --smoke
-    echo "== sim bench-regression gate =="
+    echo "== sim host-time gate (events/sec vs scripts/BENCH_sim.baseline.json) =="
     scripts/bench_gate.sh self-test
-    # Unlike every other gate file, events/sec is wall-clock: the committed
-    # baseline is set well below measured values and the tolerance widened,
-    # so the gate catches engine-speed collapses, not machine variance.
-    BENCH_GATE_TOLERANCE="${BENCH_GATE_TOLERANCE:-0.5}" \
-        scripts/bench_gate.sh compare results/BENCH_sim.json scripts/BENCH_sim.baseline.json
-}
-
-stage_scale() {
-    echo "== scale smoke bench (flat star vs per-node relays) =="
-    cargo build --release -p dmtcp-bench
-    ./target/release/scale --smoke
-    echo "== scale bench-regression gate =="
-    scripts/bench_gate.sh compare results/BENCH_scale.json scripts/BENCH_scale.baseline.json
-}
-
-stage_tenants() {
-    echo "== multi-tenant service tests (admission, isolation, quotas, shard faults) =="
-    cargo test -q -p svc
-    echo "== tenants smoke bench (shared coordinator vs sharded dmtcpd, >=3x gate) =="
-    cargo build --release -p dmtcp-bench
-    ./target/release/tenants --smoke
-    echo "== tenants bench-regression gate =="
-    scripts/bench_gate.sh compare results/BENCH_tenants.json scripts/BENCH_tenants.baseline.json
-}
-
-stage_migrate() {
-    echo "== heterogeneous restart + live migration tests (RestartPlan API) =="
-    cargo test -q -p dmtcp --test migrate
-    echo "== migrate smoke bench (subset migration pause vs full cycle, >=3x gate) =="
-    cargo build --release -p dmtcp-bench
-    ./target/release/migrate --smoke
-    echo "== migrate bench-regression gate =="
-    scripts/bench_gate.sh compare results/BENCH_migrate.json scripts/BENCH_migrate.baseline.json
-}
-
-stage_replay() {
-    echo "== flight-recorder record/replay smoke (zero divergence) =="
-    cargo test -q -p dmtcp --test replay
-    echo "== journal codec property tests =="
-    cargo test -q -p obs --test prop_journal
+    scripts/bench_gate.sh compare
 }
 
 stage_perf() {
@@ -136,10 +86,16 @@ stage_lint() {
     # What PR 16 deleted too: nothing parses the restart script or rewrites
     # a generation number inside a path (a generation is a catalog record),
     # and the image file name is spelled in exactly one file.
+    # Gone with the five beyond-paper bench binaries, whose figures now
+    # live in `paper`'s figure table: their knobs, the gate's tolerance knob
+    # and their four gate files.
     local hits
     hits=$({
         grep -rnE '#\[deprecated|ext_slots|DMTCP_SIM_ENGINE|restart_resilient|trace_with\(' \
             crates/*/src src
+        grep -rnE --exclude=tier1.sh \
+            'DMTCP_SCALE_FULL|DMTCP_SCALE_POINTS|DMTCP_REPS|BENCH_GATE_TOLERANCE|BENCH_(ckpt|migrate|scale|tenants)' \
+            crates src scripts .github
         grep -rnE 'rewrite_gen|script_groups|newest_gen|default_restart' crates/*/src src
         grep -rn 'downcast_' crates/*/src src |
             grep -vE '^crates/(oskit/src/world|core/src/hijack)\.rs:'
@@ -195,8 +151,12 @@ stage_paper() {
     # Virtual time is deterministic, so there is no tolerance: any difference
     # is a paper number that moved, in either direction. A change that moves
     # one on purpose commits the regenerated files, and their diff shows it.
-    if ! git diff --exit-code -- results/BENCH_paper.json \
-        results/{fig3,fig4,fig5,fig6,table1,runcms,ablation}.txt; then
+    # Every figure writes results/<id>.txt, so the glob covers each one; a
+    # figure whose file was never committed shows up as untracked.
+    local paths=(results/BENCH_paper.json 'results/*.txt') untracked
+    untracked=$(git ls-files --others --exclude-standard -- "${paths[@]}")
+    if ! git diff --exit-code -- "${paths[@]}" || [[ -n "$untracked" ]]; then
+        [[ -n "$untracked" ]] && echo "untracked: $untracked" >&2
         echo "tier1: paper figures differ from the committed results/ (diff above)" >&2
         exit 1
     fi
@@ -218,9 +178,9 @@ record_stage_seconds() {
 run_stage() {
     local name="$1"
     case "$name" in
-        build | test | faults | bench | sim | scale | tenants | migrate | replay | perf | lint | paper) ;;
+        build | test | faults | sim | perf | lint | paper) ;;
         *)
-            echo "tier1: unknown stage '$name' (stages: build test faults bench sim scale tenants migrate replay perf lint paper)" >&2
+            echo "tier1: unknown stage '$name' (stages: build test faults sim perf lint paper)" >&2
             exit 2
             ;;
     esac
@@ -233,7 +193,7 @@ run_stage() {
 }
 
 if [[ $# -eq 0 ]]; then
-    set -- build test faults bench sim scale tenants migrate replay perf lint paper
+    set -- build test faults sim perf lint paper
 fi
 for stage in "$@"; do
     run_stage "$stage"

@@ -2,7 +2,8 @@
 //! (`scripts/tier1.sh` three times, the CI matrix once) and counted in
 //! prose in README. They must agree. (README's fault-matrix cell count is
 //! checked where the count is computed: `crates/core/tests/faults.rs`.)
-//! EXPERIMENTS.md's paper-vs-measured tables must print the numbers in
+//! EXPERIMENTS.md's paper-vs-measured tables, and its tables of the
+//! beyond-paper figures, must print the numbers in
 //! `results/BENCH_paper.json`, which the tier-1 `paper` stage regenerates.
 
 use std::collections::HashMap;
@@ -110,8 +111,18 @@ fn check_table(
     let mut checked = 0;
     for row in &rows {
         for (col, cell) in header.iter().zip(row).skip(1) {
+            // "—" marks a cell with no row of its own.
+            if cell == "—" {
+                continue;
+            }
             let key = key(&row[0], col);
-            let (num, unit) = cell.split_once(' ').unwrap_or((cell, ""));
+            // A ratio prints as "12.5×"; a count may group digits: "3 328".
+            let cell = cell.trim_end_matches('×');
+            let (num, unit) = match cell.rsplit_once(' ') {
+                Some((n, u)) if !u.starts_with(|c: char| c.is_ascii_digit()) => (n, u),
+                _ => (cell, ""),
+            };
+            let num = num.replace(' ', "");
             let scale = match unit {
                 "MB" => (1u64 << 20) as f64,
                 "s" | "" => 1.0,
@@ -226,4 +237,80 @@ fn experiments_tables_match_bench_paper_json() {
         format!("fig6.gb_{gb}.{q}")
     });
     assert_eq!(n, 8, "Figure 6: 4 memory sizes x (ckpt, restart)");
+
+    let n = check_table(
+        &doc,
+        &json,
+        "## Incremental checkpoint store",
+        |row, col| {
+            let wl = match row {
+                "NAS/MG (4×2)" => "nas_mg",
+                "NAS/IS (4×2)" => "nas_is",
+                "RunCMS" => "runcms",
+                r => panic!("store row {r:?}"),
+            };
+            let gen_mode = col.strip_prefix("gen ").and_then(|c| c.split_once(' '));
+            let (gen, mode) = gen_mode.unwrap_or_else(|| panic!("store column {col:?}"));
+            format!("ckptstore.{wl}.gen_{gen}.{mode}_bytes")
+        },
+    );
+    assert_eq!(n, 12, "store: 3 workloads x 2 generations x (full, store)");
+
+    let n = check_table(
+        &doc,
+        &json,
+        "### Incremental dirty-region capture",
+        |row, col| {
+            let mode = match col {
+                "full capture" => "full",
+                "incremental" => "incr",
+                "speedup" => return "ckptstore.incr_speedup_ratio".to_string(),
+                c => panic!("incremental column {c:?}"),
+            };
+            match row.strip_prefix("gen ") {
+                Some(gen) => format!("ckptstore.idlehog.gen_{gen}.{mode}_ckpt_s"),
+                None => format!("ckptstore.{mode}_gen2_total_s"),
+            }
+        },
+    );
+    assert_eq!(
+        n, 9,
+        "incremental: 4 rows x (full, incremental) + the speedup"
+    );
+
+    let n = check_table(
+        &doc,
+        &json,
+        "## Perceived downtime vs. total",
+        |row, col| {
+            let wl = match row {
+                "NAS/MG (4×2)" => "mg",
+                "RunCMS" => "cms",
+                r => panic!("downtime row {r:?}"),
+            };
+            let q = match col {
+                "inline total" => "inline_total_s",
+                "forked perceived" => "forked_pause_s",
+                "forked total" => "forked_total_s",
+                "total/perceived" => "forked_ratio",
+                "forked perceived after kill → restart" => "forked_pause_after_restart_s",
+                c => panic!("downtime column {c:?}"),
+            };
+            format!("downtime.{wl}_{q}")
+        },
+    );
+    assert_eq!(n, 10, "downtime: 2 workloads x 5 columns");
+
+    let n = check_table(&doc, &json, "## Coordinator scale-out", |row, col| {
+        let q = match col {
+            "flat root msgs/gen" => "flat_n{}_root_msgs_per_gen",
+            "hier root msgs/gen" => "hier_n{}_root_msgs_per_gen",
+            "reduction" => "n{}_root_msgs_reduction_ratio",
+            "flat ckpt" => "flat_n{}_ckpt_s",
+            "hier ckpt" => "hier_n{}_ckpt_s",
+            c => panic!("scale column {c:?}"),
+        };
+        format!("scale.scale_{}", q.replace("{}", row))
+    });
+    assert_eq!(n, 40, "scale: N = 16 … 16384 x 5 columns");
 }
