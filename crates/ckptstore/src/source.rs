@@ -54,13 +54,16 @@ pub(crate) fn assemble(fs: &Fs, logical: &str) -> Option<(Blob, Vec<Range<u64>>)
     for c in &man.chunks {
         let f = chunk_file(fs, c)?;
         if let Some(off) = c.off {
-            let stored = f.blob.read_all()?;
             let at = blob.len();
             match inherited.last_mut() {
                 Some(r) if r.end == at => r.end += c.len,
                 _ => inherited.push(at..at + c.len),
             }
-            blob.append_bytes(&stored[off as usize..(off + c.len) as usize]);
+            // `chunk_file` checked that the file is all real bytes and
+            // reaches the slice's end: copy only what the slice names.
+            for part in f.blob.real_slices(off, off + c.len) {
+                blob.append_bytes(part);
+            }
             continue;
         }
         for ch in f.blob.chunks() {
@@ -154,5 +157,48 @@ mod tests {
             .blob
             .truncate(60);
         assert!(assemble(&fs, &man.src).is_none(), "torn slice rejected");
+
+        // A stored chunk of three real extents (0..30, 30..64, 64..100),
+        // kept apart by empty virtual ones.
+        let stored: Vec<u8> = (100..200u8).collect();
+        fs.write_all(&chunk_path("rmx-100"), &stored[..30]).unwrap();
+        let file = fs.get_mut(&chunk_path("rmx-100")).unwrap();
+        for part in [&stored[30..64], &stored[64..]] {
+            file.blob.append_virtual(0, Vec::new());
+            file.blob.append_bytes(part);
+        }
+        assert_eq!(file.blob.chunks().len(), 5);
+        let slice = |off: u64, len: u64| ChunkRef {
+            id: "rmx-100".into(),
+            len,
+            off: Some(off),
+        };
+        // Slices at nonzero offsets that end exactly at the chunk's end,
+        // and slices that end before it: inside one extent, on an extent's
+        // edge, and across extents.
+        let refs = [
+            (64, 36),
+            (30, 70),
+            (99, 1),
+            (5, 10),
+            (34, 30),
+            (20, 20),
+            (1, 98),
+        ];
+        let man = Manifest {
+            gen: 3,
+            logical_len: refs.iter().map(|r| r.1).sum(),
+            src: "/ckpt/c_gen3.dmtcp".into(),
+            chunks: refs.iter().map(|&(off, len)| slice(off, len)).collect(),
+        };
+        fs.write_all(&manifest_path(&man.src), &man.encode())
+            .unwrap();
+        let (got, inherited) = assemble(&fs, &man.src).expect("slice refs assemble");
+        let want: Vec<u8> = refs
+            .iter()
+            .flat_map(|&(off, len)| stored[off as usize..(off + len) as usize].to_vec())
+            .collect();
+        assert_eq!(got.read_all().unwrap(), want);
+        assert_eq!(inherited, vec![0..man.logical_len]);
     }
 }

@@ -25,6 +25,8 @@ pub const COORD_PORT: u16 = 7779;
 
 /// Checkpoint barrier stages, numbered as in Figure 1.
 pub mod stage {
+    use std::collections::{BTreeMap, BTreeSet};
+
     /// User threads suspended.
     pub const SUSPENDED: u8 = 2;
     /// Shared-fd leader election completed.
@@ -58,6 +60,22 @@ pub mod stage {
             RESTORED => "release.restored",
             RESTART_REFILLED => "release.restart_refilled",
             _ => "release.unknown",
+        }
+    }
+
+    /// Remove generation `gen`'s barriers at stage `from` or later from a
+    /// `(gen, stage)`-keyed set. It walks that generation's keys only,
+    /// where a `retain` would visit every barrier ever released.
+    pub(crate) fn forget(set: &mut BTreeSet<(u64, u8)>, gen: u64, from: u8) {
+        while let Some(&key) = set.range((gen, from)..=(gen, u8::MAX)).next() {
+            set.remove(&key);
+        }
+    }
+
+    /// [`forget`] for a `(gen, stage)`-keyed map.
+    pub(crate) fn forget_keys<V>(map: &mut BTreeMap<(u64, u8), V>, gen: u64, from: u8) {
+        while let Some((&key, _)) = map.range((gen, from)..=(gen, u8::MAX)).next() {
+            map.remove(&key);
         }
     }
 }
@@ -447,8 +465,8 @@ impl Coordinator {
         // Generation numbers can be reused after a restart rolled the
         // counter back; drop any stale barrier state for this one.
         self.aborted_gens.remove(&gen);
-        self.barrier_counts.retain(|(g, _), _| *g != gen);
-        self.released.retain(|(g, _)| *g != gen);
+        stage::forget_keys(&mut self.barrier_counts, gen, 0);
+        stage::forget(&mut self.released, gen, 0);
         self.broadcast(k, &Msg::CkptRequest(self.gen));
         // The request is the one coordinator message with no manager-side
         // retransmission; arm a retry in case the network eats it.
@@ -493,13 +511,13 @@ impl Coordinator {
         let gen = self.gen;
         self.drain_open = false;
         self.aborted_gens.insert(gen);
-        self.barrier_counts.retain(|(g, _), _| *g != gen);
+        stage::forget_keys(&mut self.barrier_counts, gen, 0);
         coord_shared_for(k.w, self.port).last_images.clear();
         if stw {
             self.in_progress = false;
             self.retry_at = None;
             self.migrating = None;
-            self.released.retain(|(g, _)| *g != gen);
+            stage::forget(&mut self.released, gen, 0);
         }
         if let Some(gs) = self.gen_stat(k, gen) {
             gs.aborted = true;
@@ -616,7 +634,7 @@ impl Coordinator {
                 // state it may have carried before the rollback.
                 self.discovery.clear();
                 self.aborted_gens.clear();
-                self.released.retain(|(g, _)| *g != gen);
+                stage::forget(&mut self.released, gen, 0);
                 // Everyone registered so far belongs to the computation
                 // being replaced; their in-flight EOFs must not abort the
                 // restart. Restored managers that raced ahead of the plan
@@ -651,8 +669,7 @@ impl Coordinator {
                 // A previous failed attempt at this migration may have
                 // aborted the generation; a retry legitimately reuses it.
                 self.aborted_gens.remove(&gen);
-                self.released
-                    .retain(|(g, s)| !(*g == gen && *s >= stage::RESTORED));
+                stage::forget(&mut self.released, gen, stage::RESTORED);
                 self.push_gen_stat(k, gen, n);
                 self.recheck_pending(k);
             }
@@ -935,5 +952,38 @@ pub fn request_checkpoint(w: &mut World, sim: &mut oskit::world::OsSim, port: u1
     cs.ckpt_request_pending = true;
     if let Some(pid) = cs.coord_pid {
         w.wake(sim, (pid, Tid(0)));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::stage;
+    use simkit::DetRng;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    #[test]
+    fn forgetting_a_generation_leaves_what_retain_leaves() {
+        let mut rng = DetRng::seed_from_u64(0xC0_0D);
+        for case in 0..200 {
+            let keys: Vec<(u64, u8)> = (0..rng.below(60))
+                .map(|_| (rng.below(8), rng.below(14) as u8))
+                .collect();
+            let gen = rng.below(9);
+            let from = [0, stage::RESTORED, rng.below(256) as u8][rng.below(3) as usize];
+            let kept = |&(g, s): &(u64, u8)| !(g == gen && s >= from);
+
+            let mut set: BTreeSet<(u64, u8)> = keys.iter().copied().collect();
+            let mut want = set.clone();
+            want.retain(kept);
+            stage::forget(&mut set, gen, from);
+            assert_eq!(set, want, "case {case}: set, gen {gen} from {from}");
+
+            let mut map: BTreeMap<(u64, u8), usize> =
+                keys.iter().enumerate().map(|(i, &k)| (k, i)).collect();
+            let mut want = map.clone();
+            want.retain(|k, _| kept(k));
+            stage::forget_keys(&mut map, gen, from);
+            assert_eq!(map, want, "case {case}: map, gen {gen} from {from}");
+        }
     }
 }

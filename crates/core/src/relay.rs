@@ -269,8 +269,8 @@ impl Relay {
                     self.gen = gen;
                     self.in_flight = true;
                     self.aborted_gens.remove(&gen);
-                    self.acks.retain(|(g, _), _| *g != gen);
-                    self.released.retain(|(g, _)| *g != gen);
+                    stage::forget_keys(&mut self.acks, gen, 0);
+                    stage::forget(&mut self.released, gen, 0);
                     if self.ping_at.is_none() {
                         self.ping_at = Some(k.now() + PING_INTERVAL);
                         wake_after(k, PING_INTERVAL);
@@ -291,8 +291,8 @@ impl Relay {
             }
             Msg::CkptAbort(gen) => {
                 self.aborted_gens.insert(gen);
-                self.acks.retain(|(g, _), _| *g != gen);
-                self.released.retain(|(g, _)| *g != gen);
+                stage::forget_keys(&mut self.acks, gen, 0);
+                stage::forget(&mut self.released, gen, 0);
                 self.broadcast_local(k, &Msg::CkptAbort(gen));
                 if gen == self.gen {
                     self.in_flight = false;

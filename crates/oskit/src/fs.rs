@@ -137,16 +137,25 @@ impl Blob {
         }
         let end = end.min(self.len as usize);
         let mut out = Vec::with_capacity(end.saturating_sub(start));
-        let mut at = 0;
-        for c in &self.chunks {
-            let Chunk::Real(b) = c else { continue };
-            let (lo, hi) = (start.max(at), end.min(at + b.len()));
-            if lo < hi {
-                out.extend_from_slice(&b[lo - at..hi - at]);
-            }
-            at += b.len();
+        for part in self.real_slices(start as u64, end as u64) {
+            out.extend_from_slice(part);
         }
         Some(out)
+    }
+
+    /// The bytes of the real extents that fall in `[start, end)`, in
+    /// order and borrowed: what [`Blob::read_range`] copies out, for a
+    /// caller that copies them somewhere itself. Offsets count virtual
+    /// extents too; those yield nothing.
+    pub fn real_slices(&self, start: u64, end: u64) -> impl Iterator<Item = &[u8]> + '_ {
+        let mut at = 0u64;
+        self.chunks.iter().filter_map(move |c| {
+            let base = at;
+            at += c.len();
+            let Chunk::Real(b) = c else { return None };
+            let (lo, hi) = (start.max(base), end.min(at));
+            (lo < hi).then(|| &b[(lo - base) as usize..(hi - base) as usize])
+        })
     }
 
     /// Truncate to empty.
@@ -439,6 +448,20 @@ mod tests {
         assert_eq!(b.len(), 11);
         assert_eq!(b.chunks().len(), 1, "adjacent real chunks coalesce");
         assert_eq!(b.read_all().unwrap(), b"hello world");
+    }
+
+    /// `real_slices` counts virtual extents in its offsets and yields
+    /// nothing for them.
+    #[test]
+    fn real_slices_skip_virtual_extents() {
+        let mut b = Blob::new();
+        b.append_bytes(&[1; 10]);
+        b.append_virtual(5, vec![]);
+        b.append_bytes(&[2; 10]);
+        let parts: Vec<&[u8]> = b.real_slices(8, 17).collect();
+        assert_eq!(parts, [&[1u8, 1][..], &[2, 2][..]]);
+        assert_eq!(b.real_slices(10, 15).count(), 0);
+        assert_eq!(b.real_slices(24, 99).collect::<Vec<_>>(), [&[2u8][..]]);
     }
 
     /// `read_range` against `read_all()[start..end]` on random blobs: the

@@ -43,6 +43,81 @@ const TABLES: [[u32; 256]; 8] = {
     tables
 };
 
+/// Zero runs at least this long are jumped instead of folded word by word.
+const ZERO_JUMP: usize = 256;
+
+/// `a·b mod P` over GF(2), in the reflected representation the register
+/// uses (bit 31 is the coefficient of x⁰): zlib's `multmodp`.
+const fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut m = 1u32 << 31;
+    let mut p = 0u32;
+    loop {
+        if a & m != 0 {
+            p ^= b;
+            if a & (m - 1) == 0 {
+                return p;
+            }
+        }
+        m >>= 1;
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+    }
+}
+
+// `ZEROS[k]` is x^(8·2^k) mod P. Feeding a zero byte shifts the register
+// eight times with no input, which is multiplication by x⁸ mod P; so `n`
+// zero bytes multiply it by the product of `ZEROS[k]` over the set bits
+// `k` of `n` (zlib's `x2nmodp`). Built at compile time like `TABLES`.
+const ZEROS: [u32; 64] = {
+    let mut zeros = [0u32; 64];
+    zeros[0] = 1 << (31 - 8); // x⁸
+    let mut k = 1;
+    while k < 64 {
+        zeros[k] = multmodp(zeros[k - 1], zeros[k - 1]);
+        k += 1;
+    }
+    zeros
+};
+
+/// The register after `n` zero bytes, in one multiplication per set bit of
+/// `n` instead of one table step per byte.
+fn skip_zeros(mut c: u32, n: usize) -> u32 {
+    let mut bits = n as u64;
+    while bits != 0 {
+        c = multmodp(ZEROS[bits.trailing_zeros() as usize], c);
+        bits &= bits - 1;
+    }
+    c
+}
+
+/// Length of the run of zero bytes `bytes` starts with.
+fn zero_run(bytes: &[u8]) -> usize {
+    let mut words = bytes.chunks_exact(8);
+    let mut n = 0;
+    for w in &mut words {
+        let x = u64::from_le_bytes(w.try_into().expect("8 bytes"));
+        if x != 0 {
+            return n + (x.trailing_zeros() / 8) as usize;
+        }
+        n += 8;
+    }
+    n + words.remainder().iter().take_while(|&&b| b == 0).count()
+}
+
+/// Fold one eight-byte word into the register.
+#[inline]
+fn fold8(c: u32, w: u64) -> u32 {
+    let lo = w as u32 ^ c;
+    let hi = (w >> 32) as u32;
+    TABLES[7][(lo & 0xff) as usize]
+        ^ TABLES[6][((lo >> 8) & 0xff) as usize]
+        ^ TABLES[5][((lo >> 16) & 0xff) as usize]
+        ^ TABLES[4][(lo >> 24) as usize]
+        ^ TABLES[3][(hi & 0xff) as usize]
+        ^ TABLES[2][((hi >> 8) & 0xff) as usize]
+        ^ TABLES[1][((hi >> 16) & 0xff) as usize]
+        ^ TABLES[0][(hi >> 24) as usize]
+}
+
 impl Default for Crc32 {
     fn default() -> Self {
         Self::new()
@@ -58,23 +133,31 @@ impl Crc32 {
     /// Absorb bytes.
     pub fn update(&mut self, bytes: &[u8]) {
         let mut c = self.state;
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ c;
-            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-            c = TABLES[7][(lo & 0xff) as usize]
-                ^ TABLES[6][((lo >> 8) & 0xff) as usize]
-                ^ TABLES[5][((lo >> 16) & 0xff) as usize]
-                ^ TABLES[4][(lo >> 24) as usize]
-                ^ TABLES[3][(hi & 0xff) as usize]
-                ^ TABLES[2][((hi >> 8) & 0xff) as usize]
-                ^ TABLES[1][((hi >> 16) & 0xff) as usize]
-                ^ TABLES[0][(hi >> 24) as usize];
+        let mut i = 0;
+        while i + 8 <= bytes.len() {
+            let w = u64::from_le_bytes(bytes[i..i + 8].try_into().expect("8 bytes"));
+            if w == 0 {
+                // A zero word may open a run worth jumping. A shorter run's
+                // whole words fold below without being scanned again.
+                let run = zero_run(&bytes[i..]);
+                if run >= ZERO_JUMP {
+                    c = skip_zeros(c, run);
+                    i += run;
+                    continue;
+                }
+                for _ in 0..run / 8 {
+                    c = fold8(c, 0);
+                }
+                i += run / 8 * 8;
+                continue;
+            }
+            c = fold8(c, w);
+            i += 8;
         }
         // The sub-word tail (and any split that leaves fewer than eight
         // bytes) goes a byte at a time; the state is the same either way,
         // so `update` may be called with any chunking.
-        for &b in words.remainder() {
+        for &b in &bytes[i..] {
             c = TABLES[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
         }
         self.state = c;

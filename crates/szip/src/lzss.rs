@@ -206,7 +206,22 @@ pub fn compress_block<S: Sink>(input: &[u8], scratch: &mut Scratch, out: &mut S)
             scratch.prev[i] = scratch.head[h];
             scratch.head[h] = i as u32;
             let end = (i + best_len).min(n.saturating_sub(MIN_MATCH - 1));
-            for j in i + 1..end {
+            let mut j = i + 1;
+            if best_off == 1 {
+                // A one-byte run: bytes `i-1 ..= i+best_len-1` are all one
+                // byte, so every position whose key ends inside the match
+                // has the key (and bucket `h`) of `i`. Inserting them one by
+                // one would link each to its predecessor and leave the last
+                // at the head; write exactly that. The last two positions,
+                // whose keys reach past the match, take the generic insert.
+                let run_end = i + best_len + 1 - MIN_MATCH;
+                for (p, slot) in scratch.prev[j..run_end].iter_mut().enumerate() {
+                    *slot = (i + p) as u32;
+                }
+                scratch.head[h] = (run_end - 1) as u32;
+                j = run_end;
+            }
+            for j in j..end {
                 let h = hash3(input, j);
                 scratch.prev[j] = scratch.head[h];
                 scratch.head[h] = j as u32;

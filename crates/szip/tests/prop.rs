@@ -4,7 +4,7 @@
 
 use oskit::mem::FillProfile;
 use simkit::DetRng;
-use szip::lzss::{self, BlockError, Counter, Scratch, MAX_MATCH};
+use szip::lzss::{self, BlockError, Counter, Scratch, MAX_MATCH, MIN_MATCH};
 use szip::stream::BLOCK;
 
 /// One input per adversarial family, sized by `rng`:
@@ -345,10 +345,111 @@ const PROFILES: [FillProfile; 5] = [
     },
 ];
 
-/// `gen_input`'s families plus every fill profile at lengths straddling
-/// the match-length cap and the block size.
+/// `len` random bytes, none equal to `avoid`.
+fn bytes_without(rng: &mut DetRng, len: usize, avoid: u8) -> Vec<u8> {
+    let mut v = vec![0u8; len];
+    rng.fill_bytes(&mut v);
+    for b in &mut v {
+        if *b == avoid {
+            *b = avoid.wrapping_add(1);
+        }
+    }
+    v
+}
+
+/// A one-byte run of `b` embedded in random bytes: `head` bytes before it,
+/// the last of them equal to `b` when `same_before` (so the run's first
+/// match may reach one byte further back), and `tail` bytes after it that
+/// differ from `b`, so the run ends exactly where it says.
+fn embedded_run(
+    rng: &mut DetRng,
+    b: u8,
+    head: usize,
+    same_before: bool,
+    run: usize,
+    tail: usize,
+) -> Vec<u8> {
+    let mut v = bytes_without(rng, head, b);
+    if same_before {
+        if let Some(last) = v.last_mut() {
+            *last = b;
+        }
+    }
+    v.extend(std::iter::repeat_n(b, run));
+    v.extend(bytes_without(rng, tail, b));
+    v
+}
+
+/// Inputs where a match of offset 1 (a run of one byte) meets every edge
+/// the compressor's interior insert has: run lengths around `MIN_MATCH`
+/// and `MAX_MATCH`, what precedes the run, the block's end and the block
+/// boundary, runs of other bytes right after, and an earlier run of the
+/// same byte already in the hash chain.
+fn run_inputs(rng: &mut DetRng) -> Vec<Vec<u8>> {
+    let mut inputs = Vec::new();
+    // Every length from one below the shortest match to past the longest,
+    // mid-block, preceded by the same byte and by a different one.
+    for run in MIN_MATCH - 1..=MAX_MATCH + 3 {
+        for same_before in [false, true] {
+            let b = rng.next_u32() as u8;
+            inputs.push(embedded_run(rng, b, 100, same_before, run, 100));
+        }
+    }
+    // Runs ending 0, 1 or 2 bytes before the end of the block (and of
+    // the input), so the last keys are never inserted.
+    for run in [3, 4, 5, 6, MAX_MATCH - 1, MAX_MATCH, MAX_MATCH + 1, 1000] {
+        for tail in 0..MIN_MATCH {
+            for same_before in [false, true] {
+                inputs.push(embedded_run(rng, 0, 50, same_before, run, tail));
+                let head = BLOCK - run - tail;
+                inputs.push(embedded_run(rng, 0xff, head, same_before, run, tail));
+            }
+        }
+    }
+    // Runs straddling the block boundary.
+    for before in [1, 2, 3, 200, MAX_MATCH + 1] {
+        for after in [1, 2, 3, 200] {
+            let b = rng.next_u32() as u8;
+            inputs.push(embedded_run(
+                rng,
+                b,
+                BLOCK - before,
+                false,
+                before + after,
+                64,
+            ));
+        }
+    }
+    // Back-to-back runs of different bytes, and a block holding several
+    // runs of the same byte so the chain already has entries in `h`.
+    for _ in 0..16 {
+        let mut v = Vec::new();
+        let mut b = 0u8;
+        while v.len() < 20_000 {
+            b = b.wrapping_add(rng.range(1, 4) as u8);
+            let run = rng.range(1, 2 * MAX_MATCH as u64) as usize;
+            v.extend(std::iter::repeat_n(b % 4, run));
+        }
+        inputs.push(v);
+    }
+    for _ in 0..16 {
+        let mut v = Vec::new();
+        while v.len() < 20_000 {
+            let gap = rng.below(40) as usize;
+            v.extend(bytes_without(rng, gap, 0));
+            let run = rng.range(1, 600) as usize;
+            v.extend(std::iter::repeat_n(0u8, run));
+        }
+        inputs.push(v);
+    }
+    inputs
+}
+
+/// `gen_input`'s families, the embedded runs, and every fill profile at
+/// lengths straddling the match-length cap and the block size.
 fn identity_inputs(rng: &mut DetRng) -> Vec<Vec<u8>> {
     let mut inputs: Vec<Vec<u8>> = (0..CASES).map(|_| gen_input(rng)).collect();
+    inputs.extend(run_inputs(rng));
     for profile in PROFILES {
         for len in [
             0,
@@ -483,6 +584,73 @@ fn crc_kernel_matches_the_bitwise_oracle_for_every_split() {
         let page = profile.bytes(11, 4096 + 5);
         assert_eq!(szip::crc32(&page), oracle::crc32(&page), "{profile:?}");
     }
+}
+
+/// `head` nonzero bytes, `zeros` zero bytes, `tail` nonzero bytes.
+fn zero_run_buf(rng: &mut DetRng, head: usize, zeros: usize, tail: usize) -> Vec<u8> {
+    let mut v = bytes_without(rng, head, 0);
+    v.resize(head + zeros, 0);
+    v.extend(bytes_without(rng, tail, 0));
+    v
+}
+
+#[test]
+fn crc_kernel_matches_the_bitwise_oracle_across_zero_runs() {
+    let mut rng = DetRng::seed_from_u64(0x5A1F_0009);
+    // Zero runs just below, at and above the length the kernel jumps,
+    // starting at every alignment after a nonzero head, with and without
+    // a nonzero tail, split inside and at the edges of the run.
+    for head in 0..8 {
+        for zeros in 248..=264 {
+            for tail in [0, 1, 5, 8, 13] {
+                let buf = zero_run_buf(&mut rng, head, zeros, tail);
+                let want = oracle::crc32(&buf);
+                assert_eq!(
+                    szip::crc32(&buf),
+                    want,
+                    "head {head} zeros {zeros} tail {tail}"
+                );
+                let inside = head + rng.range(1, zeros as u64) as usize;
+                for split in [
+                    head,
+                    head + 1,
+                    head + 7,
+                    inside,
+                    head + zeros - 1,
+                    head + zeros,
+                ] {
+                    let mut c = szip::Crc32::new();
+                    c.update(&buf[..split]);
+                    c.update(&buf[split..]);
+                    assert_eq!(
+                        c.finish(),
+                        want,
+                        "head {head} zeros {zeros} tail {tail} split {split}"
+                    );
+                }
+            }
+        }
+    }
+    // A 1 MiB run: every set bit of its length is a jump factor.
+    for head in 0..8 {
+        let zeros = (1 << 20) + head * 37;
+        let buf = zero_run_buf(&mut rng, head, zeros, 11);
+        let want = oracle::crc32(&buf);
+        assert_eq!(szip::crc32(&buf), want, "head {head} 1 MiB");
+        let mut c = szip::Crc32::new();
+        for part in buf.chunks(rng.range(300, 70_000) as usize) {
+            c.update(part);
+        }
+        assert_eq!(c.finish(), want, "head {head} 1 MiB in pieces");
+    }
+    // Zero words that never add up to a jump, between nonzero bytes.
+    let mut sparse = Vec::new();
+    while sparse.len() < 50_000 {
+        let zeros = rng.below(300) as usize;
+        let nonzero = rng.range(1, 20) as usize;
+        sparse.extend(zero_run_buf(&mut rng, 0, zeros, nonzero));
+    }
+    assert_eq!(szip::crc32(&sparse), oracle::crc32(&sparse), "sparse zeros");
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
