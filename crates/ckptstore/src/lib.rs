@@ -92,6 +92,15 @@ impl mtcp::ImageStore for ChunkStore {
         source::resolve(w, node, path)
     }
 
+    fn resolve_head(
+        &self,
+        w: &World,
+        node: oskit::world::NodeId,
+        path: &str,
+    ) -> Option<oskit::fs::Blob> {
+        source::resolve_head(w, node, path)
+    }
+
     fn alias_bound(&self, w: &World, node: oskit::world::NodeId, prev_path: &str) -> Option<u64> {
         // Aliasable iff this node's own store still holds the previous
         // generation's manifest: the sink maps alias extents through it at
@@ -266,6 +275,17 @@ mod tests {
         let img =
             mtcp::verify_image(&w, NodeId(0), "/ckpt/ckpt_1_gen1.dmtcp").expect("store resolves");
         assert!(!img.regions.is_empty());
+        // Reading just the header gives the header of the whole image.
+        let whole = resolve_image(&w, NodeId(0), "/ckpt/ckpt_1_gen1.dmtcp").expect("resolves");
+        let Some(oskit::fs::Chunk::Real(head)) = whole.blob.chunks().first() else {
+            panic!("an image starts with real bytes");
+        };
+        let (want, _) = mtcp::CkptImage::decode_header(head).expect("header decodes");
+        assert_eq!(
+            mtcp::read_image(&w, NodeId(0), "/ckpt/ckpt_1_gen1.dmtcp"),
+            Ok(want.clone())
+        );
+        assert_eq!(img, want);
 
         // Unchanged process: generation 2 writes ≥90 % fewer bytes.
         write_gen(&mut w, &sim, pid, 2);

@@ -109,10 +109,17 @@ fn resolve_blob(w: &World, node: NodeId, path: &str) -> Result<ResolvedImage, Re
 }
 
 /// Parse the image header from `path` on `node`'s view of the filesystem
-/// (or from an installed store, when the plain file is gone).
+/// (or from an installed store, when the plain file is gone). Reads only
+/// the header: the plain file's blob is borrowed, and a store assembles
+/// just the front of the image ([`ImageStore::resolve_head`](crate::store::ImageStore::resolve_head)).
 pub fn read_image(w: &World, node: NodeId, path: &str) -> Result<CkptImage, RestoreError> {
-    let (img, _) = decode_head(&resolve_blob(w, node, path)?.blob)?;
-    Ok(img)
+    if let Some(f) = w.fs_for(node, path).get(path) {
+        return Ok(decode_head(&f.blob)?.0);
+    }
+    let head = crate::store::installed(w)
+        .and_then(|store| store.resolve_head(w, node, path))
+        .ok_or(RestoreError::NotFound)?;
+    Ok(decode_head(&head)?.0)
 }
 
 /// The image header and its length. The header always lives at the front
@@ -179,8 +186,8 @@ fn check_payloads(
             }
         };
         // Bytes the restored process keeps are allocated here, on the
-        // calling thread (see `fanout::map`); a failed reservation only
-        // leaves the decoder to grow the buffer itself.
+        // calling thread (see `fanout::map`); a failed reservation is tried
+        // again where the region unpacks (`unpack_checked`).
         let mut raw = Vec::new();
         if keep && stored.is_some() {
             let _ = raw.try_reserve_exact(rm.raw_len as usize);
@@ -546,6 +553,10 @@ fn unpack_checked(
     offset: u64,
     mut raw: Vec<u8>,
 ) -> Result<Vec<u8>, RestoreError> {
+    // Sized once, so no region grows block by block. A restore's buffer
+    // was already reserved on the calling thread (`check_payloads`); a
+    // verify's is dropped once checked, so it is allocated where it runs.
+    let _ = raw.try_reserve_exact(rm.raw_len as usize);
     if compressed {
         szip::decompress_into(stored, &mut raw)
             .map_err(|_| RestoreError::BadPayload(rm.name.clone()))?;

@@ -74,6 +74,16 @@ pub trait ImageStore {
     /// `None` when the store (local or any replica) does not hold it.
     fn resolve(&self, w: &World, node: NodeId, path: &str) -> Option<ResolvedImage>;
 
+    /// A blob that begins like the one [`ImageStore::resolve`] gives and
+    /// holds at least the image header at its front — what
+    /// [`crate::read_image`] needs — served from the node `resolve` would
+    /// serve the whole image from, or `None` exactly when it returns
+    /// `None`. A store that can stop assembling once the header is in
+    /// overrides this; the default resolves the whole image.
+    fn resolve_head(&self, w: &World, node: NodeId, path: &str) -> Option<Blob> {
+        self.resolve(w, node, path).map(|r| r.blob)
+    }
+
     /// Whether a new commit from `node` may carry *alias extents* — virtual
     /// chunks (see `mtcp::incr`) naming byte ranges of the already-stored
     /// image `prev_path`. Returns that image's logical byte length when it

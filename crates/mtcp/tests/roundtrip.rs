@@ -146,6 +146,12 @@ fn ckpt_kill_restore(mode: WriteMode) {
     *w2.nodes[0].fs.get_mut("/ckpt.img").expect("file") = image_file;
 
     let img = read_image(&w2, NodeId(0), "/ckpt.img").expect("header parses");
+    let file = w2.nodes[0].fs.get("/ckpt.img").expect("image file");
+    let Some(oskit::fs::Chunk::Real(head)) = file.blob.chunks().first() else {
+        panic!("an image starts with real bytes");
+    };
+    let (whole, _) = mtcp::CkptImage::decode_header(head).expect("header decodes");
+    assert_eq!(img, whole, "read_image is the header of the whole file");
     assert_eq!(img.vpid, pid.0);
     assert_eq!(img.cmd, "counter");
     assert_eq!(img.dmtcp_meta, vec![7, 7]);

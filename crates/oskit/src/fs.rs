@@ -69,11 +69,15 @@ impl Blob {
         Blob::default()
     }
 
-    /// A blob holding `bytes`.
+    /// A blob holding `bytes`, taken as they are (no copy).
     pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        let mut b = Blob::new();
-        b.append_bytes(&bytes);
-        b
+        if bytes.is_empty() {
+            return Blob::new();
+        }
+        Blob {
+            len: bytes.len() as u64,
+            chunks: vec![Chunk::Real(bytes)],
+        }
     }
 
     /// Total size in bytes (real + virtual).

@@ -264,6 +264,11 @@ pub enum BlockError {
 }
 
 /// Decompress one block; `raw_len` is the declared decompressed size.
+///
+/// `out` is sized once to hold the block and decoded into by index. On
+/// error it keeps exactly the tokens decoded before the failing one, and an
+/// overlong last match is still finished, so the result and the bytes left
+/// in `out` are what a decoder pushing one byte at a time gives.
 pub fn decompress_block(
     payload: &[u8],
     raw_len: usize,
@@ -271,55 +276,104 @@ pub fn decompress_block(
 ) -> Result<(), BlockError> {
     let base = out.len();
     let target = base + raw_len;
-    out.reserve(raw_len);
+    out.resize(target, 0);
+    let buf = &mut out[..];
+    // `buf[..o]` is decoded; `buf[o..]` may hold the overshoot of a short
+    // match's fixed-width copy, which the next tokens overwrite.
+    let mut o = base;
     let mut i = 0usize;
-    while out.len() < target {
-        if i >= payload.len() {
-            return Err(BlockError::Truncated);
+    // A match that runs past the declared size can only be the last token.
+    let mut overlong = None;
+    let result = 'decode: loop {
+        if o >= target {
+            break Ok(());
         }
-        let ctrl = payload[i];
+        let Some(&ctrl) = payload.get(i) else {
+            break Err(BlockError::Truncated);
+        };
         i += 1;
+        if ctrl == 0 && i + 8 <= payload.len() && o + 8 <= target {
+            // Eight literals in one copy.
+            buf[o..o + 8].copy_from_slice(&payload[i..i + 8]);
+            i += 8;
+            o += 8;
+            continue;
+        }
         for bit in 0..8 {
-            if out.len() >= target {
+            if o >= target {
                 break;
             }
-            if ctrl & (1 << bit) != 0 {
-                if i + 3 > payload.len() {
-                    return Err(BlockError::Truncated);
-                }
-                let off = payload[i] as usize | ((payload[i + 1] as usize) << 8);
-                let len = payload[i + 2] as usize + MIN_MATCH;
-                i += 3;
-                let pos = out.len();
-                if off == 0 || off > pos - base {
-                    return Err(BlockError::BadOffset { at: pos });
-                }
-                // Overlapping copy (off may be < len): the output is
-                // periodic in `off` from `src` on, so each span may reuse
-                // everything written so far and the spans double.
-                let src = pos - off;
-                let mut left = len;
-                while left > 0 {
-                    let span = left.min(out.len() - src);
-                    out.extend_from_within(src..src + span);
-                    left -= span;
-                }
-            } else {
-                if i >= payload.len() {
-                    return Err(BlockError::Truncated);
-                }
-                out.push(payload[i]);
+            if ctrl & (1 << bit) == 0 {
+                let Some(&b) = payload.get(i) else {
+                    break 'decode Err(BlockError::Truncated);
+                };
+                buf[o] = b;
                 i += 1;
+                o += 1;
+                continue;
             }
+            let Some(tok) = payload.get(i..i + 3) else {
+                break 'decode Err(BlockError::Truncated);
+            };
+            let off = tok[0] as usize | ((tok[1] as usize) << 8);
+            let len = tok[2] as usize + MIN_MATCH;
+            i += 3;
+            if off == 0 || off > o - base {
+                break 'decode Err(BlockError::BadOffset { at: o });
+            }
+            if o + len > target {
+                overlong = Some((off, len));
+                break 'decode Ok(());
+            }
+            copy_match(buf, o, off, len);
+            o += len;
+        }
+    };
+    if let Some((off, len)) = overlong {
+        // Finished anyway, so `WrongLength` counts all of it.
+        out.resize(o + len, 0);
+        copy_match(out, o, off, len);
+        o += len;
+    }
+    out.truncate(o);
+    match result {
+        Ok(()) if o != target => Err(BlockError::WrongLength {
+            expected: raw_len,
+            got: o - base,
+        }),
+        r => r,
+    }
+}
+
+/// Write the match `off` bytes back, `len` long, at `out[o..]`, where
+/// `out[..o]` is decoded. A short match that does not overlap itself is
+/// copied as a fixed 16 bytes when `out` has room for them: the bytes past
+/// `o + len` are not yet decoded, and decoding writes every position below
+/// the block's end in order, so the tokens that follow overwrite them.
+#[inline(always)]
+fn copy_match(out: &mut [u8], o: usize, off: usize, len: usize) {
+    let src = o - off;
+    if off == 1 {
+        let b = out[src];
+        out[o..o + len].fill(b);
+    } else if off >= len {
+        if len <= 16 && o + 16 <= out.len() {
+            out.copy_within(src..src + 16, o);
+        } else {
+            out.copy_within(src..src + len, o);
+        }
+    } else {
+        // Overlapping (off < len): the output is periodic in `off` from
+        // `src` on, so each span may reuse everything written so far and
+        // the spans double.
+        let end = o + len;
+        let mut to = o;
+        while to < end {
+            let span = (end - to).min(to - src);
+            out.copy_within(src..src + span, to);
+            to += span;
         }
     }
-    if out.len() != target {
-        return Err(BlockError::WrongLength {
-            expected: raw_len,
-            got: out.len() - base,
-        });
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -445,11 +445,30 @@ fn run_inputs(rng: &mut DetRng) -> Vec<Vec<u8>> {
     inputs
 }
 
-/// `gen_input`'s families, the embedded runs, and every fill profile at
-/// lengths straddling the match-length cap and the block size.
+/// The layout of a `realmem` workload's regions: 4 KiB pages cycling
+/// through zeros, text, code and random bytes, two zero pages in ten.
+fn page_mix(seed: u64, len: usize) -> Vec<u8> {
+    use FillProfile::{Code, Random, Text, Zeros};
+    const PAGE: usize = 4096;
+    const MIX: [FillProfile; 10] = [
+        Zeros, Text, Code, Random, Text, Code, Zeros, Text, Code, Random,
+    ];
+    let mut buf = vec![0u8; len];
+    for (k, page) in buf.chunks_mut(PAGE).enumerate() {
+        MIX[k % MIX.len()].fill(seed, (k * PAGE) as u64, page);
+    }
+    buf
+}
+
+/// `gen_input`'s families, the embedded runs, `realmem`'s page mix, and
+/// every fill profile at lengths straddling the match-length cap and the
+/// block size.
 fn identity_inputs(rng: &mut DetRng) -> Vec<Vec<u8>> {
     let mut inputs: Vec<Vec<u8>> = (0..CASES).map(|_| gen_input(rng)).collect();
     inputs.extend(run_inputs(rng));
+    for len in [3 * BLOCK, BLOCK + 3 * 4096 + 17] {
+        inputs.push(page_mix(rng.next_u64(), len));
+    }
     for profile in PROFILES {
         for len in [
             0,
@@ -544,6 +563,147 @@ fn decompress_kernel_agrees_with_the_oracle_on_valid_and_corrupt_payloads() {
                 &format!("case {case} cut {cut}"),
             );
         }
+    }
+}
+
+/// One token of a hand-built LZSS block payload.
+#[derive(Clone, Copy)]
+enum Tok {
+    Lit(u8),
+    Match { off: usize, len: usize },
+}
+
+/// `toks` as a block payload: a control byte before every eight tokens.
+fn encode(toks: &[Tok]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for group in toks.chunks(8) {
+        let at = out.len();
+        out.push(0);
+        for (bit, tok) in group.iter().enumerate() {
+            match *tok {
+                Tok::Lit(b) => out.push(b),
+                Tok::Match { off, len } => {
+                    out[at] |= 1 << bit;
+                    out.extend([off as u8, (off >> 8) as u8, (len - MIN_MATCH) as u8]);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// How many bytes `toks` decode to.
+fn decoded_len(toks: &[Tok]) -> usize {
+    toks.iter()
+        .map(|t| match *t {
+            Tok::Lit(_) => 1,
+            Tok::Match { len, .. } => len,
+        })
+        .sum()
+}
+
+/// `n` literal tokens of random bytes.
+fn literals(rng: &mut DetRng, n: usize) -> Vec<Tok> {
+    (0..n).map(|_| Tok::Lit(rng.next_u32() as u8)).collect()
+}
+
+/// Decode `toks` with both decoders against its true length and lengths
+/// one short and one long of it.
+fn assert_tokens_agree(toks: &[Tok], what: &str) {
+    let payload = encode(toks);
+    let n = decoded_len(toks);
+    assert_decoders_agree(&payload, n, &format!("{what}: exact"));
+    assert_decoders_agree(&payload, n + 1, &format!("{what}: long"));
+    if n > 0 {
+        assert_decoders_agree(&payload, n - 1, &format!("{what}: short"));
+    }
+}
+
+/// Each fast path of the decoder at the edges where it must give way: a
+/// short match's fixed 16-byte copy with less than 16 bytes of the block
+/// left, every offset a match may overlap itself at, and eight literals in
+/// one copy when fewer than eight are left or the payload tears among them.
+#[test]
+fn decompress_fast_paths_agree_with_the_oracle_at_their_edges() {
+    let mut rng = DetRng::seed_from_u64(0x5A1F_000A);
+    // Short non-overlapping matches ending `k` bytes before the block's
+    // end, 0..=16: the 16-byte copy crosses the end for every `k < 16 -
+    // len` and must give way to an exact one.
+    for k in 0..=16 {
+        for len in MIN_MATCH..=16 {
+            for off in [len, len + 1, 16, 17, 24] {
+                let mut toks = literals(&mut rng, 24);
+                toks.push(Tok::Match { off, len });
+                toks.extend(literals(&mut rng, k));
+                assert_tokens_agree(&toks, &format!("short match off {off} len {len} then {k}"));
+            }
+        }
+    }
+    // Every offset 1..=17 against lengths 3..=20 and the longest, from
+    // fills (offset 1) through overlapping to plain copies, in mid-block
+    // and as the block's last token.
+    for off in 1..=17 {
+        for len in (MIN_MATCH..=20).chain([MAX_MATCH]) {
+            for tail in [0, 20] {
+                let mut toks = literals(&mut rng, 17);
+                toks.push(Tok::Match { off, len });
+                toks.extend(literals(&mut rng, tail));
+                assert_tokens_agree(&toks, &format!("off {off} len {len} tail {tail}"));
+            }
+        }
+    }
+    // A zero control byte after a group holding a match, with 0..=8 of
+    // its literals left in the block: all eight in the payload, or just
+    // those left (as the compressor ends a block).
+    for left in 0..=8 {
+        let mut toks = literals(&mut rng, 7);
+        toks.push(Tok::Match { off: 3, len: 5 });
+        let head = decoded_len(&toks);
+        toks.extend(literals(&mut rng, 8));
+        let payload = encode(&toks);
+        assert_decoders_agree(
+            &payload,
+            head + left,
+            &format!("zero ctrl, {left} left of 8"),
+        );
+        let ended = encode(&toks[..8 + left]);
+        assert_decoders_agree(&ended, head + left, &format!("zero ctrl, {left} literals"));
+        // Torn inside the eight literals.
+        let ctrl_at = payload.len() - 9;
+        for cut in ctrl_at..payload.len() {
+            assert_decoders_agree(
+                &payload[..cut],
+                head + 8,
+                &format!("zero ctrl, torn at {cut}"),
+            );
+        }
+    }
+    // Long runs of literal groups and short matches, so that the fixed
+    // copies' overshoot is overwritten by every kind of token that follows.
+    for case in 0..64 {
+        let mut toks = literals(&mut rng, 20);
+        for _ in 0..rng.range(1, 200) {
+            let tok = match rng.below(4) {
+                0 => Tok::Lit(rng.next_u32() as u8),
+                1 => Tok::Match {
+                    off: rng.range(1, 20) as usize,
+                    len: rng.range(MIN_MATCH as u64, 20) as usize,
+                },
+                2 => {
+                    let len = rng.range(MIN_MATCH as u64, 17) as usize;
+                    Tok::Match {
+                        off: rng.range(len as u64, 20) as usize,
+                        len,
+                    }
+                }
+                _ => Tok::Match {
+                    off: rng.range(1, 20) as usize,
+                    len: rng.range(MIN_MATCH as u64, MAX_MATCH as u64 + 1) as usize,
+                },
+            };
+            toks.push(tok);
+        }
+        assert_tokens_agree(&toks, &format!("mixed case {case}"));
     }
 }
 
@@ -651,6 +811,85 @@ fn crc_kernel_matches_the_bitwise_oracle_across_zero_runs() {
         sparse.extend(zero_run_buf(&mut rng, 0, zeros, nonzero));
     }
     assert_eq!(szip::crc32(&sparse), oracle::crc32(&sparse), "sparse zeros");
+}
+
+/// The CRC kernel's own thresholds: the shortest stretch between zero-run
+/// jumps that folds as four stripes, and how far it scans ahead at most.
+const STRIPED: usize = 1024;
+const SEGMENT: usize = 64 * 1024;
+
+/// `szip::crc32` and `update` split at each of `splits` agree with the
+/// bitwise oracle on `buf`.
+fn assert_crc_agrees(buf: &[u8], splits: &[usize], what: &str) {
+    let want = oracle::crc32(buf);
+    assert_eq!(szip::crc32(buf), want, "{what}: one shot");
+    for &split in splits {
+        let mut c = szip::Crc32::new();
+        c.update(&buf[..split]);
+        c.update(&buf[split..]);
+        assert_eq!(c.finish(), want, "{what}: split at {split}");
+    }
+}
+
+#[test]
+fn crc_kernel_matches_the_bitwise_oracle_around_stripes_and_segments() {
+    let mut rng = DetRng::seed_from_u64(0x5A1F_000B);
+    // No zero byte, so nothing is jumped: lengths 1..8 bytes either side
+    // of the stripe threshold and of one and two segment bounds, at every
+    // start alignment.
+    let data = bytes_without(&mut rng, 2 * SEGMENT + 16, 0);
+    for edge in [STRIPED, SEGMENT, 2 * SEGMENT] {
+        for len in edge - 8..=edge + 8 {
+            for start in 0..8 {
+                let buf = &data[start..start + len];
+                assert_crc_agrees(buf, &[], &format!("len {len} start {start}"));
+            }
+        }
+    }
+    // Splits on the stripe boundaries the one-shot fold cuts at, and one
+    // byte either side of them.
+    for len in [STRIPED, STRIPED + 8, STRIPED + 31, 5_000, SEGMENT + 100] {
+        let buf = &data[..len];
+        let l = len / 32 * 8;
+        let mut splits = Vec::new();
+        for k in 1..=4 {
+            splits.extend(
+                [k * l - 1, k * l, k * l + 1]
+                    .into_iter()
+                    .filter(|&at| at <= len),
+            );
+        }
+        assert_crc_agrees(buf, &splits, &format!("stripes of {l} in {len}"));
+        let mut c = szip::Crc32::new();
+        for part in [&buf[..l], &buf[l..3 * l], &buf[3 * l..]] {
+            c.update(part);
+        }
+        assert_eq!(c.finish(), oracle::crc32(buf), "len {len} in three pieces");
+    }
+    // Zero runs one short of, at and one past the jump threshold, before,
+    // inside and after a striped stretch, after nonzero heads of every
+    // length 0..8, split at the run's edges.
+    for run in [255, 256, 257] {
+        for head in 0..8 {
+            let layouts = [
+                (0, 3 * STRIPED),
+                (2 * STRIPED, 2 * STRIPED),
+                (3 * STRIPED, 0),
+                (STRIPED - 8, STRIPED + 8),
+            ];
+            for (before, after) in layouts {
+                let mut buf = bytes_without(&mut rng, head + before, 0);
+                let at = buf.len();
+                buf.resize(at + run, 0);
+                buf.extend(bytes_without(&mut rng, after, 0));
+                assert_crc_agrees(
+                    &buf,
+                    &[at, at + 1, at + run - 1, at + run],
+                    &format!("run {run} head {head} between {before} and {after}"),
+                );
+            }
+        }
+    }
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {

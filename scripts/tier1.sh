@@ -56,13 +56,15 @@ stage_perf() {
     echo "== perf package: build + unit tests (perf/Cargo.toml, outside the workspace) =="
     cargo build --release --offline --manifest-path perf/Cargo.toml
     cargo test --offline --manifest-path perf/Cargo.toml
-    # Three smoke runs: scale-relay never installs the chunk store;
+    # Four smoke runs: scale-relay never installs the chunk store;
     # tenants-svc is the only path through svc admission, the tenant ledger
     # and the store's GC; realmem-idle is the only one where real bytes pass
     # szip, CRC-32, incremental alias extents and a live migration under the
-    # oracle.
+    # oracle; realmem-churn is the only kill + restart of real compressed
+    # bytes through the store, so both decode paths (verify, then restore)
+    # run under the oracle.
     local workload last
-    for workload in scale-relay tenants-svc realmem-idle; do
+    for workload in scale-relay tenants-svc realmem-idle realmem-churn; do
         echo "== perf smoke run ($workload, 1 s, untraced) =="
         last=$(./perf/target/release/perf run --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
         echo "$last"
