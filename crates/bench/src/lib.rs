@@ -1,4 +1,4 @@
-//! Experiment harness: everything the `paper` and `sim` binaries share.
+//! Experiment harness: the library behind the `paper` binary.
 //!
 //! Each experiment builds a fresh simulated cluster, launches a workload
 //! under DMTCP, requests checkpoints, optionally kills and restarts the
@@ -98,23 +98,6 @@ pub fn restart_breakdown(w: &World, gen: Option<u64>) -> RestartBreakdown {
         memory: hist_mean_secs(w, "core.restart.memory", gen),
         refill: hist_mean_secs(w, "core.restart.refill", gen),
     }
-}
-
-/// Write pre-rendered JSON lines to `results/<name>.jsonl`; returns the path
-/// written.
-pub fn write_jsonl_lines(
-    name: &str,
-    lines: impl IntoIterator<Item = String>,
-) -> std::io::Result<String> {
-    std::fs::create_dir_all("results")?;
-    let path = format!("results/{name}.jsonl");
-    let mut out = String::new();
-    for l in lines {
-        out.push_str(&l);
-        out.push('\n');
-    }
-    std::fs::write(&path, out)?;
-    Ok(path)
 }
 
 /// Merge flat numeric key/value pairs into a `{ "key": value, ... }` JSON

@@ -1400,13 +1400,13 @@ impl oskit::program::Program for Manager {
                         now,
                         vec![("gen", gen)],
                     );
-                    let (vpid, partial) = {
+                    let partial = {
                         let h = hijack_of(k.w, pid).expect("traced");
                         h.restarts += 1;
-                        (h.vpid, h.restart_partial.take())
+                        h.restart_partial.take()
                     };
                     if let Some(partial) = partial {
-                        crate::restart::record_restart_sample(k.w, vpid, gen, partial, refill);
+                        crate::restart::record_restart_sample(k.w, gen, partial, refill);
                     }
                     self.phase = Phase::Idle;
                 }

@@ -705,12 +705,10 @@ impl Program for RestartProc {
 /// derives its means from these.
 pub fn record_restart_sample(
     w: &mut oskit::world::World,
-    vpid: u32,
     gen: u64,
     partial: (Nanos, Nanos, Nanos),
     refill: Nanos,
 ) {
-    let _ = vpid;
     let m = &mut w.obs.metrics;
     m.observe("core.restart.files", gen, partial.0 .0);
     m.observe("core.restart.sockets", gen, partial.1 .0);

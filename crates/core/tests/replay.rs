@@ -14,7 +14,7 @@ use dmtcp::session::{enable_flight_recorder, export_journal, run_for};
 use dmtcp::{ExpectCkpt, Options, Session};
 use obs::journal::{CLASS_FAULT, CLASS_NET, CLASS_STAGE};
 use oskit::world::{NodeId, OsSim, World};
-use simkit::{Nanos, RunOutcome, Sim};
+use simkit::{Nanos, RunOutcome};
 
 const ROUNDS: u64 = 40;
 
@@ -45,14 +45,7 @@ fn launch_workload(w: &mut World, sim: &mut OsSim, s: &Session) {
 /// Record a run to completion; returns the journal JSONL and the final
 /// answers.
 fn record(budget: u64) -> (String, String, String) {
-    record_on(Sim::new, budget)
-}
-
-/// Like [`record`], but on an explicit queue engine — the cross-engine test
-/// records on the pre-overhaul reference heap.
-fn record_on(mk: fn() -> OsSim, budget: u64) -> (String, String, String) {
-    let (mut w, _) = cluster(2);
-    let mut sim = mk();
+    let (mut w, mut sim) = cluster(2);
     enable_flight_recorder(
         &mut w,
         CLASS_NET | CLASS_FAULT | CLASS_STAGE,
@@ -122,47 +115,6 @@ fn unmodified_run_replays_with_zero_divergence() {
         "replay must reproduce the server answer bit-for-bit"
     );
     obs::json::validate(&report.snapshot).expect("snapshot is well-formed JSON");
-}
-
-/// The ISSUE-9 compatibility bar for the engine swap: a journal recorded on
-/// the pre-overhaul reference-heap engine must replay with zero divergence
-/// on the timer wheel, with bit-identical final answers — recordings made
-/// before the overhaul stay debuggable after it.
-#[test]
-fn heap_recorded_journal_replays_on_wheel_engine() {
-    let budget = run_budget();
-    let (jsonl, client, server) = record_on(Sim::new_reference, budget);
-    let recorded = obs::journal::decode_jsonl(&jsonl).expect("journal decodes");
-    assert!(!recorded.events.is_empty(), "recording captured nothing");
-    let end = Nanos(
-        recorded
-            .meta_value("end_ns")
-            .and_then(|s| s.parse().ok())
-            .expect("end_ns meta"),
-    );
-
-    let (mut w, _) = cluster(2);
-    let mut sim: OsSim = Sim::new();
-    dmtcp::replay::arm(&mut w, &recorded).expect("lossless recording arms");
-    let s = Session::start(&mut w, &mut sim, options());
-    launch_workload(&mut w, &mut sim, &s);
-    let report = dmtcp::replay::drive(&mut w, &mut sim, &s, &recorded, Some(end));
-
-    assert!(
-        report.divergence.is_none(),
-        "wheel replay of a heap recording diverged:\n{}",
-        report.verdict()
-    );
-    assert_eq!(report.checked, recorded.events.len() as u64);
-    assert_eq!(report.expected_remaining, 0);
-    assert_eq!(
-        shared_result(&w, "/shared/client_result").as_deref(),
-        Some(client.as_str())
-    );
-    assert_eq!(
-        shared_result(&w, "/shared/server_result").as_deref(),
-        Some(server.as_str())
-    );
 }
 
 #[test]

@@ -8,12 +8,12 @@
 
 use crate::image::{CkptImage, HeaderError, RegionMeta, StoredAs};
 use crate::incr::{self, IncrState, RegionRec};
-use crate::store::ResolvedImage;
 use oskit::fs::{Blob, Chunk};
 use oskit::mem::{Content, RegionId, RegionKind};
 use oskit::proc::ThreadState;
 use oskit::world::{NodeId, Pid, World};
 use simkit::Nanos;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::ops::Range;
 use std::rc::Rc;
@@ -88,24 +88,36 @@ pub struct RestoreReport {
 
 /// Resolve the blob behind an image path: the plain file when present,
 /// otherwise whatever an installed store source can reassemble — from the
-/// reader's own store or a replica node's. `fetched_from` names the remote
-/// node that served it, if any, so callers can charge the network fetch; a
-/// plain file inherits nothing.
-fn resolve_blob(w: &World, node: NodeId, path: &str) -> Result<ResolvedImage, RestoreError> {
+/// reader's own store or a replica node's. A plain file's blob is borrowed
+/// from the world; a store's is the copy it reassembled. `fetched_from`
+/// names the remote node that served it, if any, so callers can charge the
+/// network fetch; a plain file inherits nothing.
+fn resolve_blob<'w>(w: &'w World, node: NodeId, path: &str) -> Result<Resolved<'w>, RestoreError> {
     if let Some(f) = w.fs_for(node, path).get(path) {
-        return Ok(ResolvedImage {
-            blob: f.blob.clone(),
+        return Ok(Resolved {
+            blob: Cow::Borrowed(&f.blob),
             fetched_from: None,
             inherited: Vec::new(),
         });
     }
     if let Some(store) = crate::store::installed(w) {
-        if let Some(mut r) = store.resolve(w, node, path) {
-            r.fetched_from = r.fetched_from.filter(|n| *n != node);
-            return Ok(r);
+        if let Some(r) = store.resolve(w, node, path) {
+            return Ok(Resolved {
+                blob: Cow::Owned(r.blob),
+                fetched_from: r.fetched_from.filter(|n| *n != node),
+                inherited: r.inherited,
+            });
         }
     }
     Err(RestoreError::NotFound)
+}
+
+/// A [`ResolvedImage`](crate::store::ResolvedImage) whose blob is borrowed
+/// when the world holds the image as a plain file.
+struct Resolved<'w> {
+    blob: Cow<'w, Blob>,
+    fetched_from: Option<NodeId>,
+    inherited: Vec<Range<u64>>,
 }
 
 /// Parse the image header from `path` on `node`'s view of the filesystem
@@ -246,10 +258,11 @@ struct Check<'a> {
 ///
 /// Memory comes back in demand order. A `Real` region whose whole payload
 /// the image inherited from an older generation
-/// ([`ResolvedImage::inherited`]: a clean region an incremental capture
-/// aliased) is *cold*. Everything else is *hot*: the header and thread
-/// state, `Shared` segments, synthetic recipes, and every region the newest
-/// generation wrote. The hot set's read and decompression are charged before
+/// ([`ResolvedImage::inherited`](crate::store::ResolvedImage::inherited):
+/// a clean region an incremental capture aliased) is *cold*. Everything
+/// else is *hot*: the header and thread state, `Shared` segments,
+/// synthetic recipes, and every region the newest generation wrote. The
+/// hot set's read and decompression are charged before
 /// [`RestoreReport::done_at`], when the restored threads may run. Each cold
 /// region's are queued behind them, in region order, and the region is
 /// mapped with the instant it lands as its
@@ -267,7 +280,9 @@ pub fn restore_into(
     path: &str,
     img: &CkptImage,
 ) -> Result<RestoreReport, RestoreError> {
-    let ResolvedImage {
+    // The blob borrows `w` until its payloads are checked; the world is
+    // mutated only after that.
+    let Resolved {
         blob,
         fetched_from,
         inherited,

@@ -8,56 +8,60 @@
 //! same instant fire in scheduling order (FIFO), which makes runs fully
 //! deterministic.
 //!
-//! Two queue implementations sit behind the same `Sim` API:
-//!
-//! * the **timer wheel** ([`crate::wheel`]) — the default. Hierarchical
-//!   near-future wheels with O(1) insert and batched same-tick draining,
-//!   plus a heap tier for far timers. This is the raw-speed hot path every
-//!   bench and experiment runs on.
-//! * the **reference heap** — the original single `BinaryHeap`, retained as
-//!   the executable specification of event order. `Sim::new_reference()`
-//!   builds one; the differential suite in `tests/diff_engine.rs` holds the
-//!   wheel to bit-identical `(time, seq)` firing sequences against it, and
-//!   `bench/sim` measures the speedup between the two in one binary.
+//! The queue is one `BinaryHeap` keyed on `(at, seq)`: `seq` is the global
+//! schedule counter, so the order is total and every run, replay and
+//! recorded journal sees the same sequence of firings.
+//! `tests/diff_engine.rs` checks that sequence against a stable sort of the
+//! scheduled `(at, schedule index)` pairs.
 
 use crate::time::Nanos;
-use crate::wheel::{Entry, Payload, Wheel};
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// The two interchangeable queue implementations. Which one is active never
-/// changes observable behaviour — only speed; see the module docs.
-enum Queue<W> {
-    Wheel(Wheel<W>),
-    Heap(BinaryHeap<Entry<W>>),
+/// A scheduled one-shot boxed event closure.
+type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Sim<W>)>;
+
+/// What an entry does when it fires.
+enum Payload<W> {
+    /// A boxed closure — the general case.
+    Call(EventFn<W>),
+    /// A plain function pointer plus a `u64` key — the zero-allocation path
+    /// for high-frequency periodic events (the oskit thread dispatcher packs
+    /// `(pid, tid)` into the key). Carrying the handler in the entry keeps
+    /// the engine free of registration state.
+    Keyed(fn(&mut W, &mut Sim<W>, u64), u64),
 }
 
-impl<W> Queue<W> {
-    fn push(&mut self, entry: Entry<W>) {
-        match self {
-            Queue::Wheel(q) => q.push(entry),
-            Queue::Heap(q) => q.push(entry),
-        }
-    }
+/// One queue entry: absolute firing time, global schedule order, payload.
+struct Entry<W> {
+    at: Nanos,
+    seq: u64,
+    payload: Payload<W>,
+}
 
-    fn pop(&mut self) -> Option<Entry<W>> {
-        match self {
-            Queue::Wheel(q) => q.pop(),
-            Queue::Heap(q) => q.pop(),
-        }
+impl<W> Entry<W> {
+    /// `(at, seq)` packed into one `u128`: a single comparison orders two
+    /// entries.
+    fn key(&self) -> u128 {
+        ((self.at.0 as u128) << 64) | self.seq as u128
     }
+}
 
-    fn peek_at(&mut self) -> Option<Nanos> {
-        match self {
-            Queue::Wheel(q) => q.peek_at(),
-            Queue::Heap(q) => q.peek().map(|e| e.at),
-        }
+// Reversed, so the max-heap `BinaryHeap` pops the earliest `(at, seq)`.
+impl<W> PartialEq for Entry<W> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
     }
-
-    fn len(&self) -> usize {
-        match self {
-            Queue::Wheel(q) => q.len(),
-            Queue::Heap(q) => q.len(),
-        }
+}
+impl<W> Eq for Entry<W> {}
+impl<W> PartialOrd for Entry<W> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<W> Ord for Entry<W> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key().cmp(&self.key())
     }
 }
 
@@ -82,7 +86,7 @@ pub struct Sim<W> {
     seq: u64,
     fired: u64,
     halted: bool,
-    queue: Queue<W>,
+    queue: BinaryHeap<Entry<W>>,
 }
 
 impl<W> Default for Sim<W> {
@@ -92,35 +96,14 @@ impl<W> Default for Sim<W> {
 }
 
 impl<W> Sim<W> {
-    /// An empty simulator positioned at `t = 0`, on the timer-wheel engine.
+    /// An empty simulator positioned at `t = 0`.
     pub fn new() -> Self {
-        Self::with_queue(Queue::Wheel(Wheel::new()))
-    }
-
-    /// An empty simulator on the reference `BinaryHeap` queue — the
-    /// executable specification of event order. Used by the differential
-    /// suite and the `bench/sim` A/B measurement; everything else wants
-    /// [`Sim::new`].
-    pub fn new_reference() -> Self {
-        Self::with_queue(Queue::Heap(BinaryHeap::new()))
-    }
-
-    fn with_queue(queue: Queue<W>) -> Self {
         Sim {
             now: Nanos::ZERO,
             seq: 0,
             fired: 0,
             halted: false,
-            queue,
-        }
-    }
-
-    /// Which queue implementation this simulator runs on (for bench and
-    /// test labels): `"wheel"` or `"heap"`.
-    pub fn engine_name(&self) -> &'static str {
-        match self.queue {
-            Queue::Wheel(_) => "wheel",
-            Queue::Heap(_) => "heap",
+            queue: BinaryHeap::new(),
         }
     }
 
@@ -209,7 +192,7 @@ impl<W> Sim<W> {
     pub fn run_until(&mut self, world: &mut W, deadline: Nanos) {
         self.halted = false;
         while !self.halted {
-            match self.queue.peek_at() {
+            match self.queue.peek().map(|e| e.at) {
                 Some(at) if at <= deadline => {
                     self.step(world);
                 }
@@ -232,10 +215,10 @@ impl<W> Sim<W> {
     /// callers can distinguish "budget exhausted" (raise the budget) from a
     /// genuinely drained queue or an explicit halt.
     ///
-    /// The budget is charged per event, including within a same-tick batch:
-    /// a budget expiring in the middle of a batch stops after exactly
-    /// `max_events` events on either queue implementation, and a later run
-    /// call resumes at the very next `(time, seq)` entry.
+    /// The budget is charged per event, including within a same-instant
+    /// batch: a budget expiring in the middle of one stops after exactly
+    /// `max_events` events, and a later run call resumes at the very next
+    /// `(time, seq)` entry.
     pub fn run_budgeted(&mut self, world: &mut W, max_events: u64) -> RunOutcome {
         self.halted = false;
         let start = self.fired;
@@ -269,36 +252,28 @@ pub enum RunOutcome {
 mod tests {
     use super::*;
 
-    /// Every test body runs against both queue implementations.
-    fn both(case: impl Fn(fn() -> Sim<Vec<u32>>)) {
-        case(Sim::new);
-        case(Sim::new_reference);
-    }
+    type Log = Vec<u32>;
 
     #[test]
     fn fifo_within_same_instant() {
-        both(|mk| {
-            let mut sim = mk();
-            let mut w = Vec::new();
-            for i in 0..10u32 {
-                sim.at(Nanos::from_secs(1), move |w: &mut Vec<u32>, _| w.push(i));
-            }
-            sim.run(&mut w);
-            assert_eq!(w, (0..10).collect::<Vec<_>>());
-        });
+        let mut sim: Sim<Log> = Sim::new();
+        let mut w = Vec::new();
+        for i in 0..10u32 {
+            sim.at(Nanos::from_secs(1), move |w: &mut Log, _| w.push(i));
+        }
+        sim.run(&mut w);
+        assert_eq!(w, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn time_ordering_dominates_insertion_order() {
-        both(|mk| {
-            let mut sim = mk();
-            let mut w = Vec::new();
-            sim.at(Nanos::from_secs(3), |w: &mut Vec<u32>, _| w.push(3));
-            sim.at(Nanos::from_secs(1), |w: &mut Vec<u32>, _| w.push(1));
-            sim.at(Nanos::from_secs(2), |w: &mut Vec<u32>, _| w.push(2));
-            sim.run(&mut w);
-            assert_eq!(w, vec![1, 2, 3]);
-        });
+        let mut sim: Sim<Log> = Sim::new();
+        let mut w = Vec::new();
+        sim.at(Nanos::from_secs(3), |w: &mut Log, _| w.push(3));
+        sim.at(Nanos::from_secs(1), |w: &mut Log, _| w.push(1));
+        sim.at(Nanos::from_secs(2), |w: &mut Log, _| w.push(2));
+        sim.run(&mut w);
+        assert_eq!(w, vec![1, 2, 3]);
     }
 
     #[test]
@@ -313,35 +288,31 @@ mod tests {
 
     #[test]
     fn run_until_leaves_future_events_queued() {
-        both(|mk| {
-            let mut sim = mk();
-            let mut w = Vec::new();
-            sim.at(Nanos::from_secs(1), |w: &mut Vec<u32>, _| w.push(1));
-            sim.at(Nanos::from_secs(10), |w: &mut Vec<u32>, _| w.push(10));
-            sim.run_until(&mut w, Nanos::from_secs(5));
-            assert_eq!(w, vec![1]);
-            assert_eq!(sim.pending(), 1);
-            sim.run(&mut w);
-            assert_eq!(w, vec![1, 10]);
-        });
+        let mut sim: Sim<Log> = Sim::new();
+        let mut w = Vec::new();
+        sim.at(Nanos::from_secs(1), |w: &mut Log, _| w.push(1));
+        sim.at(Nanos::from_secs(10), |w: &mut Log, _| w.push(10));
+        sim.run_until(&mut w, Nanos::from_secs(5));
+        assert_eq!(w, vec![1]);
+        assert_eq!(sim.pending(), 1);
+        sim.run(&mut w);
+        assert_eq!(w, vec![1, 10]);
     }
 
     #[test]
     fn run_until_then_earlier_insert_fires_in_order() {
-        // The wheel drains eagerly into its ready buffer; an event scheduled
-        // *behind* the drained cursor afterwards must still fire in global
-        // (time, seq) order.
-        both(|mk| {
-            let mut sim = mk();
-            let mut w = Vec::new();
-            sim.at(Nanos::from_millis(50), |w: &mut Vec<u32>, _| w.push(50));
-            sim.run_until(&mut w, Nanos::from_millis(1));
-            assert!(w.is_empty());
-            sim.at(Nanos::from_millis(2), |w: &mut Vec<u32>, _| w.push(2));
-            sim.at(Nanos::from_millis(50), |w: &mut Vec<u32>, _| w.push(51));
-            sim.run(&mut w);
-            assert_eq!(w, vec![2, 50, 51]);
-        });
+        // An event scheduled after a deadline-bounded run, earlier than one
+        // still queued, fires first; a later one at the same instant as the
+        // queued event fires after it.
+        let mut sim: Sim<Log> = Sim::new();
+        let mut w = Vec::new();
+        sim.at(Nanos::from_millis(50), |w: &mut Log, _| w.push(50));
+        sim.run_until(&mut w, Nanos::from_millis(1));
+        assert!(w.is_empty());
+        sim.at(Nanos::from_millis(2), |w: &mut Log, _| w.push(2));
+        sim.at(Nanos::from_millis(50), |w: &mut Log, _| w.push(51));
+        sim.run(&mut w);
+        assert_eq!(w, vec![2, 50, 51]);
     }
 
     #[test]
@@ -364,39 +335,35 @@ mod tests {
     fn halt_mid_batch_resumes_at_next_seq() {
         // Ten events share one instant; the third halts. The remaining
         // seven must survive in the queue and fire on resume, in order.
-        both(|mk| {
-            let mut sim = mk();
-            let mut w = Vec::new();
-            for i in 0..10u32 {
-                sim.at(Nanos::from_secs(1), move |w: &mut Vec<u32>, sim| {
-                    w.push(i);
-                    if i == 2 {
-                        sim.halt();
-                    }
-                });
-            }
-            sim.run(&mut w);
-            assert_eq!(w, vec![0, 1, 2]);
-            assert_eq!(sim.pending(), 7);
-            sim.run(&mut w);
-            assert_eq!(w, (0..10).collect::<Vec<_>>());
-        });
+        let mut sim: Sim<Log> = Sim::new();
+        let mut w = Vec::new();
+        for i in 0..10u32 {
+            sim.at(Nanos::from_secs(1), move |w: &mut Log, sim| {
+                w.push(i);
+                if i == 2 {
+                    sim.halt();
+                }
+            });
+        }
+        sim.run(&mut w);
+        assert_eq!(w, vec![0, 1, 2]);
+        assert_eq!(sim.pending(), 7);
+        sim.run(&mut w);
+        assert_eq!(w, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn keyed_events_interleave_with_closures() {
-        fn bump(w: &mut Vec<u32>, _: &mut Sim<Vec<u32>>, key: u64) {
+        fn bump(w: &mut Log, _: &mut Sim<Log>, key: u64) {
             w.push(key as u32);
         }
-        both(|mk| {
-            let mut sim = mk();
-            let mut w = Vec::new();
-            sim.at_keyed(Nanos::from_secs(1), 10, bump);
-            sim.at(Nanos::from_secs(1), |w: &mut Vec<u32>, _| w.push(11));
-            sim.at_keyed(Nanos::from_secs(1), 12, bump);
-            sim.run(&mut w);
-            assert_eq!(w, vec![10, 11, 12]);
-        });
+        let mut sim: Sim<Log> = Sim::new();
+        let mut w = Vec::new();
+        sim.at_keyed(Nanos::from_secs(1), 10, bump);
+        sim.at(Nanos::from_secs(1), |w: &mut Log, _| w.push(11));
+        sim.at_keyed(Nanos::from_secs(1), 12, bump);
+        sim.run(&mut w);
+        assert_eq!(w, vec![10, 11, 12]);
     }
 
     #[test]
@@ -419,23 +386,19 @@ mod tests {
     }
 
     #[test]
-    fn budget_expiring_mid_batch_stops_at_same_event_on_both_engines() {
-        // A same-tick storm of 20 events with a budget of 7 must fire
-        // exactly events 0..7 — identically on wheel and heap — and resume
-        // deterministically.
-        let run = |mk: fn() -> Sim<Vec<u32>>| {
-            let mut sim = mk();
-            let mut w = Vec::new();
-            for i in 0..20u32 {
-                sim.at(Nanos::from_millis(3), move |w: &mut Vec<u32>, _| w.push(i));
-            }
-            assert_eq!(sim.run_budgeted(&mut w, 7), RunOutcome::BudgetExhausted);
-            assert_eq!(sim.events_fired(), 7);
-            let mid = w.clone();
-            assert_eq!(sim.run_budgeted(&mut w, 100), RunOutcome::Quiescent);
-            (mid, w)
-        };
-        assert_eq!(run(Sim::new), run(Sim::new_reference));
+    fn budget_expiring_mid_batch_stops_at_the_budgeted_event() {
+        // A same-instant storm of 20 events with a budget of 7 fires exactly
+        // events 0..7, and the next run resumes at event 7.
+        let mut sim: Sim<Log> = Sim::new();
+        let mut w = Vec::new();
+        for i in 0..20u32 {
+            sim.at(Nanos::from_millis(3), move |w: &mut Log, _| w.push(i));
+        }
+        assert_eq!(sim.run_budgeted(&mut w, 7), RunOutcome::BudgetExhausted);
+        assert_eq!(sim.events_fired(), 7);
+        assert_eq!(w, (0..7).collect::<Vec<_>>());
+        assert_eq!(sim.run_budgeted(&mut w, 100), RunOutcome::Quiescent);
+        assert_eq!(w, (0..20).collect::<Vec<_>>());
     }
 
     #[test]
@@ -450,19 +413,17 @@ mod tests {
     }
 
     #[test]
-    fn far_future_timers_cross_the_wheel_horizon() {
-        // Seconds-to-minutes timers exercise level 2 and the overflow tier.
-        both(|mk| {
-            let mut sim = mk();
-            let mut w = Vec::new();
-            for (i, secs) in [120u64, 1, 600, 30, 17, 18].into_iter().enumerate() {
-                sim.at(Nanos::from_secs(secs), move |w: &mut Vec<u32>, _| {
-                    w.push(i as u32)
-                });
-            }
-            sim.run(&mut w);
-            assert_eq!(w, vec![1, 4, 5, 3, 0, 2]);
-            assert_eq!(sim.now(), Nanos::from_secs(600));
-        });
+    fn far_future_timers_fire_in_time_order() {
+        // Timers from one second to ten minutes out.
+        let mut sim: Sim<Log> = Sim::new();
+        let mut w = Vec::new();
+        for (i, secs) in [120u64, 1, 600, 30, 17, 18].into_iter().enumerate() {
+            sim.at(Nanos::from_secs(secs), move |w: &mut Log, _| {
+                w.push(i as u32)
+            });
+        }
+        sim.run(&mut w);
+        assert_eq!(w, vec![1, 4, 5, 3, 0, 2]);
+        assert_eq!(sim.now(), Nanos::from_secs(600));
     }
 }

@@ -8,10 +8,8 @@
 //! * [`engine`] — the event queue generic over the *world* type. The world
 //!   owns all mutable simulation state; events are boxed `FnOnce` closures
 //!   that receive `(&mut W, &mut Sim<W>)`, or zero-allocation keyed
-//!   function pointers for hot periodic work. The default queue is a
-//!   hierarchical timer wheel with an overflow heap tier; the original
-//!   `BinaryHeap` engine is retained as the order-of-delivery reference
-//!   (`Sim::new_reference`).
+//!   function pointers for hot periodic work. The queue is one
+//!   `BinaryHeap` ordered by `(time, schedule sequence)`.
 //! * [`resource`] — analytic hardware resources (FIFO bandwidth pipes, core
 //!   pools) used to charge virtual time for disk writes, NIC transfers,
 //!   compression, and similar work.
@@ -35,7 +33,6 @@ pub mod rng;
 pub mod snap;
 pub mod stats;
 pub mod time;
-mod wheel;
 
 pub use engine::{RunOutcome, Sim};
 pub use ring::Ring;

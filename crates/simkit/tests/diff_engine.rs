@@ -1,32 +1,59 @@
-//! Differential suite: the timer-wheel engine vs the reference heap.
+//! Order suite: the event queue fires in `(time, schedule order)`.
 //!
-//! The wheel (`Sim::new`) is a pure speed play — ISSUE 9's contract is that
-//! it fires the *bit-identical* `(time, seq)` sequence as the original
-//! `BinaryHeap` queue (`Sim::new_reference`), because replay journals, the
-//! fault matrix, and every committed bench baseline depend on that order.
-//! These tests run randomized schedules — same-tick storms, `soon` chains,
-//! far-future timers crossing every wheel level and the overflow horizon,
-//! halts, budgeted and deadline-bounded runs — through both engines and
-//! assert the full fired logs and final simulator state agree exactly.
+//! Replay journals, the fault matrix and every committed figure depend on
+//! one total order of firings: an event fires after every event scheduled
+//! for an earlier instant, and after every event scheduled before it for
+//! the same instant. These tests run randomized schedules — same-instant
+//! storms, `soon` chains, timers from nanoseconds to minutes out, halts,
+//! budgeted and deadline-bounded runs — and check each fired log against a
+//! model: the list of scheduled `(at, schedule index)` pairs, in schedule
+//! order, stably sorted by `at`.
 //!
 //! Child events derive their behaviour purely from their own 64-bit id (via
-//! `splitmix64`), never from shared RNG state, so the scenario an engine
-//! sees depends only on the order in which events fire — which is exactly
-//! the property under test.
+//! `splitmix64`), never from shared RNG state, so a scenario depends only on
+//! the order in which events fire — which is exactly the property under
+//! test.
 
 use simkit::{splitmix64, DetRng, Nanos, RunOutcome, Sim};
 
-/// The world is the fired log: `(virtual time, event id)` per delivery.
-type World = Vec<(u64, u64)>;
+/// Every scheduling call and every firing, by schedule index.
+#[derive(Default)]
+struct World {
+    /// `(at, id)` per scheduling call, in schedule order.
+    scheduled: Vec<(u64, u64)>,
+    /// `(now, schedule index)` per firing, in firing order.
+    fired: Vec<(u64, u64)>,
+}
+
+impl World {
+    /// The model: the first `n` entries of the scheduled `(at, index)`
+    /// pairs after a stable sort by `at`.
+    fn model(&self, n: usize) -> Vec<(u64, u64)> {
+        let mut order: Vec<(u64, u64)> = (self.scheduled.iter().enumerate())
+            .map(|(i, &(at, _))| (at, i as u64))
+            .collect();
+        order.sort_by_key(|&(at, _)| at);
+        order.truncate(n);
+        order
+    }
+
+    /// Check everything fired so far against the model.
+    fn check(&self, what: &str) {
+        assert_eq!(
+            self.fired,
+            self.model(self.fired.len()),
+            "{what}: firing order is not (at, schedule index)"
+        );
+    }
+}
 
 const CASES: u64 = 48;
 /// Event-id layout: generation in the top byte, entropy below.
 const ID_MASK: u64 = 0x00FF_FFFF_FFFF_FFFF;
 const MAX_GEN: u64 = 3;
 
-/// Map raw entropy to a delay spanning every wheel level and the overflow
-/// tier: same-instant, sub-tick, level 0 (~262 µs), level 1 (~67 ms),
-/// level 2 (~17 s), and far-future (minutes).
+/// Map raw entropy to a delay: same-instant, sub-microsecond, up to
+/// ~262 µs, ~67 ms, ~17 s, and minutes.
 fn delta_from(r: u64) -> u64 {
     let mut s = r;
     let m = splitmix64(&mut s);
@@ -40,10 +67,23 @@ fn delta_from(r: u64) -> u64 {
     }
 }
 
+/// Schedule event `id` at `at` — as a keyed event, a boxed closure, or
+/// (when `at` is now) through `soon`, chosen by `how`.
+fn schedule(w: &mut World, sim: &mut Sim<World>, at: Nanos, id: u64, how: u64) {
+    let index = w.scheduled.len() as u64;
+    w.scheduled.push((at.0, id));
+    match how % 3 {
+        0 => sim.at_keyed(at, index, fire),
+        1 if at == sim.now() => sim.soon(move |w: &mut World, sim| fire(w, sim, index)),
+        _ => sim.at(at, move |w: &mut World, sim| fire(w, sim, index)),
+    }
+}
+
 /// The one event body. Logs itself, then (driven only by its id) spawns up
 /// to three children at mixed horizons, occasionally halting the loop.
-fn fire(w: &mut World, sim: &mut Sim<World>, id: u64) {
-    w.push((sim.now().0, id));
+fn fire(w: &mut World, sim: &mut Sim<World>, index: u64) {
+    w.fired.push((sim.now().0, index));
+    let id = w.scheduled[index as usize].1;
     let generation = id >> 56;
     let mut state = id;
     let r = splitmix64(&mut state);
@@ -57,161 +97,92 @@ fn fire(w: &mut World, sim: &mut Sim<World>, id: u64) {
         let dr = splitmix64(&mut state);
         let child = ((generation + 1) << 56) | (splitmix64(&mut state) & ID_MASK);
         let at = sim.now() + Nanos(delta_from(dr));
-        if dr & 1 == 0 {
-            sim.at_keyed(at, child, fire);
-        } else {
-            sim.at(at, move |w: &mut World, sim| fire(w, sim, child));
-        }
+        schedule(w, sim, at, child, dr >> 8);
     }
 }
 
-/// Run one randomized scenario on the given engine and capture everything
-/// observable: the fired log plus final `(now, events_fired, pending)`.
-fn scenario(seed: u64, mk: fn() -> Sim<World>) -> (World, u64, u64, usize) {
+/// Run one randomized scenario, checking the fired log against the model
+/// after every drain.
+fn scenario(seed: u64) {
     let mut rng = DetRng::seed_from_u64(seed);
-    let mut sim = mk();
-    let mut log = World::new();
-    for _ in 0..rng.range(2, 5) {
+    let mut sim = Sim::new();
+    let mut w = World::default();
+    for wave in 0..rng.range(2, 5) {
         // Inject a wave of top-level events, with deliberate same-instant
-        // storms (several seq-adjacent events sharing one tick).
+        // storms (several seq-adjacent events sharing one instant).
         for _ in 0..rng.range(1, 40) {
             let at = Nanos(sim.now().0 + delta_from(rng.next_u64()));
             let copies = if rng.chance(0.3) { rng.range(2, 6) } else { 1 };
             for _ in 0..copies {
                 let id = rng.next_u64() & ID_MASK;
-                if rng.chance(0.5) {
-                    sim.at_keyed(at, id, fire);
-                } else {
-                    sim.at(at, move |w: &mut World, sim| fire(w, sim, id));
-                }
+                let how = rng.next_u64();
+                schedule(&mut w, &mut sim, at, id, how);
             }
         }
         // Drain it one of three ways, so deadlines and budgets cut into
-        // batches at arbitrary points.
+        // same-instant batches at arbitrary points.
+        let before = sim.events_fired();
         match rng.below(3) {
             0 => {
                 let deadline = Nanos(sim.now().0 + delta_from(rng.next_u64()));
-                sim.run_until(&mut log, deadline);
+                sim.run_until(&mut w, deadline);
+                assert!(w.fired.iter().all(|&(at, _)| at <= deadline.0));
             }
             1 => {
-                let _: RunOutcome = sim.run_budgeted(&mut log, rng.range(1, 500));
+                let budget = rng.range(1, 500);
+                let _: RunOutcome = sim.run_budgeted(&mut w, budget);
+                assert!(sim.events_fired() - before <= budget);
             }
-            _ => sim.run(&mut log),
+            _ => sim.run(&mut w),
         }
+        assert_eq!(sim.events_fired(), w.fired.len() as u64);
+        assert_eq!(
+            sim.pending(),
+            w.scheduled.len() - w.fired.len(),
+            "seed {seed:#x} wave {wave}: pending count"
+        );
+        w.check(&format!("seed {seed:#x} wave {wave}"));
     }
-    sim.run(&mut log);
-    (log, sim.now().0, sim.events_fired(), sim.pending())
-}
-
-#[test]
-fn engines_are_actually_different() {
-    let wheel: Sim<World> = Sim::new();
-    let heap: Sim<World> = Sim::new_reference();
-    assert_eq!(wheel.engine_name(), "wheel");
-    assert_eq!(heap.engine_name(), "heap");
+    while sim.pending() > 0 {
+        // A halt leaves events queued; resume.
+        sim.run(&mut w);
+    }
+    assert_eq!(
+        w.fired.len(),
+        w.scheduled.len(),
+        "seed {seed:#x}: lost events"
+    );
+    w.check(&format!("seed {seed:#x} final"));
+    let last = w.fired.last().map_or(0, |&(at, _)| at);
+    assert_eq!(sim.now().0, last);
 }
 
 /// The headline property: across randomized mixed-horizon schedules with
-/// halts and budgeted/bounded runs, both engines produce identical fired
-/// logs and identical final state.
+/// halts and budgeted/bounded runs, every prefix of the fired log is the
+/// model's.
 #[test]
-fn wheel_matches_reference_on_random_schedules() {
+fn random_schedules_fire_in_time_then_schedule_order() {
     let mut seeds = DetRng::seed_from_u64(0xD1FF_E7E1);
-    for case in 0..CASES {
-        let seed = seeds.next_u64();
-        let wheel = scenario(seed, Sim::new);
-        let reference = scenario(seed, Sim::new_reference);
-        assert_eq!(
-            wheel, reference,
-            "engine divergence at case {case} (seed {seed:#x})"
-        );
+    for _ in 0..CASES {
+        scenario(seeds.next_u64());
     }
 }
 
-/// Events dropped exactly on and around every wheel-window boundary, from
-/// cursors parked at awkward offsets. This is the deterministic distillation
-/// of the lap-wrap bug class: a slot index that wraps past the cursor's lap
-/// must still be found by the next-event scan.
+/// A re-arming timer, the runaway-watchdog shape: 2 001 firings at exact
+/// 70 µs steps.
 #[test]
-fn window_boundary_deltas_match_reference() {
-    const LAP0: u64 = 1 << 18; // level-0 lap in ns (256 slots × 1024 ns)
-    const LAP1: u64 = 1 << 26; // level-1 lap
-    const LAP2: u64 = 1 << 34; // level-2 lap == wheel horizon
-    let starts = [
-        0,
-        1_023,
-        1_024,
-        LAP0 - 1,
-        LAP0,
-        LAP0 + 1,
-        LAP1 - 1_024,
-        LAP1,
-        LAP2 - 1,
-        LAP2 + 12_345,
-    ];
-    let deltas = [
-        0,
-        1,
-        1_023,
-        1_024,
-        1_025,
-        LAP0 - 1,
-        LAP0,
-        LAP0 + 1,
-        LAP1 - 1,
-        LAP1,
-        LAP1 + 1,
-        LAP2 - 1,
-        LAP2,
-        LAP2 + 1,
-        5 * LAP2,
-    ];
-    let run = |mk: fn() -> Sim<World>| -> Vec<World> {
-        starts
-            .iter()
-            .map(|&start| {
-                let mut sim = mk();
-                let mut log = World::new();
-                // Park the cursor at `start` (the marker event also proves
-                // both engines advance `now` identically).
-                sim.at(Nanos(start), |w: &mut World, sim| {
-                    w.push((sim.now().0, u64::MAX))
-                });
-                sim.run_until(&mut log, Nanos(start));
-                for (i, &d) in deltas.iter().enumerate() {
-                    sim.at_keyed(Nanos(start + d), i as u64, |w, sim, id| {
-                        w.push((sim.now().0, id))
-                    });
-                }
-                sim.run(&mut log);
-                assert_eq!(log.len(), deltas.len() + 1, "lost event at start {start}");
-                log
-            })
-            .collect()
-    };
-    assert_eq!(run(Sim::new), run(Sim::new_reference));
-}
-
-/// A re-arming timer marching tick-by-tick across several level-0 laps and
-/// one level-1 lap — the runaway-watchdog shape that first exposed the
-/// lap-wrap hole.
-#[test]
-fn rearming_timer_crosses_laps_identically() {
-    fn rearm(w: &mut World, sim: &mut Sim<World>, count: u64) {
-        w.push((sim.now().0, count));
+fn rearming_timer_fires_at_each_step() {
+    fn rearm(w: &mut Vec<u64>, sim: &mut Sim<Vec<u64>>, count: u64) {
+        w.push(sim.now().0);
         if count > 0 {
             sim.at_keyed(sim.now() + Nanos(70_000), count - 1, rearm);
         }
     }
-    let run = |mk: fn() -> Sim<World>| {
-        let mut sim = mk();
-        let mut log = World::new();
-        sim.at_keyed(Nanos::ZERO, 2_000, rearm);
-        sim.run(&mut log);
-        (log, sim.now().0, sim.events_fired())
-    };
-    let (log, now, fired) = run(Sim::new);
-    assert_eq!(fired, 2_001);
-    assert_eq!(now, 2_000 * 70_000);
-    assert_eq!((log, now, fired), run(Sim::new_reference));
+    let mut sim = Sim::new();
+    let mut log = Vec::new();
+    sim.at_keyed(Nanos::ZERO, 2_000, rearm);
+    sim.run(&mut log);
+    assert_eq!(sim.events_fired(), 2_001);
+    assert_eq!(sim.now().0, 2_000 * 70_000);
+    assert_eq!(log, (0..=2_000).map(|i| i * 70_000).collect::<Vec<_>>());
 }

@@ -2,7 +2,7 @@
 # Tier-1 gate: everything a PR must keep green.
 #
 # Usage: scripts/tier1.sh [stage...]
-#   stages: build test faults sim perf lint paper
+#   stages: build test faults perf lint paper
 #   No arguments runs every stage in that order (the full PR gate). CI runs
 #   the same stages one job each — `scripts/tier1.sh build`, etc. — so a
 #   local no-arg run reproduces the whole pipeline stage by stage.
@@ -37,15 +37,6 @@ stage_test() {
 stage_faults() {
     echo "== fault matrix (fixed + rotating seeds) =="
     DMTCP_FAULT_ROTATING="${DMTCP_FAULT_ROTATING:-2}" cargo test -q -p dmtcp --test faults
-}
-
-stage_sim() {
-    echo "== sim engine throughput bench (timer wheel vs reference heap, >=5x gate) =="
-    cargo build --release -p dmtcp-bench
-    ./target/release/sim --smoke
-    echo "== sim host-time gate (events/sec vs scripts/BENCH_sim.baseline.json) =="
-    scripts/bench_gate.sh self-test
-    scripts/bench_gate.sh compare
 }
 
 stage_perf() {
@@ -92,13 +83,16 @@ stage_lint() {
     # and the image file name is spelled in exactly one file.
     # Gone with the five beyond-paper bench binaries, whose figures now
     # live in `paper`'s figure table: their knobs, the gate's tolerance knob
-    # and their four gate files.
+    # and their four gate files. Gone with the timer wheel: the second event
+    # queue, its constructor and name, its events/s bench and its gate.
     local hits
     hits=$({
         grep -rnE '#\[deprecated|ext_slots|DMTCP_SIM_ENGINE|restart_resilient|trace_with\(' \
             crates/*/src src
         grep -rnE --exclude=tier1.sh \
             'DMTCP_SCALE_FULL|DMTCP_SCALE_POINTS|DMTCP_REPS|BENCH_GATE_TOLERANCE|BENCH_(ckpt|migrate|scale|tenants)' \
+            crates src scripts .github
+        grep -rnE --exclude=tier1.sh 'new_reference|engine_name|wheel::|bench_gate|BENCH_sim' \
             crates src scripts .github
         grep -rnE 'rewrite_gen|script_groups|newest_gen|default_restart' crates/*/src src
         grep -rn 'downcast_' crates/*/src src |
@@ -182,9 +176,9 @@ record_stage_seconds() {
 run_stage() {
     local name="$1"
     case "$name" in
-        build | test | faults | sim | perf | lint | paper) ;;
+        build | test | faults | perf | lint | paper) ;;
         *)
-            echo "tier1: unknown stage '$name' (stages: build test faults sim perf lint paper)" >&2
+            echo "tier1: unknown stage '$name' (stages: build test faults perf lint paper)" >&2
             exit 2
             ;;
     esac
@@ -197,7 +191,7 @@ run_stage() {
 }
 
 if [[ $# -eq 0 ]]; then
-    set -- build test faults sim perf lint paper
+    set -- build test faults perf lint paper
 fi
 for stage in "$@"; do
     run_stage "$stage"
