@@ -224,15 +224,6 @@ pub fn spec_by_name(name: &str) -> Option<&'static DesktopSpec> {
     CATALOGUE.iter().find(|s| s.name == name)
 }
 
-/// The fill profile a catalogue entry implies.
-pub fn profile_of(s: &DesktopSpec) -> FillProfile {
-    FillProfile::Mixed {
-        zero_pct: s.zero_pct,
-        text_pct: s.text_pct,
-        code_pct: s.code_pct,
-    }
-}
-
 /// A single-process interactive application: maps its footprint, then
 /// loops forever doing light work on a small live heap, like an
 /// interpreter sitting at a prompt.

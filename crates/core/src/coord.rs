@@ -14,6 +14,7 @@ use crate::gsid::Gsid;
 use crate::peers::{send_frame, wake_after, Peer, PeerSet};
 use crate::proto::Msg;
 use mtcp::ImageName;
+use obs::json::JsonWriter;
 use oskit::program::{Program, Step};
 use oskit::world::{NodeId, Pid, Tid, World};
 use oskit::{Fd, Kernel};
@@ -128,8 +129,11 @@ impl GenStat {
     }
 }
 
-/// Coordinator-side shared state (kept in the world's DMTCP singleton so
-/// benches can read it after the run). Per-process stage breakdowns
+/// What of a coordinator must outlive it: its request mailbox, its pid, its
+/// generations' timings and the images of the generation in flight. Kept
+/// in a world extension so drivers and benches can read it after the run;
+/// the barrier bookkeeping stays in the [`Coordinator`] (read in place
+/// through `World::program`). Per-process stage breakdowns
 /// (Table 1 input) live in the world's metrics registry under
 /// `core.stage.*` / `core.restart.*` histograms, labeled by generation.
 #[derive(Debug, Default)]
@@ -145,25 +149,6 @@ pub struct CoordShared {
     /// in the generation in flight. Scratch only: cleared at request and at
     /// abort, moved into the generation's catalog record at commit.
     pub last_images: Vec<(String, String, u32)>,
-    /// Live mirror of the coordinator's barrier bookkeeping. The
-    /// coordinator program is boxed behind `dyn Program`, so `dmtcp
-    /// replay` state dumps read this mirror instead: current generation,
-    /// whether its stop-the-world phase / overlapped drain is open, the
-    /// expected participant count, and the summed contributions of every
-    /// barrier still pending.
-    pub coord_gen: u64,
-    /// Stop-the-world phase of `coord_gen` in flight.
-    pub coord_in_progress: bool,
-    /// Overlapped drain of `coord_gen` still open.
-    pub coord_drain_open: bool,
-    /// Participants the in-flight barriers expect.
-    pub coord_expected: u32,
-    /// Registered (non-stale) participant connections currently held. The
-    /// migration driver watches this to know when the killed movers' EOFs
-    /// have been reaped before it re-arms the restart barriers.
-    pub coord_participants: u32,
-    /// `(gen, stage)` → summed contributions for unreleased barriers.
-    pub barrier_pending: BTreeMap<(u64, u8), u32>,
 }
 
 impl CoordShared {
@@ -219,7 +204,7 @@ struct ClientInfo {
 
 impl ClientInfo {
     /// A registered, non-stale direct participant (what
-    /// [`CoordShared::coord_participants`] counts).
+    /// `Coordinator::participants` counts).
     fn is_participant(&self) -> bool {
         !self.stale && self.vpid != 0
     }
@@ -260,12 +245,13 @@ const RELAY_KEY_BASE: u64 = 1 << 32;
 /// where a new coordinator is started for restart), so its state need not
 /// be serializable.
 pub struct Coordinator {
-    port: u16,
+    pub(crate) port: u16,
     interval: Option<Nanos>,
     clients: PeerSet<ClientInfo>,
-    /// How many clients are registered and not stale (mirrored as
-    /// [`CoordShared::coord_participants`]).
-    participants: u32,
+    /// How many clients are registered and not stale. The migration driver
+    /// watches this to know when the killed movers' EOFs have been reaped
+    /// before it re-arms the restart barriers.
+    pub(crate) participants: u32,
     gen: u64,
     in_progress: bool,
     /// The overlapped drain phase of `gen` is still open: user threads
@@ -789,23 +775,27 @@ impl Coordinator {
         }
     }
 
-    /// Mirror the barrier bookkeeping into [`CoordShared`] so replay state
-    /// dumps can render it without downcasting the program. Called once at
-    /// the end of every step — O(pending barriers), a handful at most (the
-    /// totals and the participant count are kept running) — and always
-    /// consistent with what this step left behind.
-    fn mirror_state(&self, k: &mut Kernel<'_>) {
-        let s = coord_shared_for(k.w, self.port);
-        s.coord_gen = self.gen;
-        s.coord_in_progress = self.in_progress;
-        s.coord_drain_open = self.drain_open;
-        s.coord_expected = self.expected;
-        s.coord_participants = self.participants;
-        s.barrier_pending
-            .retain(|key, _| self.barrier_counts.contains_key(key));
-        for (key, b) in &self.barrier_counts {
-            s.barrier_pending.insert(*key, b.total);
+    /// Render the barrier bookkeeping for a `dmtcp replay` snapshot: the
+    /// port, the current generation, whether its stop-the-world phase and
+    /// overlapped drain are open, the expected participant count, and the
+    /// summed contributions of every barrier still pending.
+    pub(crate) fn write_json(&self, j: &mut JsonWriter) {
+        j.obj_begin();
+        j.field_u64("port", self.port as u64);
+        j.field_u64("gen", self.gen);
+        j.key("in_progress").val_bool(self.in_progress);
+        j.key("drain_open").val_bool(self.drain_open);
+        j.field_u64("expected", self.expected as u64);
+        j.key("barriers").arr_begin();
+        for ((gen, stg), b) in &self.barrier_counts {
+            j.obj_begin();
+            j.field_u64("gen", *gen);
+            j.field_u64("stage", *stg as u64);
+            j.field_u64("acks", b.total as u64);
+            j.obj_end();
         }
+        j.arr_end();
+        j.obj_end();
     }
 }
 
@@ -900,7 +890,6 @@ impl Program for Coordinator {
                 }
             }
         }
-        self.mirror_state(k);
         Step::Block
     }
 

@@ -34,9 +34,6 @@ pub struct DmtcpGlobal {
     pub conn_gsid: BTreeMap<ConnId, Gsid>,
     /// Wrapper-recorded id per live pty.
     pub pty_gsid: BTreeMap<PtyId, Gsid>,
-    /// All virtual pids ever issued in this session (drives the fork
-    /// wrapper's conflict detection).
-    pub session_vpids: std::collections::BTreeSet<u32>,
     /// Virtual pids captured in a checkpoint image — these may come back
     /// at restart even if their process is currently dead, so the fork
     /// wrapper must avoid re-issuing them.

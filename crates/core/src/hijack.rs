@@ -184,8 +184,6 @@ impl Snap for ConnTable {
 pub struct AwareState {
     /// Nesting depth of `delay_checkpoints` critical sections.
     pub delay_depth: u32,
-    /// The application asked for a checkpoint.
-    pub ckpt_requested: bool,
 }
 
 /// The injected state (one per traced process).
@@ -213,10 +211,9 @@ pub struct Hijack {
     pub restarts: u64,
     /// `dmtcpaware` flags.
     pub aware: AwareState,
-    /// Drained inbound data per connection this process leads, carried
-    /// between the drain and refill stages (and through the image).
-    pub drained: Vec<(Gsid, Vec<u8>)>,
-    /// The table captured at the last checkpoint.
+    /// The table captured at the last checkpoint. Its `drained` carries
+    /// the inbound data this process's leader drained from the drain stage
+    /// to the refill stage (and through the image).
     pub table: ConnTable,
     /// Restart-stage durations (files, sockets, memory) recorded by the
     /// restart process; the manager adds the refill time and reports the
@@ -244,11 +241,6 @@ pub fn hijack_of(w: &mut World, pid: Pid) -> Option<&mut Hijack> {
         .ext
         .as_mut()?
         .downcast_mut::<Hijack>()
-}
-
-/// Is `pid` running under DMTCP?
-pub fn is_traced(w: &World, pid: Pid) -> bool {
-    w.procs.get(&pid).map(is_traced_proc).unwrap_or(false)
 }
 
 /// Is this process running under DMTCP?

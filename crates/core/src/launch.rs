@@ -223,7 +223,6 @@ pub(crate) fn hijack_from_env(vpid: u32, env: &BTreeMap<String, String>) -> Hija
         gen: 0,
         restarts: 0,
         aware: Default::default(),
-        drained: Vec::new(),
         table: Default::default(),
         restart_partial: None,
     }
@@ -316,7 +315,6 @@ fn hijack_new_process(w: &mut World, sim: &mut OsSim, pid: Pid) -> Pid {
     }
 
     let vpid = pid.0;
-    global(w).session_vpids.insert(vpid);
     let p = w.procs.get_mut(&pid).expect("process exists");
     p.ext = Some(Box::new(hijack_from_env(vpid, &p.env)));
     p.virt_pid = Some(vpid);

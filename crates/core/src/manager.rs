@@ -564,9 +564,7 @@ impl Manager {
         k.obs().metrics.add("core.drain.bytes", self.cur_gen, total);
         let table = self.build_conn_table(k);
         let h = hijack_of(k.w, pid).expect("traced");
-        h.drained = drained;
-        h.table = table;
-        h.table.drained = h.drained.clone();
+        h.table = ConnTable { drained, ..table };
     }
 
     fn build_conn_table(&mut self, k: &mut Kernel<'_>) -> ConnTable {
@@ -802,7 +800,7 @@ impl Manager {
         let pid = k.pid;
         let (drained, records) = {
             let h = hijack_of(k.w, pid).expect("traced");
-            (h.drained.clone(), h.table.records.clone())
+            (h.table.drained.clone(), h.table.records.clone())
         };
         self.jobs.clear();
         for r in &records {
@@ -957,7 +955,7 @@ impl Manager {
     ) {
         let pid = k.pid;
         let data = hijack_of(k.w, pid)
-            .and_then(|h| h.drained.iter().find(|(g, _)| *g == gsid).cloned())
+            .and_then(|h| h.table.drained.iter().find(|(g, _)| *g == gsid).cloned())
             .map(|(_, d)| d)
             .unwrap_or_default();
         if data.is_empty() {

@@ -28,8 +28,8 @@ use crate::coord::stage;
 use crate::gsid::Gsid;
 use crate::peers::{send_frame, wake_after, PeerSet, UPLINK};
 use crate::proto::{FrameBuf, Msg};
+use obs::json::JsonWriter;
 use oskit::program::{Program, Step};
-use oskit::world::World;
 use oskit::{Errno, Fd, Kernel};
 use simkit::Nanos;
 use std::collections::{BTreeMap, BTreeSet};
@@ -54,42 +54,9 @@ struct LocalClient {
     vpid: u32,
 }
 
-/// Replay-dump mirror of one relay's barrier aggregation state. Relays, like
-/// the coordinator, are `Box<dyn Program>` and cannot be downcast from the
-/// process table, so each relay copies its bookkeeping here at the end of
-/// every step (the [`crate::coord::CoordShared`] pattern) and `dmtcp replay`
-/// snapshots read it back.
-#[derive(Debug, Default, Clone)]
-pub struct RelayMirror {
-    /// Generation currently in flight (or last seen).
-    pub gen: u64,
-    /// Whether a generation is currently in flight.
-    pub in_flight: bool,
-    /// Terminal dormant state: the root was unreachable and locals aborted.
-    pub dormant: bool,
-    /// Local participants this relay currently fronts.
-    pub members: u32,
-    /// Local ack counts per (gen, stage) still being aggregated upstream.
-    pub acks: BTreeMap<(u64, u8), u32>,
-    /// Barriers whose release already fanned out locally.
-    pub released: BTreeSet<(u64, u8)>,
-}
-
-/// World-singleton map of per-node relay mirrors, keyed by node id.
-#[derive(Debug, Default)]
-pub struct RelayShared {
-    /// One mirror per relay-bearing node.
-    pub relays: BTreeMap<u32, RelayMirror>,
-}
-
-/// Access the relay mirror map (world singleton).
-pub fn relay_shared(w: &mut World) -> &mut RelayShared {
-    w.ext()
-}
-
 /// The relay program (one per node under `Topology::Hierarchical`).
 pub struct Relay {
-    port: u16,
+    pub(crate) port: u16,
     root_host: String,
     root_port: u16,
     root_fd: Fd,
@@ -310,28 +277,38 @@ impl Relay {
         }
     }
 
-    /// Mirror aggregation bookkeeping into [`RelayShared`] for replay dumps.
-    /// Called once at the end of every step — the maps are per-node tiny.
-    /// Only the default session's relays mirror: the map is keyed by node,
-    /// and replay state dumps cover the single default-port computation,
-    /// not dmtcpd shards (which would collide on the node key).
-    fn mirror_state(&self, k: &mut Kernel<'_>) {
-        if self.root_port != crate::coord::COORD_PORT {
-            return;
+    /// Render the aggregation bookkeeping for a `dmtcp replay` snapshot:
+    /// where the relay listens and for which root, the generation in
+    /// flight, whether it went dormant, the members it fronts, the local
+    /// ack count of every barrier still being aggregated, and the barriers
+    /// whose release already fanned out.
+    pub(crate) fn write_json(&self, node: u32, j: &mut JsonWriter) {
+        j.obj_begin();
+        j.field_u64("node", node as u64);
+        j.field_u64("port", self.port as u64);
+        j.field_u64("root_port", self.root_port as u64);
+        j.field_u64("gen", self.gen);
+        j.key("in_flight").val_bool(self.in_flight);
+        j.key("dormant").val_bool(self.dormant);
+        j.field_u64("members", self.members() as u64);
+        j.key("acks").arr_begin();
+        for ((gen, stg), vpids) in &self.acks {
+            j.obj_begin();
+            j.field_u64("gen", *gen);
+            j.field_u64("stage", *stg as u64);
+            j.field_u64("acks", vpids.len() as u64);
+            j.obj_end();
         }
-        let node = k.node().0;
-        let acks: BTreeMap<(u64, u8), u32> = self
-            .acks
-            .iter()
-            .map(|(key, set)| (*key, set.len() as u32))
-            .collect();
-        let m = relay_shared(k.w).relays.entry(node).or_default();
-        m.gen = self.gen;
-        m.in_flight = self.in_flight;
-        m.dormant = self.dormant;
-        m.members = self.members();
-        m.acks = acks;
-        m.released = self.released.clone();
+        j.arr_end();
+        j.key("released").arr_begin();
+        for (gen, stg) in &self.released {
+            j.obj_begin();
+            j.field_u64("gen", *gen);
+            j.field_u64("stage", *stg as u64);
+            j.obj_end();
+        }
+        j.arr_end();
+        j.obj_end();
     }
 }
 
@@ -439,7 +416,6 @@ impl Program for Relay {
                 }
             }
         }
-        self.mirror_state(k);
         Step::Block
     }
 

@@ -32,14 +32,15 @@
 //!    is bit-faithful; the snapshot shows everything the kernel knew at the
 //!    seek point.
 
-use crate::coord::{coord_shared_for, COORD_PORT};
-use crate::relay::relay_shared;
+use crate::coord::Coordinator;
+use crate::relay::Relay;
 use crate::restart::plan::RestartPlan;
 use crate::session::Session;
 use obs::journal::{DecodedJournal, Divergence};
 use obs::json::JsonWriter;
 use oskit::world::{OsSim, World};
 use simkit::Nanos;
+use std::collections::BTreeMap;
 
 /// The driver actions extracted from a recorded journal — the ground-truth
 /// schedule a replay re-delivers.
@@ -193,49 +194,36 @@ const TAIL_EVENTS: usize = 24;
 
 /// Render the complete replay state at virtual time `now` as one JSON
 /// document: journal verdict (checked/remaining/divergence), the full
-/// kernel object model ([`oskit::dump::dump_json`]), the coordinator's
-/// barrier bookkeeping, every per-node relay's aggregation state, and a
-/// human-readable tail of the timeline.
-pub fn snapshot(w: &mut World, now: Nanos) -> String {
-    // Gather everything through `&mut World` accessors first; the writer
-    // below only sees owned data.
-    let meta: Vec<(String, String)> = w.obs.journal.meta().to_vec();
-    let checked = w.obs.journal.replay_checked();
-    let remaining = w.obs.journal.expected_remaining();
-    let events = w.obs.journal.len() as u64;
-    let divergence = w.obs.journal.divergence().cloned();
-    let tail: Vec<String> = {
-        let evs = w.obs.journal.events();
-        let skip = evs.len().saturating_sub(TAIL_EVENTS);
-        evs[skip..].iter().map(|e| e.describe()).collect()
-    };
-    let coord = {
-        let cs = coord_shared_for(w, COORD_PORT);
-        (
-            cs.coord_gen,
-            cs.coord_in_progress,
-            cs.coord_drain_open,
-            cs.coord_expected,
-            cs.barrier_pending.clone(),
-        )
-    };
-    let relays = relay_shared(w).relays.clone();
-    let substrate = oskit::dump::dump_json(w, now);
-
+/// kernel object model ([`oskit::dump::dump_json`]), the barrier
+/// bookkeeping of every live coordinator (by port) and every live relay's
+/// aggregation state (by node and port), read from the programs themselves,
+/// and a human-readable tail of the timeline. A coordinator or relay that
+/// died is absent, not shown with the state it died with.
+pub fn snapshot(w: &World, now: Nanos) -> String {
+    let mut coords = BTreeMap::new();
+    let mut relays = BTreeMap::new();
+    for (pid, p) in &w.procs {
+        if let Some(c) = w.program::<Coordinator>(*pid) {
+            coords.insert(c.port, c);
+        } else if let Some(r) = w.program::<Relay>(*pid) {
+            relays.insert((p.node.0, r.port), r);
+        }
+    }
+    let journal = &w.obs.journal;
     let mut j = JsonWriter::new();
     j.obj_begin();
     j.field_str("type", "replay-snapshot");
     j.field_u64("at", now.0);
     j.key("meta").obj_begin();
-    for (k, v) in &meta {
+    for (k, v) in journal.meta() {
         j.field_str(k, v);
     }
     j.obj_end();
-    j.field_u64("journal_events", events);
-    j.field_u64("replay_checked", checked);
-    j.field_u64("expected_remaining", remaining);
+    j.field_u64("journal_events", journal.len() as u64);
+    j.field_u64("replay_checked", journal.replay_checked());
+    j.field_u64("expected_remaining", journal.expected_remaining());
     j.key("divergence");
-    match &divergence {
+    match journal.divergence() {
         None => {
             j.val_raw("null");
         }
@@ -253,53 +241,21 @@ pub fn snapshot(w: &mut World, now: Nanos) -> String {
             j.obj_end();
         }
     }
-    j.key("coordinator").obj_begin();
-    j.field_u64("gen", coord.0);
-    j.key("in_progress").val_bool(coord.1);
-    j.key("drain_open").val_bool(coord.2);
-    j.field_u64("expected", coord.3 as u64);
-    j.key("barriers").arr_begin();
-    for ((gen, stg), acks) in &coord.4 {
-        j.obj_begin();
-        j.field_u64("gen", *gen);
-        j.field_u64("stage", *stg as u64);
-        j.field_u64("acks", *acks as u64);
-        j.obj_end();
+    j.key("coordinators").arr_begin();
+    for c in coords.values() {
+        c.write_json(&mut j);
     }
     j.arr_end();
-    j.obj_end();
     j.key("relays").arr_begin();
-    for (node, m) in &relays {
-        j.obj_begin();
-        j.field_u64("node", *node as u64);
-        j.field_u64("gen", m.gen);
-        j.key("in_flight").val_bool(m.in_flight);
-        j.key("dormant").val_bool(m.dormant);
-        j.field_u64("members", m.members as u64);
-        j.key("acks").arr_begin();
-        for ((gen, stg), n) in &m.acks {
-            j.obj_begin();
-            j.field_u64("gen", *gen);
-            j.field_u64("stage", *stg as u64);
-            j.field_u64("acks", *n as u64);
-            j.obj_end();
-        }
-        j.arr_end();
-        j.key("released").arr_begin();
-        for (gen, stg) in &m.released {
-            j.obj_begin();
-            j.field_u64("gen", *gen);
-            j.field_u64("stage", *stg as u64);
-            j.obj_end();
-        }
-        j.arr_end();
-        j.obj_end();
+    for ((node, _), r) in &relays {
+        r.write_json(*node, &mut j);
     }
     j.arr_end();
-    j.key("substrate").val_raw(&substrate);
+    j.key("substrate").val_raw(&oskit::dump::dump_json(w, now));
     j.key("timeline_tail").arr_begin();
-    for line in &tail {
-        j.val_str(line);
+    let evs = journal.events();
+    for e in &evs[evs.len().saturating_sub(TAIL_EVENTS)..] {
+        j.val_str(&e.describe());
     }
     j.arr_end();
     j.obj_end();
@@ -337,11 +293,11 @@ mod tests {
     fn snapshot_is_valid_json_with_all_sections() {
         use oskit::program::Registry;
         use oskit::HwSpec;
-        let mut w = World::new(HwSpec::cluster(), 2, Registry::new());
-        let snap = snapshot(&mut w, Nanos(42));
+        let w = World::new(HwSpec::cluster(), 2, Registry::new());
+        let snap = snapshot(&w, Nanos(42));
         obs::json::validate(&snap).expect("snapshot is well-formed JSON");
         for section in [
-            "\"coordinator\"",
+            "\"coordinators\"",
             "\"relays\"",
             "\"substrate\"",
             "\"timeline_tail\"",

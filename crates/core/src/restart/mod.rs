@@ -159,7 +159,6 @@ impl RestartProc {
                 .unwrap_or_else(|e| panic!("restart: cannot read {path}: {e}"));
             let table =
                 ConnTable::from_snap_bytes(&img.dmtcp_meta).expect("connection table parses");
-            global(k.w).session_vpids.insert(table.vpid);
             self.loaded.push(Loaded { path, img, table });
         }
 
@@ -522,16 +521,13 @@ impl RestartProc {
             // instead: it registers directly with the root coordinator the
             // restart was pointed at, resumes at the generation being
             // restored, and takes that image's drain records and connection
-            // table. It also writes its images without a sync, whatever
-            // policy the session was launched with. The write mode is not
-            // one of the differences: a process launched forked checkpoints
-            // forked after a restart too.
+            // table. Neither the write mode nor the sync policy is one of the
+            // differences: a process launched forked checkpoints forked after
+            // a restart too, and one launched with a sync policy keeps it.
             h.coord_host = self.coord_host.clone();
             h.coord_port = self.coord_port;
             h.root_port = self.coord_port;
-            h.sync = crate::launch::SyncMode::None;
             h.gen = self.gen;
-            h.drained = l.table.drained.clone();
             h.table = l.table.clone();
             h.restart_partial = Some((
                 self.t_files - self.t_start,

@@ -43,7 +43,7 @@
 //! which the paper's restart protocol does not have).
 
 use crate::catalog::{self, GenRecord};
-use crate::coord::{coord_shared_for, stage};
+use crate::coord::{coord_shared_for, stage, Coordinator};
 use crate::gsid::Gsid;
 use crate::hijack::{hijack_in, FdKindRec};
 use crate::launch::Topology;
@@ -334,7 +334,7 @@ impl RestartPlan {
             })
             .map(|(pid, _)| *pid)
             .collect();
-        let before = coord_shared_for(w, port).coord_participants;
+        let before = direct_participants(w, port);
         for pid in &real {
             w.signal(sim, *pid, sig::SIGKILL);
         }
@@ -344,7 +344,7 @@ impl RestartPlan {
         };
         let target = before.saturating_sub(direct);
         wait_until(w, sim, max_events, Order::CheckFirst, |w| {
-            (coord_shared_for(w, port).coord_participants <= target).then_some(())
+            (direct_participants(w, port) <= target).then_some(())
         })
         .map_err(|_| RestartError::AbortedDuringMigration { gen: g })?;
         crate::session::run_for(w, sim, Nanos::from_millis(2));
@@ -382,6 +382,14 @@ impl RestartPlan {
             Ok(None) | Err(_) => Err(RestartError::AbortedDuringMigration { gen: g }),
         }
     }
+}
+
+/// Registered, non-stale direct participants of the live coordinator on
+/// `port` (none once it is gone), read from the coordinator itself.
+fn direct_participants(w: &mut World, port: u16) -> u32 {
+    let pid = coord_shared_for(w, port).coord_pid;
+    let coord = pid.and_then(|pid| w.program::<Coordinator>(pid));
+    coord.map_or(0, |c| c.participants)
 }
 
 /// Spawn one restart process per node of `placement`. Exactly one (the

@@ -528,7 +528,6 @@ fn fork_wrapper_rekeys_conflicting_pids() {
     let s = Session::start(&mut w, &mut sim, opts());
     for v in 4..10u32 {
         global(&mut w).checkpointed_vpids.insert(v);
-        global(&mut w).session_vpids.insert(v);
     }
     struct Spawner {
         n: u32,
@@ -872,6 +871,47 @@ fn sync_after_checkpoint_costs_extra_pause() {
     assert!(
         previous < none + 0.05,
         "sync-previous is nearly free: {previous} vs {none}"
+    );
+}
+
+/// A restart restores the policy the session was launched with: the first
+/// generation after it still waits for the platter under `AfterCheckpoint`.
+#[test]
+fn a_restored_process_keeps_its_sync_policy() {
+    use dmtcp::launch::SyncMode;
+    let run = |sync: SyncMode| -> f64 {
+        let mut w = World::new(HwSpec::cluster(), 1, test_registry());
+        let mut sim = Sim::new();
+        let s = Session::start(
+            &mut w,
+            &mut sim,
+            Options::builder().ckpt_dir("/ckpt").sync(sync).build(),
+        );
+        s.launch(
+            &mut w,
+            &mut sim,
+            NodeId(0),
+            "client",
+            Box::new(ChainClient::new("node00", 9999, u64::MAX).with_ballast(256)),
+        );
+        run_for(&mut w, &mut sim, Nanos::from_millis(20));
+        let g1 = s.checkpoint_and_wait(&mut w, &mut sim, EV).expect_ckpt();
+        s.kill_computation(&mut w, &mut sim);
+        let out = RestartPlan::newest()
+            .execute(&s, &mut w, &mut sim)
+            .expect("identity restart");
+        assert_eq!(out.gen, g1.gen);
+        Session::wait_restart_done(&mut w, &mut sim, g1.gen, EV);
+        run_for(&mut w, &mut sim, Nanos::from_millis(20));
+        let g2 = s.checkpoint_and_wait(&mut w, &mut sim, EV).expect_ckpt();
+        assert_eq!(g2.gen, g1.gen + 1, "the first generation after the restart");
+        g2.total_pause().expect("complete").as_secs_f64()
+    };
+    let none = run(SyncMode::None);
+    let after = run(SyncMode::AfterCheckpoint);
+    assert!(
+        after > none + 0.2,
+        "a restored sync-after process must still wait for the platter: {after} vs {none}"
     );
 }
 

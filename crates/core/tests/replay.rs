@@ -5,14 +5,18 @@
 //! requires *zero* divergence and a bit-identical final answer — the
 //! determinism contract that makes `dmtcp replay` a debugger rather than a
 //! best-effort approximation. A second test seeks to the middle of the
-//! recording and checks the substrate snapshot is produced there.
+//! recording and checks the substrate snapshot is produced there; a third
+//! checks the snapshot lists every live coordinator and relay by port.
 
 mod common;
 
 use common::*;
+use dmtcp::coord::COORD_PORT;
 use dmtcp::session::{enable_flight_recorder, export_journal, run_for};
-use dmtcp::{ExpectCkpt, Options, Session};
+use dmtcp::{ExpectCkpt, Options, Session, Topology};
 use obs::journal::{CLASS_FAULT, CLASS_NET, CLASS_STAGE};
+use obs::json::JsonValue;
+use oskit::proc::sig;
 use oskit::world::{NodeId, OsSim, World};
 use simkit::{Nanos, RunOutcome};
 
@@ -146,5 +150,63 @@ fn seek_to_mid_run_dumps_substrate_at_that_instant() {
     assert!(
         report.snapshot.contains("\"substrate\""),
         "snapshot must embed the kernel object model"
+    );
+}
+
+/// The `(field, field, ...)` tuple of every entry of the snapshot array `key`.
+fn entries(snap: &JsonValue, key: &str, fields: &[&str]) -> Vec<Vec<u64>> {
+    let arr = snap.get(key).and_then(JsonValue::as_arr).expect(key);
+    let field = |e: &JsonValue, f: &str| e.get(f).and_then(JsonValue::as_u64).expect(f);
+    arr.iter()
+        .map(|e| fields.iter().map(|f| field(e, f)).collect())
+        .collect()
+}
+
+/// A snapshot reads each coordinator and relay where it lives: a
+/// computation on a non-default root port shows up with its relays beside
+/// the default coordinator, and a coordinator that died drops out.
+#[test]
+fn snapshot_lists_every_live_coordinator_and_relay_by_port() {
+    let budget = run_budget();
+    let (mut w, mut sim) = cluster(2);
+    let default = Session::start(&mut w, &mut sim, options());
+    let port = COORD_PORT + 2;
+    let opts = Options::builder()
+        .ckpt_dir("/shared/ckpt_b")
+        .coord_port(port)
+        .topology(Topology::Hierarchical)
+        .build();
+    let s = Session::start(&mut w, &mut sim, opts);
+    launch_workload(&mut w, &mut sim, &s);
+    run_for(&mut w, &mut sim, Nanos::from_millis(6));
+    let g = s
+        .checkpoint_and_wait(&mut w, &mut sim, budget)
+        .expect_ckpt();
+
+    let snap = JsonValue::parse(&dmtcp::replay::snapshot(&w, sim.now())).expect("snapshot");
+    assert_eq!(
+        entries(&snap, "coordinators", &["port", "gen"]),
+        [vec![COORD_PORT as u64, 0], vec![port as u64, g.gen]],
+        "both coordinators, by port, each with its own generation"
+    );
+    let relay = |node: u64| vec![node, port as u64 + 1, port as u64, g.gen, 1];
+    assert_eq!(
+        entries(
+            &snap,
+            "relays",
+            &["node", "port", "root_port", "gen", "members"]
+        ),
+        [relay(0), relay(1)],
+        "one relay per node for the non-default root, each fronting its process"
+    );
+
+    default.kill_computation(&mut w, &mut sim);
+    w.signal(&mut sim, default.coord_pid, sig::SIGKILL);
+    run_for(&mut w, &mut sim, Nanos::from_millis(1));
+    let snap = JsonValue::parse(&dmtcp::replay::snapshot(&w, sim.now())).expect("snapshot");
+    assert_eq!(
+        entries(&snap, "coordinators", &["port"]),
+        [vec![port as u64]],
+        "a dead coordinator is absent, not shown with stale state"
     );
 }

@@ -36,7 +36,7 @@
 //! [`crate::reader::restore_into`] hands it the image it was restored from
 //! as its baseline.
 
-use crate::image::{CkptImage, RegionMeta, StoredAs, IMAGE_MAGIC};
+use crate::image::{CkptImage, RegionMeta, StoredAs};
 use crate::incr::{self, IncrState, RegionRec};
 use oskit::fs::Blob;
 use oskit::mem::{AddressSpace, Content, CowStats, FillProfile, RegionId};
@@ -929,10 +929,4 @@ fn pack_real(bytes: &[u8], compress: bool) -> (Vec<u8>, u32) {
         bytes.to_vec()
     };
     (stored, crc)
-}
-
-/// Verify a blob starts with an image header (restart scripts sanity-check
-/// files before launching restarters).
-pub fn looks_like_image(blob_head: &[u8]) -> bool {
-    blob_head.len() >= IMAGE_MAGIC.len() && &blob_head[..IMAGE_MAGIC.len()] == IMAGE_MAGIC
 }

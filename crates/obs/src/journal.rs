@@ -33,7 +33,7 @@
 //! footer is how [`decode_jsonl`] distinguishes a truncated capture from a
 //! complete one. See DESIGN.md §12 for the format and divergence rules.
 
-use crate::json::{push_escaped, JsonValue, JsonWriter};
+use crate::json::{JsonValue, JsonWriter};
 use simkit::Nanos;
 use simkit::Ring;
 use std::collections::BTreeMap;
@@ -282,11 +282,6 @@ impl Journal {
     /// Enable recording for the given class bits (0 disables).
     pub fn enable(&mut self, classes: u8) {
         self.classes = classes & CLASS_ALL;
-    }
-
-    /// The enabled class bits.
-    pub fn enabled_classes(&self) -> u8 {
-        self.classes
     }
 
     /// Whether any class is enabled.
@@ -728,13 +723,6 @@ pub fn render_timeline(events: &[JournalEvent]) -> String {
         out.push_str(&ev.describe());
         out.push('\n');
     }
-    out
-}
-
-/// Escape helper re-exported for the replay snapshot writer.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::new();
-    push_escaped(&mut out, s);
     out
 }
 

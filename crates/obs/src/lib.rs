@@ -4,9 +4,9 @@
 //! elect / drain / write / refill, Table 1 and Figures 3–6). This crate is
 //! the shared layer every part of the pipeline reports into:
 //!
-//! * **Spans** ([`span::SpanRecorder`]) — scoped or explicit `[start, end]`
-//!   intervals keyed to virtual [`simkit::Nanos`] with node/pid/tid
-//!   identity, recorded into a bounded ring. Off by default.
+//! * **Spans** ([`span::SpanRecorder`]) — complete `[start, end]`
+//!   intervals and instants keyed to virtual [`simkit::Nanos`] with
+//!   node/pid/tid identity, recorded into a bounded ring. Off by default.
 //! * **Metrics** ([`metrics::Registry`]) — counters, gauges, and
 //!   log₂-bucketed histograms keyed by `(name, label)`. Always on; the
 //!   bench harness derives its stage breakdowns from these.
@@ -30,7 +30,7 @@ pub mod span;
 
 pub use journal::{DecodedJournal, Divergence, EventId, Journal, JournalEvent};
 pub use metrics::{Histogram, MetricKey, Registry};
-pub use span::{Span, SpanGuard, SpanKind, SpanRecorder, TrackId};
+pub use span::{Span, SpanKind, SpanRecorder, TrackId};
 
 use std::collections::BTreeMap;
 
@@ -58,11 +58,6 @@ impl Obs {
     /// Later registrations win (exec replaces the image name).
     pub fn set_process_name(&mut self, node: u32, pid: u32, name: impl Into<String>) {
         self.names.insert((node, pid), name.into());
-    }
-
-    /// The registered process names.
-    pub fn process_names(&self) -> &BTreeMap<(u32, u32), String> {
-        &self.names
     }
 
     /// Export all finished spans as a Chrome trace-event JSON document.

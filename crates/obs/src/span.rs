@@ -1,11 +1,10 @@
 //! Virtual-time spans with node/pid/tid identity.
 //!
 //! The simulator charges time analytically — a whole image write "happens"
-//! at one event and returns its completion time — so the recorder supports
-//! both *scoped* spans (`begin`/`end`, nestable, for code that advances
-//! virtual time as it runs) and *complete* spans recorded after the fact
-//! with an explicit `[start, end]` interval. Zero-length protocol moments
-//! (a barrier release) are recorded as instants.
+//! at one event and returns its completion time — so every span is recorded
+//! after the fact as a *complete* span with an explicit `[start, end]`
+//! interval. Zero-length protocol moments (a barrier release) are recorded
+//! as instants.
 //!
 //! Finished spans land in a bounded [`Ring`], so an enabled recorder on a
 //! long simulation keeps the newest `capacity` spans instead of growing
@@ -69,38 +68,12 @@ impl Span {
     }
 }
 
-/// Handle returned by [`SpanRecorder::begin`]; pass back to
-/// [`SpanRecorder::end`]. A handle from a disabled recorder is inert.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[must_use = "an unclosed span is never recorded"]
-pub struct SpanGuard(usize);
-
-impl SpanGuard {
-    const NONE: SpanGuard = SpanGuard(usize::MAX);
-
-    /// Whether this guard refers to a live open span.
-    pub fn is_active(&self) -> bool {
-        self.0 != usize::MAX
-    }
-}
-
-#[derive(Debug)]
-struct OpenSpan {
-    track: TrackId,
-    name: &'static str,
-    cat: &'static str,
-    start: Nanos,
-    args: Vec<(&'static str, u64)>,
-}
-
 /// Records spans into a bounded ring. Disabled by default: every entry
 /// point is a single branch when off.
 #[derive(Debug)]
 pub struct SpanRecorder {
     enabled: bool,
     done: Ring<Span>,
-    open: Vec<Option<OpenSpan>>,
-    free: Vec<usize>,
 }
 
 impl Default for SpanRecorder {
@@ -114,8 +87,6 @@ impl SpanRecorder {
         SpanRecorder {
             enabled: false,
             done: Ring::new(capacity),
-            open: Vec::new(),
-            free: Vec::new(),
         }
     }
 
@@ -125,75 +96,6 @@ impl SpanRecorder {
 
     pub fn set_enabled(&mut self, on: bool) {
         self.enabled = on;
-    }
-
-    /// Open a nestable scoped span. Returns an inert guard when disabled.
-    pub fn begin(
-        &mut self,
-        at: Nanos,
-        track: TrackId,
-        name: &'static str,
-        cat: &'static str,
-    ) -> SpanGuard {
-        self.begin_args(at, track, name, cat, Vec::new())
-    }
-
-    /// [`SpanRecorder::begin`] with annotations attached up front.
-    pub fn begin_args(
-        &mut self,
-        at: Nanos,
-        track: TrackId,
-        name: &'static str,
-        cat: &'static str,
-        args: Vec<(&'static str, u64)>,
-    ) -> SpanGuard {
-        if !self.enabled {
-            return SpanGuard::NONE;
-        }
-        let open = OpenSpan {
-            track,
-            name,
-            cat,
-            start: at,
-            args,
-        };
-        match self.free.pop() {
-            Some(slot) => {
-                self.open[slot] = Some(open);
-                SpanGuard(slot)
-            }
-            None => {
-                self.open.push(Some(open));
-                SpanGuard(self.open.len() - 1)
-            }
-        }
-    }
-
-    /// Attach an annotation to a still-open span.
-    pub fn annotate(&mut self, guard: SpanGuard, key: &'static str, value: u64) {
-        if let Some(Some(open)) = self.open.get_mut(guard.0) {
-            open.args.push((key, value));
-        }
-    }
-
-    /// Close a scoped span, recording it. Inert guards are ignored, so
-    /// callers need not re-check the enabled flag.
-    pub fn end(&mut self, at: Nanos, guard: SpanGuard) {
-        let Some(slot) = self.open.get_mut(guard.0) else {
-            return;
-        };
-        if let Some(open) = slot.take() {
-            self.free.push(guard.0);
-            self.done.push(Span {
-                track: open.track,
-                name: open.name,
-                cat: open.cat,
-                kind: SpanKind::Complete,
-                start: open.start,
-                end: at.max(open.start),
-                args: open.args,
-            });
-        }
     }
 
     /// Record a finished `[start, end]` span directly (for analytically
@@ -259,12 +161,7 @@ impl SpanRecorder {
         self.done.evicted()
     }
 
-    /// Number of spans opened but not yet ended.
-    pub fn open_count(&self) -> usize {
-        self.open.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// Drop all finished spans (open spans stay open).
+    /// Drop all finished spans.
     pub fn clear(&mut self) {
         self.done.clear();
     }
@@ -281,48 +178,9 @@ mod tests {
     #[test]
     fn disabled_recorder_is_inert() {
         let mut r = SpanRecorder::default();
-        let g = r.begin(Nanos(5), t(), "a", "c");
-        assert!(!g.is_active());
-        r.end(Nanos(9), g);
         r.complete(t(), "b", "c", Nanos(1), Nanos(2), vec![]);
         r.instant(Nanos(3), t(), "i", "c", vec![]);
         assert!(r.spans().is_empty());
-    }
-
-    #[test]
-    fn scoped_spans_nest_and_record_on_end() {
-        let mut r = SpanRecorder::default();
-        r.set_enabled(true);
-        let outer = r.begin(Nanos(10), t(), "outer", "c");
-        let inner = r.begin(Nanos(20), t(), "inner", "c");
-        r.annotate(inner, "bytes", 512);
-        assert_eq!(r.open_count(), 2);
-        r.end(Nanos(30), inner);
-        r.end(Nanos(40), outer);
-        assert_eq!(r.open_count(), 0);
-        let spans = r.spans();
-        assert_eq!(spans.len(), 2);
-        // Inner closes first.
-        assert_eq!(spans[0].name, "inner");
-        assert_eq!(spans[0].arg("bytes"), Some(512));
-        assert_eq!(spans[0].duration(), Nanos(10));
-        assert_eq!(spans[1].name, "outer");
-        assert_eq!(spans[1].start, Nanos(10));
-        assert_eq!(spans[1].end, Nanos(40));
-    }
-
-    #[test]
-    fn double_end_is_ignored_and_slots_are_reused() {
-        let mut r = SpanRecorder::default();
-        r.set_enabled(true);
-        let g = r.begin(Nanos(1), t(), "a", "c");
-        r.end(Nanos(2), g);
-        r.end(Nanos(3), g); // no-op
-        assert_eq!(r.spans().len(), 1);
-        let g2 = r.begin(Nanos(4), t(), "b", "c");
-        assert_eq!(g2, g); // slot reused
-        r.end(Nanos(5), g2);
-        assert_eq!(r.spans().len(), 2);
     }
 
     #[test]

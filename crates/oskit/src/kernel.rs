@@ -12,7 +12,6 @@ use crate::fdtable::{Fd, FdEntry, FdObject, OpenFile};
 use crate::fs::FsError;
 use crate::mem::{Content, FillProfile, RegionId, RegionKind, PROT_R, PROT_W};
 use crate::net::{add_waiter, take_front, Conn, ConnId, ConnKind, Listener, PendingConn};
-use crate::proc::ThreadState;
 use crate::program::Program;
 use crate::pty::{PtyId, Termios};
 use crate::world::{NodeId, OsSim, Pid, Tid, World};
@@ -137,11 +136,6 @@ impl<'a> Kernel<'a> {
         }
     }
 
-    /// Parent pid.
-    pub fn getppid(&self) -> Pid {
-        self.proc_ref().ppid
-    }
-
     /// The node this process runs on.
     pub fn node(&self) -> NodeId {
         self.proc_ref().node
@@ -150,16 +144,6 @@ impl<'a> Kernel<'a> {
     /// This node's hostname.
     pub fn hostname(&self) -> String {
         self.w.node(self.node()).hostname.clone()
-    }
-
-    /// Read an environment variable.
-    pub fn getenv(&self, key: &str) -> Option<String> {
-        self.proc_ref().env.get(key).cloned()
-    }
-
-    /// Set an environment variable.
-    pub fn setenv(&mut self, key: &str, val: &str) {
-        self.proc_mut().env.insert(key.into(), val.into());
     }
 
     fn proc_ref(&self) -> &crate::proc::Process {
@@ -316,11 +300,6 @@ impl<'a> Kernel<'a> {
                 }
             },
         }
-    }
-
-    /// Is `pid` alive (running, not zombie)?
-    pub fn proc_alive(&self, pid: Pid) -> bool {
-        self.w.procs.get(&pid).map(|p| p.alive()).unwrap_or(false)
     }
 
     // ------------------------------------------------------------------
@@ -819,22 +798,6 @@ impl<'a> Kernel<'a> {
         }
     }
 
-    /// Open an existing pty slave by its `/dev/pts/<n>` path.
-    pub fn open_pty_slave(&mut self, path: &str) -> Result<Fd, Errno> {
-        let id = self
-            .w
-            .ptys
-            .values()
-            .find(|p| p.id.slave_path() == path)
-            .map(|p| p.id)
-            .ok_or(Errno::NotFound)?;
-        self.w.ptys.get_mut(&id).expect("pty just found").slave_refs += 1;
-        Ok(self.proc_mut().fds.install(FdEntry {
-            obj: FdObject::PtySlave(id),
-            cloexec: false,
-        }))
-    }
-
     /// Get terminal modes.
     pub fn tcgetattr(&self, fd: Fd) -> Result<Termios, Errno> {
         let id = self.pty_of(fd)?;
@@ -960,11 +923,6 @@ impl<'a> Kernel<'a> {
         self.w.obs.metrics.add("oskit.mem.mmap_bytes", 0, len);
     }
 
-    /// Unmap a region.
-    pub fn munmap(&mut self, id: RegionId) {
-        self.proc_mut().mem.unmap(id);
-    }
-
     /// Write into this process's memory. While a forked checkpoint is in
     /// flight the first write to each region still shared with the frozen
     /// snapshot forces a physical copy — charge that page-duplication work
@@ -1022,23 +980,4 @@ impl<'a> Kernel<'a> {
     pub fn track(&self) -> obs::TrackId {
         obs::TrackId::new(self.node().0, self.getpid().0, self.tid.0)
     }
-
-    /// Open a span on this thread's track starting now.
-    pub fn span_begin(&mut self, name: &'static str, cat: &'static str) -> obs::SpanGuard {
-        let at = self.sim.now();
-        let track = self.track();
-        self.w.obs.spans.begin(at, track, name, cat)
-    }
-
-    /// Close a span opened with [`Kernel::span_begin`] at the current time.
-    pub fn span_end(&mut self, guard: obs::SpanGuard) {
-        let at = self.sim.now();
-        self.w.obs.spans.end(at, guard);
-    }
-}
-
-// The dispatcher needs to observe whether a blocked thread was legitimately
-// registered; re-exported for world.rs.
-pub(crate) fn _assert_types() {
-    fn _is_state(_: ThreadState) {}
 }

@@ -11,6 +11,7 @@
 
 use crate::kernel::Kernel;
 use simkit::{Nanos, SnapError};
+use std::any::Any;
 use std::collections::BTreeMap;
 
 /// What a thread does after returning from `step`.
@@ -33,7 +34,9 @@ pub enum Step {
 }
 
 /// A simulated application (or daemon, or checkpoint-manager) thread body.
-pub trait Program: 'static {
+/// `Any` lets a layer read its own daemon's state in place through
+/// [`crate::world::World::program`].
+pub trait Program: Any {
     /// Advance the state machine by one step.
     fn step(&mut self, k: &mut Kernel<'_>) -> Step;
 

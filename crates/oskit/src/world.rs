@@ -257,6 +257,16 @@ impl World {
         boxed.downcast().ok().map(|b| *b)
     }
 
+    /// The main-thread program of live process `pid`, if it is a `T`. A
+    /// layer reads its own daemon's state here, where it lives, instead of
+    /// mirroring it into an extension. `None` while that thread is being
+    /// stepped (the program is out of the table for the step).
+    pub fn program<T: Program>(&self, pid: Pid) -> Option<&T> {
+        let p = self.procs.get(&pid).filter(|p| p.alive())?;
+        let prog: &dyn Any = p.threads.first()?.program.as_ref();
+        prog.downcast_ref()
+    }
+
     /// Resolve a hostname to a node.
     pub fn resolve(&self, host: &str) -> Option<NodeId> {
         self.nodes.iter().find(|n| n.hostname == host).map(|n| n.id)

@@ -120,11 +120,6 @@ impl CorePool {
         (start, end)
     }
 
-    /// When the earliest core becomes free.
-    pub fn earliest_free(&self) -> Nanos {
-        *self.free_at.iter().min().expect("pool is non-empty")
-    }
-
     /// Forget all queued work.
     pub fn reset(&mut self) {
         self.free_at.fill(Nanos::ZERO);

@@ -118,52 +118,6 @@ impl CollOp {
         }
     }
 
-    /// Sum-reduce f64 vectors to `root`. On completion, root's `out` holds
-    /// the element-wise sum (including its own `contrib`); non-roots get
-    /// their contrib echoed into `out`. True when complete.
-    pub fn reduce_sum_f64(
-        &mut self,
-        rt: &mut MpiRt,
-        k: &mut Kernel<'_>,
-        root: u32,
-        contrib: &[f64],
-        out: &mut Vec<f64>,
-    ) -> bool {
-        let tag = tag_for(KIND_REDUCE, self.seq);
-        if rt.rank == root {
-            loop {
-                let missing = (0..rt.size).find(|&r| r != root && self.got[r as usize].is_none());
-                let Some(_) = missing else {
-                    let mut acc = contrib.to_vec();
-                    for (r, slot) in self.got.iter().enumerate() {
-                        if r as u32 == root {
-                            continue;
-                        }
-                        let xs = crate::bytes_to_f64s(slot.as_ref().expect("collected"));
-                        assert_eq!(xs.len(), acc.len(), "reduce length mismatch");
-                        for (a, x) in acc.iter_mut().zip(&xs) {
-                            *a += x;
-                        }
-                    }
-                    *out = acc;
-                    return true;
-                };
-                match rt.recv_any_or_block(k, tag) {
-                    Some((from, d)) => self.got[from as usize] = Some(d),
-                    None => return false,
-                }
-            }
-        } else {
-            if !self.sent {
-                rt.send(root, tag, &crate::f64s_to_bytes(contrib));
-                self.sent = true;
-                *out = contrib.to_vec();
-            }
-            rt.pump(k);
-            true
-        }
-    }
-
     /// Allreduce (sum) of f64 vectors. True when complete; `out` holds the
     /// global sum on every rank.
     pub fn allreduce_sum_f64(
