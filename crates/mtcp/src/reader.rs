@@ -217,7 +217,7 @@ fn check_payloads(
             && job.stored.is_some()
             && img.regions[job.index].raw_len >= szip::stream::BLOCK as u64
     };
-    let (mut checked, off_thread) = crate::fanout::map(jobs, heavy, |job| {
+    let (mut checked, off_thread) = crate::fanout::map(jobs, heavy, &mut Vec::new(), |(), job| {
         let Some(stored) = job.stored else {
             return Ok(Vec::new());
         };

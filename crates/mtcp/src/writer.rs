@@ -421,13 +421,22 @@ struct CaptureOut {
 #[derive(Default)]
 struct SynthSizes(BTreeMap<(u64, u64, FillProfile), (u64, bool)>);
 
-/// [`capture_planned`] over `pid`'s live address space. The memo and the
-/// address space are both inside `w`, so the memo is lifted out for the
-/// duration of the (pure) capture and put back.
+/// One szip scratch per thread that packs regions, made on its first
+/// compression and kept from capture to capture, so a region costs the
+/// tables its blocks use rather than a fresh set; dropped with the world.
+#[derive(Default)]
+struct PackScratch(Vec<Option<szip::Scratch>>);
+
+/// [`capture_planned`] over `pid`'s live address space. The memo, the pack
+/// scratch and the address space are all inside `w`, so the first two are
+/// lifted out for the duration of the (pure) capture and put back.
 fn capture_live(w: &mut World, pid: Pid, compressed: bool, plan: &Plan) -> CaptureOut {
     let mut sizes = std::mem::take(w.ext::<SynthSizes>());
-    let (cap, off_thread) = capture_planned(&w.procs[&pid].mem, compressed, plan, &mut sizes);
+    let mut scratch = std::mem::take(w.ext::<PackScratch>());
+    let mem = &w.procs[&pid].mem;
+    let (cap, off_thread) = capture_planned(mem, compressed, plan, &mut sizes, &mut scratch.0);
     *w.ext::<SynthSizes>() = sizes;
+    *w.ext::<PackScratch>() = scratch;
     if off_thread > 0 {
         w.obs
             .metrics
@@ -473,6 +482,7 @@ fn capture_planned(
     compressed: bool,
     plan: &Plan,
     sizes: &mut SynthSizes,
+    scratch: &mut Vec<Option<szip::Scratch>>,
 ) -> (CaptureOut, usize) {
     let mut out = CaptureOut {
         ids: Vec::new(),
@@ -509,7 +519,7 @@ fn capture_planned(
             Content::Shared(seg) => Source::Pack(region, Held::Shared(seg.borrow())),
             Content::Synthetic { seed, len, profile } => {
                 let recipe = (*seed, *len, *profile);
-                let (meta, payload) = capture_synthetic(region, recipe, compressed, sizes);
+                let (meta, payload) = capture_synthetic(region, recipe, compressed, sizes, scratch);
                 if compressed {
                     out.comp_in += raw_len;
                     out.comp_out += payload.len();
@@ -529,8 +539,9 @@ fn capture_planned(
         })
         .collect();
     let heavy = |bytes: &&[u8]| compressed && bytes.len() >= szip::stream::BLOCK;
-    let (packed, off_thread) =
-        crate::fanout::map(jobs, heavy, |bytes| pack_real(bytes, compressed));
+    let (packed, off_thread) = crate::fanout::map(jobs, heavy, scratch, |scratch, bytes| {
+        pack_real(bytes, compressed, scratch)
+    });
 
     // One packed result per `Pack` source, in the same order.
     let mut packed = packed.into_iter();
@@ -656,14 +667,19 @@ fn capture_synthetic(
     (seed, len, profile): (u64, u64, FillProfile),
     compressed: bool,
     sizes: &mut SynthSizes,
+    scratch: &mut Vec<Option<szip::Scratch>>,
 ) -> (RegionMeta, Payload) {
     let (comp_len, sampled) = if !compressed {
         (len, false)
     } else {
-        *sizes
-            .0
-            .entry((seed, len, profile))
-            .or_insert_with(|| size_synthetic(seed, len, profile))
+        *sizes.0.entry((seed, len, profile)).or_insert_with(|| {
+            // The calling thread's scratch: the fan-out's first state.
+            if scratch.is_empty() {
+                scratch.push(None);
+            }
+            let scratch = scratch[0].get_or_insert_with(szip::Scratch::new);
+            size_synthetic(seed, len, profile, scratch)
+        })
     };
     let stored = StoredAs::Synthetic {
         seed,
@@ -693,18 +709,23 @@ fn capture_synthetic(
 
 /// Run the estimator: the compressed size of the synthetic region
 /// `(seed, len, profile)` and whether it was extrapolated from a sample.
-fn size_synthetic(seed: u64, len: u64, profile: FillProfile) -> (u64, bool) {
+fn size_synthetic(
+    seed: u64,
+    len: u64,
+    profile: FillProfile,
+    scratch: &mut szip::Scratch,
+) -> (u64, bool) {
     let estimator = SizeEstimator::default();
     if estimator.should_sample(len) {
         let sample = profile.bytes(seed, estimator.sample_len as usize);
-        let sample_comp = szip::compressed_len(&sample);
+        let sample_comp = szip::compressed_len_with(&sample, scratch);
         (
             estimator.extrapolate(len, sample.len() as u64, sample_comp),
             true,
         )
     } else {
         (
-            szip::compressed_len(&profile.bytes(seed, len as usize)),
+            szip::compressed_len_with(&profile.bytes(seed, len as usize), scratch),
             false,
         )
     }
@@ -921,10 +942,10 @@ impl Payload {
 }
 
 /// Compress (or pass through) real bytes and compute their CRC.
-fn pack_real(bytes: &[u8], compress: bool) -> (Vec<u8>, u32) {
+fn pack_real(bytes: &[u8], compress: bool, scratch: &mut Option<szip::Scratch>) -> (Vec<u8>, u32) {
     let crc = szip::crc32(bytes);
     let stored = if compress {
-        szip::compress(bytes)
+        szip::compress_with(bytes, scratch.get_or_insert_with(szip::Scratch::new))
     } else {
         bytes.to_vec()
     };

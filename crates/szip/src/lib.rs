@@ -28,13 +28,22 @@ pub mod stream;
 
 pub use crc::{crc32, Crc32};
 pub use estimate::SizeEstimator;
+pub use lzss::Scratch;
 pub use stream::{decompress_into, Compressor, Decompressor, SzipError};
 
 /// Compress a whole buffer in one call.
 pub fn compress(input: &[u8]) -> Vec<u8> {
-    let mut c = Compressor::new();
-    c.write(input);
-    c.finish()
+    compress_with(input, &mut Scratch::new())
+}
+
+/// [`compress`] on the caller's scratch, for a caller that compresses many
+/// buffers: the same bytes, without allocating the match finder's tables.
+pub fn compress_with(input: &[u8], scratch: &mut Scratch) -> Vec<u8> {
+    let mut out = stream::MAGIC.to_vec();
+    for block in input.chunks(stream::BLOCK) {
+        stream::put_block(&mut out, block, scratch);
+    }
+    out
 }
 
 /// Decompress a whole buffer in one call, decoding straight from `input`.
@@ -50,9 +59,14 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, SzipError> {
 /// output (used when the simulator needs an image size for multi-gigabyte
 /// synthetic regions).
 pub fn compressed_len(input: &[u8]) -> u64 {
-    let mut c = Compressor::counting();
-    c.write(input);
-    c.finish_len()
+    compressed_len_with(input, &mut Scratch::new())
+}
+
+/// [`compressed_len`] on the caller's scratch (see [`compress_with`]).
+pub fn compressed_len_with(input: &[u8], scratch: &mut Scratch) -> u64 {
+    let blocks = input.chunks(stream::BLOCK);
+    let len: u64 = blocks.map(|b| stream::block_len(b, scratch)).sum();
+    stream::MAGIC.len() as u64 + len
 }
 
 #[cfg(test)]

@@ -15,16 +15,35 @@ pub const MAX_MATCH: usize = MIN_MATCH + 255;
 
 const HASH_BITS: u32 = 14;
 const HASH_SIZE: usize = 1 << HASH_BITS;
+/// Bits of a key's filter hash: its bucket's 14, then 6 that pick one bit
+/// of the bucket's 64-bit filter word.
+const FILTER_BITS: u32 = HASH_BITS + 6;
 /// How many chain links the match finder follows before giving up. 32 is
 /// the classic speed/ratio compromise (zlib level ~6 territory).
 const MAX_CHAIN: usize = 32;
-/// Sentinel for "no position" in the hash structures.
-const NIL: u32 = u32::MAX;
+/// Sentinel for "no position" in the chains. Only positions `≤ n − 3` of a
+/// block of `n ≤ MAX_BLOCK` bytes are linked, so position 65 535 never is.
+const NIL: u16 = u16::MAX;
+/// The longest token stream a block can give: every byte a literal, plus
+/// one control byte per eight tokens.
+const MAX_TOKENS: usize = MAX_BLOCK + MAX_BLOCK / 8;
 
+/// The filter hash of the 3-byte key at `i`. Its top [`HASH_BITS`] bits are
+/// the key's bucket: both come from the one multiply.
 #[inline]
-fn hash3(data: &[u8], i: usize) -> usize {
-    let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], 0]);
-    ((v.wrapping_mul(0x9E37_79B1)) >> (32 - HASH_BITS)) as usize
+fn key_hash(data: &[u8], i: usize) -> usize {
+    // One 4-byte load where the block has the byte after the key.
+    let v = match data.get(i..i + 4) {
+        Some(w) => u32::from_le_bytes(w.try_into().expect("4 bytes")) & 0xFF_FFFF,
+        None => u32::from_le_bytes([data[i], data[i + 1], data[i + 2], 0]),
+    };
+    ((v.wrapping_mul(0x9E37_79B1)) >> (32 - FILTER_BITS)) as usize
+}
+
+/// The eight bytes at `data[i..]` as one little-endian word.
+#[inline(always)]
+fn word8(data: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(data[i..i + 8].try_into().expect("8 bytes"))
 }
 
 /// Length of the common prefix of `a` and `b` (equal-length slices), found
@@ -36,9 +55,7 @@ fn common_prefix(a: &[u8], b: &[u8]) -> usize {
     let n = a.len().min(b.len());
     let mut l = 0usize;
     while l + 8 <= n {
-        let x = u64::from_le_bytes(a[l..l + 8].try_into().expect("8 bytes"));
-        let y = u64::from_le_bytes(b[l..l + 8].try_into().expect("8 bytes"));
-        let diff = x ^ y;
+        let diff = word8(a, l) ^ word8(b, l);
         if diff != 0 {
             return l + (diff.trailing_zeros() / 8) as usize;
         }
@@ -50,35 +67,15 @@ fn common_prefix(a: &[u8], b: &[u8]) -> usize {
     l
 }
 
-/// Sink for compressed output: a real buffer or a byte counter, so the
-/// simulator can size multi-gigabyte images without materializing them.
+/// Sink for a compressed block: a real buffer or a byte counter.
 pub trait Sink {
-    /// Append one byte.
-    fn push(&mut self, b: u8);
     /// Append a slice.
     fn extend(&mut self, bytes: &[u8]);
-    /// Bytes emitted so far.
-    fn len(&self) -> u64;
-    /// Whether nothing has been emitted.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Overwrite a previously pushed byte (control-byte backpatching).
-    fn patch(&mut self, pos: u64, b: u8);
 }
 
 impl Sink for Vec<u8> {
-    fn push(&mut self, b: u8) {
-        Vec::push(self, b);
-    }
     fn extend(&mut self, bytes: &[u8]) {
         self.extend_from_slice(bytes);
-    }
-    fn len(&self) -> u64 {
-        Vec::len(self) as u64
-    }
-    fn patch(&mut self, pos: u64, b: u8) {
-        self[pos as usize] = b;
     }
 }
 
@@ -87,23 +84,30 @@ impl Sink for Vec<u8> {
 pub struct Counter(pub u64);
 
 impl Sink for Counter {
-    fn push(&mut self, _b: u8) {
-        self.0 += 1;
-    }
     fn extend(&mut self, bytes: &[u8]) {
         self.0 += bytes.len() as u64;
     }
-    fn len(&self) -> u64 {
-        self.0
-    }
-    fn patch(&mut self, _pos: u64, _b: u8) {}
 }
 
-/// Reusable match-finder scratch space (hash heads + chains), so per-block
-/// compression does not allocate in the checkpoint write path.
+/// Reusable match-finder and token scratch, so compressing a block neither
+/// allocates nor clears more than the block used.
+///
+/// Between calls every `seen` word is zero. During a call, bucket `b`'s
+/// word has bit `k` set exactly when a position linked so far has filter
+/// hash `b << 6 | k`; so a bucket's `head` is this block's only where its
+/// word is nonzero, and `head` and `prev` are never cleared: each entry is
+/// written before it is read.
 pub struct Scratch {
-    head: Vec<u32>,
-    prev: Vec<u32>,
+    /// Newest linked position of each bucket.
+    head: Box<[u16; HASH_SIZE]>,
+    /// The next older linked position of the same bucket.
+    prev: Box<[u16; MAX_BLOCK]>,
+    /// The seen-key filter, one word per bucket.
+    seen: Box<[u64; HASH_SIZE]>,
+    /// The buckets whose word this block made nonzero, in order.
+    touched: Box<[u16; HASH_SIZE]>,
+    /// The block's token stream.
+    tokens: Box<[u8; MAX_TOKENS]>,
 }
 
 impl Default for Scratch {
@@ -112,35 +116,112 @@ impl Default for Scratch {
     }
 }
 
+/// A zeroed boxed array, allocated without passing through the stack.
+fn zeroed<T: Copy + Default + std::fmt::Debug, const N: usize>() -> Box<[T; N]> {
+    vec![T::default(); N]
+        .into_boxed_slice()
+        .try_into()
+        .expect("a vec of N elements")
+}
+
 impl Scratch {
     /// Fresh scratch space.
     pub fn new() -> Self {
         Scratch {
-            head: vec![NIL; HASH_SIZE],
-            prev: vec![NIL; MAX_BLOCK],
+            head: zeroed(),
+            prev: zeroed(),
+            seen: zeroed(),
+            touched: zeroed(),
+            tokens: zeroed(),
         }
     }
+}
+
+/// The longest match for position `i` among the chain from `cand`: its
+/// length and offset, or a length of 0 when no candidate shares
+/// [`MIN_MATCH`] bytes. The first candidate of the greatest length wins.
+fn longest_match(input: &[u8], i: usize, mut cand: u16, prev: &[u16; MAX_BLOCK]) -> (usize, usize) {
+    let mut best_len = 0usize;
+    let mut best_off = 0usize;
+    let mut chains = 0;
+    let limit = (input.len() - i).min(MAX_MATCH);
+    let here = &input[i..i + limit];
+    while cand != NIL && chains < MAX_CHAIN {
+        let c = cand as usize;
+        debug_assert!(c < i);
+        // Quick-reject, then extend. A candidate wins only by matching
+        // `best_len + 1` bytes, so it must match the up to eight bytes that
+        // end there. A bucket collision yields a length below MIN_MATCH,
+        // which never wins and never blocks a real match, so it is dropped
+        // (it still costs its chain step).
+        let passes = if best_len >= 7 {
+            let at = best_len + 1 - 8;
+            word8(input, c + at) == word8(here, at)
+        } else if best_len >= MIN_MATCH {
+            let at = best_len + 1 - 4;
+            input[c + at..c + at + 4] == here[at..at + 4]
+        } else {
+            input[c + best_len] == here[best_len]
+        };
+        if passes {
+            let l = common_prefix(&input[c..c + limit], here);
+            if l >= MIN_MATCH && l > best_len {
+                best_len = l;
+                best_off = i - c;
+                if l >= limit {
+                    break;
+                }
+            }
+        }
+        cand = prev[c];
+        chains += 1;
+    }
+    (best_len, best_off)
 }
 
 /// Compress one block (`input.len() <= MAX_BLOCK`) into `out`.
 ///
 /// Returns the number of bytes emitted.
 pub fn compress_block<S: Sink>(input: &[u8], scratch: &mut Scratch, out: &mut S) -> u64 {
-    assert!(input.len() <= MAX_BLOCK, "block too large");
-    let before = out.len();
-    scratch.head.fill(NIL);
+    let tokens = compress_tokens(input, scratch);
+    out.extend(tokens);
+    tokens.len() as u64
+}
 
+/// Compress one block (`input.len() <= MAX_BLOCK`) into `scratch`'s token
+/// buffer and return the tokens.
+///
+/// Every position `p ≤ n − 3` is linked into its bucket's chain before the
+/// search at any later position, so at search time the chain holds exactly
+/// the block's earlier linked positions of that bucket. When the key's
+/// filter bit is clear, none of them shares the 3-byte key: each candidate
+/// would match fewer than [`MIN_MATCH`] bytes, so the walk is skipped and a
+/// literal emitted — the token a full walk gives.
+pub(crate) fn compress_tokens<'s>(input: &[u8], scratch: &'s mut Scratch) -> &'s [u8] {
+    assert!(input.len() <= MAX_BLOCK, "block too large");
+    let Scratch {
+        head,
+        prev,
+        seen,
+        touched,
+        tokens,
+    } = scratch;
     let n = input.len();
     let mut i = 0usize;
-    let mut ctrl_pos: u64 = 0;
+    // Token bytes written; the pending control byte's slot, its flags and
+    // how many of its tokens are out.
+    let mut o = 0usize;
+    let mut ctrl_pos = 0usize;
     let mut ctrl: u8 = 0;
     let mut ntok: u32 = 0;
+    // How many buckets' words this block made nonzero.
+    let mut fresh = 0usize;
 
     macro_rules! begin_token {
         () => {
             if ntok == 0 {
-                ctrl_pos = out.len();
-                out.push(0); // placeholder control byte
+                ctrl_pos = o;
+                o += 1;
             }
         };
     }
@@ -151,97 +232,105 @@ pub fn compress_block<S: Sink>(input: &[u8], scratch: &mut Scratch, out: &mut S)
             }
             ntok += 1;
             if ntok == 8 {
-                out.patch(ctrl_pos, ctrl);
+                tokens[ctrl_pos] = ctrl;
                 ctrl = 0;
                 ntok = 0;
             }
         };
+    }
+    // Link position `$p`, whose key has filter hash `$kh`, at the head of
+    // its bucket's chain and set its filter bit; a bucket new to this block
+    // starts its chain and is recorded for the clear.
+    macro_rules! link {
+        ($p:expr, $kh:expr) => {{
+            let b = $kh >> 6;
+            let word = seen[b];
+            prev[$p] = if word == 0 { NIL } else { head[b] };
+            head[b] = $p as u16;
+            seen[b] = word | 1 << ($kh & 63);
+            if word == 0 {
+                touched[fresh] = b as u16;
+                fresh += 1;
+            }
+        }};
     }
 
     while i < n {
         let mut best_len = 0usize;
         let mut best_off = 0usize;
         // Positions within MIN_MATCH of the end are neither searched nor
-        // inserted; everywhere else the position is hashed exactly once.
+        // linked; everywhere else the position is hashed exactly once.
         let searchable = i + MIN_MATCH <= n;
-        let mut h = 0usize;
+        let mut kh = 0usize;
         if searchable {
-            h = hash3(input, i);
-            let mut cand = scratch.head[h];
-            let mut chains = 0;
-            let limit = (n - i).min(MAX_MATCH);
-            let here = &input[i..i + limit];
-            while cand != NIL && chains < MAX_CHAIN {
-                let c = cand as usize;
-                debug_assert!(c < i);
-                // Quick-reject on the byte just past the current best, then
-                // extend. A hash collision yields a length below MIN_MATCH,
-                // which never wins and never blocks a real match, so it is
-                // dropped (it still costs its chain step).
-                if input[c + best_len] == here[best_len] {
-                    let l = common_prefix(&input[c..c + limit], here);
-                    if l >= MIN_MATCH && l > best_len {
-                        best_len = l;
-                        best_off = i - c;
-                        if l >= limit {
-                            break;
-                        }
-                    }
-                }
-                cand = scratch.prev[c];
-                chains += 1;
+            kh = key_hash(input, i);
+            if seen[kh >> 6] & 1 << (kh & 63) != 0 {
+                (best_len, best_off) = longest_match(input, i, head[kh >> 6], prev);
             }
         }
 
         if best_len >= MIN_MATCH {
             begin_token!();
-            out.extend(&[
-                (best_off & 0xff) as u8,
-                (best_off >> 8) as u8,
-                (best_len - MIN_MATCH) as u8,
-            ]);
+            tokens[o] = (best_off & 0xff) as u8;
+            tokens[o + 1] = (best_off >> 8) as u8;
+            tokens[o + 2] = (best_len - MIN_MATCH) as u8;
+            o += 3;
             end_token!(true);
-            // Insert every covered position into the chains so later matches
-            // can reference the interior of this one.
-            scratch.prev[i] = scratch.head[h];
-            scratch.head[h] = i as u32;
+            // Link every covered position too, so later matches can
+            // reference the interior of this one. An inner position, whose
+            // key ends inside the match, has the key of the position
+            // `best_off` back, which is linked: its bucket's word and
+            // filter bit are set already, so it only joins the chain. Only
+            // the last two, whose keys reach past the match, may bring a
+            // key new to the block.
             let end = (i + best_len).min(n.saturating_sub(MIN_MATCH - 1));
-            let mut j = i + 1;
+            let inner = i + best_len + 1 - MIN_MATCH;
             if best_off == 1 {
                 // A one-byte run: bytes `i-1 ..= i+best_len-1` are all one
-                // byte, so every position whose key ends inside the match
-                // has the key (and bucket `h`) of `i`. Inserting them one by
-                // one would link each to its predecessor and leave the last
-                // at the head; write exactly that. The last two positions,
-                // whose keys reach past the match, take the generic insert.
-                let run_end = i + best_len + 1 - MIN_MATCH;
-                for (p, slot) in scratch.prev[j..run_end].iter_mut().enumerate() {
-                    *slot = (i + p) as u32;
+                // byte, so every inner position has the key of `i`. Linking
+                // them one by one would link each to its predecessor and
+                // leave the last at the head; write exactly that.
+                let b = kh >> 6;
+                prev[i] = head[b];
+                for (p, slot) in prev[i + 1..inner].iter_mut().enumerate() {
+                    *slot = (i + p) as u16;
                 }
-                scratch.head[h] = (run_end - 1) as u32;
-                j = run_end;
+                head[b] = (inner - 1) as u16;
+            } else {
+                for j in i..inner {
+                    let b = key_hash(input, j) >> 6;
+                    prev[j] = head[b];
+                    head[b] = j as u16;
+                }
             }
-            for j in j..end {
-                let h = hash3(input, j);
-                scratch.prev[j] = scratch.head[h];
-                scratch.head[h] = j as u32;
+            for j in inner..end {
+                link!(j, key_hash(input, j));
             }
             i += best_len;
         } else {
             begin_token!();
-            out.push(input[i]);
+            tokens[o] = input[i];
+            o += 1;
             end_token!(false);
             if searchable {
-                scratch.prev[i] = scratch.head[h];
-                scratch.head[h] = i as u32;
+                link!(i, kh);
             }
             i += 1;
         }
     }
     if ntok > 0 {
-        out.patch(ctrl_pos, ctrl);
+        tokens[ctrl_pos] = ctrl;
     }
-    out.len() - before
+    // Leave every filter word zero for the next block: clear the words
+    // this block set, or all of them when it set most.
+    if fresh > HASH_SIZE / 2 {
+        seen.fill(0);
+    } else {
+        for &b in &touched[..fresh] {
+            seen[b as usize] = 0;
+        }
+    }
+    &tokens[..o]
 }
 
 /// Errors from block decompression.

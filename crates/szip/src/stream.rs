@@ -5,7 +5,7 @@
 //! and prefixes everything with a magic number so a restart can fail fast on
 //! a file that is not an image.
 
-use crate::lzss::{self, Counter, Scratch};
+use crate::lzss::{self, Scratch};
 
 /// File magic: "SZ1\n".
 pub const MAGIC: [u8; 4] = *b"SZ1\n";
@@ -38,16 +38,11 @@ impl std::fmt::Display for SzipError {
 
 impl std::error::Error for SzipError {}
 
-enum Output {
-    Buffer(Vec<u8>),
-    Count(Counter),
-}
-
 /// Streaming compressor.
 pub struct Compressor {
     pending: Vec<u8>,
     scratch: Scratch,
-    out: Output,
+    out: Vec<u8>,
     raw_in: u64,
 }
 
@@ -58,24 +53,12 @@ impl Default for Compressor {
 }
 
 impl Compressor {
-    /// A compressor that materializes output bytes.
+    /// A fresh compressor.
     pub fn new() -> Self {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
         Compressor {
             pending: Vec::with_capacity(BLOCK),
             scratch: Scratch::new(),
-            out: Output::Buffer(out),
-            raw_in: 0,
-        }
-    }
-
-    /// A compressor that only counts output bytes (for sizing huge images).
-    pub fn counting() -> Self {
-        Compressor {
-            pending: Vec::with_capacity(BLOCK),
-            scratch: Scratch::new(),
-            out: Output::Count(Counter(MAGIC.len() as u64)),
+            out: MAGIC.to_vec(),
             raw_in: 0,
         }
     }
@@ -100,57 +83,38 @@ impl Compressor {
     }
 
     fn flush_block(&mut self) {
-        let raw = std::mem::take(&mut self.pending);
-        if raw.is_empty() {
-            return;
+        if !self.pending.is_empty() {
+            put_block(&mut self.out, &self.pending, &mut self.scratch);
+            self.pending.clear();
         }
-        // Trial-compress into a counter first when we only need sizes;
-        // otherwise compress into a scratch buffer and decide stored/lzss.
-        match &mut self.out {
-            Output::Buffer(out) => {
-                let mut body = Vec::with_capacity(raw.len() / 2);
-                lzss::compress_block(&raw, &mut self.scratch, &mut body);
-                put_varint(out, raw.len() as u64);
-                if body.len() >= raw.len() {
-                    out.push(0); // stored
-                    put_varint(out, raw.len() as u64);
-                    out.extend_from_slice(&raw);
-                } else {
-                    out.push(1); // lzss
-                    put_varint(out, body.len() as u64);
-                    out.extend_from_slice(&body);
-                }
-            }
-            Output::Count(c) => {
-                let mut body = Counter::default();
-                lzss::compress_block(&raw, &mut self.scratch, &mut body);
-                let stored = body.0 >= raw.len() as u64;
-                let payload = if stored { raw.len() as u64 } else { body.0 };
-                c.0 += varint_len(raw.len() as u64) + 1 + varint_len(payload) + payload;
-            }
-        }
-        self.pending = raw;
-        self.pending.clear();
     }
 
-    /// Finish and return the compressed bytes. Panics on a counting
-    /// compressor (use [`Compressor::finish_len`]).
+    /// Finish and return the compressed bytes.
     pub fn finish(mut self) -> Vec<u8> {
         self.flush_block();
-        match self.out {
-            Output::Buffer(v) => v,
-            Output::Count(_) => panic!("finish() on a counting compressor"),
-        }
+        self.out
     }
+}
 
-    /// Finish and return only the compressed size.
-    pub fn finish_len(mut self) -> u64 {
-        self.flush_block();
-        match self.out {
-            Output::Buffer(v) => v.len() as u64,
-            Output::Count(c) => c.0,
-        }
-    }
+/// Append the block for `raw` (at most [`BLOCK`] bytes) to `out`: its lzss
+/// tokens, or `raw` itself stored when the tokens would not be shorter.
+pub(crate) fn put_block(out: &mut Vec<u8>, raw: &[u8], scratch: &mut Scratch) {
+    let body = lzss::compress_tokens(raw, scratch);
+    let (kind, payload) = if body.len() >= raw.len() {
+        (0, raw) // stored
+    } else {
+        (1, body) // lzss
+    };
+    put_varint(out, raw.len() as u64);
+    out.push(kind);
+    put_varint(out, payload.len() as u64);
+    out.extend_from_slice(payload);
+}
+
+/// How many bytes [`put_block`] appends for `raw`.
+pub(crate) fn block_len(raw: &[u8], scratch: &mut Scratch) -> u64 {
+    let payload = lzss::compress_tokens(raw, scratch).len().min(raw.len()) as u64;
+    varint_len(raw.len() as u64) + 1 + varint_len(payload) + payload
 }
 
 /// Streaming decompressor. Feed compressed bytes with [`Decompressor::write`]

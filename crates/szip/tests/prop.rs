@@ -460,12 +460,97 @@ fn page_mix(seed: u64, len: usize) -> Vec<u8> {
     buf
 }
 
-/// `gen_input`'s families, the embedded runs, `realmem`'s page mix, and
-/// every fill profile at lengths straddling the match-length cap and the
-/// block size.
+/// The match finder's hash of the 3-byte key `k`, the way the kernel
+/// computes it: 20 bits for the seen-key filter, whose top 14 are the
+/// key's chain bucket.
+fn filter_hash(k: u32) -> u32 {
+    k.wrapping_mul(0x9E37_79B1) >> 12
+}
+
+/// Two distinct 3-byte keys whose hashes agree in the bits `keep` selects.
+fn colliding_keys(rng: &mut DetRng, keep: u32) -> ([u8; 3], [u8; 3]) {
+    let mut by_hash = std::collections::HashMap::new();
+    loop {
+        let k = rng.next_u32() & 0xFF_FFFF;
+        let h = filter_hash(k) & keep;
+        match by_hash.insert(h, k) {
+            Some(other) if other != k => {
+                let bytes = |k: u32| [k as u8, (k >> 8) as u8, (k >> 16) as u8];
+                return (bytes(other), bytes(k));
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Inputs aimed at the seen-key filter that lets the compressor skip a
+/// chain walk: keys that share a chain bucket or a filter bit without
+/// sharing the key, a key first seen only at a covered position a match's
+/// end reaches past, and blocks of very different kinds through one
+/// scratch (the filter must be clear again after each).
+fn filter_inputs(rng: &mut DetRng) -> Vec<Vec<u8>> {
+    let mut inputs = Vec::new();
+    // Filler with no letters, so the keys below occur only where placed.
+    let filler = |rng: &mut DetRng, len: usize| -> Vec<u8> {
+        let mut v = vec![0u8; len];
+        rng.fill_bytes(&mut v);
+        v.iter_mut().for_each(|b| *b |= 0x80);
+        v
+    };
+    // Same bucket, different keys: the later key's walk meets only
+    // collisions (and its own earlier occurrences). Same 20-bit filter
+    // hash, different keys: the filter bit is set, yet no candidate
+    // shares the key.
+    for keep in [0xF_FFC0, 0xF_FFFF] {
+        for _ in 0..8 {
+            let (a, b) = colliding_keys(rng, keep);
+            let mut v = Vec::new();
+            for round in 0..40 {
+                let gap = rng.below(24) as usize;
+                v.extend(filler(rng, gap));
+                v.extend(if round % 3 == 2 { b } else { a });
+            }
+            inputs.push(v);
+        }
+    }
+    // "abcdefgh" is matched the second time it appears; the match's last
+    // two covered positions hold the keys "ghQ" and "hQ" + the next byte,
+    // which nothing before has. They are searched again later, after
+    // filler, at the block's end, and across a second match.
+    for tail in [1usize, 2, 3, 40] {
+        let mut v = filler(rng, 100);
+        v.extend(b"abcdefgh");
+        v.extend(filler(rng, 50));
+        v.extend(b"abcdefghQR");
+        v.extend(filler(rng, 50));
+        v.extend(b"ghQR");
+        v.extend(filler(rng, 50));
+        v.extend(b"hQR");
+        v.extend(filler(rng, 50));
+        v.extend(b"abcdefghQRab");
+        v.extend(filler(rng, tail));
+        v.extend(&b"ghQR"[..tail.min(4)]);
+        inputs.push(v);
+    }
+    // One scratch through a random block, a zero block, a 1 KiB tail,
+    // then the page mix: a block that set most filter words, one that set
+    // a few, a short one, then the mix.
+    let mut v = vec![0u8; BLOCK];
+    rng.fill_bytes(&mut v);
+    v.extend(vec![0u8; BLOCK]);
+    v.extend(filler(rng, 1024));
+    inputs.push(v);
+    inputs.push(page_mix(rng.next_u64(), 2 * BLOCK));
+    inputs
+}
+
+/// `gen_input`'s families, the embedded runs, the filter's edge cases,
+/// `realmem`'s page mix, and every fill profile at lengths straddling the
+/// match-length cap and the block size.
 fn identity_inputs(rng: &mut DetRng) -> Vec<Vec<u8>> {
     let mut inputs: Vec<Vec<u8>> = (0..CASES).map(|_| gen_input(rng)).collect();
     inputs.extend(run_inputs(rng));
+    inputs.extend(filter_inputs(rng));
     for len in [3 * BLOCK, BLOCK + 3 * 4096 + 17] {
         inputs.push(page_mix(rng.next_u64(), len));
     }

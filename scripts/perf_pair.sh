@@ -13,6 +13,12 @@
 # and B first in even ones, so slow drift of a shared box hits both sides
 # alike.
 #
+# Run it with ASLR on, not under `setarch -R`: each run then draws its own
+# address layout, so both sides are sampled over many layouts. With ASLR
+# off each binary keeps one layout, and a change that only moves code reads
+# as a steady shift: 1.07× under `setarch -R` against 1.04× with ASLR on,
+# for the same two binaries.
+#
 # Prints, per end-to-end metric, each side's median and quartiles, the B/A
 # ratio of medians, A's interquartile range, k/n: the pairs in which B did
 # better (every end-to-end metric is lower-is-better; ties count for
