@@ -593,17 +593,9 @@ impl Program for Sleeper {
 /// Longest gap between consecutive barrier releases (from the request),
 /// over the stop-the-world stages.
 fn max_stage_latency(g: &GenStat) -> f64 {
-    const ORDER: [u8; 6] = [
-        stage::SUSPENDED,
-        stage::ELECTED,
-        stage::DRAINED,
-        stage::CHECKPOINTED,
-        stage::REFILLED,
-        stage::CKPT_WRITTEN,
-    ];
     let mut prev = g.requested_at;
     let mut worst = Nanos::ZERO;
-    for s in ORDER {
+    for s in stage::CHECKPOINT {
         if let Some(&t) = g.releases.get(&s) {
             worst = worst.max(t - prev);
             prev = t;

@@ -49,19 +49,65 @@ pub mod stage {
     /// Restart: kernel buffers refilled (Figure 2 step 6).
     pub const RESTART_REFILLED: u8 = 12;
 
+    /// Figure 1's barriers, in the order a checkpoint releases them. An
+    /// in-line writer *reaches* `CKPT_WRITTEN` before `CHECKPOINTED` (its
+    /// image is durable there), but the coordinator releases it last.
+    pub const CHECKPOINT: [u8; 6] = [
+        SUSPENDED,
+        ELECTED,
+        DRAINED,
+        CHECKPOINTED,
+        REFILLED,
+        CKPT_WRITTEN,
+    ];
+    /// Figure 2's barriers, in the order a restart releases them.
+    pub const RESTART: [u8; 2] = [RESTORED, RESTART_REFILLED];
+
+    /// Release span names, in [`CHECKPOINT`] then [`RESTART`] order.
+    const RELEASE: [&str; 8] = [
+        "release.suspended",
+        "release.elected",
+        "release.drained",
+        "release.checkpointed",
+        "release.refilled",
+        "release.ckpt_written",
+        "release.restored",
+        "release.restart_refilled",
+    ];
+    /// The `core.stage.*` histogram and `stage.*` span of each
+    /// stop-the-world step: the first five stages of [`CHECKPOINT`], each
+    /// timed from the release before it (or the request) to its own.
+    const STEPS: [(&str, &str); 5] = [
+        ("core.stage.suspend", "stage.suspend"),
+        ("core.stage.elect", "stage.elect"),
+        ("core.stage.drain", "stage.drain"),
+        ("core.stage.write", "stage.write"),
+        ("core.stage.refill", "stage.refill"),
+    ];
+
+    fn index(stg: u8) -> Option<usize> {
+        CHECKPOINT.iter().chain(&RESTART).position(|&s| s == stg)
+    }
+
     /// Span name of a barrier-release instant (`obs` naming scheme).
     pub fn release_name(stg: u8) -> &'static str {
-        match stg {
-            SUSPENDED => "release.suspended",
-            ELECTED => "release.elected",
-            DRAINED => "release.drained",
-            CHECKPOINTED => "release.checkpointed",
-            REFILLED => "release.refilled",
-            CKPT_WRITTEN => "release.ckpt_written",
-            RESTORED => "release.restored",
-            RESTART_REFILLED => "release.restart_refilled",
-            _ => "release.unknown",
-        }
+        index(stg).map_or("release.unknown", |i| RELEASE[i])
+    }
+
+    /// The `(metric, span)` names of the stop-the-world step that ends at
+    /// `stg`'s release; `None` for the stages that time nothing.
+    pub fn step_names(stg: u8) -> Option<(&'static str, &'static str)> {
+        STEPS.get(index(stg)?).copied()
+    }
+
+    /// The stage after `stg` in its table, or `None` after the last.
+    pub fn next(stg: u8) -> Option<u8> {
+        [&CHECKPOINT[..], &RESTART[..]]
+            .into_iter()
+            .find_map(|table| {
+                let at = table.iter().position(|&s| s == stg)?;
+                Some(table.get(at + 1).copied())
+            })?
     }
 
     /// Remove generation `gen`'s barriers at stage `from` or later from a

@@ -11,7 +11,7 @@
 use crate::coord::{Coordinator, COORD_PORT};
 use crate::gsid::global;
 use crate::hijack::Hijack;
-use crate::manager::{Manager, Mode};
+use crate::manager::{Manager, Phase};
 use crate::proto;
 use mtcp::WriteMode;
 use oskit::program::Program;
@@ -319,7 +319,7 @@ fn hijack_new_process(w: &mut World, sim: &mut OsSim, pid: Pid) -> Pid {
     p.ext = Some(Box::new(hijack_from_env(vpid, &p.env)));
     p.virt_pid = Some(vpid);
     p.pid_map.insert(vpid, pid.0);
-    let tid = p.add_thread(Box::new(Manager::new(Mode::Steady)), false);
+    let tid = p.add_thread(Box::new(Manager::new(Phase::Connect)), false);
     w.schedule_dispatch(sim, pid, tid);
     pid
 }

@@ -17,9 +17,16 @@
 //!    retransmission — barrier *refilled*;
 //! 7. resume user threads.
 //!
-//! After a restart the manager is recreated in [`Mode::RestartRefill`]: it
-//! re-registers, waits for the *restored* barrier, replays stage 6 over the
-//! reconnected sockets, and resumes the user threads (Figure 2 steps 6–7).
+//! The stages and their order are [`stage::CHECKPOINT`] and
+//! [`stage::RESTART`]; the manager is one loop over them. For each stage it
+//! does the stage's work and reaches the barrier ([`Phase::Work`]), then
+//! awaits the release ([`Phase::Await`]), which moves it on to the next
+//! stage of the table — or, on an abort, rolls back by one rule per stage.
+//!
+//! After a restart the manager starts at `Phase::Work(stage::RESTORED)`:
+//! it re-registers, waits for the *restored* barrier, replays stage 6 over
+//! the reconnected sockets, and resumes the user threads (Figure 2 steps
+//! 6–7).
 //!
 //! The manager is a non-user thread: it keeps running while user threads
 //! are frozen, and MTCP does not capture it in the image — a fresh one is
@@ -33,49 +40,28 @@ use crate::proto::{drain_token, frame, split_drain_token, FrameBuf, Msg};
 use oskit::fdtable::FdObject;
 use oskit::net::Conn;
 use oskit::proc::ThreadState;
+use oskit::program::Step;
 use oskit::world::{Pid, Tid};
 use oskit::{Errno, Fd, Kernel};
 use simkit::{mix2, DetRng, Nanos};
 use std::collections::BTreeSet;
 
-/// Manager operating mode at creation.
+/// Where the manager is in the protocol. A launched manager starts at
+/// [`Phase::Connect`], a restored one at `Work(stage::RESTORED)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Normal launch: steady-state checkpoint loop.
-    Steady,
-    /// Created by `dmtcp_restart`: perform the restart refill first.
-    RestartRefill,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Init,
+pub enum Phase {
+    /// Connect to the coordinator and register.
+    Connect,
+    /// Wait for a checkpoint request.
     Idle,
+    /// Hold the request while a `dmtcpaware` critical section runs.
     DelayGate,
-    Suspend,
-    SuspendDone,
-    AwaitSuspended,
-    Elect,
-    AwaitElected,
-    DrainRun,
-    AwaitDrained,
-    WriteImage,
-    WriteDone,
-    AwaitCheckpointed,
-    RefillRun,
-    AwaitRefilled,
-    Resume,
-    /// Forked mode: user threads are running again; sleep until the
-    /// background compress+write pipeline (the COW child) drains.
-    BgWait,
-    /// Forked mode: image durable, `CKPT_WRITTEN` sent; awaiting its
-    /// release (or a drain abort).
-    AwaitWritten,
-    RestartInit,
-    AwaitRestored,
-    RestartRefillRun,
-    AwaitRestartRefilled,
-    RestartResume,
+    /// Finish the stage's work, then reach its barrier. For `CKPT_WRITTEN`
+    /// this is a forked write's background wait: the user threads run
+    /// again while the COW child compresses and writes.
+    Work(u8),
+    /// Await the stage's release (or the generation's abort).
+    Await(u8),
 }
 
 /// One in-band transfer job (drain or refill) on a led connection end.
@@ -98,6 +84,22 @@ struct XferJob {
 }
 
 impl XferJob {
+    /// A job that sends `out` on `fd` and reads the peer's answer.
+    fn new(fd: Fd, gsid: Gsid, out: Vec<u8>) -> Self {
+        XferJob {
+            fd,
+            gsid,
+            out,
+            out_off: 0,
+            in_buf: Vec::new(),
+            got_in: false,
+            resend: Vec::new(),
+            resend_off: 0,
+            drained: Vec::new(),
+            peer_gsid: None,
+            eof: false,
+        }
+    }
     fn done_drain(&self) -> bool {
         self.out_off >= self.out.len() && self.got_in
     }
@@ -129,13 +131,15 @@ const RESTART_ABANDONED: i32 = 75;
 pub struct Manager {
     phase: Phase,
     coord_fd: Fd,
+    /// This process's virtual pid, read when the manager registers.
+    vpid: u32,
     fb: FrameBuf,
     cur_gen: u64,
     jobs: Vec<XferJob>,
     saved_owners: Vec<(Fd, u32)>,
-    // Stage timestamps (local barrier-release receipt times).
+    // Stage timestamps (local barrier-release receipt times, by stage).
     t_request: Nanos,
-    t_stage: [Nanos; 7],
+    t_stage: [Nanos; 13],
     /// In-flight forked (background) image write: holds the COW snapshot
     /// alive so application writes during the overlapped drain are charged
     /// as copies. `Some` from the fork until the pipeline drains; the image
@@ -154,20 +158,18 @@ pub struct Manager {
 }
 
 impl Manager {
-    /// A fresh manager in the given mode.
-    pub fn new(mode: Mode) -> Self {
+    /// A fresh manager starting at `phase`.
+    pub fn new(phase: Phase) -> Self {
         Manager {
-            phase: match mode {
-                Mode::Steady => Phase::Init,
-                Mode::RestartRefill => Phase::RestartInit,
-            },
+            phase,
             coord_fd: -1,
+            vpid: 0,
             fb: FrameBuf::new(),
             cur_gen: 0,
             jobs: Vec::new(),
             saved_owners: Vec::new(),
             t_request: Nanos::ZERO,
-            t_stage: [Nanos::ZERO; 7],
+            t_stage: [Nanos::ZERO; 13],
             forked: None,
             deadline: None,
             backoff: BARRIER_RETRY_INITIAL,
@@ -180,8 +182,7 @@ impl Manager {
     // Coordinator plumbing
     // ------------------------------------------------------------------
 
-    fn connect_coord(&mut self, k: &mut Kernel<'_>) -> Result<(), oskit::program::Step> {
-        use oskit::program::Step;
+    fn connect_coord(&mut self, k: &mut Kernel<'_>) -> Result<(), Step> {
         let (host, port, vpid) = {
             let pid = k.pid;
             let h = hijack_of(k.w, pid).expect("manager in traced process");
@@ -198,6 +199,7 @@ impl Manager {
                     // connection (message faults target only these).
                     faultkit::note_protocol_conn(k.w, cid);
                 }
+                self.vpid = vpid;
                 let msg = frame(&Msg::Register(vpid, k.hostname()));
                 let n = k.write(fd, &msg).expect("register");
                 assert_eq!(n, msg.len());
@@ -240,19 +242,22 @@ impl Manager {
         }
     }
 
-    fn send_barrier(&mut self, k: &mut Kernel<'_>, stg: u8) {
+    /// Journal a stage-class event at the current instant.
+    fn journal(k: &mut Kernel<'_>, kind: &'static str, args: &[(&'static str, u64)]) {
         if k.obs().journal.wants(obs::journal::CLASS_STAGE) {
-            let (now, gen) = (k.now(), self.cur_gen);
-            let vpid = self.vpid(k) as u64;
-            k.obs().journal.record(
-                now,
-                obs::journal::CLASS_STAGE,
-                "stage.reach",
-                None,
-                &[("gen", gen), ("stage", stg as u64), ("vpid", vpid)],
-                "",
-            );
+            let now = k.now();
+            let class = obs::journal::CLASS_STAGE;
+            k.obs().journal.record(now, class, kind, None, args, "");
         }
+    }
+
+    fn send_barrier(&mut self, k: &mut Kernel<'_>, stg: u8) {
+        let (gen, vpid) = (self.cur_gen, self.vpid as u64);
+        Self::journal(
+            k,
+            "stage.reach",
+            &[("gen", gen), ("stage", stg as u64), ("vpid", vpid)],
+        );
         let msg = frame(&Msg::BarrierReached(self.cur_gen, stg));
         match k.write(self.coord_fd, &msg) {
             Ok(n) => assert_eq!(n, msg.len()),
@@ -267,17 +272,6 @@ impl Manager {
                 k.w.signal(k.sim, pid, oskit::proc::sig::SIGKILL);
             }
         }
-    }
-
-    /// The coordinator abandoned the restart this process belongs to: a
-    /// peer died before every process was back. Half restored — user
-    /// threads never resumed, buffers never refilled — the process has
-    /// nothing to go on with and exits; the computation is restarted again
-    /// from a committed generation.
-    fn restart_abandoned(&mut self, k: &mut Kernel<'_>) -> oskit::program::Step {
-        let gen = self.cur_gen;
-        k.obs().metrics.inc("core.restart.abandoned", gen);
-        oskit::program::Step::Exit(RESTART_ABANDONED)
     }
 
     /// Poll for `BarrierRelease(cur_gen, stg)`. Stale retransmissions
@@ -358,7 +352,7 @@ impl Manager {
             }
         }
         if self.rng.is_none() {
-            let vpid = self.vpid(k);
+            let vpid = self.vpid;
             self.rng = Some(DetRng::seed_from_u64(mix2(
                 0x0062_6172_7269_6572,
                 vpid as u64,
@@ -399,7 +393,7 @@ impl Manager {
     // ------------------------------------------------------------------
 
     fn do_elect(&mut self, k: &mut Kernel<'_>) {
-        let vpid = self.vpid(k);
+        let vpid = self.vpid;
         for (fd, obj) in k.list_fds() {
             if fd == self.coord_fd {
                 continue; // DMTCP's own connection is never checkpointed
@@ -413,15 +407,10 @@ impl Manager {
         }
     }
 
-    fn vpid(&self, k: &mut Kernel<'_>) -> u32 {
-        let pid = k.pid;
-        hijack_of(k.w, pid).expect("traced").vpid
-    }
-
     /// The led connection ends of this process: `(fd, ConnId, end)` where
     /// the stage-3 election chose us.
     fn led_ends(&self, k: &mut Kernel<'_>) -> Vec<(Fd, oskit::net::ConnId, u8)> {
-        let vpid = self.vpid(k);
+        let vpid = self.vpid;
         let mut seen = BTreeSet::new();
         let mut out = Vec::new();
         for (fd, obj) in k.list_fds() {
@@ -452,25 +441,14 @@ impl Manager {
         self.jobs.clear();
         for (fd, cid, _end) in self.led_ends(k) {
             let gsid = global(k.w).conn(cid);
-            self.jobs.push(XferJob {
-                fd,
-                gsid,
-                out: drain_token(gsid),
-                out_off: 0,
-                in_buf: Vec::new(),
-                got_in: false,
-                resend: Vec::new(),
-                resend_off: 0,
-                drained: Vec::new(),
-                peer_gsid: None,
-                eof: false,
-            });
+            self.jobs.push(XferJob::new(fd, gsid, drain_token(gsid)));
         }
     }
 
-    /// Advance all drain jobs; Ok(true) = all done, Ok(false) = progress
-    /// made, Err(()) = everything blocked (wakers registered).
-    fn run_drain(&mut self, k: &mut Kernel<'_>) -> Result<bool, ()> {
+    /// Advance all drain jobs: `Ok` once all are done, else the step to
+    /// take — yield after progress, block when every job would block
+    /// (wakers registered).
+    fn run_drain(&mut self, k: &mut Kernel<'_>) -> Result<(), Step> {
         let mut all_done = true;
         let mut progressed = false;
         for j in &mut self.jobs {
@@ -479,35 +457,22 @@ impl Manager {
             }
             // Push the token out (may interleave with reads under full
             // buffers in both directions).
-            while j.out_off < j.out.len() {
-                match k.write(j.fd, &j.out[j.out_off..]) {
-                    Ok(n) => {
-                        j.out_off += n;
-                        progressed = true;
+            let (sent, pipe) = send(k, j.fd, &j.out, &mut j.out_off, "drain token send");
+            progressed |= sent > 0 || pipe;
+            if pipe {
+                // Our token cannot go out: either the peer fully closed
+                // (nothing will come back) or this end was half-closed with
+                // `shutdown` (the peer can still talk, so keep reading for
+                // its token normally).
+                j.eof |= match k.fd_object(j.fd) {
+                    Ok(FdObject::Sock(cid, end)) => {
+                        k.w.conns
+                            .get(&cid)
+                            .map(|c| c.closed[Conn::peer(end as usize)])
+                            .unwrap_or(true)
                     }
-                    Err(Errno::WouldBlock) => break,
-                    Err(Errno::Pipe) => {
-                        // Our token cannot go out: either the peer fully
-                        // closed (nothing will come back) or this end was
-                        // half-closed with `shutdown` (the peer can still
-                        // talk, so keep reading for its token normally).
-                        j.out_off = j.out.len();
-                        let peer_gone = match k.fd_object(j.fd) {
-                            Ok(FdObject::Sock(cid, end)) => {
-                                k.w.conns
-                                    .get(&cid)
-                                    .map(|c| c.closed[Conn::peer(end as usize)])
-                                    .unwrap_or(true)
-                            }
-                            _ => true,
-                        };
-                        if peer_gone {
-                            j.eof = true;
-                        }
-                        progressed = true;
-                    }
-                    Err(e) => panic!("drain token send: {e:?}"),
-                }
+                    _ => true,
+                };
             }
             // Drain inbound until the peer's token appears.
             while !j.got_in {
@@ -543,13 +508,7 @@ impl Manager {
                 all_done = false;
             }
         }
-        if all_done {
-            Ok(true)
-        } else if progressed {
-            Ok(false)
-        } else {
-            Err(())
-        }
+        step_result(all_done, progressed)
     }
 
     /// After draining: store results and build the connection table.
@@ -568,7 +527,7 @@ impl Manager {
     }
 
     fn build_conn_table(&mut self, k: &mut Kernel<'_>) -> ConnTable {
-        let vpid = self.vpid(k);
+        let vpid = self.vpid;
         let pid = k.pid;
         let my_node = k.node();
         let host = k.hostname();
@@ -768,23 +727,13 @@ impl Manager {
                 // is *not* recorded with the coordinator (nor visible to
                 // the fault injector) until the pipeline completes — a
                 // restart before then must use the previous generation.
-                if k.obs().journal.wants(obs::journal::CLASS_STAGE) {
-                    let gen = self.cur_gen;
-                    let args = [
-                        ("gen", gen),
-                        ("vpid", vpid as u64),
-                        ("dirty_bytes", fw.report.captured_raw_bytes),
-                        ("incremental", fw.report.incremental as u64),
-                    ];
-                    k.obs().journal.record(
-                        now,
-                        obs::journal::CLASS_STAGE,
-                        "drain.begin",
-                        None,
-                        &args,
-                        "",
-                    );
-                }
+                let args = [
+                    ("gen", self.cur_gen),
+                    ("vpid", vpid as u64),
+                    ("dirty_bytes", fw.report.captured_raw_bytes),
+                    ("incremental", fw.report.incremental as u64),
+                ];
+                Self::journal(k, "drain.begin", &args);
                 let resume_at = fw.report.resume_at;
                 self.forked = Some(fw);
                 resume_at
@@ -804,44 +753,28 @@ impl Manager {
         };
         self.jobs.clear();
         for r in &records {
-            if let FdKindRec::Sock { gsid, leader, .. } = &r.kind {
-                if !*leader {
-                    continue;
-                }
-                // Guard against dup'd fds: one job per gsid+fd pair is
-                // prevented by taking the first record per gsid.
-                if self.jobs.iter().any(|j| j.gsid == *gsid && j.fd == r.fd) {
-                    continue;
-                }
+            if let FdKindRec::Sock {
+                gsid, leader: true, ..
+            } = &r.kind
+            {
                 let data = drained
                     .iter()
                     .find(|(g, _)| g == gsid)
                     .map(|(_, d)| d.clone())
                     .unwrap_or_default();
-                self.jobs.push(XferJob {
-                    fd: r.fd,
-                    gsid: *gsid,
-                    out: frame(&Msg::Refill(data)),
-                    out_off: 0,
-                    in_buf: Vec::new(),
-                    got_in: false,
-                    resend: Vec::new(),
-                    resend_off: 0,
-                    drained: Vec::new(),
-                    peer_gsid: None,
-                    eof: false,
-                });
+                let out = frame(&Msg::Refill(data));
+                self.jobs.push(XferJob::new(r.fd, *gsid, out));
             }
         }
     }
 
-    fn run_refill(&mut self, k: &mut Kernel<'_>) -> Result<bool, ()> {
+    fn run_refill(&mut self, k: &mut Kernel<'_>) -> Result<(), Step> {
         let mut all_done = true;
         let mut progressed = false;
         // Bytes returned to kernel buffers, keyed by generation; the restart
         // replay of stage 6 counts separately so per-generation
         // drained == refilled holds for checkpoint generations.
-        let refill_metric = if self.phase == Phase::RestartRefillRun {
+        let refill_metric = if self.phase == Phase::Work(stage::RESTART_REFILLED) {
             "core.restart_refill.bytes"
         } else {
             "core.refill.bytes"
@@ -851,21 +784,9 @@ impl Manager {
             if j.done_refill() {
                 continue;
             }
-            while j.out_off < j.out.len() {
-                match k.write(j.fd, &j.out[j.out_off..]) {
-                    Ok(n) => {
-                        j.out_off += n;
-                        progressed = true;
-                    }
-                    Err(Errno::WouldBlock) => break,
-                    Err(Errno::Pipe) => {
-                        j.out_off = j.out.len();
-                        j.eof = true;
-                        progressed = true;
-                    }
-                    Err(e) => panic!("refill frame send: {e:?}"),
-                }
-            }
+            let (sent, pipe) = send(k, j.fd, &j.out, &mut j.out_off, "refill frame send");
+            progressed |= sent > 0 || pipe;
+            j.eof |= pipe;
             // Read EXACTLY one frame. The peer's retransmitted application
             // bytes may already sit behind the frame in the same direction;
             // over-reading would steal them from the application, so reads
@@ -908,21 +829,11 @@ impl Manager {
                 }
             }
             if j.got_in && !j.eof {
-                while j.resend_off < j.resend.len() {
-                    match k.write(j.fd, &j.resend[j.resend_off..]) {
-                        Ok(n) => {
-                            j.resend_off += n;
-                            k.obs().metrics.add(refill_metric, gen, n as u64);
-                            progressed = true;
-                        }
-                        Err(Errno::WouldBlock) => break,
-                        Err(Errno::Pipe) => {
-                            j.resend_off = j.resend.len();
-                            progressed = true;
-                        }
-                        Err(e) => panic!("refill resend: {e:?}"),
-                    }
+                let (sent, pipe) = send(k, j.fd, &j.resend, &mut j.resend_off, "refill resend");
+                if sent > 0 {
+                    k.obs().metrics.add(refill_metric, gen, sent as u64);
                 }
+                progressed |= sent > 0 || pipe;
             } else if j.eof && j.got_in {
                 j.resend_off = j.resend.len();
             }
@@ -934,26 +845,17 @@ impl Manager {
             // Half-closed conns: push our drained bytes back directly.
             for j in &self.jobs {
                 if j.eof {
-                    self.privileged_refill(k, j.fd, j.gsid, refill_metric, gen);
+                    Self::privileged_refill(k, j, refill_metric, gen);
                 }
             }
-            Ok(true)
-        } else if progressed {
-            Ok(false)
-        } else {
-            Err(())
         }
+        step_result(all_done, progressed)
     }
 
-    fn privileged_refill(
-        &self,
-        k: &mut Kernel<'_>,
-        fd: Fd,
-        gsid: Gsid,
-        refill_metric: &'static str,
-        gen: u64,
-    ) {
-        let pid = k.pid;
+    /// Push `j`'s drained bytes straight back into our own kernel receive
+    /// buffer (privileged), counting them under `metric`.
+    fn privileged_refill(k: &mut Kernel<'_>, j: &XferJob, metric: &'static str, gen: u64) {
+        let (pid, fd, gsid) = (k.pid, j.fd, j.gsid);
         let data = hijack_of(k.w, pid)
             .and_then(|h| h.table.drained.iter().find(|(g, _)| *g == gsid).cloned())
             .map(|(_, d)| d)
@@ -968,7 +870,7 @@ impl Manager {
                 // A watcher must hear of bytes that did not arrive over the
                 // wire too; a reader that polls will find them anyway.
                 let watch = conn.watchers[end as usize];
-                k.w.obs.metrics.add(refill_metric, gen, data.len() as u64);
+                k.w.obs.metrics.add(metric, gen, data.len() as u64);
                 k.w.notify(k.sim, Vec::new(), watch);
             }
         }
@@ -981,17 +883,36 @@ impl Manager {
         }
     }
 
-    /// Roll back an aborted generation and resume the user threads. What
-    /// must be undone depends on how far the protocol got:
-    /// after the drain (but before the refill ran) the drained bytes are
-    /// pushed straight back into our own kernel receive buffers — the
-    /// in-band refill exchange cannot run, since peers may be dead.
-    fn do_abort(&mut self, k: &mut Kernel<'_>, reinject: bool) {
+    /// The rollback rule: the coordinator abandoned generation `cur_gen`
+    /// while this manager awaited stage `s`. What must be undone depends on
+    /// how far the protocol got:
+    /// - in a restart (a peer died before every process was back), the
+    ///   process is half restored — user threads never resumed, buffers
+    ///   never refilled — and exits; the computation is restarted again
+    ///   from a committed generation;
+    /// - in a forked write's background wait the user threads already run:
+    ///   the image simply never joins a committed generation;
+    /// - after the drain and before the refill, the drained bytes are pushed
+    ///   straight back into our own kernel receive buffers (the in-band
+    ///   refill exchange cannot run, since peers may be dead), then the
+    ///   user threads resume; at any other stage they just resume.
+    fn rollback(&mut self, k: &mut Kernel<'_>, s: u8) -> Option<Step> {
+        match s {
+            stage::RESTORED | stage::RESTART_REFILLED => {
+                k.obs().metrics.inc("core.restart.abandoned", self.cur_gen);
+                return Some(Step::Exit(RESTART_ABANDONED));
+            }
+            stage::CKPT_WRITTEN => {
+                k.obs().metrics.inc("core.ckpt.drain_aborts_seen", 0);
+                self.phase = Phase::Idle;
+                return None;
+            }
+            _ => {}
+        }
         let gen = self.cur_gen;
-        if reinject {
-            for i in 0..self.jobs.len() {
-                let (fd, gsid) = (self.jobs[i].fd, self.jobs[i].gsid);
-                self.privileged_refill(k, fd, gsid, "core.abort_reinject.bytes", gen);
+        if s == stage::DRAINED || s == stage::CHECKPOINTED {
+            for j in &self.jobs {
+                Self::privileged_refill(k, j, "core.abort_reinject.bytes", gen);
             }
         }
         self.jobs.clear();
@@ -1005,82 +926,281 @@ impl Manager {
         if let Some(fw) = self.forked.take() {
             let pid = k.pid;
             let _ = fw.abort(k.w, pid);
-            if k.obs().journal.wants(obs::journal::CLASS_STAGE) {
-                let now = k.now();
-                let vpid = self.vpid(k) as u64;
-                k.obs().journal.record(
-                    now,
-                    obs::journal::CLASS_STAGE,
-                    "drain.abort",
-                    None,
-                    &[("gen", gen), ("vpid", vpid)],
-                    "",
-                );
-            }
+            Self::journal(
+                k,
+                "drain.abort",
+                &[("gen", gen), ("vpid", self.vpid as u64)],
+            );
         }
         let pid = k.pid;
         k.w.resume_user_threads(k.sim, pid);
         k.obs().metrics.inc("core.ckpt.manager_aborts", 0);
         self.phase = Phase::Idle;
+        None
     }
 
     /// Record this generation's Figure-1 stage breakdown into the metrics
     /// registry (histograms labeled by generation — Table 1a derives its
     /// means from these) and, when span capture is on, one complete span
-    /// per stage on this process's track.
+    /// per stage on this process's track. Each timed step ends at its
+    /// stage's release and starts at the release before it, or at the
+    /// request.
     fn record_stats(&mut self, k: &mut Kernel<'_>) {
         let gen = self.cur_gen;
-        let stages: [(&'static str, &'static str, Nanos, Nanos); 5] = [
-            (
-                "core.stage.suspend",
-                "stage.suspend",
-                self.t_request,
-                self.t_stage[2],
-            ),
-            (
-                "core.stage.elect",
-                "stage.elect",
-                self.t_stage[2],
-                self.t_stage[3],
-            ),
-            (
-                "core.stage.drain",
-                "stage.drain",
-                self.t_stage[3],
-                self.t_stage[4],
-            ),
-            (
-                "core.stage.write",
-                "stage.write",
-                self.t_stage[4],
-                self.t_stage[5],
-            ),
-            (
-                "core.stage.refill",
-                "stage.refill",
-                self.t_stage[5],
-                self.t_stage[6],
-            ),
-        ];
         let track = k.track();
         let obs = k.obs();
-        for (metric, span, start, end) in stages {
+        let mut start = self.t_request;
+        for s in stage::CHECKPOINT {
+            let Some((metric, span)) = stage::step_names(s) else {
+                continue;
+            };
+            let end = self.t_stage[s as usize];
             obs.metrics.observe(metric, gen, (end - start).0);
             obs.spans
                 .complete(track, span, "ckpt", start, end, vec![("gen", gen)]);
+            start = end;
         }
         let pid = k.pid;
         let h = hijack_of(k.w, pid).expect("traced");
         h.gen = self.cur_gen;
     }
+
+    /// Stage `s` released: note when, and enter the stage after it in its
+    /// table — or, after the last, finish the checkpoint or restart.
+    fn advance(&mut self, k: &mut Kernel<'_>, s: u8) -> Option<Step> {
+        self.t_stage[s as usize] = k.now();
+        if let Some(next) = stage::next(s) {
+            return self.enter(k, next);
+        }
+        if s == stage::RESTART_REFILLED {
+            self.restart_resume(k);
+        }
+        self.phase = Phase::Idle;
+        None
+    }
+
+    /// Start stage `s`'s work, in the step that released the stage before
+    /// it. Returns the sleep that models the start's cost, if it has one.
+    fn enter(&mut self, k: &mut Kernel<'_>, s: u8) -> Option<Step> {
+        self.phase = Phase::Work(s);
+        let pause = match s {
+            stage::SUSPENDED => {
+                self.do_suspend(k);
+                // Model the cost of stopping threads via signals.
+                Some(k.w.spec.suspend_overhead)
+            }
+            stage::DRAINED => {
+                self.build_drain_jobs(k);
+                // Per-socket drain overhead (handshakes, fcntl probes).
+                let (d, n) = (k.w.spec.drain_overhead, self.jobs.len() as u64);
+                (n > 0).then_some(Nanos(d.0 * n))
+            }
+            stage::CHECKPOINTED => {
+                let resume_at = self.do_write(k);
+                let now = k.now();
+                (resume_at > now).then_some(resume_at - now)
+            }
+            stage::REFILLED => {
+                self.build_refill_jobs(k);
+                None
+            }
+            stage::CKPT_WRITTEN => {
+                let pid = k.pid;
+                k.w.resume_user_threads(k.sim, pid);
+                self.record_stats(k);
+                // With a forked write, perceived downtime ends here; the
+                // overlapped drain phase continues behind the application.
+                if self.forked.is_none() {
+                    self.phase = Phase::Idle;
+                }
+                None
+            }
+            stage::RESTART_REFILLED => {
+                // Every process of the computation exists again: rewire
+                // the pid-virtualization map to the new real pids.
+                let pid = k.pid;
+                crate::restart::fixup_pid_map(k.w, pid);
+                self.build_refill_jobs(k);
+                None
+            }
+            _ => None,
+        };
+        pause.map(Step::Sleep)
+    }
+
+    /// Finish stage `s`'s work. `Ok` carries how long to sleep after
+    /// reaching the barrier; `Err` the step to take first.
+    fn work(&mut self, k: &mut Kernel<'_>, s: u8) -> Result<Nanos, Step> {
+        match s {
+            stage::ELECTED => self.do_elect(k),
+            stage::DRAINED => {
+                self.run_drain(k)?;
+                self.finish_drain(k);
+            }
+            stage::CHECKPOINTED => return Ok(self.write_done(k)),
+            stage::REFILLED => {
+                self.run_refill(k)?;
+                self.restore_owners(k);
+            }
+            stage::CKPT_WRITTEN => self.background_done(k)?,
+            stage::RESTORED => {
+                self.connect_coord(k)?;
+                let pid = k.pid;
+                self.cur_gen = hijack_of(k.w, pid).expect("restored process traced").gen;
+            }
+            stage::RESTART_REFILLED => self.run_refill(k)?,
+            _ => {}
+        }
+        Ok(Nanos::ZERO)
+    }
+
+    /// The image is written: return the durability wait (§5.2) before the
+    /// stage counts as done. `AfterCheckpoint` waits for this image's dirty
+    /// bytes to hit the platter; `Previous` only for the previous
+    /// generation's writeback, free unless the disk is badly behind. A
+    /// forked image is not even written yet: no wait.
+    fn write_done(&mut self, k: &mut Kernel<'_>) -> Nanos {
+        if self.forked.is_some() {
+            return Nanos::ZERO;
+        }
+        let pid = k.pid;
+        let sync_mode = hijack_of(k.w, pid).map(|h| h.sync).unwrap_or_default();
+        let now = k.now();
+        let wait = match sync_mode {
+            crate::launch::SyncMode::None => Nanos::ZERO,
+            crate::launch::SyncMode::AfterCheckpoint => {
+                let node = k.node();
+                let done = k.w.nodes[node.0 as usize].disk.sync(now);
+                done.saturating_sub(now)
+            }
+            // The previous generation finished writing a full interval
+            // ago; its pages are almost always clean by now. Charge only a
+            // syscall.
+            crate::launch::SyncMode::Previous => Nanos::from_micros(300),
+        };
+        // In-line write: the image is durable here, so the drain barrier is
+        // acked immediately — the coordinator holds its release until
+        // REFILLED, and the two-phase protocol degenerates to the old
+        // single-phase one.
+        self.send_barrier(k, stage::CKPT_WRITTEN);
+        wait
+    }
+
+    /// Forked mode: sleep until the COW child's compress+write pipeline
+    /// drains; then close the dirty ledger and surface the image to the
+    /// fault injector and the coordinator.
+    fn background_done(&mut self, k: &mut Kernel<'_>) -> Result<(), Step> {
+        let fw = self.forked.as_ref().expect("forked write in flight");
+        let done_at = fw.report.image_complete_at;
+        let now = k.now();
+        if now < done_at {
+            // (Re-)sleep the remainder; spurious wakes (late coordinator
+            // retransmissions) land here too.
+            return Err(Step::Sleep(done_at - now));
+        }
+        let fw = self.forked.take().expect("forked write in flight");
+        let pid = k.pid;
+        let (dirty_bytes, incremental) = (fw.report.captured_raw_bytes, fw.report.incremental);
+        let stats = fw.finish(k.w, pid);
+        let args = [
+            ("gen", self.cur_gen),
+            ("vpid", self.vpid as u64),
+            ("dirty_bytes", dirty_bytes),
+            ("incremental", incremental as u64),
+        ];
+        Self::journal(k, "drain.done", &args);
+        let node = k.node();
+        let host = k.hostname();
+        let h = hijack_of(k.w, k.pid).expect("traced");
+        let (root_port, name) = (h.root_port, h.image_name(self.cur_gen));
+        faultkit::image_written(k.w, self.cur_gen, node, &name.to_string());
+        record_image(k.w, root_port, host, name);
+        let gen = self.cur_gen;
+        let start = self.t_stage[stage::REFILLED as usize];
+        let track = k.track();
+        let obs = k.obs();
+        obs.metrics
+            .observe("core.stage.background", gen, (now - start).0);
+        obs.spans.complete(
+            track,
+            "stage.background_write",
+            "ckpt",
+            start,
+            now,
+            vec![
+                ("gen", gen),
+                ("cow_copied_bytes", stats.copied_bytes),
+                ("cow_copied_regions", stats.copied_regions),
+            ],
+        );
+        Ok(())
+    }
+
+    /// The restart is done: resume the user threads and record the
+    /// restart's refill sample.
+    fn restart_resume(&mut self, k: &mut Kernel<'_>) {
+        let pid = k.pid;
+        k.w.resume_user_threads(k.sim, pid);
+        let now = k.now();
+        let refill = now - self.t_stage[stage::RESTORED as usize];
+        let track = k.track();
+        let gen = self.cur_gen;
+        k.obs().spans.complete(
+            track,
+            "restart.refill",
+            "restart",
+            now - refill,
+            now,
+            vec![("gen", gen)],
+        );
+        let partial = {
+            let h = hijack_of(k.w, pid).expect("traced");
+            h.restarts += 1;
+            h.restart_partial.take()
+        };
+        if let Some(partial) = partial {
+            crate::restart::record_restart_sample(k.w, gen, partial, refill);
+        }
+    }
+}
+
+/// Write `buf[*off..]` to `fd` until all of it is out or the socket would
+/// block. EPIPE — the peer can take no more — counts the rest as sent.
+/// Returns the bytes written and whether EPIPE ended the send.
+fn send(k: &mut Kernel<'_>, fd: Fd, buf: &[u8], off: &mut usize, what: &str) -> (usize, bool) {
+    let mut sent = 0;
+    while *off < buf.len() {
+        match k.write(fd, &buf[*off..]) {
+            Ok(n) => {
+                *off += n;
+                sent += n;
+            }
+            Err(Errno::WouldBlock) => break,
+            Err(Errno::Pipe) => {
+                *off = buf.len();
+                return (sent, true);
+            }
+            Err(e) => panic!("{what}: {e:?}"),
+        }
+    }
+    (sent, false)
+}
+
+/// A transfer round's outcome: done, or yield after progress, or block
+/// (every job would block; wakers are registered).
+fn step_result(all_done: bool, progressed: bool) -> Result<(), Step> {
+    match (all_done, progressed) {
+        (true, _) => Ok(()),
+        (false, true) => Err(Step::Yield),
+        (false, false) => Err(Step::Block),
+    }
 }
 
 impl oskit::program::Program for Manager {
-    fn step(&mut self, k: &mut Kernel<'_>) -> oskit::program::Step {
-        use oskit::program::Step;
+    fn step(&mut self, k: &mut Kernel<'_>) -> Step {
         loop {
             match self.phase {
-                Phase::Init => match self.connect_coord(k) {
+                Phase::Connect => match self.connect_coord(k) {
                     Ok(()) => self.phase = Phase::Idle,
                     Err(step) => return step,
                 },
@@ -1114,299 +1234,29 @@ impl oskit::program::Program for Manager {
                     if delayed {
                         return Step::Sleep(Nanos::from_millis(1));
                     }
-                    self.phase = Phase::Suspend;
-                }
-                Phase::Suspend => {
-                    self.do_suspend(k);
-                    self.phase = Phase::SuspendDone;
-                    // Model the cost of stopping threads via signals.
-                    return Step::Sleep(k.w.spec.suspend_overhead);
-                }
-                Phase::SuspendDone => {
-                    self.send_barrier(k, stage::SUSPENDED);
-                    self.phase = Phase::AwaitSuspended;
-                }
-                Phase::AwaitSuspended => match self.released(k, stage::SUSPENDED) {
-                    Verdict::Released => {
-                        self.t_stage[2] = k.now();
-                        self.phase = Phase::Elect;
+                    if let Some(step) = self.enter(k, stage::SUSPENDED) {
+                        return step;
                     }
-                    Verdict::Aborted => self.do_abort(k, false),
-                    Verdict::Blocked => return Step::Block,
-                },
-                Phase::Elect => {
-                    self.do_elect(k);
-                    self.send_barrier(k, stage::ELECTED);
-                    self.phase = Phase::AwaitElected;
                 }
-                Phase::AwaitElected => match self.released(k, stage::ELECTED) {
-                    Verdict::Released => {
-                        self.t_stage[3] = k.now();
-                        self.build_drain_jobs(k);
-                        self.phase = Phase::DrainRun;
-                        // Per-socket drain overhead (handshakes, fcntl probes).
-                        let d = k.w.spec.drain_overhead;
-                        let n = self.jobs.len() as u32;
-                        if n > 0 {
-                            return Step::Sleep(Nanos(d.0 * n as u64));
+                Phase::Work(s) => match self.work(k, s) {
+                    Ok(wait) => {
+                        self.send_barrier(k, s);
+                        self.phase = Phase::Await(s);
+                        if wait > Nanos::ZERO {
+                            return Step::Sleep(wait);
                         }
-                    }
-                    Verdict::Aborted => self.do_abort(k, false),
-                    Verdict::Blocked => return Step::Block,
-                },
-                Phase::DrainRun => match self.run_drain(k) {
-                    Ok(true) => {
-                        self.finish_drain(k);
-                        self.send_barrier(k, stage::DRAINED);
-                        self.phase = Phase::AwaitDrained;
-                    }
-                    Ok(false) => return Step::Yield,
-                    Err(()) => return Step::Block,
-                },
-                Phase::AwaitDrained => match self.released(k, stage::DRAINED) {
-                    Verdict::Released => {
-                        self.t_stage[4] = k.now();
-                        self.phase = Phase::WriteImage;
-                    }
-                    Verdict::Aborted => self.do_abort(k, true),
-                    Verdict::Blocked => return Step::Block,
-                },
-                Phase::WriteImage => {
-                    let resume_at = self.do_write(k);
-                    self.phase = Phase::WriteDone;
-                    let now = k.now();
-                    if resume_at > now {
-                        return Step::Sleep(resume_at - now);
-                    }
-                }
-                Phase::WriteDone => {
-                    // Optional durability work before declaring the stage
-                    // done (§5.2). `AfterCheckpoint` waits for this image's
-                    // dirty bytes to hit the platter; `Previous` only waits
-                    // for writeback older than the current write burst —
-                    // i.e. the previous generation — which is free unless
-                    // the disk is badly behind. Skipped in forked mode: the
-                    // image is not even written yet at this point.
-                    let pid = k.pid;
-                    let sync_mode = hijack_of(k.w, pid).map(|h| h.sync).unwrap_or_default();
-                    let now = k.now();
-                    let wait = if self.forked.is_some() {
-                        simkit::Nanos::ZERO
-                    } else {
-                        match sync_mode {
-                            crate::launch::SyncMode::None => simkit::Nanos::ZERO,
-                            crate::launch::SyncMode::AfterCheckpoint => {
-                                let node = k.node();
-                                let done = k.w.nodes[node.0 as usize].disk.sync(now);
-                                done.saturating_sub(now)
-                            }
-                            crate::launch::SyncMode::Previous => {
-                                // The previous generation finished writing a
-                                // full interval ago; its pages are almost
-                                // always clean by now. Charge only a syscall.
-                                simkit::Nanos::from_micros(300)
-                            }
-                        }
-                    };
-                    if self.forked.is_none() {
-                        // In-line write: the image is durable here, so the
-                        // drain barrier is acked immediately — the
-                        // coordinator holds its release until REFILLED, and
-                        // the two-phase protocol degenerates to the old
-                        // single-phase one.
-                        self.send_barrier(k, stage::CKPT_WRITTEN);
-                    }
-                    self.send_barrier(k, stage::CHECKPOINTED);
-                    self.phase = Phase::AwaitCheckpointed;
-                    if wait > simkit::Nanos::ZERO {
-                        return Step::Sleep(wait);
-                    }
-                }
-                Phase::AwaitCheckpointed => match self.released(k, stage::CHECKPOINTED) {
-                    Verdict::Released => {
-                        self.t_stage[5] = k.now();
-                        self.build_refill_jobs(k);
-                        self.phase = Phase::RefillRun;
-                    }
-                    Verdict::Aborted => self.do_abort(k, true),
-                    Verdict::Blocked => return Step::Block,
-                },
-                Phase::RefillRun => match self.run_refill(k) {
-                    Ok(true) => {
-                        self.restore_owners(k);
-                        self.send_barrier(k, stage::REFILLED);
-                        self.phase = Phase::AwaitRefilled;
-                    }
-                    Ok(false) => return Step::Yield,
-                    Err(()) => return Step::Block,
-                },
-                Phase::AwaitRefilled => match self.released(k, stage::REFILLED) {
-                    Verdict::Released => {
-                        self.t_stage[6] = k.now();
-                        self.phase = Phase::Resume;
-                    }
-                    // The refill already ran (our buffers hold the drained
-                    // bytes again); nothing further to re-inject.
-                    Verdict::Aborted => self.do_abort(k, false),
-                    Verdict::Blocked => return Step::Block,
-                },
-                Phase::Resume => {
-                    let pid = k.pid;
-                    k.w.resume_user_threads(k.sim, pid);
-                    self.record_stats(k);
-                    // With a forked write, perceived downtime ends here;
-                    // the overlapped drain phase continues behind the
-                    // application.
-                    self.phase = if self.forked.is_some() {
-                        Phase::BgWait
-                    } else {
-                        Phase::Idle
-                    };
-                }
-                Phase::BgWait => {
-                    let done_at = self
-                        .forked
-                        .as_ref()
-                        .expect("forked write in flight")
-                        .report
-                        .image_complete_at;
-                    let now = k.now();
-                    if now < done_at {
-                        // (Re-)sleep the remainder; spurious wakes (late
-                        // coordinator retransmissions) land here too.
-                        return Step::Sleep(done_at - now);
-                    }
-                    // The COW child's pipeline drained: the image is
-                    // durable. Close the dirty ledger, surface the image to
-                    // the fault injector and the coordinator, and ack.
-                    let fw = self.forked.take().expect("forked write in flight");
-                    let pid = k.pid;
-                    let (dirty_bytes, incremental) =
-                        (fw.report.captured_raw_bytes, fw.report.incremental);
-                    let stats = fw.finish(k.w, pid);
-                    if k.obs().journal.wants(obs::journal::CLASS_STAGE) {
-                        let gen = self.cur_gen;
-                        let vpid = self.vpid(k) as u64;
-                        let args = [
-                            ("gen", gen),
-                            ("vpid", vpid),
-                            ("dirty_bytes", dirty_bytes),
-                            ("incremental", incremental as u64),
-                        ];
-                        k.obs().journal.record(
-                            now,
-                            obs::journal::CLASS_STAGE,
-                            "drain.done",
-                            None,
-                            &args,
-                            "",
-                        );
-                    }
-                    let node = k.node();
-                    let host = k.hostname();
-                    let h = hijack_of(k.w, k.pid).expect("traced");
-                    let (root_port, name) = (h.root_port, h.image_name(self.cur_gen));
-                    faultkit::image_written(k.w, self.cur_gen, node, &name.to_string());
-                    record_image(k.w, root_port, host, name);
-                    let gen = self.cur_gen;
-                    let start = self.t_stage[6];
-                    let track = k.track();
-                    let obs = k.obs();
-                    obs.metrics
-                        .observe("core.stage.background", gen, (now - start).0);
-                    obs.spans.complete(
-                        track,
-                        "stage.background_write",
-                        "ckpt",
-                        start,
-                        now,
-                        vec![
-                            ("gen", gen),
-                            ("cow_copied_bytes", stats.copied_bytes),
-                            ("cow_copied_regions", stats.copied_regions),
-                        ],
-                    );
-                    self.send_barrier(k, stage::CKPT_WRITTEN);
-                    self.phase = Phase::AwaitWritten;
-                }
-                Phase::AwaitWritten => match self.released(k, stage::CKPT_WRITTEN) {
-                    Verdict::Released => self.phase = Phase::Idle,
-                    Verdict::Aborted => {
-                        // A peer died during the overlapped drain. User
-                        // threads are already running — nothing to roll
-                        // back; our image simply never joins a committed
-                        // generation (restart uses the previous one).
-                        k.obs().metrics.inc("core.ckpt.drain_aborts_seen", 0);
-                        self.phase = Phase::Idle;
-                    }
-                    Verdict::Blocked => return Step::Block,
-                },
-                // ---------------- restart path ----------------
-                Phase::RestartInit => match self.connect_coord(k) {
-                    Ok(()) => {
-                        let pid = k.pid;
-                        self.cur_gen = {
-                            let h = hijack_of(k.w, pid).expect("restored process traced");
-                            h.gen
-                        };
-                        self.send_barrier(k, stage::RESTORED);
-                        self.phase = Phase::AwaitRestored;
                     }
                     Err(step) => return step,
                 },
-                Phase::AwaitRestored => {
-                    match self.released(k, stage::RESTORED) {
-                        Verdict::Released => {}
-                        Verdict::Aborted => return self.restart_abandoned(k),
-                        Verdict::Blocked => return Step::Block,
-                    }
-                    // Every process of the computation exists again: rewire
-                    // the pid-virtualization map to the new real pids.
-                    let pid = k.pid;
-                    crate::restart::fixup_pid_map(k.w, pid);
-                    self.t_stage[5] = k.now(); // refill starts here on restart
-                    self.build_refill_jobs(k);
-                    self.phase = Phase::RestartRefillRun;
-                }
-                Phase::RestartRefillRun => match self.run_refill(k) {
-                    Ok(true) => {
-                        self.send_barrier(k, stage::RESTART_REFILLED);
-                        self.phase = Phase::AwaitRestartRefilled;
-                    }
-                    Ok(false) => return Step::Yield,
-                    Err(()) => return Step::Block,
-                },
-                Phase::AwaitRestartRefilled => {
-                    match self.released(k, stage::RESTART_REFILLED) {
-                        Verdict::Released => {}
-                        Verdict::Aborted => return self.restart_abandoned(k),
-                        Verdict::Blocked => return Step::Block,
-                    }
-                    self.phase = Phase::RestartResume;
-                }
-                Phase::RestartResume => {
-                    let pid = k.pid;
-                    k.w.resume_user_threads(k.sim, pid);
-                    let refill = k.now() - self.t_stage[5];
-                    let (now, track) = (k.now(), k.track());
-                    let gen = self.cur_gen;
-                    k.obs().spans.complete(
-                        track,
-                        "restart.refill",
-                        "restart",
-                        now - refill,
-                        now,
-                        vec![("gen", gen)],
-                    );
-                    let partial = {
-                        let h = hijack_of(k.w, pid).expect("traced");
-                        h.restarts += 1;
-                        h.restart_partial.take()
+                Phase::Await(s) => {
+                    let next = match self.released(k, s) {
+                        Verdict::Released => self.advance(k, s),
+                        Verdict::Aborted => self.rollback(k, s),
+                        Verdict::Blocked => Some(Step::Block),
                     };
-                    if let Some(partial) = partial {
-                        crate::restart::record_restart_sample(k.w, gen, partial, refill);
+                    if let Some(step) = next {
+                        return step;
                     }
-                    self.phase = Phase::Idle;
                 }
             }
         }

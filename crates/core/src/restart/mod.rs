@@ -24,10 +24,11 @@ pub mod plan;
 #[cfg(test)]
 mod tests;
 
+use crate::coord::stage;
 use crate::gsid::{global, Gsid};
 use crate::hijack::{ConnTable, FdKindRec, PtyRecord, WatchRec};
 use crate::launch::{hijack_from_env, ENV_RESTART_CHILD};
-use crate::manager::{Manager, Mode};
+use crate::manager::{self, Manager};
 use crate::proto::{frame, FrameBuf, Msg};
 use faultkit::FillPoint;
 use mtcp::CkptImage;
@@ -571,10 +572,9 @@ impl RestartProc {
             }
 
             // The manager thread starts once memory restoration completes.
-            let mgr_tid = {
-                let p = k.w.procs.get_mut(&child).expect("child exists");
-                p.add_thread(Box::new(Manager::new(Mode::RestartRefill)), false)
-            };
+            let mgr = Manager::new(manager::Phase::Work(stage::RESTORED));
+            let p = k.w.procs.get_mut(&child).expect("child exists");
+            let mgr_tid = p.add_thread(Box::new(mgr), false);
             k.w.schedule_dispatch_at(k.sim, child, mgr_tid, rep.done_at);
         }
         // Release the restart process's own copies of every fd (children

@@ -351,17 +351,10 @@ pub fn completed(gs: GenStat) -> Result<GenStat, CkptError> {
 /// First of the in-order checkpoint barrier stages that `g` never
 /// released — the stage at which an aborted generation died.
 pub fn first_missing_stage(g: &GenStat) -> u8 {
-    [
-        stage::SUSPENDED,
-        stage::ELECTED,
-        stage::DRAINED,
-        stage::CHECKPOINTED,
-        stage::REFILLED,
-        stage::CKPT_WRITTEN,
-    ]
-    .into_iter()
-    .find(|s| !g.releases.contains_key(s))
-    .unwrap_or(stage::CKPT_WRITTEN)
+    stage::CHECKPOINT
+        .into_iter()
+        .find(|s| !g.releases.contains_key(s))
+        .unwrap_or(stage::CKPT_WRITTEN)
 }
 
 /// Test convenience for [`Session::checkpoint_and_wait`]: unwrap the

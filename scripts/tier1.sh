@@ -51,15 +51,17 @@ stage_perf() {
     echo "== perf package: build + unit tests (perf/Cargo.toml, outside the workspace) =="
     cargo build --release --offline --manifest-path perf/Cargo.toml
     cargo test --offline --manifest-path perf/Cargo.toml
-    # Four smoke runs: scale-relay never installs the chunk store;
+    # Five smoke runs: scale-relay never installs the chunk store;
     # tenants-svc is the only path through svc admission, the tenant ledger
     # and the store's GC; realmem-idle is the only one where real bytes pass
     # szip, CRC-32, incremental alias extents and a live migration under the
     # oracle; realmem-churn is the only kill + restart of real compressed
     # bytes through the store, so both decode paths (verify, then restore)
-    # run under the oracle.
+    # run under the oracle; mg-cluster is the only one with MPI ranks,
+    # plain-file images and in-line compressed writes — the manager's
+    # CHECKPOINTED path, where the in-line writer acks CKPT_WRITTEN early.
     local workload last
-    for workload in scale-relay tenants-svc realmem-idle realmem-churn; do
+    for workload in scale-relay tenants-svc realmem-idle realmem-churn mg-cluster; do
         echo "== perf smoke run ($workload, 1 s, untraced) =="
         last=$(./perf/target/release/perf run --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
         echo "$last"
@@ -71,6 +73,8 @@ stage_perf() {
 }
 
 stage_lint() {
+    echo "== counts: non-test lines and panic-class sites per crate (printed, not gated) =="
+    scripts/counts.sh
     echo "== cargo clippy (-D warnings) =="
     cargo clippy --workspace --all-targets -- -D warnings
     echo "== cargo fmt --check =="
